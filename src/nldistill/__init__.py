@@ -10,7 +10,6 @@ from .boxes import (
     P_C,
     P_F,
     PR,
-    correlator,
     is_isotropic,
     local_vertex,
     mix,
@@ -42,9 +41,7 @@ from .delta import (
     DeltaTables,
     MemoryBudgetError,
     build_tables,
-    delta,
     load_tables,
-    save_tables,
 )
 from .protocols import (
     Protocol,

@@ -94,8 +94,7 @@ def _scan_inputs(tables: DeltaTables, n: int):
 
 
 def _tables_for(system: BinarySystem, n: int,
-                tables: Optional[DeltaTables], backend: Optional[str],
-                progress=None) -> DeltaTables:
+                tables: Optional[DeltaTables], progress=None) -> DeltaTables:
     p = system.prob(0, 0, 0, 0)
     if tables is not None:
         if tables.p != p:
@@ -103,12 +102,11 @@ def _tables_for(system: BinarySystem, n: int,
         if tables.n < n:
             raise ValueError(f"tables only reach level {tables.n} < n={n}")
         return tables
-    return build_tables(p, n, backend=backend, progress=progress)
+    return build_tables(p, n, progress=progress)
 
 
 def iso_bound(system: BinarySystem, n: int, *,
               tables: Optional[DeltaTables] = None,
-              backend: Optional[str] = None,
               reduced: bool = True,
               progress=None) -> BoundReport:
     """Upper bound on D(n, P) for an isotropic system.
@@ -120,22 +118,21 @@ def iso_bound(system: BinarySystem, n: int, *,
         raise ValueError("n must be >= 1")
     if is_isotropic(system) is None:
         raise ValueError("the isotropic bound applies to isotropic systems only")
-    tables = _tables_for(system, n, tables, backend, progress)
+    tables = _tables_for(system, n, tables, progress)
     xp, xm, dpn, denom = _scan_inputs(tables, n)
-    eff = tables.backend if tables.backend in ("numba", "numpy") \
-        else kernels.resolve_backend(backend)
-    if xp.dtype == object:
-        eff = "numpy"
     size = 2 ** n
     k0_cap = size // 2 if reduced else size
-    best, witness = kernels.iso_scan(xp, xm, dpn, size // 2, k0_cap, size, eff)
+    best, witness = kernels.iso_scan(xp, xm, dpn, size // 2, k0_cap, size)
     raw = Fraction(4 * best, denom)
     nl, _ = nl_value(system)
-    assert raw >= nl, "bound fell below the trivial one-copy protocol"
+    if raw < nl:
+        raise AssertionError(
+            f"bound {raw} fell below the trivial one-copy protocol's {nl}"
+        )
     return BoundReport(
         raw_bound=raw, clamped_bound=min(raw, Fraction(4)),
         witness_profile=ClassProfile(*witness), n=n, system=system,
-        system_nl=nl, backend=eff,
+        system_nl=nl, backend=kernels.path(xp),
     )
 
 
@@ -179,21 +176,16 @@ class ClassGrid:
 
 def class_grid(system: BinarySystem, n: int, *,
                tables: Optional[DeltaTables] = None,
-               backend: Optional[str] = None,
                progress=None) -> ClassGrid:
     """The full aggregated bound surface for an isotropic box."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if is_isotropic(system) is None:
         raise ValueError("the class grid applies to isotropic systems only")
-    tables = _tables_for(system, n, tables, backend, progress)
+    tables = _tables_for(system, n, tables, progress)
     xp, xm, dpn, denom = _scan_inputs(tables, n)
-    eff = tables.backend if tables.backend in ("numba", "numpy") \
-        else kernels.resolve_backend(backend)
-    if xp.dtype == object:
-        eff = "numpy"
     size = 2 ** n
-    scaled = kernels.grid_scan(xp, xm, dpn, size // 2, size, eff)
+    scaled = kernels.grid_scan(xp, xm, dpn, size // 2, size)
     values = tuple(
         tuple(Fraction(4 * int(scaled[sk, sl]), denom) for sl in range(2 * size + 1))
         for sk in range(2 * size + 1)
@@ -203,7 +195,6 @@ def class_grid(system: BinarySystem, n: int, *,
 
 def general_bound(system: BinarySystem, n: int, *,
                   tables: Optional[DeltaTables] = None,
-                  backend: Optional[str] = None,
                   progress=None) -> BoundReport:
     """General bound: reduce to the minimal isotropic envelope, then bound it."""
     if n < 1:
@@ -216,8 +207,7 @@ def general_bound(system: BinarySystem, n: int, *,
             witness_profile=ClassProfile(0, 0, 0, 0), n=n, system=system,
             system_nl=nl, decomposition=dec, backend="",
         )
-    report = iso_bound(dec.p_iso, n, tables=tables, backend=backend,
-                       progress=progress)
+    report = iso_bound(dec.p_iso, n, tables=tables, progress=progress)
     return BoundReport(
         raw_bound=report.raw_bound, clamped_bound=report.clamped_bound,
         witness_profile=report.witness_profile, n=n, system=system,

@@ -175,11 +175,6 @@ def wedge(eps: RationalLike, delta: RationalLike) -> BinarySystem:
     return mix([(e, PR), (d, P_C), (1 - e - d, P_F)])
 
 
-def correlator(system: BinarySystem, x: int, y: int) -> Fraction:
-    """Module-level accessor mirroring BinarySystem.correlator."""
-    return system.correlator(x, y)
-
-
 # ---------------------------------------------------------------------------
 # CHSH expressions and the nonlocality measure
 # ---------------------------------------------------------------------------

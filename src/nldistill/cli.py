@@ -5,12 +5,14 @@ Boxes come either from ``--box FILE`` (JSON table of "num/den" strings)
 or ``--wedge e,d`` (the PR / correlated-bit / facet mixture).  All
 rationals are printed as "num/den"; floats appear only in explicitly
 approximate columns.  Exit codes: 0 success, 2 invalid box, 3 infeasible
-parameters (including a numba backend request without numba), 4 I/O or
-cache failure.
+parameters, 4 I/O or cache failure.
 
 Long-running work (profile scans at n >= 8 and the n = 2 exhaustive
 search) must be opted into with --long-run.  Progress is reported as one
-JSON object per line on stderr.
+JSON object per line on stderr.  The kernels run on numba for int64
+tables when numba is importable and on numpy otherwise; the "backend"
+field of ``bound`` and ``tables`` output names the one that ran
+("loaded" for tables read from the cache).
 """
 from __future__ import annotations
 
@@ -22,7 +24,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from . import kernels
 from .boxes import BinarySystem, BoxFormatError, nl_value, rational, validate, wedge
 from .bounds import BoundReport, class_grid, general_bound, iso_bound
 from .decompose import DecompositionError, minimal_isotropic
@@ -118,16 +119,7 @@ def _require_long_run(args, what: str) -> None:
         )
 
 
-def _backend(args) -> str:
-    """Resolve --backend (or NLDISTILL_BACKEND) before any kernel runs."""
-    try:
-        return kernels.resolve_backend(args.backend, source="--backend ")
-    except (RuntimeError, ValueError) as exc:  # numba missing, unknown name
-        raise CliError(EXIT_INFEASIBLE, str(exc))
-
-
 def _tables_for(p: Fraction, n: int, args) -> DeltaTables:
-    backend = _backend(args)
     cache_dir = getattr(args, "cache", None)
     path = None
     if cache_dir:
@@ -143,7 +135,7 @@ def _tables_for(p: Fraction, n: int, args) -> DeltaTables:
                   "p": f"{p.numerator}/{p.denominator}"})
             return tables
     t0 = time.perf_counter()
-    tables = build_tables(p, n, backend=backend, progress=_log)
+    tables = build_tables(p, n, progress=_log)
     _log({"event": "tables_built", "n": n,
           "p": f"{p.numerator}/{p.denominator}",
           "seconds": round(time.perf_counter() - t0, 3)})
@@ -225,7 +217,7 @@ def cmd_bound(args) -> int:
         report = general_bound(system, args.n)
     else:
         tables = _tables_for(dec.p_iso.prob(0, 0, 0, 0), args.n, args)
-        iso = iso_bound(dec.p_iso, args.n, tables=tables, backend=args.backend)
+        iso = iso_bound(dec.p_iso, args.n, tables=tables)
         report = BoundReport(
             raw_bound=iso.raw_bound, clamped_bound=iso.clamped_bound,
             witness_profile=iso.witness_profile, n=args.n, system=system,
@@ -246,7 +238,7 @@ def cmd_grid(args) -> int:
         _require_long_run(args, f"the class grid at n={args.n}")
     try:
         tables = _tables_for(system.prob(0, 0, 0, 0), args.n, args)
-        grid = class_grid(system, args.n, tables=tables, backend=args.backend)
+        grid = class_grid(system, args.n, tables=tables)
     except ValueError as exc:
         raise CliError(EXIT_INFEASIBLE, str(exc))
     best, arg = grid.max_cell()
@@ -271,12 +263,11 @@ def cmd_search(args) -> int:
     if args.n == 2:
         _require_long_run(args, "the n=2 exhaustive search")
     t0 = time.perf_counter()
-    result = brute_force_D(system, args.n, backend=_backend(args))
+    result = brute_force_D(system, args.n)
     _log({"event": "search_done", "value": str(result.value),
           "cells": result.cells_scanned,
           "seconds": round(time.perf_counter() - t0, 3)})
     obj = result.to_json_obj()
-    obj["seed"] = args.seed
     obj["nl"] = str(nl_value(system)[0])
     _emit(args, json.dumps(obj, indent=2))
     return EXIT_OK
@@ -296,13 +287,8 @@ def _add_common(sub) -> None:
     sub.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
     sub.add_argument("--format", choices=("json", "csv"), default=None)
     sub.add_argument("--cache", metavar="DIR", help="delta-table cache directory")
-    sub.add_argument("--jobs", type=int, default=0,
-                     help="parallelism degree forwarded to the numba kernels")
     sub.add_argument("--long-run", action="store_true", dest="long_run",
                      help="opt in to long computations (n >= 8 scans, n = 2 search)")
-    sub.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
-    sub.add_argument("--backend", choices=("numba", "numpy"), default=None,
-                     help="kernel backend (default: numba when available)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -341,8 +327,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "n", None) is not None and args.n < 1:
             raise CliError(EXIT_INFEASIBLE, "n must be >= 1")
-        if args.jobs:
-            kernels.set_num_threads(args.jobs)
         return args.func(args)
     except CliError as exc:
         print(f"nldistill: error: {exc}", file=sys.stderr)

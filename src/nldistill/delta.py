@@ -10,10 +10,10 @@ over i in [k-min(k,2^(m-1)), min(k,2^(m-1))] and j likewise.
 
 Entries are stored as integer numerators over the exact per-level
 denominator D_m = (2*den(p))^m, which keeps the whole build in integer
-arithmetic: int64 via the numba kernels whenever magnitudes provably
-fit, otherwise Python big ints in object arrays.  Only the wedge
-k <= min(l, 2^(m-1)) is scanned; the rest of each grid follows from the
-(k,l) <-> (l,k) symmetry and the complement identity
+arithmetic: int64 whenever magnitudes provably fit, otherwise Python big
+ints in object arrays.  Only the wedge k <= min(l, 2^(m-1)) is scanned;
+the rest of each grid follows from the (k,l) <-> (l,k) symmetry and the
+complement identity
 
     delta_m(2^m - k, 2^m - l) = delta_m(k, l) + 1 - (k + l)/2^m,
 
@@ -22,7 +22,9 @@ a direct recursive evaluation in the tests).
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -126,6 +128,8 @@ class DeltaTables:
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:
+        """Write the cache file through a temporary file and a rename, so a
+        failed write never leaves a torn file at ``path``."""
         payload = bytearray()
         for m in range(self.n + 1):
             denom = self.level_denominator(m)
@@ -140,9 +144,15 @@ class DeltaTables:
             f"n={self.n} p={self.p.numerator}/{self.p.denominator}\n"
             f"sha256={digest}\n"
         ).encode()
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(bytes(payload))
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(header)
+                fh.write(bytes(payload))
+            os.replace(tmp, path)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
 
 
 def _netstring(s: str) -> bytes:
@@ -256,16 +266,16 @@ def _complete_grid(grid: np.ndarray, size: int, dppow: int) -> None:
         grid[h + 1:, h + 1:] = src + add
 
 
-def build_tables(p: RationalLike, n: int, *, backend: Optional[str] = None,
+def build_tables(p: RationalLike, n: int, *,
                  memory_budget: int = DEFAULT_MEMORY_BUDGET,
                  progress: Optional[ProgressFn] = None) -> DeltaTables:
     """Build delta tables for all levels 0..n at parameter p.
 
     p must lie in [0, 1/2] (the output-symmetric range; every isotropic
-    system satisfies this).  The backend is resolved from the argument,
-    the NLDISTILL_BACKEND environment flag, or numba availability; when
-    int64 would overflow, the build silently switches to exact Python
-    integers on the numpy path.
+    system satisfies this).  Levels are int64 while every intermediate
+    fits (see ``fits_int64``), otherwise exact Python integers; the dtype
+    picks the kernel (``kernels.path``), recorded in ``backend`` and in
+    each ``level_filled`` progress event.
     """
     p = rational(p)
     if not 0 <= p <= Fraction(1, 2):
@@ -276,9 +286,6 @@ def build_tables(p: RationalLike, n: int, *, backend: Optional[str] = None,
     required = _estimate_bytes(n, use_int64)
     if required > memory_budget:
         raise MemoryBudgetError(required, memory_budget)
-    requested = kernels.resolve_backend(backend)
-    effective = requested if use_int64 else "numpy"
-
     dp, num = p.denominator, p.numerator
     ca, cb = 2 * num, dp - 2 * num
     dtype = np.int64 if use_int64 else object
@@ -286,14 +293,15 @@ def build_tables(p: RationalLike, n: int, *, backend: Optional[str] = None,
     base = np.zeros((2, 2), dtype=dtype)
     base[1, 1] = 1
     base.flags.writeable = False
+    backend = kernels.path(base)
     plus, minus = [base], [base]
     ops_per_level = [0]
     for m in range(1, n + 1):
         t0 = time.perf_counter()
         size = 2 ** m
         dppow = dp ** m
-        gp, ops_p = kernels.fill_wedge(plus[-1], size, ca, cb, True, effective)
-        gm, ops_m = kernels.fill_wedge(minus[-1], size, ca, cb, False, effective)
+        gp, ops_p = kernels.fill_wedge(plus[-1], size, ca, cb, True)
+        gm, ops_m = kernels.fill_wedge(minus[-1], size, ca, cb, False)
         for g in (gp, gm):
             _complete_grid(g, size, dppow)
             g.flags.writeable = False
@@ -304,20 +312,10 @@ def build_tables(p: RationalLike, n: int, *, backend: Optional[str] = None,
             progress({
                 "event": "level_filled", "m": m, "ops": ops_p + ops_m,
                 "seconds": round(time.perf_counter() - t0, 3),
-                "backend": effective,
+                "backend": backend,
             })
     return DeltaTables(p=p, n=n, plus=tuple(plus), minus=tuple(minus),
-                       ops_per_level=tuple(ops_per_level), backend=effective)
-
-
-def delta(tables: DeltaTables, sign: str, m: int, k: int, l: int) -> Fraction:
-    """Module-level accessor mirroring DeltaTables.delta."""
-    return tables.delta(sign, m, k, l)
-
-
-def save_tables(tables: DeltaTables, path) -> None:
-    """Module-level mirror of DeltaTables.save."""
-    tables.save(path)
+                       ops_per_level=tuple(ops_per_level), backend=backend)
 
 
 def cache_filename(p: Fraction, n: int) -> str:

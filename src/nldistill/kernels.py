@@ -4,32 +4,25 @@ Every hot loop in this package works on integer numerators over a common
 denominator, so kernels are pure integer code with max/min reductions.
 Each kernel exists twice:
 
-* a numba ``@njit`` version operating on int64 arrays (the default when
-  numba is importable and the caller has proved that all intermediate
-  magnitudes fit in int64), and
+* a numba ``@njit`` version operating on int64 arrays, and
 * a numpy version that accepts both int64 and object arrays; with
   ``dtype=object`` the same code runs on arbitrary-precision Python ints.
 
-Set ``NLDISTILL_BACKEND=numpy`` to force the fallback, or
-``NLDISTILL_BACKEND=numba`` to insist on the JIT path.  Object arrays
-always take the numpy path regardless of the flag, since numba cannot
-represent big integers.
+The array alone decides which one runs (see ``path``): int64 arrays take
+the numba kernels whenever numba is importable, everything else the numpy
+kernels.  Callers only produce int64 arrays once they have proved that
+all intermediate magnitudes fit.  numba reads its thread count from
+``NUMBA_NUM_THREADS``.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-BACKEND_ENV = "NLDISTILL_BACKEND"
-
-try:  # pragma: no cover - exercised implicitly by backend dispatch
-    import numba
+try:  # pragma: no cover - exercised implicitly by path()
     from numba import njit, prange
 
     HAVE_NUMBA = True
 except ImportError:  # pragma: no cover
-    numba = None
     HAVE_NUMBA = False
     prange = range
 
@@ -43,36 +36,9 @@ except ImportError:  # pragma: no cover
 _SENTINEL = 1 << 62
 
 
-def resolve_backend(requested: str | None = None, *, source: str = "backend=") -> str:
-    """Pick "numba" or "numpy" from the argument, the env flag, or availability.
-
-    Errors name where the request came from: ``source`` followed by the
-    argument (``"--backend "`` on the command line), or the env flag.
-    """
-    if requested:
-        origin = f"{source}{requested!r}"
-    else:
-        requested = os.environ.get(BACKEND_ENV, "")
-        origin = f"{BACKEND_ENV}={requested}"
-    req = requested.strip().lower()
-    if not req:
-        return "numba" if HAVE_NUMBA else "numpy"
-    if req == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError(
-                f"{origin} asks for numba, which is not importable; install "
-                "the 'fast' extra (pip install -e '.[fast]') or use the numpy backend"
-            )
-        return "numba"
-    if req == "numpy":
-        return "numpy"
-    raise ValueError(f"unknown backend {req!r} from {origin}; expected 'numba' or 'numpy'")
-
-
-def set_num_threads(jobs: int) -> None:
-    """Forward a parallelism degree to numba; harmless without numba."""
-    if HAVE_NUMBA and jobs > 0:
-        numba.set_num_threads(min(jobs, numba.config.NUMBA_NUM_THREADS))
+def path(arr: np.ndarray) -> str:
+    """The kernel family that runs on ``arr``: "numba" or "numpy"."""
+    return "numba" if HAVE_NUMBA and arr.dtype == np.int64 else "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +107,10 @@ def _fill_wedge_numba(prev, out, size, ca, cb, maximize):
     return ops
 
 
-def fill_wedge(prev: np.ndarray, size: int, ca, cb, maximize: bool, backend: str):
+def fill_wedge(prev: np.ndarray, size: int, ca, cb, maximize: bool):
     """Fill the wedge region of one level; returns (grid, evaluated pairs)."""
     out = np.zeros((size + 1, size + 1), dtype=prev.dtype)
-    if backend == "numba" and prev.dtype == np.int64:
+    if path(prev) == "numba":
         ops = _fill_wedge_numba(
             prev, out, size, np.int64(ca), np.int64(cb), maximize
         )
@@ -216,8 +182,8 @@ def _iso_scan_numpy(xp, xm, dpn, half_term, k0_cap, size):
     return best, *witness
 
 
-def iso_scan(xp, xm, dpn, half_term, k0_cap, size, backend: str):
-    if backend == "numba" and xp.dtype == np.int64:
+def iso_scan(xp, xm, dpn, half_term, k0_cap, size):
+    if path(xp) == "numba":
         out = _iso_scan_numba(
             xp, xm, np.int64(dpn), np.int64(half_term), k0_cap, size
         )
@@ -271,8 +237,8 @@ def _grid_scan_numpy(xp, xm, dpn, half_term, size):
     return out
 
 
-def grid_scan(xp, xm, dpn, half_term, size, backend: str):
-    if backend == "numba" and xp.dtype == np.int64:
+def grid_scan(xp, xm, dpn, half_term, size):
+    if path(xp) == "numba":
         return _grid_scan_numba(xp, xm, np.int64(dpn), np.int64(half_term), size)
     return _grid_scan_numpy(xp, xm, dpn, half_term, size)
 
@@ -336,9 +302,9 @@ def _bilinear_scan_numpy(t, a0_idx):
     return best, *witness
 
 
-def bilinear_scan(t: np.ndarray, a0_idx: np.ndarray, backend: str):
+def bilinear_scan(t: np.ndarray, a0_idx: np.ndarray):
     """Exact decoupled max; returns (best, (a0, a1, b0, b1)), lex-min witness."""
-    if backend == "numba" and t.dtype == np.int64:
+    if path(t) == "numba":
         out = _bilinear_scan_numba(t, a0_idx.astype(np.int64))
     else:
         out = _bilinear_scan_numpy(t, a0_idx)

@@ -195,7 +195,7 @@ def inner_product(f: tuple[int, ...], g: tuple[int, ...],
                   grid: np.ndarray) -> Fraction:
     """<f,g> = (1-2f)^T W (1-2g), exactly.
 
-    In debug mode the expansion identity
+    The expansion identity
     <f,g> = 1 - k/2^(n-1) - l/2^(n-1) + 4 f^T W g is re-verified whenever
     the wiring has uniform output marginals (always the case for wirings
     of isotropic boxes, where the identity is used).
@@ -216,12 +216,14 @@ def inner_product(f: tuple[int, ...], g: tuple[int, ...],
             col[b] += w
             if f[a] and g[b]:
                 ftwg += w
-    if __debug__:
-        unif = Fraction(1, size)
-        if all(r == unif for r in row) and all(c == unif for c in col):
-            k, l = sum(f), sum(g)
-            expansion = 1 - Fraction(2 * k, size) - Fraction(2 * l, size) + 4 * ftwg
-            assert expansion == total, "inner-product expansion identity failed"
+    unif = Fraction(1, size)
+    if all(r == unif for r in row) and all(c == unif for c in col):
+        k, l = sum(f), sum(g)
+        expansion = 1 - Fraction(2 * k, size) - Fraction(2 * l, size) + 4 * ftwg
+        if expansion != total:
+            raise AssertionError(
+                f"inner-product expansion identity failed: {expansion} != {total}"
+            )
     return total
 
 
@@ -368,13 +370,13 @@ def _prefilter_scan(t: np.ndarray, a0_idx: np.ndarray, scale: int,
         cand = (int(a0_idx[ai]), ci, int(b0), int(b1))
         if best is None or cell > best or (cell == best and cand < witness):
             best, witness = cell, cand
-    assert best is not None
+    if best is None:
+        raise AssertionError("the float pre-filter kept no cell")
     return best, witness
 
 
 def brute_force_D(system: BinarySystem, n: int, *,
                   complement_reduction: bool = True,
-                  backend: Optional[str] = None,
                   method: str = "auto") -> SearchResult:
     """Exact D(n, P) for n in {1, 2} by complete protocol enumeration.
 
@@ -394,7 +396,6 @@ def brute_force_D(system: BinarySystem, n: int, *,
     denom, _ = _entry_numerators(system)
     scale = denom ** n
     use_int64 = 16 * scale < (1 << 62)
-    eff_backend = kernels.resolve_backend(backend)
     dtype = np.int64 if use_int64 else object
     t = _ip_table(system, plans, n, dtype)
     n_atoms = t.shape[0]
@@ -410,7 +411,7 @@ def brute_force_D(system: BinarySystem, n: int, *,
         best, witness = _prefilter_scan(t, a0_idx, scale, PREFILTER_MARGIN)
         how = "prefilter"
     else:
-        best, witness = kernels.bilinear_scan(t, a0_idx, eff_backend)
+        best, witness = kernels.bilinear_scan(t, a0_idx)
         how = "int64" if use_int64 else "bigint"
 
     if not complement_reduction:
@@ -419,7 +420,7 @@ def brute_force_D(system: BinarySystem, n: int, *,
         if how == "prefilter":
             best2, witness2 = _prefilter_scan(neg_t, a0_idx, scale, PREFILTER_MARGIN)
         else:
-            best2, witness2 = kernels.bilinear_scan(neg_t, a0_idx, eff_backend)
+            best2, witness2 = kernels.bilinear_scan(neg_t, a0_idx)
         if best2 > best:
             best, witness = best2, witness2
 

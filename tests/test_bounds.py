@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -79,7 +81,7 @@ def test_iso_bound_accepts_prebuilt_tables():
 
 def _n4_scan_inputs(system):
     """The n = 4 scan inputs of an isotropic box, as bounds.iso_bound forms them."""
-    t = build_tables(system.prob(0, 0, 0, 0), 4, backend="numpy")
+    t = build_tables(system.prob(0, 0, 0, 0), 4)
     return t, t.plus[4], t.minus[4], t.p.denominator ** 4, 2 ** 4
 
 
@@ -127,19 +129,43 @@ def test_grid_scan_backends_agree():
     )
 
 
-def test_numba_dispatch_matches_numpy():
+def test_numba_dispatch_matches_numpy(monkeypatch):
     pytest.importorskip("numba")
-    a = build_tables(F(2, 5), 4, backend="numba")
-    b = build_tables(F(2, 5), 4, backend="numpy")
+    w = wedge(F(3, 7), 0)
+    a = build_tables(F(2, 5), 4)
+    x = iso_bound(w, 4)
+    monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
+    b = build_tables(F(2, 5), 4)
+    y = iso_bound(w, 4)
     assert (a.backend, b.backend) == ("numba", "numpy")
     assert a == b
     assert a.ops_per_level == b.ops_per_level
-    w = wedge(F(3, 7), 0)
-    x = iso_bound(w, 4, backend="numba")
-    y = iso_bound(w, 4, backend="numpy")
     assert (x.backend, y.backend) == ("numba", "numpy")
     assert x.raw_bound == y.raw_bound
     assert x.witness_profile == y.witness_profile
+
+
+def test_bound_check_survives_optimize_flag():
+    # all-zero level-2 grids bound wedge(1/5, 0) by 2 < NL = 12/5; the check
+    # must raise even under python -O, which strips assert statements
+    code = """
+from fractions import Fraction
+import numpy as np
+from nldistill import DeltaTables, iso_bound, wedge
+zeros = tuple(np.zeros((2 ** m + 1, 2 ** m + 1), dtype=np.int64) for m in range(3))
+tables = DeltaTables(p=Fraction(2, 5), n=2, plus=zeros, minus=zeros)
+print("debug", __debug__)
+try:
+    iso_bound(wedge(Fraction(1, 5), 0), 2, tables=tables)
+except AssertionError as exc:
+    print("raised", exc)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "debug False"
+    assert lines[1].startswith("raised bound 2 fell below")
 
 
 def test_grid_small_properties():

@@ -315,5 +315,5 @@ def test_bilinear_scan_backends_agree():
     assert [int(v) for v in scalar] == [int(v) for v in vector] == [0] * 5
     # the reduced scan is the whole n = 1 search for this box
     denom, _ = _entry_numerators(w)
-    best, _ = kernels.bilinear_scan(t, reduced, "numpy")
+    best, _ = kernels.bilinear_scan(t, reduced)
     assert F(best, denom) == brute_force_D(w, 1).value
