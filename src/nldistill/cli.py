@@ -11,8 +11,8 @@ Long-running work (profile scans at n >= 8 and the n = 2 exhaustive
 search) must be opted into with --long-run.  Progress is reported as one
 JSON object per line on stderr.  The kernels run on numba for int64
 tables when numba is importable and on numpy otherwise; the "backend"
-field of ``bound`` and ``tables`` output names the one that ran
-("loaded" for tables read from the cache).
+field of ``bound`` and ``tables`` output names the one the tables' dtype
+selects, whether they were built or read from the cache.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+from . import kernels
 from .boxes import BinarySystem, BoxFormatError, nl_value, rational, validate, wedge
 from .bounds import BoundReport, class_grid, general_bound, iso_bound
 from .decompose import DecompositionError, minimal_isotropic
@@ -125,14 +126,17 @@ def _tables_for(p: Fraction, n: int, args) -> DeltaTables:
     if cache_dir:
         path = Path(cache_dir) / cache_filename(p, n)
         if path.exists():
+            t0 = time.perf_counter()
             try:
                 tables = load_tables(path, expect_p=p, expect_n=n)
             except DeltaTableError as exc:
                 raise CliError(
-                    EXIT_IO, f"table cache corrupt ({type(exc).__name__}): {exc}"
+                    EXIT_IO,
+                    f"table cache corrupt ({type(exc).__name__}): {path}: {exc}",
                 )
             _log({"event": "cache_hit", "path": str(path), "n": n,
-                  "p": f"{p.numerator}/{p.denominator}"})
+                  "p": f"{p.numerator}/{p.denominator}",
+                  "seconds": round(time.perf_counter() - t0, 3)})
             return tables
     t0 = time.perf_counter()
     tables = build_tables(p, n, progress=_log)
@@ -140,12 +144,14 @@ def _tables_for(p: Fraction, n: int, args) -> DeltaTables:
           "p": f"{p.numerator}/{p.denominator}",
           "seconds": round(time.perf_counter() - t0, 3)})
     if path is not None:
+        t0 = time.perf_counter()
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             tables.save(path)
         except OSError as exc:
             raise CliError(EXIT_IO, f"cannot write table cache: {exc}")
-        _log({"event": "cache_write", "path": str(path)})
+        _log({"event": "cache_write", "path": str(path),
+              "seconds": round(time.perf_counter() - t0, 3)})
     return tables
 
 
@@ -199,8 +205,8 @@ def cmd_tables(args) -> int:
         "path": str(Path(args.cache) / cache_filename(p, args.n)),
         "n": tables.n,
         "p": f"{p.numerator}/{p.denominator}",
-        "ops_per_level": list(tables.ops_per_level or []),
-        "backend": tables.backend,
+        "ops_per_level": list(tables.ops_per_level),
+        "backend": kernels.path(tables.plus[tables.n]),
     }, indent=2))
     return EXIT_OK
 

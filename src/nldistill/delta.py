@@ -19,6 +19,19 @@ complement identity
 
 which both hold exactly for the recursion (and are cross-checked against
 a direct recursive evaluation in the tests).
+
+A cache file (format 2) is ASCII text: four header lines
+
+    NLDELTA 2
+    n=<n> p=<num>/<den>
+    ops=<ops_per_level, comma-separated>
+    sha256=<hex digest of every other byte of the file>
+
+then one line per grid, levels 0..n with the plus grid before the minus
+grid, each holding the grid's numerators over D_m in row-major order as
+space-separated decimals.  int64 and big-int tables share this encoding;
+the loader picks the dtype from ``fits_int64`` as the build does.  Files
+of another version raise ``TableVersionError``.
 """
 from __future__ import annotations
 
@@ -26,7 +39,7 @@ import contextlib
 import hashlib
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -42,7 +55,7 @@ INT64_SAFE_LIMIT = 1 << 59
 DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes
 
 _MAGIC = "NLDELTA"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 
 class DeltaTableError(Exception):
@@ -95,8 +108,7 @@ class DeltaTables:
     n: int
     plus: tuple[np.ndarray, ...]
     minus: tuple[np.ndarray, ...]
-    ops_per_level: Optional[tuple[int, ...]] = field(default=None, compare=False)
-    backend: str = field(default="", compare=False)
+    ops_per_level: tuple[int, ...]
 
     def level_denominator(self, m: int) -> int:
         return (2 * self.p.denominator) ** m
@@ -119,8 +131,9 @@ class DeltaTables:
         return (
             self.p == other.p
             and self.n == other.n
-            and all(np.array_equal(a, b) for a, b in zip(self.plus, other.plus))
-            and all(np.array_equal(a, b) for a, b in zip(self.minus, other.minus))
+            and self.ops_per_level == other.ops_per_level
+            and all(a.dtype == b.dtype and np.array_equal(a, b)
+                    for a, b in zip(self.plus + self.minus, other.plus + other.minus))
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -128,71 +141,47 @@ class DeltaTables:
     # -- persistence --------------------------------------------------------
 
     def save(self, path) -> None:
-        """Write the cache file through a temporary file and a rename, so a
-        failed write never leaves a torn file at ``path``."""
-        payload = bytearray()
-        for m in range(self.n + 1):
-            denom = self.level_denominator(m)
-            for grid in (self.plus[m], self.minus[m]):
-                for value in grid.ravel():
-                    f = Fraction(int(value), denom)
-                    payload += _netstring(str(f.numerator))
-                    payload += _netstring(str(f.denominator))
-        digest = hashlib.sha256(bytes(payload)).hexdigest()
-        header = (
+        """Write the cache file (layout in the module docstring) through a
+        temporary file and a rename, so a failed write never leaves a torn
+        file at ``path``."""
+        head = (
             f"{_MAGIC} {_FORMAT_VERSION}\n"
             f"n={self.n} p={self.p.numerator}/{self.p.denominator}\n"
-            f"sha256={digest}\n"
+            f"ops={','.join(map(str, self.ops_per_level))}\n"
         ).encode()
+        lines = [" ".join(map(str, grid.ravel().tolist())).encode() + b"\n"
+                 for m in range(self.n + 1) for grid in (self.plus[m], self.minus[m])]
+        digest = hashlib.sha256(head)
+        for line in lines:
+            digest.update(line)
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
-                fh.write(header)
-                fh.write(bytes(payload))
+                fh.write(head + f"sha256={digest.hexdigest()}\n".encode())
+                for line in lines:
+                    fh.write(line)
             os.replace(tmp, path)
         finally:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
 
 
-def _netstring(s: str) -> bytes:
-    return f"{len(s)}:{s}".encode()
-
-
-def _read_netstring(buf: bytes, pos: int) -> tuple[str, int]:
-    colon = buf.find(b":", pos)
-    if colon < 0:
-        raise TableFormatError("truncated length prefix in table payload")
-    try:
-        length = int(buf[pos:colon])
-    except ValueError as exc:
-        raise TableFormatError(f"bad length prefix near byte {pos}") from exc
-    if length < 0:
-        raise TableFormatError(f"negative length prefix near byte {pos}")
-    end = colon + 1 + length
-    if end > len(buf):
-        raise TableFormatError("entry extends past end of payload")
-    return buf[colon + 1:end].decode(), end
-
-
 def load_tables(path, expect_p: Optional[Fraction] = None,
                 expect_n: Optional[int] = None) -> DeltaTables:
-    """Load a table cache file, verifying version, checksum and header."""
+    """Load a table cache file, verifying version, header and checksum."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        first, rest = data.split(b"\n", 1)
-        second, rest = rest.split(b"\n", 1)
-        third, payload = rest.split(b"\n", 1)
-    except ValueError as exc:
-        raise TableFormatError("file too short for a table header") from exc
-    magic = first.decode(errors="replace").split()
+        head = [fh.readline() for _ in range(4)]
+        payload = fh.read()
+    magic = head[0].decode(errors="replace").split()
     if len(magic) != 2 or magic[0] != _MAGIC:
-        raise TableVersionError(f"not a delta table file: {first!r}")
+        raise TableVersionError(f"not a delta table file: {head[0]!r}")
     if magic[1] != str(_FORMAT_VERSION):
         raise TableVersionError(
             f"format version {magic[1]} unsupported (expected {_FORMAT_VERSION})"
         )
+    if not all(line.endswith(b"\n") for line in head):
+        raise TableFormatError("file too short for a table header")
+    _, second, third, fourth = (line[:-1] for line in head)
     try:
         n_part, p_part = second.decode().split()
         n = int(n_part.removeprefix("n="))
@@ -205,46 +194,43 @@ def load_tables(path, expect_p: Optional[Fraction] = None,
         raise TableHeaderError(f"file declares n={n}, expected n={expect_n}")
     if expect_p is not None and p != expect_p:
         raise TableHeaderError(f"file declares p={p}, expected p={expect_p}")
-    declared = third.decode().removeprefix("sha256=")
-    if hashlib.sha256(payload).hexdigest() != declared:
-        raise TableChecksumError("payload checksum mismatch (corrupt or truncated)")
+    try:
+        ops = tuple(int(s) for s in third.decode().removeprefix("ops=").split(","))
+    except ValueError as exc:
+        raise TableHeaderError(f"malformed ops line {third!r}") from exc
+    if len(ops) != n + 1 or ops[0] != 0 or min(ops) < 0:
+        raise TableHeaderError(f"ops line {third!r} does not fit n={n}")
+    # the digest covers every byte of the file except its own line
+    digest = hashlib.sha256(b"".join(head[:3]))
+    digest.update(payload)
+    if digest.hexdigest().encode() != fourth.removeprefix(b"sha256="):
+        raise TableChecksumError("checksum mismatch (corrupt or truncated)")
 
     dtype = np.int64 if fits_int64(p, n) else object
     plus, minus = [], []
     pos = 0
     for m in range(n + 1):
-        size = 2 ** m
-        denom = (2 * p.denominator) ** m
+        side, denom = 2 ** m + 1, (2 * p.denominator) ** m
         for grids in (plus, minus):
-            grid = np.zeros((size + 1, size + 1), dtype=dtype)
-            for k in range(size + 1):
-                for l in range(size + 1):
-                    num_s, pos = _read_netstring(payload, pos)
-                    den_s, pos = _read_netstring(payload, pos)
-                    try:
-                        num, den = int(num_s), int(den_s)
-                    except ValueError as exc:
-                        raise TableFormatError(
-                            f"malformed rational {num_s!r}/{den_s!r} at level {m}"
-                        ) from exc
-                    if den <= 0 or denom % den:
-                        raise TableFormatError(
-                            f"entry {num}/{den} not representable over D_{m}={denom}"
-                        )
-                    scaled = num * (denom // den)
-                    if not 0 <= scaled <= denom:
-                        raise TableFormatError(
-                            f"entry {num}/{den} outside [0, 1] at level {m}"
-                        )
-                    grid[k, l] = scaled if dtype is object else np.int64(scaled)
+            end = payload.find(b"\n", pos)
+            tokens = payload[pos:end].split(b" ") if end >= 0 else []
+            if len(tokens) != side * side or not all(map(bytes.isdigit, tokens)):
+                raise TableFormatError(
+                    f"level {m} grid is not {side * side} decimal numerators"
+                )
+            values = list(map(int, tokens))
+            if max(values) > denom:
+                raise TableFormatError(f"entry outside [0, 1] at level {m}")
+            grid = np.array(values, dtype=dtype).reshape(side, side)
             grid.flags.writeable = False
             grids.append(grid)
+            pos = end + 1
     if pos != len(payload):
         raise TableHeaderError(
             "payload longer than the declared n accounts for"
         )
     return DeltaTables(p=p, n=n, plus=tuple(plus), minus=tuple(minus),
-                       backend="loaded")
+                       ops_per_level=ops)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +260,8 @@ def build_tables(p: RationalLike, n: int, *,
     p must lie in [0, 1/2] (the output-symmetric range; every isotropic
     system satisfies this).  Levels are int64 while every intermediate
     fits (see ``fits_int64``), otherwise exact Python integers; the dtype
-    picks the kernel (``kernels.path``), recorded in ``backend`` and in
-    each ``level_filled`` progress event.
+    picks the kernel (``kernels.path``), recorded in each ``level_filled``
+    progress event.
     """
     p = rational(p)
     if not 0 <= p <= Fraction(1, 2):
@@ -315,7 +301,7 @@ def build_tables(p: RationalLike, n: int, *,
                 "backend": backend,
             })
     return DeltaTables(p=p, n=n, plus=tuple(plus), minus=tuple(minus),
-                       ops_per_level=tuple(ops_per_level), backend=backend)
+                       ops_per_level=tuple(ops_per_level))
 
 
 def cache_filename(p: Fraction, n: int) -> str:

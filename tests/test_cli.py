@@ -79,6 +79,9 @@ def test_tables_then_cached_bound_bit_identical(capsys, tmp_path):
     code, out1, err1 = run(capsys, "bound", "--wedge", "1/5,0", "--n", "3",
                            "--cache", cache)
     assert code == 0 and "cache_hit" in err1
+    hit = next(e for e in map(json.loads, err1.splitlines())
+               if e["event"] == "cache_hit")
+    assert hit["seconds"] >= 0
     code, out2, err2 = run(capsys, "bound", "--wedge", "1/5,0", "--n", "3",
                            "--cache", cache)
     assert out2 == out1
@@ -92,7 +95,23 @@ def test_bound_cold_writes_cache(capsys, tmp_path):
     code, out, err = run(capsys, "bound", "--wedge", "1/2,0", "--n", "2",
                          "--cache", cache)
     assert code == 0 and "cache_write" in err
+    write = next(e for e in map(json.loads, err.splitlines())
+                 if e["event"] == "cache_write")
+    assert write["path"].endswith(".nldt") and write["seconds"] >= 0
     assert json.loads(out)["raw_bound"] == "3"
+
+
+def test_tables_cache_hit_prints_the_cold_output(capsys, tmp_path):
+    cache = str(tmp_path / "cache")
+    args = ("tables", "--wedge", "1/5,0", "--n", "4", "--cache", cache)
+    code, cold, err_cold = run(capsys, *args)
+    assert code == 0 and "cache_write" in err_cold
+    code, warm, err_warm = run(capsys, *args)
+    assert code == 0 and "cache_hit" in err_warm
+    assert warm == cold
+    assert json.loads(warm)["ops_per_level"] == list(
+        build_tables(F(2, 5), 4).ops_per_level
+    )
 
 
 def test_corrupt_cache_is_distinct_io_error(capsys, tmp_path):
@@ -104,6 +123,12 @@ def test_corrupt_cache_is_distinct_io_error(capsys, tmp_path):
                        "--cache", str(cache))
     assert code == 4
     assert "cache corrupt" in err and "TableChecksumError" in err
+    # a cache written by format 1 names the file to delete
+    victim.write_bytes(b"NLDELTA 1\nn=2 p=2/5\nsha256=0\n")
+    code, _, err = run(capsys, "bound", "--wedge", "1/5,0", "--n", "2",
+                       "--cache", str(cache))
+    assert code == 4
+    assert str(victim) in err and "TableVersionError" in err
 
 
 def test_grid_csv_and_json(capsys):

@@ -127,7 +127,7 @@ def test_int64_guard_picks_object_path():
     p = F(1234567, 8000000)
     assert not fits_int64(p, 3)
     t = build_tables(p, 3)
-    assert t.plus[3].dtype == object and t.backend == "numpy"
+    assert t.plus[3].dtype == object and kernels.path(t.plus[3]) == "numpy"
     assert fits_int64(F(2, 5), 9)
 
 
@@ -205,7 +205,26 @@ def test_save_load_round_trip(tmp_path):
     t.save(path)
     again = load_tables(path)
     assert again == t
+    assert again.ops_per_level == t.ops_per_level
+    for a, b in zip(again.plus + again.minus, t.plus + t.minus):
+        assert a.dtype == b.dtype == np.int64
     assert again.delta("+", 3, 3, 5) == t.delta("+", 3, 3, 5)
+
+
+def test_saved_bytes_are_pinned(tmp_path):
+    # any change to the layout must come with a new _FORMAT_VERSION
+    path = tmp_path / "t.nldt"
+    build_tables(F(1, 2), 1).save(path)
+    assert path.read_bytes() == (
+        b"NLDELTA 2\n"
+        b"n=1 p=1/2\n"
+        b"ops=0,20\n"
+        b"sha256=435693ce460a985a377317c3c92faee513a5a63281f7dbcdf351f9fe411e3956\n"
+        b"0 0 0 1\n"
+        b"0 0 0 1\n"
+        b"0 0 0 0 2 2 0 2 4\n"
+        b"0 0 0 0 0 2 0 2 4\n"
+    )
 
 
 def test_failed_save_leaves_no_torn_file(tmp_path, monkeypatch):
@@ -245,10 +264,14 @@ def test_failed_save_leaves_no_torn_file(tmp_path, monkeypatch):
 
 
 def test_save_load_object_path(tmp_path):
-    t = build_tables(F(1234567, 8000000), 2)
+    t = build_tables(F(1234567, 8000000), 3)
     path = tmp_path / "t.nldt"
     t.save(path)
-    assert load_tables(path) == t
+    again = load_tables(path)
+    assert again == t
+    assert again.ops_per_level == t.ops_per_level
+    for a, b in zip(again.plus + again.minus, t.plus + t.minus):
+        assert a.dtype == b.dtype == object
 
 
 def test_load_error_cases(tmp_path):
@@ -263,7 +286,7 @@ def test_load_error_cases(tmp_path):
         load_tables(truncated)
 
     versioned = tmp_path / "version.nldt"
-    versioned.write_bytes(data.replace(b"NLDELTA 1", b"NLDELTA 2", 1))
+    versioned.write_bytes(data.replace(b"NLDELTA 2", b"NLDELTA 1", 1))
     with pytest.raises(TableVersionError):
         load_tables(versioned)
 
@@ -271,6 +294,15 @@ def test_load_error_cases(tmp_path):
     wrong_n.write_bytes(data.replace(b"n=2", b"n=1", 1))
     with pytest.raises(TableHeaderError):
         load_tables(wrong_n)
+
+    ops_line = data.split(b"\n")[2]
+    assert ops_line == b"ops=0,20,86"
+    for bad_ops in (b"ops=0,20", b"ops=0,20,86,9", b"ops=1,20,86",
+                    b"ops=0,-20,86", b"ops=0,x,86", b"ops="):
+        wrong_ops = tmp_path / "ops.nldt"
+        wrong_ops.write_bytes(data.replace(ops_line, bad_ops, 1))
+        with pytest.raises(TableHeaderError):
+            load_tables(wrong_ops)
 
     with pytest.raises(TableHeaderError):
         load_tables(path, expect_n=3)
@@ -284,26 +316,41 @@ def test_load_error_cases(tmp_path):
         load_tables(garbage)
 
 
-def test_malformed_rational_is_distinct(tmp_path):
-    # corrupt one payload digit and re-stamp the checksum so only the
-    # rational parser can object
+def _restamp(lines: list[bytes]) -> bytes:
+    """Join the lines of a table file under a recomputed sha256 line, so
+    that only the payload checks can object."""
     import hashlib
 
-    t = build_tables(F(1, 2), 1)
+    digest = hashlib.sha256(b"\n".join(lines[:3] + lines[4:])).hexdigest()
+    return b"\n".join(lines[:3] + [f"sha256={digest}".encode()] + lines[4:])
+
+
+@pytest.mark.parametrize("p, dtype", [(F(1, 2), np.int64),
+                                      (F(1234567, 8000000), object)],
+                         ids=["int64", "bigint"])
+def test_malformed_payload_is_distinct(tmp_path, p, dtype):
+    t = build_tables(p, 3)
     path = tmp_path / "t.nldt"
     t.save(path)
-    data = path.read_bytes()
-    head_end = data.index(b"sha256=")
-    payload_start = data.index(b"\n", head_end) + 1
-    payload = bytearray(data[payload_start:])
-    # entries are netstrings "len:digits"; replace the first digit by a letter
-    colon = payload.index(b":")
-    payload[colon + 1] = ord("x")
-    digest = hashlib.sha256(bytes(payload)).hexdigest().encode()
-    fixed = data[:head_end] + b"sha256=" + digest + b"\n" + bytes(payload)
+    assert load_tables(path).plus[1].dtype == dtype
+    lines = path.read_bytes().split(b"\n")
+    assert _restamp(lines) == path.read_bytes()
+    row, top = lines[6], t.level_denominator(1)  # the level-1 plus grid
+    head, last = row.rsplit(b" ", 1)
+    assert int(last) == top
+    bad_rows = [
+        row.replace(b" ", b" x", 1),  # a non-digit token
+        head + b" %d" % (top + 1),  # a numerator above D_1
+        head + b" -1",  # a negative numerator
+        head,  # one entry missing
+    ]
     bad = tmp_path / "bad.nldt"
-    bad.write_bytes(fixed)
-    with pytest.raises(TableFormatError):
+    for bad_row in bad_rows:
+        bad.write_bytes(_restamp(lines[:6] + [bad_row] + lines[7:]))
+        with pytest.raises(TableFormatError):
+            load_tables(bad)
+    bad.write_bytes(_restamp(lines[:-1] + [b"0", b""]))  # an extra last line
+    with pytest.raises(TableHeaderError):
         load_tables(bad)
 
 
