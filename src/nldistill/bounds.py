@@ -55,7 +55,6 @@ class BoundReport:
     system: BinarySystem
     system_nl: Fraction
     decomposition: Optional[Decomposition] = None
-    backend: str = ""
 
     def to_json_obj(self) -> dict:
         obj = {
@@ -65,7 +64,6 @@ class BoundReport:
             "witness_profile": list(self.witness_profile.as_tuple()),
             "system_nl": str(self.system_nl),
             "system": self.system.to_json_obj(),
-            "backend": self.backend,
         }
         if self.decomposition is not None:
             obj["decomposition"] = self.decomposition.to_json_obj()
@@ -132,7 +130,7 @@ def iso_bound(system: BinarySystem, n: int, *,
     return BoundReport(
         raw_bound=raw, clamped_bound=min(raw, Fraction(4)),
         witness_profile=ClassProfile(*witness), n=n, system=system,
-        system_nl=nl, backend=kernels.path(xp),
+        system_nl=nl,
     )
 
 
@@ -205,11 +203,11 @@ def general_bound(system: BinarySystem, n: int, *,
         return BoundReport(
             raw_bound=Fraction(2), clamped_bound=Fraction(2),
             witness_profile=ClassProfile(0, 0, 0, 0), n=n, system=system,
-            system_nl=nl, decomposition=dec, backend="",
+            system_nl=nl, decomposition=dec,
         )
     report = iso_bound(dec.p_iso, n, tables=tables, progress=progress)
     return BoundReport(
         raw_bound=report.raw_bound, clamped_bound=report.clamped_bound,
         witness_profile=report.witness_profile, n=n, system=system,
-        system_nl=nl, decomposition=dec, backend=report.backend,
+        system_nl=nl, decomposition=dec,
     )

@@ -9,10 +9,8 @@ parameters, 4 I/O or cache failure.
 
 Long-running work (profile scans at n >= 8 and the n = 2 exhaustive
 search) must be opted into with --long-run.  Progress is reported as one
-JSON object per line on stderr.  The kernels run on numba for int64
-tables when numba is importable and on numpy otherwise; the "backend"
-field of ``bound`` and ``tables`` output names the one the tables' dtype
-selects, whether they were built or read from the cache.
+JSON object per line on stderr; each ``level_filled`` event names the
+dtype ("int64" or "object") its level was filled in.
 """
 from __future__ import annotations
 
@@ -24,7 +22,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from . import kernels
 from .boxes import BinarySystem, BoxFormatError, nl_value, rational, validate, wedge
 from .bounds import BoundReport, class_grid, general_bound, iso_bound
 from .decompose import DecompositionError, minimal_isotropic
@@ -206,7 +203,6 @@ def cmd_tables(args) -> int:
         "n": tables.n,
         "p": f"{p.numerator}/{p.denominator}",
         "ops_per_level": list(tables.ops_per_level),
-        "backend": kernels.path(tables.plus[tables.n]),
     }, indent=2))
     return EXIT_OK
 
@@ -215,6 +211,8 @@ def cmd_bound(args) -> int:
     system = _load_box(args)
     if args.n >= LONG_RUN_N:
         _require_long_run(args, f"the profile scan at n={args.n}")
+    if _format(args, "json") == "csv":
+        raise CliError(EXIT_INFEASIBLE, "csv output is only available for grid")
     try:
         dec = minimal_isotropic(system)
     except DecompositionError as exc:
@@ -228,12 +226,9 @@ def cmd_bound(args) -> int:
             raw_bound=iso.raw_bound, clamped_bound=iso.clamped_bound,
             witness_profile=iso.witness_profile, n=args.n, system=system,
             system_nl=nl_value(system)[0], decomposition=dec,
-            backend=iso.backend,
         )
     _log({"event": "bound_done", "raw": str(report.raw_bound),
           "witness": list(report.witness_profile.as_tuple())})
-    if _format(args, "json") == "csv":
-        raise CliError(EXIT_INFEASIBLE, "csv output is only available for grid")
     _emit(args, json.dumps(report.to_json_obj(), indent=2))
     return EXIT_OK
 

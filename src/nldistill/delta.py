@@ -48,7 +48,7 @@ import numpy as np
 from .boxes import RationalLike, rational
 from . import kernels
 
-#: int64 kernels are used only while (2*den(p))^n stays below this;
+#: levels are int64 only while (2*den(p))^n stays below this;
 #: every intermediate is then below 8*(2*den(p))^n < 2^63.
 INT64_SAFE_LIMIT = 1 << 59
 
@@ -259,9 +259,9 @@ def build_tables(p: RationalLike, n: int, *,
 
     p must lie in [0, 1/2] (the output-symmetric range; every isotropic
     system satisfies this).  Levels are int64 while every intermediate
-    fits (see ``fits_int64``), otherwise exact Python integers; the dtype
-    picks the kernel (``kernels.path``), recorded in each ``level_filled``
-    progress event.
+    fits (see ``fits_int64``), otherwise exact Python integers; each
+    ``level_filled`` progress event records the dtype ("int64" or
+    "object").
     """
     p = rational(p)
     if not 0 <= p <= Fraction(1, 2):
@@ -279,7 +279,6 @@ def build_tables(p: RationalLike, n: int, *,
     base = np.zeros((2, 2), dtype=dtype)
     base[1, 1] = 1
     base.flags.writeable = False
-    backend = kernels.path(base)
     plus, minus = [base], [base]
     ops_per_level = [0]
     for m in range(1, n + 1):
@@ -298,7 +297,7 @@ def build_tables(p: RationalLike, n: int, *,
             progress({
                 "event": "level_filled", "m": m, "ops": ops_p + ops_m,
                 "seconds": round(time.perf_counter() - t0, 3),
-                "backend": backend,
+                "dtype": base.dtype.name,
             })
     return DeltaTables(p=p, n=n, plus=tuple(plus), minus=tuple(minus),
                        ops_per_level=tuple(ops_per_level))

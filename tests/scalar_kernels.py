@@ -1,0 +1,129 @@
+"""Scalar reference bodies of the four integer kernels.
+
+One explicit loop per term, written independently of the vectorised
+kernels in ``nldistill.kernels``; the agreement tests compare the two on
+the same int64 inputs, op counts and lexicographic tie-breaks included.
+They take int64 arrays only.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+_SENTINEL = 1 << 62
+
+
+def fill_wedge(prev, out, size, ca, cb, maximize):
+    """Fill the wedge of ``out`` in place; returns the evaluated pairs."""
+    h = size // 2
+    ops = 0
+    for k in range(h + 1):
+        i0 = max(0, k - h)
+        i1 = min(k, h)
+        for l in range(k, size + 1):
+            j0 = max(0, l - h)
+            j1 = min(l, h)
+            best = -_SENTINEL if maximize else _SENTINEL
+            # objective is invariant under (i,j) -> (k-i,l-j); scan one
+            # representative per orbit but count the pairs covered, so the
+            # work measure equals the vectorised kernel's
+            for i in range(i0, i1 + 1):
+                ri = k - i
+                if i > ri:
+                    break
+                for j in range(j0, j1 + 1):
+                    rj = l - j
+                    if i == ri and j > rj:
+                        break
+                    v = ca * (prev[i, j] + prev[ri, rj]) + cb * (
+                        prev[i, rj] + prev[ri, j]
+                    )
+                    if maximize:
+                        if v > best:
+                            best = v
+                    else:
+                        if v < best:
+                            best = v
+                    ops += 1 if (i == ri and j == rj) else 2
+            out[k, l] = best
+    return ops
+
+
+def iso_scan(xp, xm, dpn, half_term, k0_cap, size):
+    best = -_SENTINEL
+    bk0 = bk1 = bl0 = bl1 = 0
+    for l0 in range(size + 1):
+        base = (half_term - l0) * dpn
+        for l1 in range(size + 1):
+            a_best = -_SENTINEL
+            a_arg = 0
+            for k0 in range(k0_cap + 1):
+                v = -k0 * dpn + xp[k0, l0] + xp[k0, l1]
+                if v > a_best:
+                    a_best = v
+                    a_arg = k0
+            c_best = -_SENTINEL
+            c_arg = 0
+            for k1 in range(size + 1):
+                v = xp[k1, l0] - xm[k1, l1]
+                if v > c_best:
+                    c_best = v
+                    c_arg = k1
+            cell = base + a_best + c_best
+            if cell > best:
+                best = cell
+                bk0, bk1, bl0, bl1 = a_arg, c_arg, l0, l1
+            elif cell == best:
+                if (a_arg, c_arg, l0, l1) < (bk0, bk1, bl0, bl1):
+                    bk0, bk1, bl0, bl1 = a_arg, c_arg, l0, l1
+    return best, bk0, bk1, bl0, bl1
+
+
+def grid_scan(xp, xm, dpn, half_term, size):
+    out = np.full((2 * size + 1, 2 * size + 1), -_SENTINEL, dtype=np.int64)
+    a = np.empty(size + 1, dtype=np.int64)
+    c = np.empty(size + 1, dtype=np.int64)
+    for l0 in range(size + 1):
+        base = (half_term - l0) * dpn
+        for l1 in range(size + 1):
+            sl = l0 + l1
+            for k in range(size + 1):
+                a[k] = base - k * dpn + xp[k, l0] + xp[k, l1]
+                c[k] = xp[k, l0] - xm[k, l1]
+            for k0 in range(size + 1):
+                v0 = a[k0]
+                for k1 in range(size + 1):
+                    cand = v0 + c[k1]
+                    if cand > out[k0 + k1, sl]:
+                        out[k0 + k1, sl] = cand
+    return out
+
+
+def bilinear_scan(t, a0_idx):
+    n_a, n_b = t.shape
+    best = -_SENTINEL
+    w0 = w1 = wb0 = wb1 = 0
+    for b0 in range(n_b):
+        for b1 in range(n_b):
+            a_best = -_SENTINEL
+            a_arg = 0
+            for s in range(a0_idx.size):
+                a0 = a0_idx[s]
+                v = t[a0, b0] + t[a0, b1]
+                if v > a_best:
+                    a_best = v
+                    a_arg = a0
+            c_best = -_SENTINEL
+            c_arg = 0
+            for a1 in range(n_a):
+                v = t[a1, b0] - t[a1, b1]
+                if v > c_best:
+                    c_best = v
+                    c_arg = a1
+            cell = a_best + c_best
+            if cell > best:
+                best = cell
+                w0, w1, wb0, wb1 = a_arg, c_arg, b0, b1
+            elif cell == best:
+                if (a_arg, c_arg, b0, b1) < (w0, w1, wb0, wb1):
+                    w0, w1, wb0, wb1 = a_arg, c_arg, b0, b1
+    return best, w0, w1, wb0, wb1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 import subprocess
 import sys
@@ -23,6 +24,8 @@ from nldistill import (
     nl_value,
     wedge,
 )
+
+import scalar_kernels
 
 F = Fraction
 
@@ -86,21 +89,20 @@ def _n4_scan_inputs(system):
 
 
 def test_backends_agree_on_bound():
-    # The scalar (numba) and numpy scan bodies are called directly, so they
-    # are compared in every environment; without numba the scalar body runs
-    # as plain Python.  The local box wedge(0, 0) ties at 2 on every profile
-    # that kills the delta terms, so it also checks the lex-min tie-break.
+    # The scalar reference body and the public scan kernel run on the same
+    # inputs.  The local box wedge(0, 0) ties at 2 on every profile that
+    # kills the delta terms, so it also checks the lex-min tie-break.
     cases = [(wedge(F(3, 7), 0), F(20, 7), (8, 8, 8, 8)),
              (wedge(0, 0), F(2), (0, 0, 0, 0))]
     for w, bound, profile in cases:
         t, xp, xm, dpn, size = _n4_scan_inputs(w)
         for reduced, k0_cap in ((True, size // 2), (False, size)):
-            scalar = kernels._iso_scan_numba(
+            scalar = scalar_kernels.iso_scan(
                 xp, xm, np.int64(dpn), np.int64(size // 2), k0_cap, size
             )
-            vector = kernels._iso_scan_numpy(xp, xm, dpn, size // 2, k0_cap, size)
+            vector = kernels.iso_scan(xp, xm, dpn, size // 2, k0_cap, size)
             best, *witness = (int(v) for v in scalar)
-            assert [best, *witness] == [int(v) for v in vector], (bound, k0_cap)
+            assert (best, tuple(witness)) == vector, (bound, k0_cap)
             report = iso_bound(w, 4, tables=t, reduced=reduced)
             assert report.raw_bound == F(4 * best, t.level_denominator(4)) == bound
             assert report.witness_profile.as_tuple() == tuple(witness) == profile
@@ -108,42 +110,25 @@ def test_backends_agree_on_bound():
     # lexicographically smallest maximizer inside each cell as well
     zeros = np.zeros((17, 17), dtype=np.int64)
     for k0_cap in (8, 16):
-        scalar = kernels._iso_scan_numba(zeros, zeros, np.int64(0), np.int64(8),
+        scalar = scalar_kernels.iso_scan(zeros, zeros, np.int64(0), np.int64(8),
                                          k0_cap, 16)
-        vector = kernels._iso_scan_numpy(zeros, zeros, 0, 8, k0_cap, 16)
-        assert [int(v) for v in scalar] == [int(v) for v in vector] == [0] * 5
+        best, witness = kernels.iso_scan(zeros, zeros, 0, 8, k0_cap, 16)
+        assert [int(v) for v in scalar] == [best, *witness] == [0] * 5
 
 
 def test_grid_scan_backends_agree():
     w = wedge(F(3, 7), 0)
     t, xp, xm, dpn, size = _n4_scan_inputs(w)
-    scalar = kernels._grid_scan_numba(
+    scalar = scalar_kernels.grid_scan(
         xp, xm, np.int64(dpn), np.int64(size // 2), size
     )
-    vector = kernels._grid_scan_numpy(xp, xm, dpn, size // 2, size)
+    vector = kernels.grid_scan(xp, xm, dpn, size // 2, size)
     assert np.array_equal(scalar, vector)
     grid = class_grid(w, 4, tables=t)
     denom = t.level_denominator(4)
     assert grid.values == tuple(
         tuple(F(4 * int(v), denom) for v in row) for row in scalar
     )
-
-
-def test_numba_dispatch_matches_numpy(monkeypatch):
-    pytest.importorskip("numba")
-    w = wedge(F(3, 7), 0)
-    a = build_tables(F(2, 5), 4)
-    a_path = kernels.path(a.plus[4])
-    x = iso_bound(w, 4)
-    monkeypatch.setattr(kernels, "HAVE_NUMBA", False)
-    b = build_tables(F(2, 5), 4)
-    y = iso_bound(w, 4)
-    assert (a_path, kernels.path(b.plus[4])) == ("numba", "numpy")
-    assert a == b
-    assert a.ops_per_level == b.ops_per_level
-    assert (x.backend, y.backend) == ("numba", "numpy")
-    assert x.raw_bound == y.raw_bound
-    assert x.witness_profile == y.witness_profile
 
 
 def test_bound_check_survives_optimize_flag():
@@ -188,6 +173,28 @@ def test_grid_small_properties():
     # the aggregated cell of the balanced class dominates the grid max
     t = build_tables(F(2, 5), 3)
     assert class_bound(t, 3, ClassProfile(4, 4, 4, 4)) == best
+
+
+@pytest.mark.parametrize("eps", [F(1, 5), F(1, 2 ** 101), F(1, 7) + F(1, 2 ** 120)],
+                         ids=["int64", "bigint", "bigint-mixed"])
+def test_grid_is_per_cell_max_of_class_bound(eps):
+    # every aggregated cell is the max of class_bound over the profiles that
+    # land in it; the last two p take the big-int path, where the scaled
+    # objective falls far below any fixed seed
+    n, size = 3, 2 ** 3
+    w = wedge(eps, 0)
+    t = build_tables(w.prob(0, 0, 0, 0), n)
+    assert (t.plus[n].dtype == object) == (eps != F(1, 5))
+    cells: dict = {}
+    for k0, k1, l0, l1 in itertools.product(range(size + 1), repeat=4):
+        v = class_bound(t, n, ClassProfile(k0, k1, l0, l1))
+        key = (k0 + k1, l0 + l1)
+        cells[key] = max(cells.get(key, v), v)
+    g = class_grid(w, n, tables=t)
+    assert g.values == tuple(
+        tuple(cells[sk, sl] for sl in range(2 * size + 1))
+        for sk in range(2 * size + 1)
+    )
 
 
 def test_grid_matches_profile_scan_max():

@@ -229,6 +229,24 @@ def test_cold_bound_reports_every_level(capsys, tmp_path):
     assert [e["m"] for e in filled] == [1, 2, 3, 4]
     assert [e["ops"] for e in filled] == \
         list(build_tables(F(2, 5), 4).ops_per_level[1:])
+    assert {e["dtype"] for e in filled} == {"int64"}
+    # (2 * den p)^2 > 2^59 here, so every level is filled in big ints
+    code, _, err = run(capsys, "bound", "--wedge", f"1/{2 ** 101},0", "--n", "2",
+                       "--cache", str(tmp_path))
+    assert code == 0
+    filled = [e for e in map(json.loads, err.splitlines())
+              if e["event"] == "level_filled"]
+    assert [e["m"] for e in filled] == [1, 2]
+    assert {e["dtype"] for e in filled} == {"object"}
+
+
+def test_bound_rejects_csv_before_any_work(capsys, tmp_path):
+    code, out, err = run(capsys, "bound", "--wedge", "1/5,0", "--n", "3",
+                         "--format", "csv", "--cache", str(tmp_path))
+    assert code == 3 and out == ""
+    assert "csv output is only available for grid" in err
+    assert "level_filled" not in err and "bound_done" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_perfbench_layer_wraps_resolve():

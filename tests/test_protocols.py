@@ -28,6 +28,8 @@ from nldistill import (
     wiring_grid,
 )
 from nldistill.protocols import _entry_numerators, _ip_table
+
+import scalar_kernels
 from conftest import random_nonlocal_box, random_ns_box
 
 F = Fraction
@@ -294,9 +296,8 @@ def test_protocol_json_round_trip():
 
 
 def test_bilinear_scan_backends_agree():
-    # The scalar (numba) and numpy scan bodies are called directly, so they
-    # are compared in every environment; without numba the scalar body runs
-    # as plain Python.
+    # The scalar reference body and the public scan kernel run on the same
+    # tables; best value and witness must match.
     w = wedge(F(1, 2), 0)
     t = _ip_table(w, enumerate_plans(1), 1, np.int64)
     n_atoms, n_tables = t.shape[0], 4  # 2 wiring plans x 4 functions of a bit
@@ -305,14 +306,14 @@ def test_bilinear_scan_backends_agree():
                        dtype=np.int64)
     full = np.arange(n_atoms, dtype=np.int64)
     for a0_idx in (reduced, full):
-        scalar = kernels._bilinear_scan_numba(t, a0_idx)
-        vector = kernels._bilinear_scan_numpy(t, a0_idx)
-        assert [int(v) for v in scalar] == [int(v) for v in vector], a0_idx
+        scalar = scalar_kernels.bilinear_scan(t, a0_idx)
+        best, witness = kernels.bilinear_scan(t, a0_idx)
+        assert [int(v) for v in scalar] == [best, *witness], a0_idx
     # an all-zero table ties everywhere: both bodies return the lex-min witness
     zeros = np.zeros_like(t)
-    scalar = kernels._bilinear_scan_numba(zeros, reduced)
-    vector = kernels._bilinear_scan_numpy(zeros, reduced)
-    assert [int(v) for v in scalar] == [int(v) for v in vector] == [0] * 5
+    scalar = scalar_kernels.bilinear_scan(zeros, reduced)
+    best, witness = kernels.bilinear_scan(zeros, reduced)
+    assert [int(v) for v in scalar] == [best, *witness] == [0] * 5
     # the reduced scan is the whole n = 1 search for this box
     denom, _ = _entry_numerators(w)
     best, _ = kernels.bilinear_scan(t, reduced)
