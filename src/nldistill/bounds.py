@@ -122,6 +122,12 @@ def iso_bound(system: BinarySystem, n: int, *,
     k0_cap = size // 2 if reduced else size
     best, witness = kernels.iso_scan(xp, xm, dpn, size // 2, k0_cap, size)
     raw = Fraction(4 * best, denom)
+    profile = ClassProfile(*witness)
+    check = class_bound(tables, n, profile)
+    if check != raw:
+        raise AssertionError(
+            f"witness profile {witness} evaluates to {check}, scan reported {raw}"
+        )
     nl, _ = nl_value(system)
     if raw < nl:
         raise AssertionError(
@@ -129,8 +135,7 @@ def iso_bound(system: BinarySystem, n: int, *,
         )
     return BoundReport(
         raw_bound=raw, clamped_bound=min(raw, Fraction(4)),
-        witness_profile=ClassProfile(*witness), n=n, system=system,
-        system_nl=nl,
+        witness_profile=profile, n=n, system=system, system_nl=nl,
     )
 
 

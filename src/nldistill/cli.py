@@ -9,8 +9,9 @@ parameters, 4 I/O or cache failure.
 
 Long-running work (profile scans at n >= 8 and the n = 2 exhaustive
 search) must be opted into with --long-run.  Progress is reported as one
-JSON object per line on stderr; each ``level_filled`` event names the
-dtype ("int64" or "object") its level was filled in.
+JSON object per line on stderr; a table build's ``path_selected`` event
+says why it took int64 or big ints, and each ``level_filled`` event names
+the dtype ("int64" or "object") its level was filled in.
 """
 from __future__ import annotations
 

@@ -245,11 +245,7 @@ def _complete_grid(grid: np.ndarray, size: int, dppow: int) -> None:
     if h >= 1:
         src = grid[h - 1::-1, h - 1::-1]
         steps = np.add.outer(np.arange(1, h + 1), np.arange(1, h + 1))
-        if grid.dtype == object:
-            add = steps.astype(object) * dppow
-        else:
-            add = steps.astype(np.int64) * np.int64(dppow)
-        grid[h + 1:, h + 1:] = src + add
+        grid[h + 1:, h + 1:] = src + steps.astype(grid.dtype) * dppow
 
 
 def build_tables(p: RationalLike, n: int, *,
@@ -259,9 +255,11 @@ def build_tables(p: RationalLike, n: int, *,
 
     p must lie in [0, 1/2] (the output-symmetric range; every isotropic
     system satisfies this).  Levels are int64 while every intermediate
-    fits (see ``fits_int64``), otherwise exact Python integers; each
-    ``level_filled`` progress event records the dtype ("int64" or
-    "object").
+    fits (see ``fits_int64``), otherwise exact Python integers.  One
+    ``path_selected`` progress event gives the reason: the dtype ("int64"
+    or "object"), the bit length of D_n and ``limit_bits`` (int64 while
+    D_n <= 2**limit_bits).  Each ``level_filled`` event records its dtype
+    too.
     """
     p = rational(p)
     if not 0 <= p <= Fraction(1, 2):
@@ -279,6 +277,12 @@ def build_tables(p: RationalLike, n: int, *,
     base = np.zeros((2, 2), dtype=dtype)
     base[1, 1] = 1
     base.flags.writeable = False
+    if progress is not None:
+        progress({
+            "event": "path_selected", "dtype": base.dtype.name,
+            "bits": ((2 * dp) ** n).bit_length(),
+            "limit_bits": INT64_SAFE_LIMIT.bit_length() - 1,
+        })
     plus, minus = [base], [base]
     ops_per_level = [0]
     for m in range(1, n + 1):

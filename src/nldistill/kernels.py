@@ -14,31 +14,70 @@ import numpy as np
 # ---------------------------------------------------------------------------
 # Level fill: one dynamic-programming level of the delta tables.
 #
-# prev holds level m-1 numerators over D_{m-1}; the new level entry is
-#   opt_{i,j} ca*(prev[i,j] + prev[k-i,l-j]) + cb*(prev[i,l-j] + prev[k-i,j])
+# prev (P) holds level m-1 numerators over D_{m-1}; the new level entry is
+#   opt_{i,j} ca*(P[i,j] + P[k-i,l-j]) + cb*(P[i,l-j] + P[k-i,j])
 # over the window i in [max(0,k-h), min(k,h)], j likewise, h = 2^(m-1),
 # with ca = 2*num(p), cb = den(p) - 2*num(p), all over D_m = 2*den(p)*D_{m-1}.
 # Only the wedge k <= min(l, h) is computed here; the caller completes the
 # grid by the (k,l) <-> (l,k) reflection and the complement identity.
+#
+# For k <= h the i window is 0..k.  With the rows
+#   U_i = ca*P[i] + cb*P[k-i],   V_i = ca*P[k-i] + cb*P[i]
+# the entry is the (max,+) or (min,+) convolution
+#   out[k, l] = opt_i opt_j U_i[j] + V_i[l-j],
+# the j window being exactly the j with 0 <= j, l-j <= h.  The orbit
+# (i, j) -> (k-i, l-j) swaps U_i and V_i, so the rows i <= k/2 suffice.
+# The rows (k, i) of consecutive k are stacked in blocks of about
+# FILL_BLOCK_ROWS; each block sweeps j once, one add and one opt per j,
+# over l >= the block's smallest k, and reduces its rows per k.
 # ---------------------------------------------------------------------------
 
+#: rows (k, i) per block of the level fill; about 1 MB of int64 working
+#: set at level 8
+FILL_BLOCK_ROWS = 256
+
+
 def fill_wedge(prev: np.ndarray, size: int, ca, cb, maximize: bool):
-    """Fill the wedge region of one level; returns (grid, evaluated pairs)."""
+    """Fill the wedge region of one level; returns (grid, logical pairs)."""
     out = np.zeros((size + 1, size + 1), dtype=prev.dtype)
     h = size // 2
-    ops = 0
-    for k in range(h + 1):
-        i0, i1 = max(0, k - h), min(k, h)
-        for l in range(k, size + 1):
-            j0, j1 = max(0, l - h), min(l, h)
-            x1 = prev[i0:i1 + 1, j0:j1 + 1]
-            x2 = prev[k - i1:k - i0 + 1, l - j1:l - j0 + 1][::-1, ::-1]
-            x3 = prev[i0:i1 + 1, l - j1:l - j0 + 1][:, ::-1]
-            x4 = prev[k - i1:k - i0 + 1, j0:j1 + 1][::-1, :]
-            f = ca * (x1 + x2) + cb * (x3 + x4)
-            out[k, l] = f.max() if maximize else f.min()
-            ops += f.size
-    return out, ops
+    opt = np.maximum if maximize else np.minimum
+    # entries and coefficients are >= 0, so every candidate lies in
+    # [0, 2*(ca+cb)*max(P)]; the seed lies outside on the losing side
+    seed = -1 if maximize else 2 * (ca + cb) * int(prev.max()) + 1
+    k = 0
+    while k <= h:
+        k_lo, rows = k, []
+        while k <= h and (not rows or len(rows) + k // 2 < FILL_BLOCK_ROWS):
+            rows.extend((k, i) for i in range(k // 2 + 1))
+            k += 1
+        ks, iv = np.array(rows).T
+        a, b = prev[iv], prev[ks - iv]
+        u = ca * a + cb * b
+        v = ca * b + cb * a
+        # acc[r, l - k_lo] for the wedge columns l >= k_lo
+        acc = np.full((len(rows), size + 1 - k_lo), seed, dtype=prev.dtype)
+        for j in range(h + 1):
+            t0 = max(0, k_lo - j)
+            seg = acc[:, j + t0 - k_lo:j + h + 1 - k_lo]
+            opt(seg, u[:, j:j + 1] + v[:, t0:], out=seg)
+        starts = np.flatnonzero(iv == 0)
+        best = opt.reduceat(acc, starts, axis=0)
+        for r, kk in enumerate(range(k_lo, k)):
+            out[kk, kk:] = best[r, kk - k_lo:]
+    return out, _wedge_pairs(size)
+
+
+def _wedge_pairs(size: int) -> int:
+    """Window pairs (i, j) over the wedge cells of one level's fill:
+    the sum over k <= h, l >= k of (k+1) * |j window of l|."""
+    h = size // 2
+    total = tail = 0
+    for l in range(size, -1, -1):
+        tail += min(l, h) - max(0, l - h) + 1  # j-window widths of l..size
+        if l <= h:
+            total += (l + 1) * tail
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -348,7 +348,9 @@ def _prefilter_scan(t: np.ndarray, a0_idx: np.ndarray, scale: int,
     Safe for moderate denominators: cells more than ``margin`` (in CHSH
     units) below the float incumbent cannot contain the exact optimum.
     """
-    tf = np.asarray([[float(v) for v in row] for row in t]) / float(scale)
+    # exact integer true division: correctly rounded, and the ratio is
+    # bounded even where v and scale are beyond the float range
+    tf = np.asarray([[int(v) / scale for v in row] for row in t])
     tf_a0 = tf[a0_idx, :]
     n_b = tf.shape[1]
     u = np.empty((n_b, n_b))

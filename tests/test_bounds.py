@@ -155,6 +155,34 @@ except AssertionError as exc:
     assert lines[1].startswith("raised bound 2 fell below")
 
 
+WRONG_WITNESS_SCAN = """
+from fractions import Fraction
+from nldistill import iso_bound, kernels, wedge
+real_scan = kernels.iso_scan
+def wrong_witness(*args):
+    best, _ = real_scan(*args)
+    return best, (0, 0, 0, 0)  # evaluates to 2, below the scanned maximum
+kernels.iso_scan = wrong_witness
+print("debug", __debug__)
+try:
+    iso_bound(wedge(Fraction(1, 5), 0), 2)
+except AssertionError as exc:
+    print("raised", exc)
+"""
+
+
+def test_inconsistent_witness_raises():
+    # iso_bound re-evaluates the scan's witness with class_bound, so a
+    # kernel whose witness does not attain its maximum fails at run time,
+    # also under python -O, which strips assert statements
+    proc = subprocess.run([sys.executable, "-O", "-c", WRONG_WITNESS_SCAN],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "debug False"
+    assert lines[1].startswith("raised witness profile (0, 0, 0, 0) evaluates to 2,")
+
+
 def test_grid_small_properties():
     w = wedge(F(1, 5), 0)
     g = class_grid(w, 3)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from nldistill import BinarySystem, PR, build_tables, kernels, wedge
+from nldistill import BinarySystem, PR, brute_force_D, build_tables, kernels, wedge
 from nldistill.cli import main
 
 F = Fraction
@@ -172,6 +172,18 @@ def test_search_n2_with_long_run(capsys):
     assert obj["value"] == "3" and obj["nl"] == "3"
 
 
+def test_search_beyond_float_range(capsys):
+    # the scaled table entries pass 1e308 here; the float pre-filter must
+    # convert them by exact division instead of overflowing
+    eps = F(1, 10 ** 400)
+    code, out, _ = run(capsys, "search", "--wedge", f"{eps},0", "--n", "1")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["method"] == "prefilter"
+    exact = brute_force_D(wedge(eps, 0), 1, method="exact")
+    assert F(obj["value"]) == exact.value == 2 + 2 * eps
+
+
 def test_parameter_errors(capsys):
     assert run(capsys, "nl", "--wedge", "3/4,1/2")[0] == 3
     assert run(capsys, "nl", "--wedge", "nonsense")[0] == 3
@@ -224,20 +236,30 @@ def test_cold_bound_reports_every_level(capsys, tmp_path):
     code, _, err = run(capsys, "bound", "--wedge", "1/5,0", "--n", "4",
                        "--cache", str(tmp_path))
     assert code == 0
-    filled = [e for e in map(json.loads, err.splitlines())
-              if e["event"] == "level_filled"]
+    events = list(map(json.loads, err.splitlines()))
+    filled = [e for e in events if e["event"] == "level_filled"]
     assert [e["m"] for e in filled] == [1, 2, 3, 4]
     assert [e["ops"] for e in filled] == \
         list(build_tables(F(2, 5), 4).ops_per_level[1:])
     assert {e["dtype"] for e in filled} == {"int64"}
-    # (2 * den p)^2 > 2^59 here, so every level is filled in big ints
+    # one path_selected event, before the first level, says why: D_4 = 10^4
+    path = [e for e in events if e["event"] == "path_selected"]
+    assert path == [{"event": "path_selected", "dtype": "int64",
+                     "bits": (10 ** 4).bit_length(), "limit_bits": 59}]
+    assert events.index(path[0]) < events.index(filled[0])
+    # D_2 = (2 * den p)^2 > 2^59 here, so every level is filled in big ints
+    d_2 = (2 * wedge(F(1, 2 ** 101), 0).prob(0, 0, 0, 0).denominator) ** 2
     code, _, err = run(capsys, "bound", "--wedge", f"1/{2 ** 101},0", "--n", "2",
                        "--cache", str(tmp_path))
     assert code == 0
-    filled = [e for e in map(json.loads, err.splitlines())
-              if e["event"] == "level_filled"]
+    events = list(map(json.loads, err.splitlines()))
+    filled = [e for e in events if e["event"] == "level_filled"]
     assert [e["m"] for e in filled] == [1, 2]
     assert {e["dtype"] for e in filled} == {"object"}
+    path = [e for e in events if e["event"] == "path_selected"]
+    assert path == [{"event": "path_selected", "dtype": "object",
+                     "bits": d_2.bit_length(), "limit_bits": 59}]
+    assert events.index(path[0]) < events.index(filled[0])
 
 
 def test_bound_rejects_csv_before_any_work(capsys, tmp_path):

@@ -6,6 +6,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import nldistill.delta
 from nldistill import build_tables, kernels, load_tables, wedge
@@ -89,38 +91,69 @@ def test_top_corner_is_one(p):
         assert t.delta("-", m, 2 ** m, 2 ** m) == 1
 
 
-@pytest.mark.parametrize("p", [F(0), F(1, 2), F(2, 5), F(1, 7), F(3, 8),
-                               F(1929, 15625), F(1234567, 8000000)])
-def test_matches_naive_recursion(p):
-    n = 3
-    t = build_tables(p, n)
-    ref = naive_delta(p)
+def assert_matches_naive(t):
+    ref = naive_delta(t.p)
     for sign in "+-":
-        for m in range(n + 1):
+        for m in range(t.n + 1):
             for k in range(2 ** m + 1):
                 for l in range(2 ** m + 1):
                     assert t.delta(sign, m, k, l) == ref(sign, m, k, l), (sign, m, k, l)
 
 
+@pytest.mark.parametrize("p", [F(0), F(1, 2), F(2, 5), F(1, 7), F(3, 8),
+                               F(1929, 15625), F(1234567, 8000000)])
+def test_matches_naive_recursion(p):
+    assert_matches_naive(build_tables(p, 3))
+
+
 def test_backends_agree():
     # The scalar reference body and the public fill kernel run on the same
-    # previous level; grids and op counts must match.
-    p = F(2, 5)
-    t = build_tables(p, 4)
-    ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
-    for m in range(1, 5):
+    # previous level; grids and op counts must match.  At p = 0 ca is 0 and
+    # at p = 1/2 cb is 0, where ties abound.
+    for p in (F(2, 5), F(0), F(1, 2)):
+        t = build_tables(p, 6)
+        ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
+        for m in range(1, 7):
+            size = 2 ** m
+            level_ops = 0
+            for maximize, prev in ((True, t.plus[m - 1]), (False, t.minus[m - 1])):
+                scalar = np.zeros((size + 1, size + 1), dtype=np.int64)
+                ops_s = scalar_kernels.fill_wedge(
+                    prev, scalar, size, np.int64(ca), np.int64(cb), maximize
+                )
+                vector, ops_v = kernels.fill_wedge(prev, size, ca, cb, maximize)
+                assert np.array_equal(scalar, vector), (p, m, maximize)
+                assert ops_s == ops_v, (p, m, maximize)
+                level_ops += ops_v
+            assert level_ops == t.ops_per_level[m], (p, m)
+
+
+def test_fill_op_count_closed_form():
+    # the closed form counts the window pairs the scalar reference covers
+    for m in range(1, 8):
         size = 2 ** m
-        level_ops = 0
-        for maximize, prev in ((True, t.plus[m - 1]), (False, t.minus[m - 1])):
-            scalar = np.zeros((size + 1, size + 1), dtype=np.int64)
-            ops_s = scalar_kernels.fill_wedge(
-                prev, scalar, size, np.int64(ca), np.int64(cb), maximize
-            )
-            vector, ops_v = kernels.fill_wedge(prev, size, ca, cb, maximize)
-            assert np.array_equal(scalar, vector), (m, maximize)
-            assert ops_s == ops_v, (m, maximize)
-            level_ops += ops_v
-        assert level_ops == t.ops_per_level[m]
+        prev = np.zeros((size // 2 + 1, size // 2 + 1), dtype=np.int64)
+        out = np.zeros((size + 1, size + 1), dtype=np.int64)
+        ops = scalar_kernels.fill_wedge(prev, out, size, np.int64(1),
+                                        np.int64(1), True)
+        assert kernels.fill_wedge(prev, size, 1, 1, False)[1] == ops, m
+
+
+@st.composite
+def bigint_p(draw):
+    """p in [0, 1/2] whose denominator puts level 3 on the object path."""
+    den = draw(st.integers(min_value=2 ** 20, max_value=2 ** 70))
+    p = F(draw(st.integers(min_value=0, max_value=den // 2)), den)
+    assume(not fits_int64(p, 3))
+    return p
+
+
+@settings(max_examples=8, deadline=None)
+@given(bigint_p())
+def test_bigint_fill_matches_naive_recursion(p):
+    t = build_tables(p, 3)
+    assert t.plus[3].dtype == object
+    assert_matches_naive(t)
 
 
 def test_int64_guard_picks_object_path():
@@ -225,6 +258,19 @@ def test_saved_bytes_are_pinned(tmp_path):
         b"0 0 0 0 2 2 0 2 4\n"
         b"0 0 0 0 0 2 0 2 4\n"
     )
+
+
+def test_saved_level_6_digest_is_pinned(tmp_path):
+    # a fill change that alters any grid or op count changes this digest
+    path = tmp_path / "t.nldt"
+    build_tables(F(2, 5), 6).save(path)
+    head = path.read_bytes().split(b"\n")[:4]
+    assert head == [
+        b"NLDELTA 2",
+        b"n=6 p=2/5",
+        b"ops=0,20,86,580,5550,66810,919666",
+        b"sha256=9b7ec62509ae4501ed8c937f019266c6783cd823abc13f8d3566f16f80f37be6",
+    ]
 
 
 def test_failed_save_leaves_no_torn_file(tmp_path, monkeypatch):
