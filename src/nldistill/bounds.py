@@ -7,10 +7,10 @@ The class bound for a profile (k0, k1, l0, l1) of preimage sizes is
 
 evaluated on the level-n tables.  The isotropic bound maximizes this
 over all profiles; because the expression has no k0-k1 cross term the
-scan decouples into independent k0 and k1 sweeps per (l0, l1), and the
-complement symmetry allows restricting k0 to [0, 2^(n-1)] without
-changing the maximum.  The general bound reduces any nonsignaling box
-to its minimal isotropic envelope first.
+scan decouples: one slab per l0 gives every l1 its best k0 and k1 at
+once, and the complement symmetry allows restricting k0 to [0, 2^(n-1)]
+without changing the maximum.  The general bound reduces any
+nonsignaling box to its minimal isotropic envelope first.
 """
 from __future__ import annotations
 
@@ -151,12 +151,9 @@ class ClassGrid:
         return 2 ** (self.n + 1)
 
     def max_cell(self) -> tuple[Fraction, tuple[int, int]]:
-        best, arg = None, (0, 0)
-        for sk, row in enumerate(self.values):
-            for sl, v in enumerate(row):
-                if best is None or v > best:
-                    best, arg = v, (sk, sl)
-        return best, arg
+        """The largest value and its first cell in row-major order."""
+        return max(((v, (sk, sl)) for sk, row in enumerate(self.values)
+                    for sl, v in enumerate(row)), key=lambda cell: cell[0])
 
     def write_csv(self, stream, approx: bool = False) -> None:
         writer = csv.writer(stream)

@@ -58,6 +58,10 @@ def _log(obj: dict) -> None:
     print(json.dumps(obj), file=sys.stderr, flush=True)
 
 
+def _since(t0: float) -> float:
+    return round(time.perf_counter() - t0, 3)
+
+
 def _parse_wedge(text: str) -> BinarySystem:
     parts = text.split(",")
     if len(parts) != 2:
@@ -106,8 +110,7 @@ def _emit(args, text: str) -> None:
 
 
 def _format(args, default: str) -> str:
-    fmt = getattr(args, "format", None) or default
-    return fmt
+    return getattr(args, "format", None) or default
 
 
 def _require_long_run(args, what: str) -> None:
@@ -133,14 +136,12 @@ def _tables_for(p: Fraction, n: int, args) -> DeltaTables:
                     f"table cache corrupt ({type(exc).__name__}): {path}: {exc}",
                 )
             _log({"event": "cache_hit", "path": str(path), "n": n,
-                  "p": f"{p.numerator}/{p.denominator}",
-                  "seconds": round(time.perf_counter() - t0, 3)})
+                  "p": f"{p.numerator}/{p.denominator}", "seconds": _since(t0)})
             return tables
     t0 = time.perf_counter()
     tables = build_tables(p, n, progress=_log)
     _log({"event": "tables_built", "n": n,
-          "p": f"{p.numerator}/{p.denominator}",
-          "seconds": round(time.perf_counter() - t0, 3)})
+          "p": f"{p.numerator}/{p.denominator}", "seconds": _since(t0)})
     if path is not None:
         t0 = time.perf_counter()
         try:
@@ -148,8 +149,7 @@ def _tables_for(p: Fraction, n: int, args) -> DeltaTables:
             tables.save(path)
         except OSError as exc:
             raise CliError(EXIT_IO, f"cannot write table cache: {exc}")
-        _log({"event": "cache_write", "path": str(path),
-              "seconds": round(time.perf_counter() - t0, 3)})
+        _log({"event": "cache_write", "path": str(path), "seconds": _since(t0)})
     return tables
 
 
@@ -219,9 +219,11 @@ def cmd_bound(args) -> int:
     except DecompositionError as exc:
         raise CliError(EXIT_INVALID_BOX, f"decomposition failed: {exc}")
     if dec.epsilon == 0:
+        t0 = time.perf_counter()
         report = general_bound(system, args.n)
     else:
         tables = _tables_for(dec.p_iso.prob(0, 0, 0, 0), args.n, args)
+        t0 = time.perf_counter()
         iso = iso_bound(dec.p_iso, args.n, tables=tables)
         report = BoundReport(
             raw_bound=iso.raw_bound, clamped_bound=iso.clamped_bound,
@@ -229,7 +231,7 @@ def cmd_bound(args) -> int:
             system_nl=nl_value(system)[0], decomposition=dec,
         )
     _log({"event": "bound_done", "raw": str(report.raw_bound),
-          "witness": list(report.witness_profile.as_tuple())})
+          "witness": list(report.witness_profile.as_tuple()), "seconds": _since(t0)})
     _emit(args, json.dumps(report.to_json_obj(), indent=2))
     return EXIT_OK
 
@@ -240,11 +242,13 @@ def cmd_grid(args) -> int:
         _require_long_run(args, f"the class grid at n={args.n}")
     try:
         tables = _tables_for(system.prob(0, 0, 0, 0), args.n, args)
+        t0 = time.perf_counter()
         grid = class_grid(system, args.n, tables=tables)
+        seconds = _since(t0)
     except ValueError as exc:
         raise CliError(EXIT_INFEASIBLE, str(exc))
     best, arg = grid.max_cell()
-    _log({"event": "grid_done", "max": str(best), "cell": list(arg)})
+    _log({"event": "grid_done", "max": str(best), "cell": list(arg), "seconds": seconds})
     if _format(args, "csv") == "json":
         obj = {
             "n": grid.n,
@@ -267,8 +271,7 @@ def cmd_search(args) -> int:
     t0 = time.perf_counter()
     result = brute_force_D(system, args.n)
     _log({"event": "search_done", "value": str(result.value),
-          "cells": result.cells_scanned,
-          "seconds": round(time.perf_counter() - t0, 3)})
+          "cells": result.cells_scanned, "seconds": _since(t0)})
     obj = result.to_json_obj()
     obj["nl"] = str(nl_value(system)[0])
     _emit(args, json.dumps(obj, indent=2))

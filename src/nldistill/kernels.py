@@ -81,79 +81,91 @@ def _wedge_pairs(size: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Isotropic-bound profile scan.
-#
-# Scaled objective (exact, times 2^(n-2) * den(p)^n):
-#   (2^(n-1) - k0 - l0)*dpn + xp[k0,l0] + xp[k0,l1] + xp[k1,l0] - xm[k1,l1]
-# which decouples into a k0 term and a k1 term for fixed (l0, l1).
-# The witness is the lexicographically smallest maximizer (k0,k1,l0,l1).
+# Profile scans.  For fixed l0 (b0 in the search) the objective is
+# a[j, r0] + c[j, r1], so each scan sweeps one slab per outer index, one j
+# per contiguous row.  argmax returns the first maximum: the least best r0
+# and r1 of each j.  Tied j go to the least (r0, r1, j); slabs merge under
+# the full lexicographic rule.
+# Slab buffers are reused: past the allocator's mmap threshold a fresh
+# array per slab costs more than its arithmetic.
 # ---------------------------------------------------------------------------
+
+def _slab_best(a, c):
+    """max_j (max_r a[j, r] + max_r c[j, r]) as (value, lex-min (r0, r1, j))."""
+    j = np.arange(a.shape[0])
+    r0, r1 = a.argmax(axis=1), c.argmax(axis=1)
+    v = a[j, r0] + c[j, r1]
+    best = v.max()
+    tied = np.flatnonzero(v == best)
+    return int(best), min(zip(r0[tied].tolist(), r1[tied].tolist(), tied.tolist()))
+
+
+# Isotropic-bound profile scan, exact and scaled by 2^(n-2) * den(p)^n:
+#   (2^(n-1) - k0 - l0)*dpn + xp[k0,l0] + xp[k0,l1] + xp[k1,l0] - xm[k1,l1]
+# per l0: a[l1, k0 <= k0_cap] = -k0*dpn + xp[k0,l0] + xp[k0,l1] and
+# c[l1, k1] = xp[k1,l0] - xm[k1,l1]; witness the lex-min (k0, k1, l0, l1).
 
 def iso_scan(xp, xm, dpn, half_term, k0_cap, size):
     """Exact decoupled max; returns (best, (k0, k1, l0, l1)), lex-min witness."""
-    kvec = -np.arange(k0_cap + 1).astype(xp.dtype) * dpn
-    best = None
-    witness = (0, 0, 0, 0)
+    xpt, xmt = np.ascontiguousarray(xp.T), np.ascontiguousarray(xm.T)
+    a_rows = -np.arange(k0_cap + 1).astype(xp.dtype) * dpn + xpt[:, : k0_cap + 1]
+    a, c = np.empty_like(a_rows), np.empty_like(xmt)
+    best, witness = None, (0, 0, 0, 0)
     for l0 in range(size + 1):
-        base = (half_term - l0) * dpn
-        colp_l0 = xp[:, l0]
-        for l1 in range(size + 1):
-            a = kvec + colp_l0[: k0_cap + 1] + xp[: k0_cap + 1, l1]
-            a_arg = int(np.argmax(a))
-            c = colp_l0 - xm[:, l1]
-            c_arg = int(np.argmax(c))
-            cell = base + int(a[a_arg]) + int(c[c_arg])
-            cand = (a_arg, c_arg, l0, l1)
-            if best is None or cell > best or (cell == best and cand < witness):
-                best = cell
-                witness = cand
+        np.add(a_rows, xpt[l0, : k0_cap + 1], out=a)
+        cell, (k0, k1, l1) = _slab_best(a, np.subtract(xpt[l0], xmt, out=c))
+        cell += (half_term - l0) * dpn
+        cand = (k0, k1, l0, l1)
+        if best is None or cell > best or (cell == best and cand < witness):
+            best, witness = cell, cand
     return best, witness
 
 
 # ---------------------------------------------------------------------------
 # Aggregated class grid: max of the scaled objective per (k0+k1, l0+l1).
+# Per l0 each k0 takes one max of a[k0] + c[k1, l1] into out[k0:k0+S, l0:l0+S].
 # ---------------------------------------------------------------------------
 
 def grid_scan(xp, xm, dpn, half_term, size):
     # xp and xm hold numerators in [0, size*dpn], so every candidate is at
     # least -2.5*size*dpn; the seed lies below all of them on both dtypes
     out = np.full((2 * size + 1, 2 * size + 1), -3 * size * dpn, dtype=xp.dtype)
-    kvec = -np.arange(size + 1).astype(xp.dtype) * dpn
+    a_rows = -np.arange(size + 1).astype(xp.dtype)[:, None] * dpn + xp
+    cand = np.empty_like(xm)
     for l0 in range(size + 1):
-        base = (half_term - l0) * dpn
-        for l1 in range(size + 1):
-            sl = l0 + l1
-            a = base + kvec + xp[:, l0] + xp[:, l1]
-            c = xp[:, l0] - xm[:, l1]
-            for k0 in range(size + 1):
-                seg = out[k0:k0 + size + 1, sl]
-                np.maximum(seg, a[k0] + c, out=seg)
+        a = a_rows + (xp[:, l0:l0 + 1] + (half_term - l0) * dpn)
+        c = xp[:, l0:l0 + 1] - xm
+        for k0 in range(size + 1):
+            seg = out[k0:k0 + size + 1, l0:l0 + size + 1]
+            np.maximum(seg, np.add(a[k0], c, out=cand), out=seg)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Brute-force protocol scan: maximize
 #   T[a0,b0] + T[a1,b0] + T[a0,b1] - T[a1,b1]
-# over independent atom choices, a0 restricted to ``a0_idx``.
+# over independent atom choices, a0 restricted to the ascending ``a0_idx``;
+# per b0: a[b1, a0] = T[a0,b0] + T[a0,b1] and c[b1, a1] = T[a1,b0] - T[a1,b1].
 # ---------------------------------------------------------------------------
 
 def bilinear_scan(t: np.ndarray, a0_idx: np.ndarray):
     """Exact decoupled max; returns (best, (a0, a1, b0, b1)), lex-min witness."""
-    best = None
-    witness = (0, 0, 0, 0)
-    n_b = t.shape[1]
-    t_a0 = t[a0_idx, :]
-    for b0 in range(n_b):
-        col0 = t[:, b0]
-        col0_a0 = t_a0[:, b0]
-        for b1 in range(n_b):
-            a = col0_a0 + t_a0[:, b1]
-            ai = int(np.argmax(a))
-            c = col0 - t[:, b1]
-            ci = int(np.argmax(c))
-            cell = int(a[ai]) + int(c[ci])
-            cand = (int(a0_idx[ai]), ci, b0, b1)
-            if best is None or cell > best or (cell == best and cand < witness):
-                best = cell
-                witness = cand
+    cols = np.arange(t.shape[1])
+    return bilinear_cells(t, a0_idx, ((b0, cols) for b0 in cols.tolist()))
+
+
+def bilinear_cells(t: np.ndarray, a0_idx: np.ndarray, groups):
+    """The scan over the cells (b0, b1 in cols) of ascending (b0, cols) groups."""
+    tt = np.ascontiguousarray(t.T)
+    tt_a0 = np.ascontiguousarray(tt[:, a0_idx])
+    a_buf, c_buf = np.empty_like(tt_a0), np.empty_like(tt)
+    best, witness = None, (0, 0, 0, 0)
+    for b0, cols in groups:
+        a = np.take(tt_a0, cols, axis=0, out=a_buf[: len(cols)])
+        c = np.take(tt, cols, axis=0, out=c_buf[: len(cols)])
+        a += tt_a0[b0]
+        cell, (ai, a1, j) = _slab_best(a, np.subtract(tt[b0], c, out=c))
+        cand = (int(a0_idx[ai]), a1, b0, int(cols[j]))
+        if best is None or cell > best or (cell == best and cand < witness):
+            best, witness = cell, cand
     return best, witness

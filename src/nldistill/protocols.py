@@ -352,26 +352,14 @@ def _prefilter_scan(t: np.ndarray, a0_idx: np.ndarray, scale: int,
     # bounded even where v and scale are beyond the float range
     tf = np.asarray([[int(v) / scale for v in row] for row in t])
     tf_a0 = tf[a0_idx, :]
-    n_b = tf.shape[1]
-    u = np.empty((n_b, n_b))
-    v = np.empty((n_b, n_b))
-    for b0 in range(n_b):
-        u[b0] = (tf_a0[:, b0][:, None] + tf_a0).max(axis=0)
-        v[b0] = (tf[:, b0][:, None] - tf).max(axis=0)
-    cells = u + v
+    cells = np.array([(tf_a0[:, b0, None] + tf_a0).max(axis=0)
+                      + (tf[:, b0, None] - tf).max(axis=0) for b0 in range(tf.shape[1])])
     incumbent = cells.max()
+    # argwhere lists the survivors by ascending b0, then b1
     survivors = np.argwhere(cells >= incumbent - margin)
-    best: Optional[int] = None
-    witness = (0, 0, 0, 0)
-    for b0, b1 in survivors:
-        a_vals = [int(t[a, b0]) + int(t[a, b1]) for a in a0_idx]
-        ai = max(range(len(a_vals)), key=lambda i: (a_vals[i], -i))
-        c_vals = [int(t[a, b0]) - int(t[a, b1]) for a in range(t.shape[0])]
-        ci = max(range(len(c_vals)), key=lambda i: (c_vals[i], -i))
-        cell = a_vals[ai] + c_vals[ci]
-        cand = (int(a0_idx[ai]), ci, int(b0), int(b1))
-        if best is None or cell > best or (cell == best and cand < witness):
-            best, witness = cell, cand
+    b0s, starts = np.unique(survivors[:, 0], return_index=True)
+    groups = zip(b0s.tolist(), np.split(survivors[:, 1], starts[1:]))
+    best, witness = kernels.bilinear_cells(t, a0_idx, groups)
     if best is None:
         raise AssertionError("the float pre-filter kept no cell")
     return best, witness

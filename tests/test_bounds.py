@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nldistill import (
     ANTI_PR,
@@ -129,6 +131,66 @@ def test_grid_scan_backends_agree():
     assert grid.values == tuple(
         tuple(F(4 * int(v), denom) for v in row) for row in scalar
     )
+
+
+@st.composite
+def tie_heavy_scan_inputs(draw):
+    """Small level grids whose entries take 3 or 4 values, so ties abound.
+
+    Entries stay in [0, size*dpn], as in real tables, so grid_scan's seed
+    lies below every candidate."""
+    size = draw(st.integers(min_value=2, max_value=6))
+    dpn = draw(st.integers(min_value=1, max_value=2))
+    top = min(draw(st.integers(min_value=2, max_value=3)), size * dpn)
+    grid = st.lists(st.integers(min_value=0, max_value=top),
+                    min_size=(size + 1) ** 2, max_size=(size + 1) ** 2)
+    xp, xm = (np.array(draw(grid), dtype=np.int64).reshape(size + 1, size + 1)
+              for _ in range(2))
+    return xp, xm, dpn, size
+
+
+def _int64_and_object(xp, xm):
+    # the same values as int64 and as Python ints in object arrays
+    return [(xp, xm), (xp.astype(object), xm.astype(object))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_scan_inputs())
+def test_iso_scan_matches_reference_on_ties(inputs):
+    xp, xm, dpn, size = inputs
+    for k0_cap in (size // 2, size):
+        scalar = scalar_kernels.iso_scan(xp, xm, np.int64(dpn),
+                                         np.int64(size // 2), k0_cap, size)
+        best, *witness = (int(v) for v in scalar)
+        for xp_, xm_ in _int64_and_object(xp, xm):
+            assert kernels.iso_scan(xp_, xm_, dpn, size // 2, k0_cap, size) \
+                == (best, tuple(witness)), (k0_cap, xp_.dtype)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tie_heavy_scan_inputs())
+def test_grid_scan_matches_reference_on_ties(inputs):
+    xp, xm, dpn, size = inputs
+    scalar = scalar_kernels.grid_scan(xp, xm, np.int64(dpn), np.int64(size // 2),
+                                      size)
+    for xp_, xm_ in _int64_and_object(xp, xm):
+        vector = kernels.grid_scan(xp_, xm_, dpn, size // 2, size)
+        assert vector.dtype == xp_.dtype
+        assert vector.tolist() == scalar.tolist()
+
+
+def test_iso_scan_tied_columns_take_the_least_rows():
+    # In the l0 = 0 slab the columns l1 = 0 and l1 = 2 tie on the best
+    # value 5.  Column 0 reaches it at (k0, k1) = (1, 2), column 2 at
+    # (0, 1), so the lex-min witness is (0, 1, 0, 2); a scan that kept the
+    # first tied column would report (1, 2, 0, 0).
+    xp = np.array([[0, 0, 2], [2, 1, 0], [2, 1, 2]], dtype=np.int64)
+    xm = np.array([[2, 2, 1], [2, 2, 0], [1, 1, 2]], dtype=np.int64)
+    for k0_cap in (1, 2):
+        scalar = scalar_kernels.iso_scan(xp, xm, np.int64(1), np.int64(1), k0_cap, 2)
+        assert [int(v) for v in scalar] == [5, 0, 1, 0, 2]
+        for xp_, xm_ in _int64_and_object(xp, xm):
+            assert kernels.iso_scan(xp_, xm_, 1, 1, k0_cap, 2) == (5, (0, 1, 0, 2))
 
 
 def test_bound_check_survives_optimize_flag():

@@ -242,6 +242,16 @@ def test_cold_bound_reports_every_level(capsys, tmp_path):
     assert [e["ops"] for e in filled] == \
         list(build_tables(F(2, 5), 4).ops_per_level[1:])
     assert {e["dtype"] for e in filled} == {"int64"}
+    # the scan's own time is on its done event, apart from the table build
+    done = [e for e in events if e["event"] == "bound_done"]
+    assert len(done) == 1 and done[0]["seconds"] >= 0
+    code, _, err = run(capsys, "grid", "--wedge", "1/5,0", "--n", "4",
+                       "--cache", str(tmp_path))
+    assert code == 0
+    grid_events = list(map(json.loads, err.splitlines()))
+    assert "cache_hit" in [e["event"] for e in grid_events]
+    done = [e for e in grid_events if e["event"] == "grid_done"]
+    assert len(done) == 1 and done[0]["seconds"] >= 0
     # one path_selected event, before the first level, says why: D_4 = 10^4
     path = [e for e in events if e["event"] == "path_selected"]
     assert path == [{"event": "path_selected", "dtype": "int64",

@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nldistill import (
     PR,
@@ -318,3 +320,30 @@ def test_bilinear_scan_backends_agree():
     denom, _ = _entry_numerators(w)
     best, _ = kernels.bilinear_scan(t, reduced)
     assert F(best, denom) == brute_force_D(w, 1).value
+
+
+@st.composite
+def tie_heavy_table(draw):
+    """A small atom table with entries from a range of 3 or 4 values, and a
+    nonempty ascending a0 subset standing in for the reduced atom set."""
+    n_a = draw(st.integers(min_value=1, max_value=7))
+    n_b = draw(st.integers(min_value=1, max_value=7))
+    lo = draw(st.integers(min_value=-2, max_value=0))
+    hi = lo + draw(st.integers(min_value=2, max_value=3))
+    cells = draw(st.lists(st.integers(min_value=lo, max_value=hi),
+                          min_size=n_a * n_b, max_size=n_a * n_b))
+    t = np.array(cells, dtype=np.int64).reshape(n_a, n_b)
+    reduced = draw(st.lists(st.integers(min_value=0, max_value=n_a - 1),
+                            min_size=1, unique=True))
+    return t, np.array(sorted(reduced), dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_table())
+def test_bilinear_scan_matches_reference_on_ties(inputs):
+    t, reduced = inputs
+    for a0_idx in (reduced, np.arange(t.shape[0], dtype=np.int64)):
+        scalar = [int(v) for v in scalar_kernels.bilinear_scan(t, a0_idx)]
+        for table in (t, t.astype(object)):
+            best, witness = kernels.bilinear_scan(table, a0_idx)
+            assert [best, *witness] == scalar, (a0_idx, table.dtype)
