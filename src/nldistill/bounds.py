@@ -23,7 +23,7 @@ from typing import Optional
 from . import kernels
 from .boxes import BinarySystem, is_isotropic, nl_value
 from .decompose import Decomposition, minimal_isotropic
-from .delta import DeltaTables, build_tables
+from .delta import DeltaTables, tables_for
 
 
 @dataclass(frozen=True)
@@ -91,36 +91,24 @@ def _scan_inputs(tables: DeltaTables, n: int):
     return xp, xm, dpn, tables.level_denominator(n)
 
 
-def _tables_for(system: BinarySystem, n: int,
-                tables: Optional[DeltaTables], progress=None) -> DeltaTables:
-    p = system.prob(0, 0, 0, 0)
-    if tables is not None:
-        if tables.p != p:
-            raise ValueError(f"tables built for p={tables.p}, system has p={p}")
-        if tables.n < n:
-            raise ValueError(f"tables only reach level {tables.n} < n={n}")
-        return tables
-    return build_tables(p, n, progress=progress)
-
-
 def iso_bound(system: BinarySystem, n: int, *,
               tables: Optional[DeltaTables] = None,
-              reduced: bool = True,
-              progress=None) -> BoundReport:
+              reduced: bool = True) -> BoundReport:
     """Upper bound on D(n, P) for an isotropic system.
 
     ``reduced`` restricts the k0 sweep to [0, 2^(n-1)] (complement
-    symmetry); the unreduced scan exists for verification.
+    symmetry); the unreduced scan exists for verification.  Given
+    ``tables`` must be at the system's p and reach level n (``ValueError``).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if is_isotropic(system) is None:
         raise ValueError("the isotropic bound applies to isotropic systems only")
-    tables = _tables_for(system, n, tables, progress)
+    tables = tables_for(system.prob(0, 0, 0, 0), n, tables)
     xp, xm, dpn, denom = _scan_inputs(tables, n)
     size = 2 ** n
     k0_cap = size // 2 if reduced else size
-    best, witness = kernels.iso_scan(xp, xm, dpn, size // 2, k0_cap, size)
+    best, witness = kernels.iso_scan(xp, xm, dpn, k0_cap, size)
     raw = Fraction(4 * best, denom)
     profile = ClassProfile(*witness)
     check = class_bound(tables, n, profile)
@@ -175,17 +163,16 @@ class ClassGrid:
 
 
 def class_grid(system: BinarySystem, n: int, *,
-               tables: Optional[DeltaTables] = None,
-               progress=None) -> ClassGrid:
+               tables: Optional[DeltaTables] = None) -> ClassGrid:
     """The full aggregated bound surface for an isotropic box."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if is_isotropic(system) is None:
         raise ValueError("the class grid applies to isotropic systems only")
-    tables = _tables_for(system, n, tables, progress)
+    tables = tables_for(system.prob(0, 0, 0, 0), n, tables)
     xp, xm, dpn, denom = _scan_inputs(tables, n)
     size = 2 ** n
-    scaled = kernels.grid_scan(xp, xm, dpn, size // 2, size)
+    scaled = kernels.grid_scan(xp, xm, dpn, size)
     values = tuple(
         tuple(Fraction(4 * int(scaled[sk, sl]), denom) for sl in range(2 * size + 1))
         for sk in range(2 * size + 1)
@@ -194,8 +181,7 @@ def class_grid(system: BinarySystem, n: int, *,
 
 
 def general_bound(system: BinarySystem, n: int, *,
-                  tables: Optional[DeltaTables] = None,
-                  progress=None) -> BoundReport:
+                  tables: Optional[DeltaTables] = None) -> BoundReport:
     """General bound: reduce to the minimal isotropic envelope, then bound it."""
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -207,7 +193,7 @@ def general_bound(system: BinarySystem, n: int, *,
             witness_profile=ClassProfile(0, 0, 0, 0), n=n, system=system,
             system_nl=nl, decomposition=dec,
         )
-    report = iso_bound(dec.p_iso, n, tables=tables, progress=progress)
+    report = iso_bound(dec.p_iso, n, tables=tables)
     return BoundReport(
         raw_bound=report.raw_bound, clamped_bound=report.clamped_bound,
         witness_profile=report.witness_profile, n=n, system=system,

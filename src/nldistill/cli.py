@@ -23,12 +23,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .boxes import BinarySystem, BoxFormatError, nl_value, rational, validate, wedge
+from .boxes import (BinarySystem, BoxFormatError, is_isotropic, nl_value,
+                    rational, validate, wedge)
 from .bounds import BoundReport, class_grid, general_bound, iso_bound
 from .decompose import DecompositionError, minimal_isotropic
 from .delta import (
     DeltaTableError,
     DeltaTables,
+    MemoryBudgetError,
     build_tables,
     cache_filename,
     load_tables,
@@ -139,7 +141,10 @@ def _tables_for(p: Fraction, n: int, args) -> DeltaTables:
                   "p": f"{p.numerator}/{p.denominator}", "seconds": _since(t0)})
             return tables
     t0 = time.perf_counter()
-    tables = build_tables(p, n, progress=_log)
+    try:
+        tables = build_tables(p, n, progress=_log)
+    except MemoryBudgetError as exc:
+        raise CliError(EXIT_INFEASIBLE, f"n={n}: {exc}")
     _log({"event": "tables_built", "n": n,
           "p": f"{p.numerator}/{p.denominator}", "seconds": _since(t0)})
     if path is not None:
@@ -240,13 +245,13 @@ def cmd_grid(args) -> int:
     system = _load_box(args)
     if args.n >= LONG_RUN_N:
         _require_long_run(args, f"the class grid at n={args.n}")
-    try:
-        tables = _tables_for(system.prob(0, 0, 0, 0), args.n, args)
-        t0 = time.perf_counter()
-        grid = class_grid(system, args.n, tables=tables)
-        seconds = _since(t0)
-    except ValueError as exc:
-        raise CliError(EXIT_INFEASIBLE, str(exc))
+    if is_isotropic(system) is None:
+        raise CliError(EXIT_INFEASIBLE,
+                       "the class grid applies to isotropic systems only")
+    tables = _tables_for(system.prob(0, 0, 0, 0), args.n, args)
+    t0 = time.perf_counter()
+    grid = class_grid(system, args.n, tables=tables)
+    seconds = _since(t0)
     best, arg = grid.max_cell()
     _log({"event": "grid_done", "max": str(best), "cell": list(arg), "seconds": seconds})
     if _format(args, "csv") == "json":

@@ -52,7 +52,7 @@ from . import kernels
 #: every intermediate is then below 8*(2*den(p))^n < 2^63.
 INT64_SAFE_LIMIT = 1 << 59
 
-DEFAULT_MEMORY_BUDGET = 2 << 30  # bytes
+MEMORY_BUDGET = 2 << 30  # bytes
 
 _MAGIC = "NLDELTA"
 _FORMAT_VERSION = 2
@@ -83,8 +83,8 @@ class MemoryBudgetError(DeltaTableError):
         self.required = required
         self.budget = budget
         super().__init__(
-            f"table levels need about {required} bytes which exceeds the "
-            f"memory budget of {budget} bytes; pass a larger memory_budget"
+            f"table levels need about {required} bytes, which exceeds the "
+            f"memory budget of {budget} bytes"
         )
 
 
@@ -249,7 +249,6 @@ def _complete_grid(grid: np.ndarray, size: int, dppow: int) -> None:
 
 
 def build_tables(p: RationalLike, n: int, *,
-                 memory_budget: int = DEFAULT_MEMORY_BUDGET,
                  progress: Optional[ProgressFn] = None) -> DeltaTables:
     """Build delta tables for all levels 0..n at parameter p.
 
@@ -259,7 +258,7 @@ def build_tables(p: RationalLike, n: int, *,
     ``path_selected`` progress event gives the reason: the dtype ("int64"
     or "object"), the bit length of D_n and ``limit_bits`` (int64 while
     D_n <= 2**limit_bits).  Each ``level_filled`` event records its dtype
-    too.
+    too.  Builds past ``MEMORY_BUDGET`` raise ``MemoryBudgetError`` first.
     """
     p = rational(p)
     if not 0 <= p <= Fraction(1, 2):
@@ -268,8 +267,8 @@ def build_tables(p: RationalLike, n: int, *,
         raise ValueError("n must be >= 0")
     use_int64 = fits_int64(p, n)
     required = _estimate_bytes(n, use_int64)
-    if required > memory_budget:
-        raise MemoryBudgetError(required, memory_budget)
+    if required > MEMORY_BUDGET:
+        raise MemoryBudgetError(required, MEMORY_BUDGET)
     dp, num = p.denominator, p.numerator
     ca, cb = 2 * num, dp - 2 * num
     dtype = np.int64 if use_int64 else object
@@ -305,6 +304,17 @@ def build_tables(p: RationalLike, n: int, *,
             })
     return DeltaTables(p=p, n=n, plus=tuple(plus), minus=tuple(minus),
                        ops_per_level=tuple(ops_per_level))
+
+
+def tables_for(p: Fraction, n: int, tables: Optional[DeltaTables] = None) -> DeltaTables:
+    """Given ``tables``, check they are at p and reach level n; given none, build."""
+    if tables is None:
+        return build_tables(p, n)
+    if tables.p != p:
+        raise ValueError(f"tables built for p={tables.p}, system has p={p}")
+    if tables.n < n:
+        raise ValueError(f"tables only reach level {tables.n} < n={n}")
+    return tables
 
 
 def cache_filename(p: Fraction, n: int) -> str:

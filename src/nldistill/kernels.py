@@ -100,12 +100,12 @@ def _slab_best(a, c):
     return int(best), min(zip(r0[tied].tolist(), r1[tied].tolist(), tied.tolist()))
 
 
-# Isotropic-bound profile scan, exact and scaled by 2^(n-2) * den(p)^n:
-#   (2^(n-1) - k0 - l0)*dpn + xp[k0,l0] + xp[k0,l1] + xp[k1,l0] - xm[k1,l1]
+# Isotropic-bound profile scan (size = 2^n), exact and scaled by 2^(n-2)*den(p)^n:
+#   (size/2 - k0 - l0)*dpn + xp[k0,l0] + xp[k0,l1] + xp[k1,l0] - xm[k1,l1]
 # per l0: a[l1, k0 <= k0_cap] = -k0*dpn + xp[k0,l0] + xp[k0,l1] and
 # c[l1, k1] = xp[k1,l0] - xm[k1,l1]; witness the lex-min (k0, k1, l0, l1).
 
-def iso_scan(xp, xm, dpn, half_term, k0_cap, size):
+def iso_scan(xp, xm, dpn, k0_cap, size):
     """Exact decoupled max; returns (best, (k0, k1, l0, l1)), lex-min witness."""
     xpt, xmt = np.ascontiguousarray(xp.T), np.ascontiguousarray(xm.T)
     a_rows = -np.arange(k0_cap + 1).astype(xp.dtype) * dpn + xpt[:, : k0_cap + 1]
@@ -114,7 +114,7 @@ def iso_scan(xp, xm, dpn, half_term, k0_cap, size):
     for l0 in range(size + 1):
         np.add(a_rows, xpt[l0, : k0_cap + 1], out=a)
         cell, (k0, k1, l1) = _slab_best(a, np.subtract(xpt[l0], xmt, out=c))
-        cell += (half_term - l0) * dpn
+        cell += (size // 2 - l0) * dpn
         cand = (k0, k1, l0, l1)
         if best is None or cell > best or (cell == best and cand < witness):
             best, witness = cell, cand
@@ -126,14 +126,14 @@ def iso_scan(xp, xm, dpn, half_term, k0_cap, size):
 # Per l0 each k0 takes one max of a[k0] + c[k1, l1] into out[k0:k0+S, l0:l0+S].
 # ---------------------------------------------------------------------------
 
-def grid_scan(xp, xm, dpn, half_term, size):
+def grid_scan(xp, xm, dpn, size):
     # xp and xm hold numerators in [0, size*dpn], so every candidate is at
     # least -2.5*size*dpn; the seed lies below all of them on both dtypes
     out = np.full((2 * size + 1, 2 * size + 1), -3 * size * dpn, dtype=xp.dtype)
     a_rows = -np.arange(size + 1).astype(xp.dtype)[:, None] * dpn + xp
     cand = np.empty_like(xm)
     for l0 in range(size + 1):
-        a = a_rows + (xp[:, l0:l0 + 1] + (half_term - l0) * dpn)
+        a = a_rows + (xp[:, l0:l0 + 1] + (size // 2 - l0) * dpn)
         c = xp[:, l0:l0 + 1] - xm
         for k0 in range(size + 1):
             seg = out[k0:k0 + size + 1, l0:l0 + size + 1]

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import kernels
 from .boxes import BinarySystem, is_isotropic, nl_value
-from .delta import DeltaTables, build_tables
+from .delta import DeltaTables, tables_for
 
 PREFILTER_MARGIN = 1e-6
 
@@ -341,12 +341,12 @@ def _atom_protocol(n: int, plans: list[WiringPlan], n_tables: int,
     )
 
 
-def _prefilter_scan(t: np.ndarray, a0_idx: np.ndarray, scale: int,
-                    margin: float) -> tuple[int, tuple[int, int, int, int]]:
+def _prefilter_scan(t: np.ndarray, a0_idx: np.ndarray,
+                    scale: int) -> tuple[int, tuple[int, int, int, int]]:
     """Float64 pre-filter plus exact re-evaluation of surviving cells.
 
-    Safe for moderate denominators: cells more than ``margin`` (in CHSH
-    units) below the float incumbent cannot contain the exact optimum.
+    Safe for moderate denominators: cells more than ``PREFILTER_MARGIN``
+    (CHSH units) below the float incumbent cannot hold the exact optimum.
     """
     # exact integer true division: correctly rounded, and the ratio is
     # bounded even where v and scale are beyond the float range
@@ -356,7 +356,7 @@ def _prefilter_scan(t: np.ndarray, a0_idx: np.ndarray, scale: int,
                       + (tf[:, b0, None] - tf).max(axis=0) for b0 in range(tf.shape[1])])
     incumbent = cells.max()
     # argwhere lists the survivors by ascending b0, then b1
-    survivors = np.argwhere(cells >= incumbent - margin)
+    survivors = np.argwhere(cells >= incumbent - PREFILTER_MARGIN)
     b0s, starts = np.unique(survivors[:, 0], return_index=True)
     groups = zip(b0s.tolist(), np.split(survivors[:, 1], starts[1:]))
     best, witness = kernels.bilinear_cells(t, a0_idx, groups)
@@ -398,7 +398,7 @@ def brute_force_D(system: BinarySystem, n: int, *,
         a0_idx = np.arange(n_atoms, dtype=np.int64)
 
     if method == "prefilter" or (method == "auto" and not use_int64):
-        best, witness = _prefilter_scan(t, a0_idx, scale, PREFILTER_MARGIN)
+        best, witness = _prefilter_scan(t, a0_idx, scale)
         how = "prefilter"
     else:
         best, witness = kernels.bilinear_scan(t, a0_idx)
@@ -408,7 +408,7 @@ def brute_force_D(system: BinarySystem, n: int, *,
         # modulus branch: maximize the negated sum as well
         neg_t = -t
         if how == "prefilter":
-            best2, witness2 = _prefilter_scan(neg_t, a0_idx, scale, PREFILTER_MARGIN)
+            best2, witness2 = _prefilter_scan(neg_t, a0_idx, scale)
         else:
             best2, witness2 = kernels.bilinear_scan(neg_t, a0_idx)
         if best2 > best:
@@ -483,15 +483,13 @@ def sandwich_check(system: BinarySystem, n: int, *,
     Always exhaustive for n = 1; for n = 2 a seeded sample of (wiring
     pair, f, g) triples, or the complete 2^16-case enumeration when
     ``samples`` is None.  The system must be isotropic (the sandwich is
-    only claimed there).
+    only claimed there), and given ``tables`` must be at its p and reach n.
     """
     if n not in (1, 2):
         raise ValueError("sandwich check supports n in {1, 2}")
     if is_isotropic(system) is None:
         raise ValueError("sandwich property applies to isotropic systems")
-    p = system.prob(0, 0, 0, 0)
-    if tables is None:
-        tables = build_tables(p, n)
+    tables = tables_for(system.prob(0, 0, 0, 0), n, tables)
     plans = enumerate_plans(n)
     size = 1 << n
     n_tables = 1 << size

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import os
 import random
 from fractions import Fraction
 
@@ -17,9 +16,9 @@ def pytest_addoption(parser):
 
 
 def pytest_collection_modifyitems(config, items):
-    if config.getoption("--long-run") or os.environ.get("NLDISTILL_LONG_RUN"):
+    if config.getoption("--long-run"):
         return
-    skip = pytest.mark.skip(reason="pass --long-run (or set NLDISTILL_LONG_RUN=1)")
+    skip = pytest.mark.skip(reason="pass --long-run to run the long rows")
     for item in items:
         if "longrun" in item.keywords:
             item.add_marker(skip)

@@ -48,11 +48,11 @@ def fill_wedge(prev, out, size, ca, cb, maximize):
     return ops
 
 
-def iso_scan(xp, xm, dpn, half_term, k0_cap, size):
+def iso_scan(xp, xm, dpn, k0_cap, size):
     best = -_SENTINEL
     bk0 = bk1 = bl0 = bl1 = 0
     for l0 in range(size + 1):
-        base = (half_term - l0) * dpn
+        base = (size // 2 - l0) * dpn
         for l1 in range(size + 1):
             a_best = -_SENTINEL
             a_arg = 0
@@ -78,12 +78,12 @@ def iso_scan(xp, xm, dpn, half_term, k0_cap, size):
     return best, bk0, bk1, bl0, bl1
 
 
-def grid_scan(xp, xm, dpn, half_term, size):
+def grid_scan(xp, xm, dpn, size):
     out = np.full((2 * size + 1, 2 * size + 1), -_SENTINEL, dtype=np.int64)
     a = np.empty(size + 1, dtype=np.int64)
     c = np.empty(size + 1, dtype=np.int64)
     for l0 in range(size + 1):
-        base = (half_term - l0) * dpn
+        base = (size // 2 - l0) * dpn
         for l1 in range(size + 1):
             sl = l0 + l1
             for k in range(size + 1):

@@ -99,10 +99,8 @@ def test_backends_agree_on_bound():
     for w, bound, profile in cases:
         t, xp, xm, dpn, size = _n4_scan_inputs(w)
         for reduced, k0_cap in ((True, size // 2), (False, size)):
-            scalar = scalar_kernels.iso_scan(
-                xp, xm, np.int64(dpn), np.int64(size // 2), k0_cap, size
-            )
-            vector = kernels.iso_scan(xp, xm, dpn, size // 2, k0_cap, size)
+            scalar = scalar_kernels.iso_scan(xp, xm, np.int64(dpn), k0_cap, size)
+            vector = kernels.iso_scan(xp, xm, dpn, k0_cap, size)
             best, *witness = (int(v) for v in scalar)
             assert (best, tuple(witness)) == vector, (bound, k0_cap)
             report = iso_bound(w, 4, tables=t, reduced=reduced)
@@ -112,19 +110,16 @@ def test_backends_agree_on_bound():
     # lexicographically smallest maximizer inside each cell as well
     zeros = np.zeros((17, 17), dtype=np.int64)
     for k0_cap in (8, 16):
-        scalar = scalar_kernels.iso_scan(zeros, zeros, np.int64(0), np.int64(8),
-                                         k0_cap, 16)
-        best, witness = kernels.iso_scan(zeros, zeros, 0, 8, k0_cap, 16)
+        scalar = scalar_kernels.iso_scan(zeros, zeros, np.int64(0), k0_cap, 16)
+        best, witness = kernels.iso_scan(zeros, zeros, 0, k0_cap, 16)
         assert [int(v) for v in scalar] == [best, *witness] == [0] * 5
 
 
 def test_grid_scan_backends_agree():
     w = wedge(F(3, 7), 0)
     t, xp, xm, dpn, size = _n4_scan_inputs(w)
-    scalar = scalar_kernels.grid_scan(
-        xp, xm, np.int64(dpn), np.int64(size // 2), size
-    )
-    vector = kernels.grid_scan(xp, xm, dpn, size // 2, size)
+    scalar = scalar_kernels.grid_scan(xp, xm, np.int64(dpn), size)
+    vector = kernels.grid_scan(xp, xm, dpn, size)
     assert np.array_equal(scalar, vector)
     grid = class_grid(w, 4, tables=t)
     denom = t.level_denominator(4)
@@ -159,11 +154,10 @@ def _int64_and_object(xp, xm):
 def test_iso_scan_matches_reference_on_ties(inputs):
     xp, xm, dpn, size = inputs
     for k0_cap in (size // 2, size):
-        scalar = scalar_kernels.iso_scan(xp, xm, np.int64(dpn),
-                                         np.int64(size // 2), k0_cap, size)
+        scalar = scalar_kernels.iso_scan(xp, xm, np.int64(dpn), k0_cap, size)
         best, *witness = (int(v) for v in scalar)
         for xp_, xm_ in _int64_and_object(xp, xm):
-            assert kernels.iso_scan(xp_, xm_, dpn, size // 2, k0_cap, size) \
+            assert kernels.iso_scan(xp_, xm_, dpn, k0_cap, size) \
                 == (best, tuple(witness)), (k0_cap, xp_.dtype)
 
 
@@ -171,10 +165,9 @@ def test_iso_scan_matches_reference_on_ties(inputs):
 @given(tie_heavy_scan_inputs())
 def test_grid_scan_matches_reference_on_ties(inputs):
     xp, xm, dpn, size = inputs
-    scalar = scalar_kernels.grid_scan(xp, xm, np.int64(dpn), np.int64(size // 2),
-                                      size)
+    scalar = scalar_kernels.grid_scan(xp, xm, np.int64(dpn), size)
     for xp_, xm_ in _int64_and_object(xp, xm):
-        vector = kernels.grid_scan(xp_, xm_, dpn, size // 2, size)
+        vector = kernels.grid_scan(xp_, xm_, dpn, size)
         assert vector.dtype == xp_.dtype
         assert vector.tolist() == scalar.tolist()
 
@@ -187,10 +180,10 @@ def test_iso_scan_tied_columns_take_the_least_rows():
     xp = np.array([[0, 0, 2], [2, 1, 0], [2, 1, 2]], dtype=np.int64)
     xm = np.array([[2, 2, 1], [2, 2, 0], [1, 1, 2]], dtype=np.int64)
     for k0_cap in (1, 2):
-        scalar = scalar_kernels.iso_scan(xp, xm, np.int64(1), np.int64(1), k0_cap, 2)
+        scalar = scalar_kernels.iso_scan(xp, xm, np.int64(1), k0_cap, 2)
         assert [int(v) for v in scalar] == [5, 0, 1, 0, 2]
         for xp_, xm_ in _int64_and_object(xp, xm):
-            assert kernels.iso_scan(xp_, xm_, 1, 1, k0_cap, 2) == (5, (0, 1, 0, 2))
+            assert kernels.iso_scan(xp_, xm_, 1, k0_cap, 2) == (5, (0, 1, 0, 2))
 
 
 def test_bound_check_survives_optimize_flag():

@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from nldistill import BinarySystem, PR, brute_force_D, build_tables, kernels, wedge
+from nldistill import (
+    BinarySystem, MemoryBudgetError, PR, brute_force_D, build_tables, kernels, wedge,
+)
 from nldistill.cli import main
 
 F = Fraction
@@ -150,6 +152,28 @@ def test_grid_csv_and_json(capsys):
 def test_grid_rejects_non_isotropic(capsys):
     code, _, err = run(capsys, "grid", "--wedge", "1/5,1/5", "--n", "2")
     assert code == 3
+
+
+def test_grid_rejects_non_isotropic_before_any_work(capsys, tmp_path):
+    code, out, err = run(capsys, "grid", "--wedge", "1/5,1/5", "--n", "5",
+                         "--cache", str(tmp_path))
+    assert code == 3 and out == ""
+    assert "the class grid applies to isotropic systems only" in err
+    assert "level_filled" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_memory_budget_is_a_parameter_error(capsys, tmp_path):
+    # build_tables raises before it allocates anything, so this costs nothing
+    with pytest.raises(MemoryBudgetError) as exc:
+        build_tables(F(2, 5), 14)
+    for command in ("tables", "bound"):
+        code, out, err = run(capsys, command, "--wedge", "1/5,0", "--n", "14",
+                             "--long-run", "--cache", str(tmp_path))
+        assert code == 3 and out == ""
+        # the message names the bytes required and the budget
+        assert err == f"nldistill: error: n=14: {exc.value}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_search_and_long_run_guards(capsys):
@@ -295,6 +319,32 @@ def test_perfbench_layer_wraps_resolve():
         assert callable(getattr(owner, attr, None)), (owner, attr)
     assert {"size", "k0_cap"} <= set(inspect.signature(kernels.iso_scan).parameters)
     assert "size" in inspect.signature(kernels.grid_scan).parameters
+
+
+def test_perfbench_traced_layers_all_fire(capsys, tmp_path):
+    # every span perfbench/tracing.py installs records at least once over a
+    # cold bound, a cache hit, a grid, a search and a decomposition
+    from nldistill import cli, decompose, delta, protocols
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wraps = tracing.layer_wraps(cli, delta, kernels, decompose, protocols)
+    cache = str(tmp_path)
+    tracer = tracing.Tracer(wraps)
+    try:
+        for argv in (("bound", "--wedge", "1/5,1/7", "--n", "3", "--cache", cache),
+                     ("bound", "--wedge", "1/5,1/7", "--n", "3", "--cache", cache),
+                     ("grid", "--wedge", "1/5,0", "--n", "3", "--cache", cache),
+                     ("search", "--wedge", "1/2,0", "--n", "1"),
+                     ("decompose", "--wedge", "1/5,1/7")):
+            assert main(list(argv)) == 0, argv
+    finally:
+        tracer.close()
+    capsys.readouterr()
+    assert len(wraps) == 14
+    assert {s["name"] for s in tracer.spans} == {name for _, _, name, _ in wraps}
 
 
 def test_grid_n6_reproduces_peak(capsys):

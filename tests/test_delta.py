@@ -214,11 +214,13 @@ def test_rejects_bad_parameters():
         build_tables(F(1, 4), -1)
 
 
-def test_memory_budget_reports_requirement():
+def test_memory_budget_reports_requirement(monkeypatch):
+    monkeypatch.setattr(nldistill.delta, "MEMORY_BUDGET", 1000)
     with pytest.raises(MemoryBudgetError) as exc:
-        build_tables(F(2, 5), 6, memory_budget=1000)
-    assert exc.value.required > 1000
-    assert "memory_budget" in str(exc.value)
+        build_tables(F(2, 5), 6)
+    assert exc.value.required > 1000 and exc.value.budget == 1000
+    assert f"{exc.value.required} bytes" in str(exc.value)
+    assert "1000 bytes" in str(exc.value)
 
 
 def test_accessor_range_errors():

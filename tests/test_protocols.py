@@ -273,6 +273,14 @@ def test_sandwich_sampled_n2():
     assert report.ok
 
 
+def test_sandwich_checks_the_given_tables():
+    box = wedge(F(1, 5), 0)  # p = 2/5
+    with pytest.raises(ValueError, match="built for p=1/2"):
+        sandwich_check(box, 2, samples=2000, tables=build_tables(F(1, 2), 2))
+    with pytest.raises(ValueError, match="only reach level 1"):
+        sandwich_check(box, 2, samples=2000, tables=build_tables(F(2, 5), 1))
+
+
 def test_sandwich_exhaustive_n2():
     box = wedge(F(1, 5), 0)
     report = sandwich_check(box, 2, samples=None)
