@@ -143,8 +143,9 @@ class ClassGrid:
         return max(((v, (sk, sl)) for sk, row in enumerate(self.values)
                     for sl, v in enumerate(row)), key=lambda cell: cell[0])
 
-    def write_csv(self, stream, approx: bool = False) -> None:
-        writer = csv.writer(stream)
+    def to_csv(self, approx: bool = False) -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
         header = ["s_k", "s_l", "bound_num", "bound_den"]
         if approx:
             header.append("bound_approx")  # decimal approximation, not exact
@@ -155,10 +156,6 @@ class ClassGrid:
                 if approx:
                     rec.append(f"{float(v):.12g}")
                 writer.writerow(rec)
-
-    def to_csv(self, approx: bool = False) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf, approx=approx)
         return buf.getvalue()
 
 
@@ -180,22 +177,31 @@ def class_grid(system: BinarySystem, n: int, *,
     return ClassGrid(n=n, values=values)
 
 
+def envelope_bound(system: BinarySystem, n: int, dec: Decomposition,
+                   envelope: Optional[BoundReport]) -> BoundReport:
+    """The box's report from its decomposition and its envelope's bound.
+
+    ``envelope`` is ``iso_bound``'s report on ``dec.p_iso``; a local box
+    (epsilon 0) has no envelope and gets the trivial bound 2.
+    """
+    if (envelope is None) != (dec.epsilon == 0):
+        raise ValueError("a box has an envelope bound exactly when epsilon > 0")
+    if envelope is None:
+        raw, clamped, profile = Fraction(2), Fraction(2), ClassProfile(0, 0, 0, 0)
+    else:
+        raw, clamped = envelope.raw_bound, envelope.clamped_bound
+        profile = envelope.witness_profile
+    return BoundReport(
+        raw_bound=raw, clamped_bound=clamped, witness_profile=profile, n=n,
+        system=system, system_nl=nl_value(system)[0], decomposition=dec,
+    )
+
+
 def general_bound(system: BinarySystem, n: int, *,
                   tables: Optional[DeltaTables] = None) -> BoundReport:
     """General bound: reduce to the minimal isotropic envelope, then bound it."""
     if n < 1:
         raise ValueError("n must be >= 1")
     dec = minimal_isotropic(system)
-    nl, _ = nl_value(system)
-    if dec.epsilon == 0:
-        return BoundReport(
-            raw_bound=Fraction(2), clamped_bound=Fraction(2),
-            witness_profile=ClassProfile(0, 0, 0, 0), n=n, system=system,
-            system_nl=nl, decomposition=dec,
-        )
-    report = iso_bound(dec.p_iso, n, tables=tables)
-    return BoundReport(
-        raw_bound=report.raw_bound, clamped_bound=report.clamped_bound,
-        witness_profile=report.witness_profile, n=n, system=system,
-        system_nl=nl, decomposition=dec,
-    )
+    envelope = None if dec.epsilon == 0 else iso_bound(dec.p_iso, n, tables=tables)
+    return envelope_bound(system, n, dec, envelope)

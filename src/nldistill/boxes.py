@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -84,10 +84,6 @@ class BinarySystem:
                 for x in BITS
             ]
         }
-
-    @classmethod
-    def from_table(cls, entries: Iterable[RationalLike]) -> "BinarySystem":
-        return cls(tuple(rational(e) for e in entries))
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "BinarySystem":
@@ -222,13 +218,10 @@ def nl_value(system: BinarySystem) -> tuple[Fraction, CHSHExpression]:
     Ties are broken by the lexicographically smallest (anchor, sign),
     positive sign first.
     """
-    best: Optional[tuple[Fraction, CHSHExpression]] = None
-    for expr in sorted(CHSH_EXPRESSIONS, key=lambda e: e.key):
-        v = expr.evaluate(system)
-        if best is None or v > best[0]:
-            best = (v, expr)
-    assert best is not None
-    return best
+    # max keeps the first of equal values, so the smallest key wins a tie
+    return max(((expr.evaluate(system), expr)
+                for expr in sorted(CHSH_EXPRESSIONS, key=lambda e: e.key)),
+               key=lambda pair: pair[0])
 
 
 def _vertex_expression_map() -> dict[CHSHExpression, tuple[int, int, int]]:
@@ -236,9 +229,11 @@ def _vertex_expression_map() -> dict[CHSHExpression, tuple[int, int, int]]:
     for bits in product(BITS, BITS, BITS):
         v = nonlocal_vertex(*bits)
         val, expr = nl_value(v)
-        assert val == 4
+        if val != 4:
+            raise AssertionError(f"nonlocal vertex {bits} has NL {val}, not 4")
         out[expr] = bits
-    assert len(out) == 8
+    if len(out) != 8:
+        raise AssertionError("the nonlocal vertices share a CHSH expression")
     return out
 
 

@@ -2,16 +2,21 @@
 
 Subcommands: validate, nl, decompose, tables, bound, grid, search.
 Boxes come either from ``--box FILE`` (JSON table of "num/den" strings)
-or ``--wedge e,d`` (the PR / correlated-bit / facet mixture).  All
-rationals are printed as "num/den"; floats appear only in explicitly
-approximate columns.  Exit codes: 0 success, 2 invalid box, 3 infeasible
-parameters, 4 I/O or cache failure.
+or ``--wedge e,d`` (the PR / correlated-bit / facet mixture).  Each
+command takes ``--out FILE`` and only the other flags it reads (see
+``_build_parser``); any other flag is a usage error.  All rationals are
+printed as "num/den"; floats appear only in explicitly approximate
+columns.  Exit codes: 0 success, 2 invalid box, 3 infeasible parameters
+or usage error, 4 I/O or cache failure.
 
-Long-running work (profile scans at n >= 8 and the n = 2 exhaustive
-search) must be opted into with --long-run.  Progress is reported as one
-JSON object per line on stderr; a table build's ``path_selected`` event
-says why it took int64 or big ints, and each ``level_filled`` event names
-the dtype ("int64" or "object") its level was filled in.
+``bound`` and ``tables`` both reduce the box to its minimal isotropic
+envelope, so ``tables`` caches the tables ``bound`` reads; a local box
+needs none.  Long-running work (profile scans at n >= 8 and the n = 2
+exhaustive search) must be opted into with --long-run.  Progress is
+reported as one JSON object per line on stderr; a table build's
+``path_selected`` event says why it took int64 or big ints, and each
+``level_filled`` event names the dtype ("int64" or "object") its level
+was filled in.
 """
 from __future__ import annotations
 
@@ -25,8 +30,8 @@ from typing import Optional
 
 from .boxes import (BinarySystem, BoxFormatError, is_isotropic, nl_value,
                     rational, validate, wedge)
-from .bounds import BoundReport, class_grid, general_bound, iso_bound
-from .decompose import DecompositionError, minimal_isotropic
+from .bounds import class_grid, envelope_bound, iso_bound
+from .decompose import Decomposition, DecompositionError, minimal_isotropic
 from .delta import (
     DeltaTableError,
     DeltaTables,
@@ -75,9 +80,9 @@ def _parse_wedge(text: str) -> BinarySystem:
 
 
 def _load_box(args, *, require_valid: bool = True) -> BinarySystem:
-    if getattr(args, "wedge", None):
+    if args.wedge:
         system = _parse_wedge(args.wedge)
-    elif getattr(args, "box", None):
+    elif args.box:
         try:
             text = Path(args.box).read_text()
         except OSError as exc:
@@ -100,7 +105,7 @@ def _load_box(args, *, require_valid: bool = True) -> BinarySystem:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         try:
             Path(args.out).write_text(text)
         except OSError as exc:
@@ -109,10 +114,6 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
-
-
-def _format(args, default: str) -> str:
-    return getattr(args, "format", None) or default
 
 
 def _require_long_run(args, what: str) -> None:
@@ -124,10 +125,9 @@ def _require_long_run(args, what: str) -> None:
 
 
 def _tables_for(p: Fraction, n: int, args) -> DeltaTables:
-    cache_dir = getattr(args, "cache", None)
     path = None
-    if cache_dir:
-        path = Path(cache_dir) / cache_filename(p, n)
+    if args.cache:
+        path = Path(args.cache) / cache_filename(p, n)
         if path.exists():
             t0 = time.perf_counter()
             try:
@@ -158,6 +158,13 @@ def _tables_for(p: Fraction, n: int, args) -> DeltaTables:
     return tables
 
 
+def _decompose(system: BinarySystem) -> Decomposition:
+    try:
+        return minimal_isotropic(system)
+    except DecompositionError as exc:
+        raise CliError(EXIT_INVALID_BOX, f"decomposition failed: {exc}")
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -172,7 +179,7 @@ def cmd_validate(args) -> int:
 def cmd_nl(args) -> int:
     system = _load_box(args)
     value, expr = nl_value(system)
-    if _format(args, "text") == "json":
+    if args.format == "json":
         _emit(args, json.dumps({
             "nl": str(value),
             "anchor": [expr.x, expr.y],
@@ -184,11 +191,7 @@ def cmd_nl(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    system = _load_box(args)
-    try:
-        dec = minimal_isotropic(system)
-    except DecompositionError as exc:
-        raise CliError(EXIT_INVALID_BOX, f"decomposition failed: {exc}")
+    dec = _decompose(_load_box(args))
     _emit(args, json.dumps(dec.to_json_obj(), indent=2))
     return EXIT_OK
 
@@ -197,12 +200,11 @@ def cmd_tables(args) -> int:
     system = _load_box(args)
     if args.n >= LONG_RUN_N:
         _require_long_run(args, f"building tables at n={args.n}")
-    p = system.prob(0, 0, 0, 0)
-    if not 0 <= p <= Fraction(1, 2):
+    dec = _decompose(system)
+    if dec.epsilon == 0:
         raise CliError(EXIT_INFEASIBLE,
-                       f"table parameter p={p} outside [0, 1/2]")
-    if not args.cache:
-        raise CliError(EXIT_INFEASIBLE, "tables needs --cache DIR to store results")
+                       "a local box needs no tables: its bound is 2")
+    p = dec.p_iso.prob(0, 0, 0, 0)
     tables = _tables_for(p, args.n, args)
     _emit(args, json.dumps({
         "path": str(Path(args.cache) / cache_filename(p, args.n)),
@@ -217,24 +219,12 @@ def cmd_bound(args) -> int:
     system = _load_box(args)
     if args.n >= LONG_RUN_N:
         _require_long_run(args, f"the profile scan at n={args.n}")
-    if _format(args, "json") == "csv":
-        raise CliError(EXIT_INFEASIBLE, "csv output is only available for grid")
-    try:
-        dec = minimal_isotropic(system)
-    except DecompositionError as exc:
-        raise CliError(EXIT_INVALID_BOX, f"decomposition failed: {exc}")
-    if dec.epsilon == 0:
-        t0 = time.perf_counter()
-        report = general_bound(system, args.n)
-    else:
-        tables = _tables_for(dec.p_iso.prob(0, 0, 0, 0), args.n, args)
-        t0 = time.perf_counter()
-        iso = iso_bound(dec.p_iso, args.n, tables=tables)
-        report = BoundReport(
-            raw_bound=iso.raw_bound, clamped_bound=iso.clamped_bound,
-            witness_profile=iso.witness_profile, n=args.n, system=system,
-            system_nl=nl_value(system)[0], decomposition=dec,
-        )
+    dec = _decompose(system)
+    local = dec.epsilon == 0
+    tables = None if local else _tables_for(dec.p_iso.prob(0, 0, 0, 0), args.n, args)
+    t0 = time.perf_counter()
+    envelope = None if local else iso_bound(dec.p_iso, args.n, tables=tables)
+    report = envelope_bound(system, args.n, dec, envelope)
     _log({"event": "bound_done", "raw": str(report.raw_bound),
           "witness": list(report.witness_profile.as_tuple()), "seconds": _since(t0)})
     _emit(args, json.dumps(report.to_json_obj(), indent=2))
@@ -242,6 +232,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    if args.approx and args.format == "json":
+        raise CliError(EXIT_INFEASIBLE, "--approx applies to csv output only")
     system = _load_box(args)
     if args.n >= LONG_RUN_N:
         _require_long_run(args, f"the class grid at n={args.n}")
@@ -254,7 +246,7 @@ def cmd_grid(args) -> int:
     seconds = _since(t0)
     best, arg = grid.max_cell()
     _log({"event": "grid_done", "max": str(best), "cell": list(arg), "seconds": seconds})
-    if _format(args, "csv") == "json":
+    if args.format == "json":
         obj = {
             "n": grid.n,
             "max": str(best),
@@ -287,47 +279,54 @@ def cmd_search(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_box_args(sub) -> None:
-    sub.add_argument("--wedge", metavar="E,D",
-                     help="wedge box: eps,delta as rationals, e.g. 1/5,0")
-    sub.add_argument("--box", metavar="FILE", help="box JSON file")
-
-
-def _add_common(sub) -> None:
-    sub.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
-    sub.add_argument("--format", choices=("json", "csv"), default=None)
-    sub.add_argument("--cache", metavar="DIR", help="delta-table cache directory")
-    sub.add_argument("--long-run", action="store_true", dest="long_run",
-                     help="opt in to long computations (n >= 8 scans, n = 2 search)")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nldistill",
                      description="Exact bounds on distillable nonlocality "
                                  "of binary nonsignaling boxes.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    specs = [
-        ("validate", cmd_validate, "check polytope membership of a box", False),
-        ("nl", cmd_nl, "CHSH nonlocality NL(P) with its facet", False),
-        ("decompose", cmd_decompose, "minimal isotropic decomposition", False),
-        ("tables", cmd_tables, "build and cache delta tables", True),
-        ("bound", cmd_bound, "distillable-nonlocality upper bound", True),
-        ("grid", cmd_grid, "class grid of bounds (CSV, plot-ready)", True),
-        ("search", cmd_search, "exhaustive D(n,P) search, n <= 2", True),
-    ]
-    for name, fn, help_text, needs_n in specs:
+    def command(name, fn, help_text, *, copies=False, formats=(),
+                cache=None, long_run=False):
+        # formats: the --format choices, default first;
+        # cache: None, "optional" or "required"
         sub = subs.add_parser(name, help=help_text)
-        _add_box_args(sub)
-        if needs_n:
+        sub.add_argument("--wedge", metavar="E,D",
+                         help="wedge box: eps,delta as rationals, e.g. 1/5,0")
+        sub.add_argument("--box", metavar="FILE", help="box JSON file")
+        if copies:
             sub.add_argument("--n", type=int, required=True, metavar="N",
                              help="number of box copies")
-        if name == "grid":
-            sub.add_argument("--approx", action="store_true",
-                             help="append a decimal approximation column "
-                                  "(marked approximate)")
-        _add_common(sub)
+        sub.add_argument("--out", metavar="FILE",
+                         help="write output here instead of stdout")
+        if formats:
+            sub.add_argument("--format", choices=formats, default=formats[0])
+        if cache:
+            sub.add_argument("--cache", metavar="DIR",
+                             required=cache == "required",
+                             help="delta-table cache directory")
+        if long_run:
+            sub.add_argument("--long-run", action="store_true", dest="long_run",
+                             help="opt in to long computations "
+                                  "(n >= 8 scans, n = 2 search)")
         sub.set_defaults(func=fn)
+        return sub
+
+    command("validate", cmd_validate, "check polytope membership of a box")
+    command("nl", cmd_nl, "CHSH nonlocality NL(P) with its facet",
+            formats=("text", "json"))
+    command("decompose", cmd_decompose, "minimal isotropic decomposition")
+    command("tables", cmd_tables, "build and cache the delta tables bound reads",
+            copies=True, cache="required", long_run=True)
+    command("bound", cmd_bound, "distillable-nonlocality upper bound",
+            copies=True, cache="optional", long_run=True)
+    grid = command("grid", cmd_grid, "class grid of bounds (CSV, plot-ready)",
+                   copies=True, formats=("csv", "json"), cache="optional",
+                   long_run=True)
+    grid.add_argument("--approx", action="store_true",
+                      help="append a decimal approximation column "
+                           "(marked approximate; csv only)")
+    command("search", cmd_search, "exhaustive D(n,P) search, n <= 2",
+            copies=True, long_run=True)
     return parser
 
 

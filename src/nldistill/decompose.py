@@ -47,12 +47,6 @@ class LPResult:
     slack: tuple[Fraction, ...]  # one per table entry constraint
     iterations: int
 
-    def to_json_obj(self) -> dict:
-        return {
-            "local_part": str(self.local_part),
-            "weights": [str(w) for w in self.weights],
-        }
-
 
 def local_part(system: BinarySystem,
                vertex_order: Optional[Sequence[int]] = None) -> LPResult:

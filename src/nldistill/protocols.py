@@ -18,7 +18,6 @@ proposes candidates that are re-verified exactly.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -130,10 +129,6 @@ class Protocol:
             f=tuple(tuple(tt) for tt in obj["f"]),
             g=tuple(tuple(tt) for tt in obj["g"]),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "Protocol":
-        return cls.from_json_obj(json.loads(text))
 
 
 def trivial_protocol(n: int = 1) -> Protocol:
@@ -455,13 +450,6 @@ class SandwichReport:
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n, "checked": self.checked,
-            "exhaustive": self.exhaustive, "seed": self.seed,
-            "violations": len(self.violations),
-        }
 
 
 def _f_t_w_g(f_mask: int, g_mask: int, grid: np.ndarray) -> Fraction:

@@ -27,6 +27,9 @@ from nldistill import (
     wedge,
 )
 
+from nldistill.bounds import envelope_bound
+from nldistill.decompose import minimal_isotropic
+
 import scalar_kernels
 
 F = Fraction
@@ -319,6 +322,19 @@ def test_general_bound_clamp_and_local():
     local = general_bound(P_C, 3)
     assert local.raw_bound == 2
     assert local.decomposition.epsilon == 0
+
+
+def test_envelope_bound_takes_an_envelope_exactly_for_nonlocal_boxes():
+    box = wedge(F(1, 5), F(1, 5))
+    dec = minimal_isotropic(box)
+    assert envelope_bound(box, 2, dec, iso_bound(dec.p_iso, 2)) == \
+        general_bound(box, 2)
+    with pytest.raises(ValueError):
+        envelope_bound(box, 2, dec, None)
+    local = minimal_isotropic(P_C)
+    assert envelope_bound(P_C, 2, local, None) == general_bound(P_C, 2)
+    with pytest.raises(ValueError):
+        envelope_bound(P_C, 2, local, iso_bound(PR, 2))
 
 
 def test_soundness_on_isotropic_line():

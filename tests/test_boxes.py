@@ -31,6 +31,18 @@ from conftest import random_ns_box
 F = Fraction
 
 
+def test_nl_value_ties_go_to_the_first_key():
+    boxes = [*LOCAL_VERTICES, *NONLOCAL_VERTICES, P_C, P_F,
+             wedge(F(1, 5), F(1, 5))]
+    for box in boxes:
+        ranked = sorted(CHSH_EXPRESSIONS, key=lambda e: e.key)
+        best = max(e.evaluate(box) for e in ranked)
+        first = next(e for e in ranked if e.evaluate(box) == best)
+        assert nl_value(box) == (best, first)
+    # on P_C all four positive-sign expressions reach 2
+    assert nl_value(P_C)[1].key == (0, 0, 0)
+
+
 def test_local_vertices_valid_local_distinct():
     tables = set()
     for v in LOCAL_VERTICES:

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from nldistill import (
-    BinarySystem, MemoryBudgetError, PR, brute_force_D, build_tables, kernels, wedge,
+    BinarySystem, MemoryBudgetError, PR, brute_force_D, build_tables, decompose,
+    kernels, wedge,
 )
 from nldistill.cli import main
 
@@ -176,7 +177,7 @@ def test_memory_budget_is_a_parameter_error(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_search_and_long_run_guards(capsys):
+def test_search_and_long_run_guards(capsys, tmp_path):
     code, out, _ = run(capsys, "search", "--wedge", "1/2,0", "--n", "1")
     obj = json.loads(out)
     assert code == 0 and obj["value"] == "3" and obj["distilled"] is False
@@ -184,8 +185,10 @@ def test_search_and_long_run_guards(capsys):
     assert code == 3 and "--long-run" in err
     code, _, err = run(capsys, "bound", "--wedge", "1/4,0", "--n", "8")
     assert code == 3 and "--long-run" in err
-    code, _, err = run(capsys, "tables", "--wedge", "1/4,0", "--n", "9")
-    assert code == 3
+    code, _, err = run(capsys, "tables", "--wedge", "1/4,0", "--n", "9",
+                       "--cache", str(tmp_path))
+    assert code == 3 and "--long-run" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_search_n2_with_long_run(capsys):
@@ -300,9 +303,117 @@ def test_bound_rejects_csv_before_any_work(capsys, tmp_path):
     code, out, err = run(capsys, "bound", "--wedge", "1/5,0", "--n", "3",
                          "--format", "csv", "--cache", str(tmp_path))
     assert code == 3 and out == ""
-    assert "csv output is only available for grid" in err
+    assert "unrecognized arguments" in err
     assert "level_filled" not in err and "bound_done" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+# every command with a box and, where it takes one, --n
+FLAG_BASE = {
+    "validate": ["validate", "--wedge", "1/5,0"],
+    "nl": ["nl", "--wedge", "1/5,0"],
+    "decompose": ["decompose", "--wedge", "1/5,0"],
+    "tables": ["tables", "--wedge", "1/5,0", "--n", "3"],
+    "bound": ["bound", "--wedge", "1/5,0", "--n", "3"],
+    "grid": ["grid", "--wedge", "1/5,0", "--n", "3"],
+    "search": ["search", "--wedge", "1/2,0", "--n", "1"],
+}
+# flags each command keeps, beyond the box flags and --n
+FLAGS_KEPT = {
+    "validate": [["--out", "{out}"]],
+    "nl": [["--out", "{out}"], ["--format", "text"], ["--format", "json"]],
+    "decompose": [["--out", "{out}"]],
+    "tables": [["--cache", "{cache}", "--long-run", "--out", "{out}"]],
+    "bound": [["--out", "{out}"], ["--cache", "{cache}"], ["--long-run"]],
+    "grid": [["--out", "{out}"], ["--format", "csv", "--approx"],
+             ["--format", "json"], ["--cache", "{cache}"], ["--long-run"]],
+    "search": [["--out", "{out}"], ["--long-run"]],
+}
+# flags and values no command reads; tables, bound and grid also get a
+# cache directory, so any work they did would leave a file behind
+FLAGS_REJECTED = [
+    ("validate", ["--format", "json"]),
+    ("validate", ["--cache", "{cache}"]),
+    ("validate", ["--long-run"]),
+    ("nl", ["--cache", "{cache}"]),
+    ("nl", ["--long-run"]),
+    ("nl", ["--format", "csv"]),
+    ("decompose", ["--format", "json"]),
+    ("decompose", ["--cache", "{cache}"]),
+    ("decompose", ["--long-run"]),
+    ("tables", ["--cache", "{cache}", "--format", "json"]),
+    ("bound", ["--cache", "{cache}", "--format", "json"]),
+    ("grid", ["--cache", "{cache}", "--format", "json", "--approx"]),
+    ("search", ["--format", "json"]),
+    ("search", ["--cache", "{cache}"]),
+]
+
+
+def _flag_argv(command, flags, tmp_path):
+    paths = {"{out}": str(tmp_path / "out.txt"),
+             "{cache}": str(tmp_path / "cache")}
+    return FLAG_BASE[command] + [paths.get(f, f) for f in flags]
+
+
+def _flag_cases(rows):
+    return [pytest.param(command, flags, id=" ".join([command, *flags]))
+            for command, flags in rows]
+
+
+@pytest.mark.parametrize("command,flags", _flag_cases(
+    (command, flags) for command, rows in FLAGS_KEPT.items() for flags in rows))
+def test_kept_flags_parse(capsys, tmp_path, command, flags):
+    code, _, err = run(capsys, *_flag_argv(command, flags, tmp_path))
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("command,flags", _flag_cases(FLAGS_REJECTED))
+def test_unread_flags_exit_3_before_any_work(capsys, tmp_path, command, flags):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    code, out, err = run(capsys, *_flag_argv(command, flags, tmp_path))
+    assert code == 3 and out == ""
+    assert err.startswith("nldistill: error: ")
+    assert "level_filled" not in err
+    assert list(cache.iterdir()) == []
+
+
+def test_tables_builds_the_envelope_tables_bound_reads(capsys, tmp_path):
+    # 2/7,1/7 is not isotropic: P(00|00) = 3/7, its envelope's p is 5/12
+    cache = tmp_path / "cache"
+    args = ("--wedge", "2/7,1/7", "--n", "4", "--cache", str(cache))
+    code, out, _ = run(capsys, "tables", *args)
+    assert code == 0 and json.loads(out)["p"] == "5/12"
+    assert [f.name for f in cache.iterdir()] == ["delta_p5_12_n4.nldt"]
+    code, _, err = run(capsys, "bound", *args)
+    events = [e["event"] for e in map(json.loads, err.splitlines())]
+    assert code == 0 and "cache_hit" in events
+    assert "cache_write" not in events and "level_filled" not in events
+    assert [f.name for f in cache.iterdir()] == ["delta_p5_12_n4.nldt"]
+
+
+def test_tables_rejects_a_local_box(capsys, tmp_path):
+    code, out, err = run(capsys, "tables", "--wedge", "0,1/2", "--n", "3",
+                         "--cache", str(tmp_path))
+    assert code == 3 and out == ""
+    assert "local box" in err and "level_filled" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("box,raw", [("0,1/2", "2"), ("1/5,1/5", None)])
+def test_bound_solves_the_lp_once(capsys, monkeypatch, box, raw):
+    calls = []
+    original = decompose.local_part
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(decompose, "local_part", counting)
+    code, out, _ = run(capsys, "bound", "--wedge", box, "--n", "3")
+    assert code == 0 and len(calls) == 1
+    if raw is not None:
+        assert json.loads(out)["raw_bound"] == raw
 
 
 def test_perfbench_layer_wraps_resolve():
