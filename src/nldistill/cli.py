@@ -16,7 +16,8 @@ exhaustive search) must be opted into with --long-run.  Progress is
 reported as one JSON object per line on stderr; a table build's
 ``path_selected`` event says why it took int64 or big ints, and each
 ``level_filled`` event names the dtype ("int64" or "object") its level
-was filled in.
+was filled in; big-int levels add the float filter's ``filter_survivors``
+and ``filter_fallbacks``.
 """
 from __future__ import annotations
 

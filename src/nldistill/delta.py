@@ -259,6 +259,15 @@ def build_tables(p: RationalLike, n: int, *,
     or "object"), the bit length of D_n and ``limit_bits`` (int64 while
     D_n <= 2**limit_bits).  Each ``level_filled`` event records its dtype
     too.  Builds past ``MEMORY_BUDGET`` raise ``MemoryBudgetError`` first.
+
+    A big-int level is filled by ``kernels.fill_wedge`` through a float
+    filter: the window pairs within ``kernels.filter_margin`` of their
+    cell's float64 optimum (the margin's proof is in its docstring) are
+    evaluated in Python ints, and a block with more than
+    ``kernels.FILTER_CAP`` of them is swept exactly.  Its ``level_filled``
+    event adds ``filter_survivors`` and ``filter_fallbacks``, the pairs so
+    evaluated and the blocks so swept over both signs.  The grids are the
+    exact ones either way.
     """
     p = rational(p)
     if not 0 <= p <= Fraction(1, 2):
@@ -288,8 +297,10 @@ def build_tables(p: RationalLike, n: int, *,
         t0 = time.perf_counter()
         size = 2 ** m
         dppow = dp ** m
+        counts = kernels.filter_counts.copy()
         gp, ops_p = kernels.fill_wedge(plus[-1], size, ca, cb, True)
         gm, ops_m = kernels.fill_wedge(minus[-1], size, ca, cb, False)
+        counts = kernels.filter_counts - counts
         for g in (gp, gm):
             _complete_grid(g, size, dppow)
             g.flags.writeable = False
@@ -297,11 +308,15 @@ def build_tables(p: RationalLike, n: int, *,
         minus.append(gm)
         ops_per_level.append(ops_p + ops_m)
         if progress is not None:
-            progress({
+            event = {
                 "event": "level_filled", "m": m, "ops": ops_p + ops_m,
                 "seconds": round(time.perf_counter() - t0, 3),
                 "dtype": base.dtype.name,
-            })
+            }
+            if not use_int64:
+                event["filter_survivors"] = counts["survivors"]
+                event["filter_fallbacks"] = counts["fallbacks"]
+            progress(event)
     return DeltaTables(p=p, n=n, plus=tuple(plus), minus=tuple(minus),
                        ops_per_level=tuple(ops_per_level))
 

@@ -14,7 +14,8 @@ decision table, same for Bob), so D(n, P) is a decoupled scan over a
 precomputed inner-product table; the complement symmetry removes the
 modulus and halves the f_0 space.  The scan runs in exact integers
 whenever magnitudes fit in int64, otherwise a double-precision pre-filter
-proposes candidates that are re-verified exactly.
+with the proved margin of ``kernels.filter_margin`` proposes candidates
+that are re-verified exactly.
 """
 from __future__ import annotations
 
@@ -30,8 +31,6 @@ import numpy as np
 from . import kernels
 from .boxes import BinarySystem, is_isotropic, nl_value
 from .delta import DeltaTables, tables_for
-
-PREFILTER_MARGIN = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -340,18 +339,18 @@ def _prefilter_scan(t: np.ndarray, a0_idx: np.ndarray,
                     scale: int) -> tuple[int, tuple[int, int, int, int]]:
     """Float64 pre-filter plus exact re-evaluation of surviving cells.
 
-    Safe for moderate denominators: cells more than ``PREFILTER_MARGIN``
-    (CHSH units) below the float incumbent cannot hold the exact optimum.
+    A cell sums four entries T/scale in [-1, 1] (each T is a signed sum of
+    a wiring distribution scaled to total ``scale``), and each entry meets
+    3 roundings: its reading, the add of its half, the sum of the halves.
+    Cells beyond ``kernels.filter_margin(3, 4)`` below the float optimum
+    cannot hold an exact optimum.
     """
-    # exact integer true division: correctly rounded, and the ratio is
-    # bounded even where v and scale are beyond the float range
-    tf = np.asarray([[int(v) / scale for v in row] for row in t])
+    tf = kernels.float_shadow(t, scale)
     tf_a0 = tf[a0_idx, :]
     cells = np.array([(tf_a0[:, b0, None] + tf_a0).max(axis=0)
                       + (tf[:, b0, None] - tf).max(axis=0) for b0 in range(tf.shape[1])])
-    incumbent = cells.max()
     # argwhere lists the survivors by ascending b0, then b1
-    survivors = np.argwhere(cells >= incumbent - PREFILTER_MARGIN)
+    survivors = np.argwhere(cells >= cells.max() - kernels.filter_margin(3, 4.0))
     b0s, starts = np.unique(survivors[:, 0], return_index=True)
     groups = zip(b0s.tolist(), np.split(survivors[:, 1], starts[1:]))
     best, witness = kernels.bilinear_cells(t, a0_idx, groups)

@@ -189,6 +189,78 @@ def test_iso_scan_tied_columns_take_the_least_rows():
             assert kernels.iso_scan(xp_, xm_, 1, k0_cap, 2) == (5, (0, 1, 0, 2))
 
 
+def _iso_oracle(xp, xm, dpn, k0_cap, size):
+    """Brute-force max of the scaled class bound with its lex-min profile."""
+    value, profile = min(
+        (-((size // 2 - k0 - l0) * dpn + xp[k0, l0] + xp[k0, l1]
+           + xp[k1, l0] - xm[k1, l1]), (k0, k1, l0, l1))
+        for k0 in range(k0_cap + 1) for k1, l0, l1 in
+        itertools.product(range(size + 1), repeat=3))
+    return -value, profile
+
+
+def test_iso_scan_filter_keeps_near_ties():
+    # Big-int grids near thirds of the scale, perturbed by a few units:
+    # cells that differ by 1 in 2^97 round in either order, so a filter
+    # keeping only the float optimum (margin 0) misses about one case in 25.
+    rng = random.Random(1)
+    size, dpn = 2, 3 ** 60
+    third = size * dpn // 3
+    for _ in range(200):
+        xp, xm = (np.array([max(0, rng.randrange(4) * third + rng.randrange(-2, 3))
+                            for _ in range(9)], dtype=object).reshape(3, 3)
+                  for _ in range(2))
+        for k0_cap in (1, 2):
+            assert kernels.iso_scan(xp, xm, dpn, k0_cap, size) \
+                == _iso_oracle(xp, xm, dpn, k0_cap, size)
+
+
+def test_iso_scan_falls_back_past_the_cap(monkeypatch):
+    # grids xp = xm = (k + l)*dpn/2 give every profile the value size/2*dpn:
+    # (size+1)^2 surviving cells, above FILTER_CAP at size 128, so the exact
+    # sweep runs; at size 64 the survivors are re-checked one by one
+    exact = []
+    real = kernels._iso_slabs
+
+    def spy(xp, xm, dpn, k0_cap, size, rows=None):
+        if xp.dtype == object:
+            exact.append(rows is None)
+        return real(xp, xm, dpn, k0_cap, size, rows)
+
+    monkeypatch.setattr(kernels, "_iso_slabs", spy)
+    for size, fell_back in ((128, True), (64, False)):
+        x = np.add.outer(np.arange(size + 1), np.arange(size + 1)) * 3
+        for k0_cap in (size // 2, size):
+            want = kernels.iso_scan(x, x, 6, k0_cap, size)
+            exact.clear()
+            got = kernels.iso_scan(x.astype(object), x.astype(object), 6,
+                                   k0_cap, size)
+            assert got == want == (size // 2 * 6, (0, 0, 0, 0))
+            assert exact == [fell_back], (size, k0_cap)
+
+
+def test_filter_checks_survive_optimize_flag():
+    # a big-int entry above size*dpn breaks the margin's premise; the
+    # shadow's range check must raise even under python -O
+    code = """
+import numpy as np
+from nldistill import kernels
+xp = np.zeros((3, 3), dtype=object)
+xp[1, 2] = 2 ** 71
+print("debug", __debug__)
+try:
+    kernels.iso_scan(xp, xp, 2 ** 69, 1, 2)
+except ValueError as exc:
+    print("raised", exc)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "debug False",
+        f"raised a float shadow entry lies outside [-{2 ** 70}, {2 ** 70}]"]
+
+
 def test_bound_check_survives_optimize_flag():
     # all-zero level-2 grids bound wedge(1/5, 0) by 2 < NL = 12/5; the check
     # must raise even under python -O, which strips assert statements

@@ -128,6 +128,44 @@ def test_backends_agree():
             assert level_ops == t.ops_per_level[m], (p, m)
 
 
+def test_filtered_fill_matches_int64_kernel():
+    # The same levels as object arrays take the float filter: the grids and
+    # op counts must equal the int64 kernel's.  At p = 1/2 and p = 0 ties
+    # abound; their level-7 blocks keep more than FILTER_CAP pairs and run
+    # the exact sweep, while p = 2/5 re-checks its survivors only.
+    for p in (F(2, 5), F(1, 2), F(0)):
+        t = build_tables(p, 7)
+        ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
+        for m in range(1, 8):
+            before = kernels.filter_counts.copy()
+            for maximize, prev in ((True, t.plus[m - 1]), (False, t.minus[m - 1])):
+                want, ops = kernels.fill_wedge(prev, 2 ** m, ca, cb, maximize)
+                got, ops_obj = kernels.fill_wedge(prev.astype(object), 2 ** m,
+                                                  ca, cb, maximize)
+                assert got.dtype == object
+                assert got.tolist() == want.tolist(), (p, m, maximize)
+                assert ops_obj == ops
+            counts = kernels.filter_counts - before
+            assert counts["survivors"] > 0 or counts["fallbacks"] > 0
+            if m == 7:
+                assert (counts["fallbacks"] > 0) == (p != F(2, 5)), (p, counts)
+
+
+def test_filter_margin_keeps_near_ties():
+    # At p = 1/3 + 2^-101 window pairs that tie at p = 1/3 differ by about
+    # 2^-101 and round in either order; a filter keeping only the float
+    # optimum (margin 0) gets the cells (5, 6) of plus and (5, 26), (7, 15)
+    # of minus at level 5 wrong.
+    p = F(1, 3) + F(1, 2 ** 101)
+    t = build_tables(p, 5)
+    assert t.plus[5].dtype == object
+    ref = naive_delta(p)
+    for sign in "+-":
+        for k in range(8):
+            for l in range(33):
+                assert t.delta(sign, 5, k, l) == ref(sign, 5, k, l), (sign, k, l)
+
+
 def test_fill_op_count_closed_form():
     # the closed form counts the window pairs the scalar reference covers
     for m in range(1, 8):
