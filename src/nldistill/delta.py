@@ -268,6 +268,18 @@ def build_tables(p: RationalLike, n: int, *,
     event adds ``filter_survivors`` and ``filter_fallbacks``, the pairs so
     evaluated and the blocks so swept over both signs.  The grids are the
     exact ones either way.
+
+    An int64 level of size at least ``kernels.PRUNE_MIN_SIZE`` (level 8 on)
+    is filled by bound, then prune: a float upper bound per (row, l) pair,
+    from concave majorants of the level below and widened by
+    ``kernels.filter_margin``, is compared with an exact lower bound per
+    cell, and only the pairs that reach it are evaluated in int64.  A block
+    that would evaluate more than ``kernels.PRUNE_CAP`` of its pairs, as on
+    the tie-heavy tables at p = 0 and 1/2, is swept exactly, and so is the
+    rest of its level.  Its ``level_filled`` event adds ``prune_kept`` and
+    ``prune_fallbacks``, the (row, l) pairs so evaluated and the blocks so
+    swept over both signs.  The fill functions return their counts with the
+    grid (``kernels.FillOps``), and the event sums them.
     """
     p = rational(p)
     if not 0 <= p <= Fraction(1, 2):
@@ -297,10 +309,9 @@ def build_tables(p: RationalLike, n: int, *,
         t0 = time.perf_counter()
         size = 2 ** m
         dppow = dp ** m
-        counts = kernels.filter_counts.copy()
         gp, ops_p = kernels.fill_wedge(plus[-1], size, ca, cb, True)
         gm, ops_m = kernels.fill_wedge(minus[-1], size, ca, cb, False)
-        counts = kernels.filter_counts - counts
+        counts = ops_p.counts + ops_m.counts
         for g in (gp, gm):
             _complete_grid(g, size, dppow)
             g.flags.writeable = False
@@ -316,6 +327,9 @@ def build_tables(p: RationalLike, n: int, *,
             if not use_int64:
                 event["filter_survivors"] = counts["survivors"]
                 event["filter_fallbacks"] = counts["fallbacks"]
+            elif size >= kernels.PRUNE_MIN_SIZE:
+                event["prune_kept"] = counts["prune_kept"]
+                event["prune_fallbacks"] = counts["prune_fallbacks"]
             progress(event)
     return DeltaTables(p=p, n=n, plus=tuple(plus), minus=tuple(minus),
                        ops_per_level=tuple(ops_per_level))

@@ -9,6 +9,9 @@ run the same body on a float64 shadow of their inputs (``float_shadow``),
 keep the candidates within a proved rounding margin of the float optimum
 (``filter_margin``) and evaluate only those in Python ints; a block with
 more than ``FILTER_CAP`` such survivors runs the exact body instead.
+Large int64 levels of ``fill_wedge`` bound each row's optimum from above
+in floats and evaluate in int64 only the rows whose bound reaches an
+exact lower bound of their cell (see the comment above ``fill_wedge``).
 Results are exact on every path.
 """
 from __future__ import annotations
@@ -30,12 +33,6 @@ UNIT_ROUNDOFF = 2.0 ** -53
 #: a fill block, or a whole profile scan, with more float survivors than
 #: this runs the exact sweep instead of re-checking them one by one
 FILTER_CAP = 1 << 14
-
-#: running totals of the big-int fill filter: window pairs re-evaluated
-#: exactly ("survivors") and blocks that ran the exact sweep ("fallbacks").
-#: ``delta.build_tables`` reports the change per level; the kernels keep
-#: their signatures and results, so the totals cannot travel as a value.
-filter_counts: Counter = Counter()
 
 
 def float_shadow(x: np.ndarray, scale: int) -> np.ndarray:
@@ -78,6 +75,20 @@ def filter_margin(depth: int, magnitude: float) -> float:
     margin), the last term for the rounding of the threshold itself.  The
     value returned, 4*(depth + 1)*u*M, meets that for every depth up to
     2^40 (where gamma_depth <= 1.001*depth*u), and it is more than twice E.
+
+    The pruned int64 fill uses the margin the other way round.  Its float
+    bound F of a row's exact optimum V is a sorted cumulative sum of
+    computed slopes.  The slopes F sums and those of the split that attains
+    V are each a subset of terms of total magnitude at most M, so
+    F >= V - 2E.  The row is dropped when F < fl(fl(L) - margin), L the
+    exact value of one candidate of its cell, so L <= the cell's optimum and
+    |L| <= M.  A row with V >= L has F >= fl(L) - 2E - u*|L| >= fl(L) - 3E,
+    so it is kept once margin >= 3E + u*(|fl(L)| + margin), which the value
+    returned also meets (3.003*depth + 1 < 4*(depth + 1)); the rows holding
+    the optimum are among those kept.  There depth grows with h, 2h + 5 for
+    the 2h-term sums, within 2^40 while h <= 2^39.  A float sum below
+    -margin has an exact value below 0, since margin > E; the fill's
+    majorant test relies on that.
     """
     return 4 * (depth + 1) * UNIT_ROUNDOFF * magnitude
 
@@ -103,43 +114,109 @@ def filter_margin(depth: int, magnitude: float) -> float:
 # over l >= the block's smallest k, and reduces its rows per k.
 #
 # Big-int levels sweep each block on the shadow P/max(P) with
-# alpha = ca/(ca+cb), beta = cb/(ca+cb), then sweep it once more to list
-# the pairs (r, j, l) within filter_margin of their cell's float optimum,
-# and evaluate only those in Python ints.  A candidate sums four terms of
+# alpha = ca/(ca+cb), beta = cb/(ca+cb), list the (row, l) pairs whose float
+# row optimum lies within filter_margin of their cell's float optimum,
+# gather those pairs' windows to list the pairs (r, j, l) that do, and
+# evaluate only those in Python ints.  A candidate sums four terms of
 # coefficient alpha or beta, alpha + beta = 1, so M = 2; each meets 5
 # roundings (reading P, rounding alpha, the product, U's sum, U + V).
+#
+# int64 levels with size >= PRUNE_MIN_SIZE bound, then prune.  The minus
+# grid is filled as the plus fill of Q = -P (an exact negation), so take
+# Q = +-P and opt = max.  A majorant phi_x of each row Q[x] (the line
+# through the points the float test of _majorant_slopes keeps, every
+# vertex of the row's concave majorant among them) gives the majorants
+# ca*phi_i + cb*phi_{k-i} of U_i and ca*phi_{k-i} + cb*phi_i of V_i.
+# U[0] + V[0] plus the sum of the l largest of the two rows' 2h unit-step
+# slopes is at least U[j] + V[l-j] for every j: those two sums take j and
+# l - j of the slopes.  For concave majorants it is their (max,+)
+# convolution, the merge of their slope sequences (Bremner et al.,
+# "Necklaces, convolutions, and X+Y", 2014), so one descending sort and a
+# cumsum bound a row at every l at once.  Each cell (k, l) takes the exact
+# optimum L of its largest-bound row as a lower bound, and only the other
+# (row, l) pairs whose float bound, widened by filter_margin, reaches L
+# are evaluated in int64.  On the four cold_int64 tables of the benchmark
+# a level 8 fill evaluates 10-14 % of its (row, l) pairs; below level 8
+# the bound pass costs more than it saves.  The tie-heavy tables (p = 0 or
+# 1/2) keep nearly every pair: a block past PRUNE_CAP sweeps instead, and
+# so does the rest of its level.
 # ---------------------------------------------------------------------------
 
 #: rows (k, i) per block of the level fill; about 1 MB of int64 working
 #: set at level 8
 FILL_BLOCK_ROWS = 256
 
+#: int64 levels of at least this size bound, then prune; at level 7 the
+#: pruned fill ran at 0.6-0.9x of the sweep, at level 8 about 2x
+PRUNE_MIN_SIZE = 256
+
+#: a pruned block that must evaluate more than this share of its (row, l)
+#: pairs sweeps instead, and so does the rest of its level
+PRUNE_CAP = 0.25
+
+#: about this many elements per chunk of gathered windows
+GATHER_CHUNK = 1 << 15
+
+#: pads a gathered window past its j range: while |U|, |V| <= 2^59 (on
+#: tables (ca+cb)*max(P) <= D_m/2 <= 2^58), a sum with a pad lies below
+#: every candidate U + V, and two pads add up without overflow
+_INT_PAD = -(1 << 61)
+
+
+class FillOps(int):
+    """The logical window pairs of one level fill (an int, see
+    ``_wedge_pairs``) with the ``counts`` of the paths it took: big-int
+    ``survivors`` (pairs evaluated exactly) and ``fallbacks`` (blocks swept
+    exactly), int64 ``prune_kept`` ((row, l) pairs evaluated exactly) and
+    ``prune_fallbacks`` (blocks swept in full)."""
+
+    counts: Counter
+
+    def __new__(cls, pairs: int, counts: Counter):
+        self = super().__new__(cls, pairs)
+        self.counts = counts
+        return self
+
 
 def fill_wedge(prev: np.ndarray, size: int, ca, cb, maximize: bool):
-    """Fill the wedge region of one level; returns (grid, logical pairs)."""
+    """Fill the wedge region of one level; returns (grid, FillOps)."""
     out = np.zeros((size + 1, size + 1), dtype=prev.dtype)
     opt = np.maximum if maximize else np.minimum
     # entries and coefficients are >= 0, so every candidate lies in
     # [0, 2*(ca+cb)*max(P)]; the seed lies outside on the losing side
     top = int(prev.max())
     seed = -1 if maximize else 2 * (ca + cb) * top + 1
+    counts = Counter()
     filtered = prev.dtype == object
+    prunes = not filtered and size >= PRUNE_MIN_SIZE
     if filtered:
         shadow = float_shadow(prev, max(top, 1))
         alpha, beta = ca / (ca + cb), cb / (ca + cb)
+    pruner = _Pruner(prev if maximize else -prev, ca, cb) if prunes else None
     for k_lo, ks, iv in _fill_blocks(size):
+        best = None
         if filtered:
             kept = _filtered_block(out, prev, shadow, ks, iv, k_lo, ca, cb,
                                    alpha, beta, maximize)
             if kept is not None:
-                filter_counts["survivors"] += kept
+                counts["survivors"] += kept
                 continue
-            filter_counts["fallbacks"] += 1
-        _, _, acc = _block_sweep(prev, ks, iv, ca, cb, k_lo, opt, seed)
-        best = opt.reduceat(acc, np.flatnonzero(iv == 0), axis=0)
+            counts["fallbacks"] += 1
+        elif pruner is not None:
+            found = pruner.block(ks, iv, k_lo, PRUNE_CAP)
+            if found is None:
+                pruner = None  # the rest of the level sweeps as well
+            else:
+                best = found[0] if maximize else -found[0]
+                counts["prune_kept"] += found[1]
+        if best is None:
+            if prunes:
+                counts["prune_fallbacks"] += 1
+            _, _, acc = _block_sweep(prev, ks, iv, ca, cb, k_lo, opt, seed)
+            best = opt.reduceat(acc, np.flatnonzero(iv == 0), axis=0)
         for r, kk in enumerate(range(k_lo, int(ks[-1]) + 1)):
             out[kk, kk:] = best[r, kk - k_lo:]
-    return out, _wedge_pairs(size)
+    return out, FillOps(_wedge_pairs(size), counts)
 
 
 def _fill_blocks(size: int):
@@ -176,6 +253,53 @@ def _block_sweep(prev, ks, iv, ca, cb, k_lo: int, opt, seed):
     return u, v, acc
 
 
+def _padded_windows(u, v, pad):
+    """u and v reversed, each padded with ``pad`` to 2h + 1 columns, for
+    ``_window_chunks``."""
+    n = u.shape[1]
+    up, vp = np.empty((2, len(u), 2 * n - 1), dtype=u.dtype)
+    up[:, :n], vp[:, :n] = u, v[:, ::-1]
+    up[:, n:] = vp[:, n:] = pad
+    return up, vp
+
+
+def _window_chunks(up, vp, rows, ls):
+    """Yield (sel, j0, cand) over chunks of the (row, l) pairs (rows[sel],
+    ls[sel]) of ``_padded_windows`` rows: cand[p, t] = u[r, j0 + t] +
+    v[r, l - j0 - t] over the pair's j window j0 = max(0, l - h) ..
+    min(l, h), then pad sums.  The pairs go in groups of window widths
+    within (h + 1)/8 of each other, so padding adds at most that much per
+    pair, and in chunks of about GATHER_CHUNK elements."""
+    n = (up.shape[1] + 1) // 2
+    off = ls - (n - 1)
+    j0, t0 = np.maximum(off, 0), np.maximum(-off, 0)
+    step = max(8, n // 8)
+    group = (n - np.abs(off) - 1) // step
+    order = np.argsort(group, kind="stable")
+    ends = np.searchsorted(group[order], np.arange(group.max(initial=0) + 1), "right")
+    u_win = np.lib.stride_tricks.sliding_window_view(up, n, axis=1)
+    v_win = np.lib.stride_tricks.sliding_window_view(vp, n, axis=1)
+    start = 0
+    for g, end in enumerate(ends.tolist()):
+        width = min(n, (g + 1) * step)
+        per = max(1, GATHER_CHUNK // width)
+        for s in range(start, end, per):
+            sel = order[s:min(s + per, end)]
+            r = rows[sel]
+            cand = u_win[r, j0[sel], :width]
+            cand += v_win[r, t0[sel], :width]
+            yield sel, j0[sel], cand
+        start = end
+
+
+def _window_max(up, vp, rows, ls):
+    """The (max,+) entries max_j u[r, j] + v[r, l - j] at the (row, l) pairs."""
+    out = np.empty(len(rows), dtype=up.dtype)
+    for sel, _, cand in _window_chunks(up, vp, rows, ls):
+        out[sel] = cand.max(axis=1)
+    return out
+
+
 def _filtered_block(out, prev, shadow, ks, iv, k_lo: int, ca, cb, alpha, beta,
                     maximize: bool):
     """Write the block's wedge cells of ``out`` through the float filter and
@@ -189,13 +313,19 @@ def _filtered_block(out, prev, shadow, ks, iv, k_lo: int, ca, cb, alpha, beta,
     thr = best - margin if maximize else best + margin
     # a row's columns l < k are no wedge cells; nothing survives there
     thr[np.arange(thr.shape[1]) < rk[:, None]] = -lose
+    # acc[r, c] is the float opt over the pair's candidates, so a (row, l)
+    # pair holds a survivor exactly when its acc entry passes
+    rows, cols = np.nonzero(keep(acc, thr))
+    if len(rows) > FILTER_CAP:
+        return None
     found, count = [], 0
-    for j, cols, cand in _window_terms(uf, vf, k_lo):
-        r, c = np.nonzero(keep(cand, thr[:, cols]))
-        count += len(r)
+    up, vp = _padded_windows(uf, vf, lose)
+    for sel, j0, cand in _window_chunks(up, vp, rows, cols + k_lo):
+        p, t = np.nonzero(keep(cand, thr[rows[sel], cols[sel]][:, None]))
+        count += len(p)
         if count > FILTER_CAP:
             return None
-        found.append((r, np.full(len(r), j), c + (cols.start + k_lo)))
+        found.append((rows[sel[p]], j0[p] + t, cols[sel[p]] + k_lo))
     r, j, l = (np.concatenate(parts) for parts in zip(*found))
     k, i = ks[r], iv[r]
     exact = (ca * (prev[i, j] + prev[k - i, l - j])
@@ -212,6 +342,111 @@ def _filtered_block(out, prev, shadow, ks, iv, k_lo: int, ca, cb, alpha, beta,
     key = key[starts]
     out[key // width, key % width] = opt.reduceat(exact[order], starts)
     return count
+
+
+def _majorant_slopes(q):
+    """Unit-step slopes d[x, t] = phi_x(t + 1) - phi_x(t), t < h, of a
+    majorant phi_x of each row of the int64 grid q.
+
+    phi_x is the line through the points of row x that survive the removal,
+    round by round, of every point j whose float cross product against its
+    surviving neighbours a < j < b is below -filter_margin(4, 4*(b-a)*top):
+    four terms of coefficients at most b - a, each meeting 4 roundings
+    (reading q, the difference, the product, the final difference).  Such a
+    point lies strictly below the chord of a and b, so it is no vertex of the
+    row's concave majorant, and the line through the survivors stays above
+    it.  Points within the margin of the chord may survive; that costs
+    tightness only.
+    """
+    x = q.astype(np.float64)
+    n = x.shape[1]
+    top = float(max(np.abs(q).max(), 1))
+    cols = np.arange(n)
+    rows = np.arange(len(x))[:, None]
+    alive = np.ones(x.shape, dtype=bool)
+    while True:
+        a = np.maximum.accumulate(np.where(alive, cols, -1), axis=1)
+        b = np.minimum.accumulate(np.where(alive, cols, n)[:, ::-1], axis=1)[:, ::-1]
+        # the surviving neighbours of each point: before and after it
+        a, b = np.c_[np.full(len(x), -1), a[:, :-1]], np.c_[b[:, 1:], np.full(len(x), n)]
+        inner = alive & (a >= 0) & (b < n)
+        a, b = np.clip(a, 0, n - 1), np.clip(b, 0, n - 1)
+        xa, w = x[rows, a], b - a
+        cross = (x - xa) * w - (x[rows, b] - xa) * (cols - a)
+        drop = inner & (cross < -filter_margin(4, 4.0 * w * top))
+        if not drop.any():
+            break
+        alive &= ~drop
+    a = np.maximum.accumulate(np.where(alive, cols, 0), axis=1)[:, :-1]
+    b = np.minimum.accumulate(np.where(alive, cols, n)[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    return (x[rows, b] - x[rows, a]) / (b - a)
+
+
+class _Pruner:
+    """Bound-then-prune blocks of one int64 level on the grid q (P, or -P
+    for the minus grid), with the per-level inputs its blocks share and the
+    buffers they reuse: a fresh array per block costs more in page faults
+    than in arithmetic."""
+
+    def __init__(self, q, ca, cb):
+        h = q.shape[1] - 1
+        rows = max(FILL_BLOCK_ROWS, h // 2 + 1)
+        self.q, self.ca, self.cb = q, ca, cb
+        self.qa, self.qb = ca * q, cb * q
+        slopes = _majorant_slopes(q)
+        self.sa, self.sb = ca * slopes, cb * slopes
+        # F sums 2h unit slopes of two terms each and U[0] + V[0]; a term
+        # meets at most 2h + 5 roundings: reading q, the difference, the
+        # division, the product with ca or cb, their sum, 2h - 1 cumsum
+        # adds, the last add
+        top = max(int(np.abs(q).max()), 1)
+        self.margin = filter_margin(2 * h + 5, float((4 * h + 2) * (ca + cb) * top))
+        self.merged = np.empty((rows, 2 * h))
+        self.sums = np.empty((rows, 2 * h + 1))
+        self.windows = np.empty((2, rows, 2 * h + 1), dtype=np.int64)
+        self.windows[:, :, h + 1:] = _INT_PAD
+
+    def block(self, ks, iv, k_lo: int, cap: float):
+        """(best, evaluated): best[k - k_lo, l - k_lo] = max over the block's
+        rows (k, i) and j of U_i[j] + V_i[l - j], exact at every wedge cell
+        l >= k, and the (row, l) pairs it evaluated exactly.  None when that
+        would exceed ``cap`` of the block's wedge (row, l) pairs."""
+        q, h = self.q, self.q.shape[1] - 1
+        a, b = iv, ks - iv
+        rk = ks - k_lo
+        ncols = 2 * h + 1 - k_lo
+        # the bound at column l - k_lo: U[0] + V[0] + the l largest slopes
+        merged, sums = self.merged[:len(ks)], self.sums[:len(ks)]
+        np.add(self.sa[a], self.sb[b], out=merged[:, :h])
+        np.add(self.sa[b], self.sb[a], out=merged[:, h:])
+        merged.sort(axis=1)
+        sums[:, 0] = 0.0
+        np.cumsum(merged[:, ::-1], axis=1, out=sums[:, 1:])
+        bound = sums[:, k_lo:]
+        bound += ((self.ca + self.cb) * (q[a, 0] + q[b, 0])).astype(np.float64)[:, None]
+        # lower bounds: each cell's first row of largest bound, evaluated exactly
+        starts = np.flatnonzero(iv == 0)
+        group = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(ks)]))
+        largest = np.maximum.reduceat(bound, starts, axis=0)
+        first = np.where(bound == largest[group], np.arange(len(ks))[:, None], len(ks))
+        first = np.minimum.reduceat(first, starts, axis=0)
+        cg, cc = np.nonzero(np.arange(ncols) >= rk[starts, None])
+        lead = first[cg, cc]
+        up, vp = self.windows[:, :len(ks)]
+        np.add(self.qa[a], self.qb[b], out=up[:, :h + 1])
+        np.add(self.qa[b, ::-1], self.qb[a, ::-1], out=vp[:, :h + 1])
+        best = np.full(largest.shape, _INT_PAD, dtype=np.int64)
+        best[cg, cc] = _window_max(up, vp, lead, cc + k_lo)
+        thr = np.full(largest.shape, np.inf)
+        thr[cg, cc] = best[cg, cc].astype(np.float64) - self.margin
+        keep = bound >= thr[group]
+        keep[lead, cc] = False
+        evaluated = len(lead) + int(np.count_nonzero(keep))
+        if evaluated > cap * sum(ncols - rk):
+            return None
+        rows, cols = np.nonzero(keep)
+        np.maximum.at(best, (group[rows], cols), _window_max(up, vp, rows, cols + k_lo))
+        return best, evaluated
 
 
 def _wedge_pairs(size: int) -> int:

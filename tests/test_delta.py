@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -137,7 +138,7 @@ def test_filtered_fill_matches_int64_kernel():
         t = build_tables(p, 7)
         ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
         for m in range(1, 8):
-            before = kernels.filter_counts.copy()
+            counts = Counter()
             for maximize, prev in ((True, t.plus[m - 1]), (False, t.minus[m - 1])):
                 want, ops = kernels.fill_wedge(prev, 2 ** m, ca, cb, maximize)
                 got, ops_obj = kernels.fill_wedge(prev.astype(object), 2 ** m,
@@ -145,7 +146,7 @@ def test_filtered_fill_matches_int64_kernel():
                 assert got.dtype == object
                 assert got.tolist() == want.tolist(), (p, m, maximize)
                 assert ops_obj == ops
-            counts = kernels.filter_counts - before
+                counts += ops_obj.counts
             assert counts["survivors"] > 0 or counts["fallbacks"] > 0
             if m == 7:
                 assert (counts["fallbacks"] > 0) == (p != F(2, 5)), (p, counts)
@@ -164,6 +165,96 @@ def test_filter_margin_keeps_near_ties():
         for k in range(8):
             for l in range(33):
                 assert t.delta(sign, 5, k, l) == ref(sign, 5, k, l), (sign, k, l)
+
+
+def sweep_wedge(q, size, ca, cb):
+    """The (max,+) fill of q through the exact block sweep: the wedge cells
+    of a grid whose other cells are 0."""
+    out = np.zeros((size + 1, size + 1), dtype=np.int64)
+    for k_lo, ks, iv in kernels._fill_blocks(size):
+        _, _, acc = kernels._block_sweep(q, ks, iv, ca, cb, k_lo, np.maximum,
+                                         -(1 << 62))
+        best = np.maximum.reduceat(acc, np.flatnonzero(iv == 0), axis=0)
+        for r, k in enumerate(range(k_lo, int(ks[-1]) + 1)):
+            out[k, k:] = best[r, k - k_lo:]
+    return out
+
+
+def pruned_wedge(q, size, ca, cb):
+    """The same grid through the pruned block body, never falling back."""
+    pruner = kernels._Pruner(q, ca, cb)
+    out = np.zeros((size + 1, size + 1), dtype=np.int64)
+    for k_lo, ks, iv in kernels._fill_blocks(size):
+        best, evaluated = pruner.block(ks, iv, k_lo, 1.0)
+        assert 0 < evaluated <= sum(size + 1 - ks)
+        for r, k in enumerate(range(k_lo, int(ks[-1]) + 1)):
+            out[k, k:] = best[r, k - k_lo:]
+    return out
+
+
+@pytest.mark.parametrize("p", [F(2, 5), F(13, 32), F(31, 80), F(39, 80),
+                               F(0), F(1, 2)])
+def test_pruned_block_matches_sweep(p):
+    # The pruned body is called directly, so levels below PRUNE_MIN_SIZE and
+    # the tie-heavy p = 0 and 1/2 (whose blocks fall back in fill_wedge)
+    # exercise it too.  The minus grid is the plus fill of -P.
+    t = build_tables(p, 7)
+    ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
+    for m in range(3, 9):
+        for sign, prev in ((1, t.plus[m - 1]), (-1, t.minus[m - 1])):
+            q = sign * prev
+            assert np.array_equal(pruned_wedge(q, 2 ** m, ca, cb),
+                                  sweep_wedge(q, 2 ** m, ca, cb)), (p, m, sign)
+
+
+def test_pruned_block_keeps_near_ties():
+    # Rows of one concave curve just below 2^58, where floats step by 32,
+    # plus row offsets below 2^12 and noise below 64: the rows' float bounds
+    # fall in either order, and a pruner without its margin drops rows that
+    # hold some cell's optimum.
+    h = 8
+    rng = np.random.default_rng(14)
+    j = np.arange(h + 1)
+    curve = -(j - rng.integers(0, h + 1)) ** 2 * int(rng.integers(1, 64))
+    q = ((1 << 58) - (1 << 30) + curve[None, :]
+         + rng.integers(0, 64, (h + 1, h + 1)) + rng.integers(0, 1 << 12, (h + 1, 1)))
+    assert q.dtype == np.int64 and (1 << 57) < q.min() and q.max() < (1 << 58)
+    assert np.array_equal(pruned_wedge(q, 2 * h, 1, 1), sweep_wedge(q, 2 * h, 1, 1))
+
+
+def test_pruned_levels_report_counts():
+    # level 8 is pruned: the regular p keeps a small share of its (row, l)
+    # pairs; at p = 0 the first block keeps nearly all, so every block of the
+    # level sweeps
+    size = kernels.PRUNE_MIN_SIZE
+    for p in (F(31, 80), F(0)):
+        t = build_tables(p, 7)
+        ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
+        blocks = len(list(kernels._fill_blocks(size)))
+        for maximize, prev in ((True, t.plus[7]), (False, t.minus[7])):
+            _, ops = kernels.fill_wedge(prev, size, ca, cb, maximize)
+            if p:
+                assert ops.counts["prune_fallbacks"] == 0
+                assert 0 < ops.counts["prune_kept"] < kernels.PRUNE_CAP * ops
+            else:
+                assert ops.counts == {"prune_fallbacks": blocks}
+    events = []
+    build_tables(F(31, 80), 8, progress=events.append)
+    filled = [e for e in events if e["event"] == "level_filled"]
+    assert all("prune_kept" not in e for e in filled[:7])
+    assert filled[7]["prune_kept"] > 0 and filled[7]["prune_fallbacks"] == 0
+
+
+@pytest.mark.longrun
+def test_pruned_level_9_matches_sweep():
+    p = F(13, 32)
+    t = build_tables(p, 8)
+    ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
+    for maximize, prev in ((True, t.plus[8]), (False, t.minus[8])):
+        grid, ops = kernels.fill_wedge(prev, 512, ca, cb, maximize)
+        assert ops.counts["prune_fallbacks"] == 0
+        sign = 1 if maximize else -1
+        assert np.array_equal(sign * grid, sweep_wedge(sign * prev, 512, ca, cb))
 
 
 def test_fill_op_count_closed_form():

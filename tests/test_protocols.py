@@ -10,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nldistill import (
+    LOCAL_VERTICES,
+    NONLOCAL_VERTICES,
     PR,
     Protocol,
     SideStrategy,
@@ -245,6 +247,27 @@ def test_brute_force_reductions_and_prefilter_agree():
     two_half = brute_force_D(wedge(F(1, 2), 0), 2, complement_reduction=True)
     two_full = brute_force_D(wedge(F(1, 2), 0), 2, complement_reduction=False)
     assert two_half.value == two_full.value
+
+
+def test_prefilter_margin_keeps_near_ties(monkeypatch):
+    # Two nonlocal vertices and a local one at weights 2/5, 2/3 and 11/15,
+    # each moved by 2^-101, plus 2^-110 of a second local vertex: the
+    # two-copy search's best cells then differ by about 2^-120 while their
+    # float sums differ in the last bits, and the exact optimum rounds below
+    # a runner-up.  A pre-filter keeping only the float optimum (margin 0)
+    # returns the runner-up's value.
+    e, d = F(1, 2 ** 101), F(1, 2 ** 110)
+    parts = [(F(2, 5) + e, NONLOCAL_VERTICES[1]), (F(2, 3) - e, NONLOCAL_VERTICES[4]),
+             (F(11, 15) + e, LOCAL_VERTICES[3])]
+    total = sum(w for w, _ in parts)
+    box = mix([((1 - d) * w / total, v) for w, v in parts] + [(d, LOCAL_VERTICES[1])])
+    pre = brute_force_D(box, 2)
+    assert pre.method == "prefilter"
+    # the reference re-checks every cell within 2^-30 of the float optimum,
+    # far beyond any rounding; the exact big-int scan agrees but takes seconds
+    monkeypatch.setattr(kernels, "filter_margin", lambda depth, m: 2.0 ** -30 * m)
+    wide = brute_force_D(box, 2)
+    assert (pre.value, pre.protocol) == (wide.value, wide.protocol)
 
 
 def test_brute_force_lower_bounded_by_nl():
