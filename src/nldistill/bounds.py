@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
+
+import numpy as np
 
 from . import kernels
 from .boxes import BinarySystem, is_isotropic, nl_value
@@ -127,21 +130,30 @@ def iso_bound(system: BinarySystem, n: int, *,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassGrid:
-    """Max class bound per aggregated cell (k0+k1, l0+l1)."""
+    """Max class bound per aggregated cell (k0+k1, l0+l1): the cell [s_k, s_l]
+    of ``kernels.grid_scan``'s ``scaled`` grid holds the bound times
+    ``denominator``/4."""
 
     n: int
-    values: tuple[tuple[Fraction, ...], ...]  # indexed [s_k][s_l]
+    scaled: np.ndarray
+    denominator: int
 
     @property
     def size(self) -> int:
         return 2 ** (self.n + 1)
 
+    @property
+    def values(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Every cell's bound, indexed [s_k][s_l]."""
+        return tuple(tuple(Fraction(4 * v, self.denominator) for v in row)
+                     for row in self.scaled.tolist())
+
     def max_cell(self) -> tuple[Fraction, tuple[int, int]]:
         """The largest value and its first cell in row-major order."""
-        return max(((v, (sk, sl)) for sk, row in enumerate(self.values)
-                    for sl, v in enumerate(row)), key=lambda cell: cell[0])
+        sk, sl = np.unravel_index(int(np.argmax(self.scaled)), self.scaled.shape)
+        return Fraction(4 * int(self.scaled[sk, sl]), self.denominator), (int(sk), int(sl))
 
     def to_csv(self, approx: bool = False) -> str:
         buf = io.StringIO()
@@ -150,11 +162,13 @@ class ClassGrid:
         if approx:
             header.append("bound_approx")  # decimal approximation, not exact
         writer.writerow(header)
-        for sk, row in enumerate(self.values):
+        d = self.denominator
+        for sk, row in enumerate(self.scaled.tolist()):
             for sl, v in enumerate(row):
-                rec = [sk, sl, v.numerator, v.denominator]
+                g = math.gcd(4 * v, d)
+                rec = [sk, sl, 4 * v // g, d // g]
                 if approx:
-                    rec.append(f"{float(v):.12g}")
+                    rec.append(f"{rec[2] / rec[3]:.12g}")
                 writer.writerow(rec)
         return buf.getvalue()
 
@@ -169,12 +183,8 @@ def class_grid(system: BinarySystem, n: int, *,
     tables = tables_for(system.prob(0, 0, 0, 0), n, tables)
     xp, xm, dpn, denom = _scan_inputs(tables, n)
     size = 2 ** n
-    scaled = kernels.grid_scan(xp, xm, dpn, size)
-    values = tuple(
-        tuple(Fraction(4 * int(scaled[sk, sl]), denom) for sl in range(2 * size + 1))
-        for sk in range(2 * size + 1)
-    )
-    return ClassGrid(n=n, values=values)
+    return ClassGrid(n=n, scaled=kernels.grid_scan(xp, xm, dpn, size),
+                     denominator=denom)
 
 
 def envelope_bound(system: BinarySystem, n: int, dec: Decomposition,

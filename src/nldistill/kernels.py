@@ -4,11 +4,13 @@ Every hot loop in this package works on integer numerators over a common
 denominator, with max/min reductions.  Each kernel is one numpy body that
 runs on int64 arrays and on object arrays of Python big ints; callers only
 produce int64 arrays once they have proved that all intermediate
-magnitudes fit.  On object arrays ``fill_wedge`` and ``iso_scan`` first
-run the same body on a float64 shadow of their inputs (``float_shadow``),
-keep the candidates within a proved rounding margin of the float optimum
-(``filter_margin``) and evaluate only those in Python ints; a block with
-more than ``FILTER_CAP`` such survivors runs the exact body instead.
+magnitudes fit.  On object arrays ``fill_wedge`` and the pair scans
+(``iso_scan``, ``bilinear_scan``) first run the same body on a float64
+shadow of their inputs (``float_shadow``), keep the candidates within a
+proved rounding margin of the float optimum (``filter_margin``) and
+evaluate only those in Python ints; a block, or a scan, with more than
+``FILTER_CAP`` such survivors runs the exact body instead.  ``grid_scan``
+runs in Python ints throughout on object arrays.
 Large int64 levels of ``fill_wedge`` bound each row's optimum from above
 in floats and evaluate in int64 only the rows whose bound reaches an
 exact lower bound of their cell (see the comment above ``fill_wedge``).
@@ -30,7 +32,7 @@ import numpy as np
 #: unit roundoff of float64 (round to nearest)
 UNIT_ROUNDOFF = 2.0 ** -53
 
-#: a fill block, or a whole profile scan, with more float survivors than
+#: a fill block, or a whole pair scan, with more float survivors than
 #: this runs the exact sweep instead of re-checking them one by one
 FILTER_CAP = 1 << 14
 
@@ -462,13 +464,32 @@ def _wedge_pairs(size: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Profile scans.  For fixed l0 (b0 in the search) the objective is
-# a[j, r0] + c[j, r1], so each scan sweeps one slab per outer index, one j
-# per contiguous row.  argmax returns the first maximum: the least best r0
-# and r1 of each j.  Tied j go to the least (r0, r1, j); slabs merge under
-# the full lexicographic rule.
-# Slab buffers are reused: past the allocator's mmap threshold a fresh
-# array per slab costs more than its arithmetic.
+# Pair scans.  The isotropic bound and the n <= 2 search both maximize
+#   A[a0,b0] + A[a0,b1] + off_a[a0] + B[a1,b0] - C[a1,b1] + off_b[b0]
+# over a0 in the ascending a0_idx and every a1, b0, b1, and return the
+# lex-min maximizer (a0, a1, b0, b1).  The profile scan (size = 2^n) takes
+# A = B = xp, C = xm, (a0, a1, b0, b1) = (k0 <= k0_cap, k1, l0, l1),
+# off_a[k0] = -k0*dpn and off_b[l0] = (size/2 - l0)*dpn: the class bound
+# scaled by 2^(n-2)*den(p)^n.  The search takes A = B = C = T and no offsets.
+# With no a0-a1 cross term the objective for fixed b0 is a[b1, a0] + c[b1, a1],
+#   a[b1, a0] = A[a0,b0] + A[a0,b1] + off_a[a0],  c[b1, a1] = B[a1,b0] - C[a1,b1],
+# so a scan sweeps one slab per b0, one b1 per contiguous row.  argmax
+# returns the first maximum: the least best a0 and a1 of each b1.  Tied b1
+# go to the least (a0, a1, b1); slabs merge under the full lexicographic
+# rule.  Slab buffers are reused: past the allocator's mmap threshold a
+# fresh array per slab costs more than its arithmetic.
+#
+# Object arrays are first scanned on float shadows: each input, offsets
+# included, divided by the caller's ``scale``, which bounds every entry.
+# Table numerators lie in [0, size*dpn] and the offsets in
+# [-size*dpn, size*dpn/2] with scale = size*dpn; a search entry is a signed
+# sum of a wiring distribution whose entries total scale.  A candidate
+# thus sums six terms in [-1, 1], so M = 6.  Each term meets at most 5
+# roundings: its reading, the add of off_a and A[a0,b1], the add of
+# A[a0,b0] (for B and C the subtraction takes these two places), the add
+# of a and c, the add of off_b.  Only the (b0, b1) cells within
+# filter_margin(5, 6) of the float optimum are scanned again exactly; with
+# more than FILTER_CAP of them every slab is.
 # ---------------------------------------------------------------------------
 
 def _slab_best(a, c):
@@ -481,66 +502,62 @@ def _slab_best(a, c):
     return int(best), min(zip(r0[tied].tolist(), r1[tied].tolist(), tied.tolist()))
 
 
-def _lex_best(cells):
-    """The largest value of (value, witness) pairs, with its lex-min witness."""
-    best, witness = None, (0, 0, 0, 0)
-    for cell, cand in cells:
-        if best is None or cell > best or (cell == best and cand < witness):
-            best, witness = cell, cand
-    return best, witness
-
-
-# Isotropic-bound profile scan (size = 2^n), exact and scaled by 2^(n-2)*den(p)^n:
-#   (size/2 - k0 - l0)*dpn + xp[k0,l0] + xp[k0,l1] + xp[k1,l0] - xm[k1,l1]
-# per l0: a[l1, k0 <= k0_cap] = -k0*dpn + xp[k0,l0] + xp[k0,l1] and
-# c[l1, k1] = xp[k1,l0] - xm[k1,l1]; witness the lex-min (k0, k1, l0, l1).
-#
-# Big-int grids scan the shadows xp/(size*dpn), xm/(size*dpn) with dpn
-# read as 1/size.  A cell's candidate sums the constant (at most 1/2), the
-# k0 term (at most 1) and four table terms (at most 1 each), so M = 6.  A
-# table term meets 5 roundings: its reading, the two adds of a, the add of
-# a and c, the constant's add; the k0 term meets 6 when size is no power of
-# two (1/size and its product round).  Only the cells within
-# filter_margin(6, 6) of the float optimum are scanned again in Python ints.
-
-def iso_scan(xp, xm, dpn, k0_cap, size):
-    """Exact decoupled max; returns (best, (k0, k1, l0, l1)), lex-min witness."""
+def _pair_scan(A, B, C, a0_idx, off_a, off_b, scale):
+    """Exact max of the pair objective; returns (best, lex-min (a0, a1, b0, b1))."""
     rows = None
-    if xp.dtype == object:
-        scale = size * dpn
-        shadows = _iso_slabs(float_shadow(xp, scale), float_shadow(xm, scale),
-                             1 / size, k0_cap, size)
-        floats = np.array([a.max(axis=1) + c.max(axis=1) + const
-                           for _, _, a, c, const in shadows])
-        # argwhere lists the survivors by ascending l0, then l1
-        survivors = np.argwhere(floats >= floats.max() - filter_margin(6, 6.0))
+    if A.dtype == object:
+        # one shadow per distinct input array
+        inputs = (A, B, C, off_a, off_b)
+        shadow = {id(x): float_shadow(x, scale) for x in {id(x): x for x in inputs}.values()}
+        sa, sb, sc, sa_off, sb_off = (shadow[id(x)] for x in inputs)
+        floats = np.array([a.max(axis=1) + c.max(axis=1) + const for _, _, a, c, const
+                           in _pair_slabs(sa, sb, sc, a0_idx, sa_off, sb_off)])
+        # argwhere lists the survivors by ascending b0, then b1
+        survivors = np.argwhere(floats >= floats.max() - filter_margin(5, 6.0))
         if len(survivors) <= FILTER_CAP:
-            l0s, starts = np.unique(survivors[:, 0], return_index=True)
-            rows = zip(l0s.tolist(), np.split(survivors[:, 1], starts[1:]))
+            b0s, starts = np.unique(survivors[:, 0], return_index=True)
+            rows = zip(b0s.tolist(), np.split(survivors[:, 1], starts[1:]))
 
     def cells():
-        for l0, l1s, a, c, const in _iso_slabs(xp, xm, dpn, k0_cap, size, rows):
-            cell, (k0, k1, j) = _slab_best(a, c)
-            yield cell + const, (k0, k1, l0, j if l1s is None else int(l1s[j]))
-    return _lex_best(cells())
+        for b0, b1s, a, c, const in _pair_slabs(A, B, C, a0_idx, off_a, off_b, rows):
+            cell, (i, a1, j) = _slab_best(a, c)
+            yield -(cell + const), (int(a0_idx[i]), a1, b0, j if b1s is None else int(b1s[j]))
+    # the least negated value is the largest; ties go to the lex-min witness
+    value, witness = min(cells())
+    return -value, witness
 
 
-def _iso_slabs(xp, xm, dpn, k0_cap, size, rows=None):
-    """(l0, l1s, a, c, const) per slab, const = (size/2 - l0)*dpn, over the
-    ascending l1 = l1s[j] of the (l0, l1s) pairs in ``rows``; by default
-    every l0 with l1s None (all l1), in buffers reused from slab to slab."""
-    xpt, xmt = np.ascontiguousarray(xp.T), np.ascontiguousarray(xm.T)
-    a_rows = -np.arange(k0_cap + 1).astype(xp.dtype) * dpn + xpt[:, : k0_cap + 1]
+def _pair_slabs(A, B, C, a0_idx, off_a, off_b, rows=None):
+    """(b0, b1s, a, c, off_b[b0]) per slab, over the ascending b1 = b1s[j] of
+    the (b0, b1s) pairs in ``rows``; by default every b0 with b1s None (all
+    b1), in buffers reused from slab to slab."""
+    bt = np.ascontiguousarray(B.T)
+    at = np.ascontiguousarray((bt if A is B else A.T)[:, a0_idx])
+    ct = bt if C is B else np.ascontiguousarray(C.T)
+    a_rows = at + off_a
+    consts = off_b.tolist()
     if rows is None:
-        a, c = np.empty_like(a_rows), np.empty_like(xmt)
-        for l0 in range(size + 1):
-            np.add(a_rows, xpt[l0, : k0_cap + 1], out=a)
-            yield (l0, None, a, np.subtract(xpt[l0], xmt, out=c),
-                   (size // 2 - l0) * dpn)
+        a, c = np.empty_like(a_rows), np.empty_like(ct)
+        for b0 in range(len(bt)):
+            np.add(a_rows, at[b0], out=a)
+            yield b0, None, a, np.subtract(bt[b0], ct, out=c), consts[b0]
         return
-    for l0, l1s in rows:
-        yield (l0, l1s, a_rows[l1s] + xpt[l0, : k0_cap + 1], xpt[l0] - xmt[l1s],
-               (size // 2 - l0) * dpn)
+    for b0, b1s in rows:
+        yield b0, b1s, a_rows[b1s] + at[b0], bt[b0] - ct[b1s], consts[b0]
+
+
+def iso_scan(xp, xm, dpn, k0_cap, size):
+    """The isotropic bound's profile scan; returns (best, (k0, k1, l0, l1))."""
+    ks = np.arange(size + 1).astype(xp.dtype)
+    return _pair_scan(xp, xp, xm, np.arange(k0_cap + 1), -ks[:k0_cap + 1] * dpn,
+                      (size // 2 - ks) * dpn, size * dpn)
+
+
+def bilinear_scan(t: np.ndarray, a0_idx: np.ndarray, scale: int):
+    """The n <= 2 search's scan of T[a0,b0] + T[a0,b1] + T[a1,b0] - T[a1,b1]
+    over every |T| <= ``scale``; returns (best, (a0, a1, b0, b1))."""
+    return _pair_scan(t, t, t, a0_idx, np.zeros(len(a0_idx), dtype=t.dtype),
+                      np.zeros(t.shape[1], dtype=t.dtype), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -561,32 +578,3 @@ def grid_scan(xp, xm, dpn, size):
             seg = out[k0:k0 + size + 1, l0:l0 + size + 1]
             np.maximum(seg, np.add(a[k0], c, out=cand), out=seg)
     return out
-
-
-# ---------------------------------------------------------------------------
-# Brute-force protocol scan: maximize
-#   T[a0,b0] + T[a1,b0] + T[a0,b1] - T[a1,b1]
-# over independent atom choices, a0 restricted to the ascending ``a0_idx``;
-# per b0: a[b1, a0] = T[a0,b0] + T[a0,b1] and c[b1, a1] = T[a1,b0] - T[a1,b1].
-# ---------------------------------------------------------------------------
-
-def bilinear_scan(t: np.ndarray, a0_idx: np.ndarray):
-    """Exact decoupled max; returns (best, (a0, a1, b0, b1)), lex-min witness."""
-    cols = np.arange(t.shape[1])
-    return bilinear_cells(t, a0_idx, ((b0, cols) for b0 in cols.tolist()))
-
-
-def bilinear_cells(t: np.ndarray, a0_idx: np.ndarray, groups):
-    """The scan over the cells (b0, b1 in cols) of ascending (b0, cols) groups."""
-    tt = np.ascontiguousarray(t.T)
-    tt_a0 = np.ascontiguousarray(tt[:, a0_idx])
-    a_buf, c_buf = np.empty_like(tt_a0), np.empty_like(tt)
-
-    def cells():
-        for b0, cols in groups:
-            a = np.take(tt_a0, cols, axis=0, out=a_buf[: len(cols)])
-            c = np.take(tt, cols, axis=0, out=c_buf[: len(cols)])
-            a += tt_a0[b0]
-            cell, (ai, a1, j) = _slab_best(a, np.subtract(tt[b0], c, out=c))
-            yield cell, (int(a0_idx[ai]), a1, b0, int(cols[j]))
-    return _lex_best(cells())

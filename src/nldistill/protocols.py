@@ -12,10 +12,9 @@ The exhaustive search exploits that the anchor-00 CHSH sum of a protocol
 is linear in four independent choices (Alice's per-input wiring plus
 decision table, same for Bob), so D(n, P) is a decoupled scan over a
 precomputed inner-product table; the complement symmetry removes the
-modulus and halves the f_0 space.  The scan runs in exact integers
-whenever magnitudes fit in int64, otherwise a double-precision pre-filter
-with the proved margin of ``kernels.filter_margin`` proposes candidates
-that are re-verified exactly.
+modulus and halves the f_0 space.  ``kernels.bilinear_scan`` is the same
+decoupled pair scan as the isotropic bound's profile scan: int64 when
+magnitudes fit, otherwise Python ints behind its certified float filter.
 """
 from __future__ import annotations
 
@@ -246,7 +245,7 @@ class SearchResult:
     n: int
     atoms_per_side: int
     cells_scanned: int
-    method: str  # "int64" | "bigint" | "prefilter"
+    method: str  # the table's dtype: "int64", or "prefilter" on big ints
     distilled: bool  # value > NL(P)
 
     def to_json_obj(self) -> dict:
@@ -335,52 +334,22 @@ def _atom_protocol(n: int, plans: list[WiringPlan], n_tables: int,
     )
 
 
-def _prefilter_scan(t: np.ndarray, a0_idx: np.ndarray,
-                    scale: int) -> tuple[int, tuple[int, int, int, int]]:
-    """Float64 pre-filter plus exact re-evaluation of surviving cells.
-
-    A cell sums four entries T/scale in [-1, 1] (each T is a signed sum of
-    a wiring distribution scaled to total ``scale``), and each entry meets
-    3 roundings: its reading, the add of its half, the sum of the halves.
-    Cells beyond ``kernels.filter_margin(3, 4)`` below the float optimum
-    cannot hold an exact optimum.
-    """
-    tf = kernels.float_shadow(t, scale)
-    tf_a0 = tf[a0_idx, :]
-    cells = np.array([(tf_a0[:, b0, None] + tf_a0).max(axis=0)
-                      + (tf[:, b0, None] - tf).max(axis=0) for b0 in range(tf.shape[1])])
-    # argwhere lists the survivors by ascending b0, then b1
-    survivors = np.argwhere(cells >= cells.max() - kernels.filter_margin(3, 4.0))
-    b0s, starts = np.unique(survivors[:, 0], return_index=True)
-    groups = zip(b0s.tolist(), np.split(survivors[:, 1], starts[1:]))
-    best, witness = kernels.bilinear_cells(t, a0_idx, groups)
-    if best is None:
-        raise AssertionError("the float pre-filter kept no cell")
-    return best, witness
-
-
 def brute_force_D(system: BinarySystem, n: int, *,
-                  complement_reduction: bool = True,
-                  method: str = "auto") -> SearchResult:
+                  complement_reduction: bool = True) -> SearchResult:
     """Exact D(n, P) for n in {1, 2} by complete protocol enumeration.
 
     The complement reduction fixes f_0 on the all-zeros string and drops
     the modulus; disable it to scan the full space with both modulus branches
-    (used for cross-checks).  ``method`` is "auto", "exact" or
-    "prefilter"; with "auto" the double-precision pre-filter is engaged
-    only when the scaled integers would not fit in int64.
+    (used for cross-checks).
     """
     if n not in (1, 2):
         raise ValueError("exhaustive search is feasible for n in {1, 2} only")
-    if method not in ("auto", "exact", "prefilter"):
-        raise ValueError(f"unknown method {method!r}")
     plans = enumerate_plans(n)
     size = 1 << n
     n_tables = 1 << size
     denom, _ = _entry_numerators(system)
     scale = denom ** n
-    use_int64 = 16 * scale < (1 << 62)
-    dtype = np.int64 if use_int64 else object
+    dtype = np.int64 if 16 * scale < (1 << 62) else object
     t = _ip_table(system, plans, n, dtype)
     n_atoms = t.shape[0]
 
@@ -391,24 +360,14 @@ def brute_force_D(system: BinarySystem, n: int, *,
     else:
         a0_idx = np.arange(n_atoms, dtype=np.int64)
 
-    if method == "prefilter" or (method == "auto" and not use_int64):
-        best, witness = _prefilter_scan(t, a0_idx, scale)
-        how = "prefilter"
-    else:
-        best, witness = kernels.bilinear_scan(t, a0_idx)
-        how = "int64" if use_int64 else "bigint"
-
+    best, witness = kernels.bilinear_scan(t, a0_idx, scale)
     if not complement_reduction:
         # modulus branch: maximize the negated sum as well
-        neg_t = -t
-        if how == "prefilter":
-            best2, witness2 = _prefilter_scan(neg_t, a0_idx, scale)
-        else:
-            best2, witness2 = kernels.bilinear_scan(neg_t, a0_idx)
+        best2, witness2 = kernels.bilinear_scan(-t, a0_idx, scale)
         if best2 > best:
             best, witness = best2, witness2
 
-    value = Fraction(int(best), scale)
+    value = Fraction(best, scale)
     protocol = _atom_protocol(n, plans, n_tables, witness)
     check = nl_protocol(system, protocol)
     if check != value:
@@ -419,7 +378,8 @@ def brute_force_D(system: BinarySystem, n: int, *,
     return SearchResult(
         value=value, protocol=protocol, n=n,
         atoms_per_side=n_atoms, cells_scanned=n_atoms * n_atoms,
-        method=how, distilled=value > nl,
+        method="int64" if dtype is np.int64 else "prefilter",
+        distilled=value > nl,
     )
 
 

@@ -3,9 +3,12 @@
 One explicit loop per term, written independently of the vectorised
 kernels in ``nldistill.kernels``; the agreement tests compare the two on
 the same int64 inputs, op counts and lexicographic tie-breaks included.
-They take int64 arrays only.
+They take int64 arrays; ``bilinear_scan``, whose sentinel lies below
+every integer, also takes object arrays of Python ints of any size.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -100,11 +103,11 @@ def grid_scan(xp, xm, dpn, size):
 
 def bilinear_scan(t, a0_idx):
     n_a, n_b = t.shape
-    best = -_SENTINEL
+    best = -math.inf
     w0 = w1 = wb0 = wb1 = 0
     for b0 in range(n_b):
         for b1 in range(n_b):
-            a_best = -_SENTINEL
+            a_best = -math.inf
             a_arg = 0
             for s in range(a0_idx.size):
                 a0 = a0_idx[s]
@@ -112,7 +115,7 @@ def bilinear_scan(t, a0_idx):
                 if v > a_best:
                     a_best = v
                     a_arg = a0
-            c_best = -_SENTINEL
+            c_best = -math.inf
             c_arg = 0
             for a1 in range(n_a):
                 v = t[a1, b0] - t[a1, b1]

@@ -220,14 +220,14 @@ def test_iso_scan_falls_back_past_the_cap(monkeypatch):
     # (size+1)^2 surviving cells, above FILTER_CAP at size 128, so the exact
     # sweep runs; at size 64 the survivors are re-checked one by one
     exact = []
-    real = kernels._iso_slabs
+    real = kernels._pair_slabs
 
-    def spy(xp, xm, dpn, k0_cap, size, rows=None):
-        if xp.dtype == object:
+    def spy(A, B, C, a0_idx, off_a, off_b, rows=None):
+        if A.dtype == object:
             exact.append(rows is None)
-        return real(xp, xm, dpn, k0_cap, size, rows)
+        return real(A, B, C, a0_idx, off_a, off_b, rows)
 
-    monkeypatch.setattr(kernels, "_iso_slabs", spy)
+    monkeypatch.setattr(kernels, "_pair_slabs", spy)
     for size, fell_back in ((128, True), (64, False)):
         x = np.add.outer(np.arange(size + 1), np.arange(size + 1)) * 3
         for k0_cap in (size // 2, size):
@@ -237,6 +237,11 @@ def test_iso_scan_falls_back_past_the_cap(monkeypatch):
                                    k0_cap, size)
             assert got == want == (size // 2 * 6, (0, 0, 0, 0))
             assert exact == [fell_back], (size, k0_cap)
+    # an all-zero search table ties on its 129^2 cells, past the cap as well
+    zeros = np.zeros((129, 129), dtype=object)
+    exact.clear()
+    assert kernels.bilinear_scan(zeros, np.arange(0, 129, 2), 1) == (0, (0, 0, 0, 0))
+    assert exact == [True]
 
 
 def test_filter_checks_survive_optimize_flag():
@@ -252,12 +257,17 @@ try:
     kernels.iso_scan(xp, xp, 2 ** 69, 1, 2)
 except ValueError as exc:
     print("raised", exc)
+try:
+    kernels.bilinear_scan(xp, np.arange(3), 2 ** 70)
+except ValueError as exc:
+    print("raised", exc)
 """
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
         "debug False",
+        f"raised a float shadow entry lies outside [-{2 ** 70}, {2 ** 70}]",
         f"raised a float shadow entry lies outside [-{2 ** 70}, {2 ** 70}]"]
 
 

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nldistill import (
@@ -15,6 +16,9 @@ from nldistill import (
     kernels, wedge,
 )
 from nldistill.cli import main
+from nldistill.protocols import _entry_numerators, _ip_table, enumerate_plans
+
+import scalar_kernels
 
 F = Fraction
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -207,8 +211,13 @@ def test_search_beyond_float_range(capsys):
     assert code == 0
     obj = json.loads(out)
     assert obj["method"] == "prefilter"
-    exact = brute_force_D(wedge(eps, 0), 1, method="exact")
-    assert F(obj["value"]) == exact.value == 2 + 2 * eps
+    # the scalar reference scans the same big-int table in Python ints
+    box = wedge(eps, 0)
+    denom, _ = _entry_numerators(box)
+    t = _ip_table(box, enumerate_plans(1), 1, object)
+    reduced = np.arange(0, t.shape[0], 2)  # f_0(0) = 0: even table masks
+    best = scalar_kernels.bilinear_scan(t, reduced)[0]
+    assert F(obj["value"]) == F(best, denom) == 2 + 2 * eps
 
 
 def test_parameter_errors(capsys):
@@ -456,6 +465,13 @@ def test_perfbench_traced_layers_all_fire(capsys, tmp_path):
     capsys.readouterr()
     assert len(wraps) == 14
     assert {s["name"] for s in tracer.spans} == {name for _, _, name, _ in wraps}
+    # neither public scan routes through the other, which would count one
+    # scan's time in both layers
+    names = {s["id"]: s["name"] for s in tracer.spans}
+    for scan, caller in (("kernels.iso_scan", "bounds.iso_bound"),
+                         ("kernels.bilinear_scan", "protocols.search")):
+        assert {names.get(s["parent"]) for s in tracer.spans
+                if s["name"] == scan} == {caller}, scan
 
 
 def test_grid_n6_reproduces_peak(capsys):

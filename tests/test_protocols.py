@@ -242,8 +242,14 @@ def test_brute_force_reductions_and_prefilter_agree():
     box = random_nonlocal_box(rng)
     full = brute_force_D(box, 1, complement_reduction=False)
     half = brute_force_D(box, 1, complement_reduction=True)
-    pre = brute_force_D(box, 1, method="prefilter")
-    assert full.value == half.value == pre.value
+    assert full.value == half.value
+    # the same table as Python ints takes the float filter path
+    denom, _ = _entry_numerators(box)
+    t = _ip_table(box, enumerate_plans(1), 1, np.int64)
+    reduced = np.arange(0, t.shape[0], 2)  # f_0(0) = 0: even table masks
+    filtered = kernels.bilinear_scan(t.astype(object), reduced, denom)
+    assert filtered == kernels.bilinear_scan(t, reduced, denom)
+    assert F(filtered[0], denom) == half.value
     two_half = brute_force_D(wedge(F(1, 2), 0), 2, complement_reduction=True)
     two_full = brute_force_D(wedge(F(1, 2), 0), 2, complement_reduction=False)
     assert two_half.value == two_full.value
@@ -264,7 +270,7 @@ def test_prefilter_margin_keeps_near_ties(monkeypatch):
     pre = brute_force_D(box, 2)
     assert pre.method == "prefilter"
     # the reference re-checks every cell within 2^-30 of the float optimum,
-    # far beyond any rounding; the exact big-int scan agrees but takes seconds
+    # far beyond any rounding
     monkeypatch.setattr(kernels, "filter_margin", lambda depth, m: 2.0 ** -30 * m)
     wide = brute_force_D(box, 2)
     assert (pre.value, pre.protocol) == (wide.value, wide.protocol)
@@ -279,8 +285,6 @@ def test_brute_force_lower_bounded_by_nl():
 def test_brute_force_rejects_large_n():
     with pytest.raises(ValueError):
         brute_force_D(PR, 3)
-    with pytest.raises(ValueError):
-        brute_force_D(PR, 2, method="bogus")
 
 
 def test_sandwich_exhaustive_n1():
@@ -333,6 +337,7 @@ def test_bilinear_scan_backends_agree():
     # tables; best value and witness must match.
     w = wedge(F(1, 2), 0)
     t = _ip_table(w, enumerate_plans(1), 1, np.int64)
+    denom, _ = _entry_numerators(w)
     n_atoms, n_tables = t.shape[0], 4  # 2 wiring plans x 4 functions of a bit
     assert t.shape == (8, 8)
     reduced = np.array([a for a in range(n_atoms) if not (a % n_tables) & 1],
@@ -340,16 +345,15 @@ def test_bilinear_scan_backends_agree():
     full = np.arange(n_atoms, dtype=np.int64)
     for a0_idx in (reduced, full):
         scalar = scalar_kernels.bilinear_scan(t, a0_idx)
-        best, witness = kernels.bilinear_scan(t, a0_idx)
+        best, witness = kernels.bilinear_scan(t, a0_idx, denom)
         assert [int(v) for v in scalar] == [best, *witness], a0_idx
     # an all-zero table ties everywhere: both bodies return the lex-min witness
     zeros = np.zeros_like(t)
     scalar = scalar_kernels.bilinear_scan(zeros, reduced)
-    best, witness = kernels.bilinear_scan(zeros, reduced)
+    best, witness = kernels.bilinear_scan(zeros, reduced, denom)
     assert [int(v) for v in scalar] == [best, *witness] == [0] * 5
     # the reduced scan is the whole n = 1 search for this box
-    denom, _ = _entry_numerators(w)
-    best, _ = kernels.bilinear_scan(t, reduced)
+    best, _ = kernels.bilinear_scan(t, reduced, denom)
     assert F(best, denom) == brute_force_D(w, 1).value
 
 
@@ -376,5 +380,6 @@ def test_bilinear_scan_matches_reference_on_ties(inputs):
     for a0_idx in (reduced, np.arange(t.shape[0], dtype=np.int64)):
         scalar = [int(v) for v in scalar_kernels.bilinear_scan(t, a0_idx)]
         for table in (t, t.astype(object)):
-            best, witness = kernels.bilinear_scan(table, a0_idx)
+            # entries lie in [-2, 3], so 3 bounds them for the float filter
+            best, witness = kernels.bilinear_scan(table, a0_idx, 3)
             assert [best, *witness] == scalar, (a0_idx, table.dtype)
