@@ -162,15 +162,24 @@ class ClassGrid:
         if approx:
             header.append("bound_approx")  # decimal approximation, not exact
         writer.writerow(header)
-        d = self.denominator
-        for sk, row in enumerate(self.scaled.tolist()):
-            for sl, v in enumerate(row):
-                g = math.gcd(4 * v, d)
-                rec = [sk, sl, 4 * v // g, d // g]
+        for sk, row in enumerate(self.reduced_rows()):
+            for sl, (num, den) in enumerate(row):
+                rec = [sk, sl, num, den]
                 if approx:
-                    rec.append(f"{rec[2] / rec[3]:.12g}")
+                    rec.append(f"{num / den:.12g}")
                 writer.writerow(rec)
         return buf.getvalue()
+
+    def reduced_rows(self):
+        """Each row [s_k] of cells as lowest-terms (numerator, denominator)
+        pairs, reduced by ``math.gcd`` without building Fractions."""
+        d = self.denominator
+        for row in self.scaled.tolist():
+            cells = []
+            for v in row:
+                g = math.gcd(4 * v, d)
+                cells.append((4 * v // g, d // g))
+            yield cells
 
 
 def class_grid(system: BinarySystem, n: int, *,

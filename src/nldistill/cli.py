@@ -253,7 +253,8 @@ def cmd_grid(args) -> int:
             "n": grid.n,
             "max": str(best),
             "max_cell": list(arg),
-            "cells": [[str(v) for v in row] for row in grid.values],
+            "cells": [[f"{num}" if den == 1 else f"{num}/{den}" for num, den in row]
+                      for row in grid.reduced_rows()],
         }
         _emit(args, json.dumps(obj))
     else:

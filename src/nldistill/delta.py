@@ -32,6 +32,17 @@ grid, each holding the grid's numerators over D_m in row-major order as
 space-separated decimals.  int64 and big-int tables share this encoding;
 the loader picks the dtype from ``fits_int64`` as the build does.  Files
 of another version raise ``TableVersionError``.
+
+Loading checks the header (``TableHeaderError``) and the checksum
+(``TableChecksumError``), then the grid lines in one pass over their bytes
+(``TableFormatError``): digits, single spaces and one newline per grid,
+each grid's entry count, and every entry 1 to len(str(D_n)) digits long,
+which rules out signs, empty entries and entries too long for int64.
+Only then is the text parsed: once with ``np.fromstring`` into one int64
+buffer, of which each grid is a read-only view, or token by token into
+Python ints.  Each level's entries must lie in [0, D_m]
+(``TableFormatError``), and bytes after the last grid raise
+``TableHeaderError``.
 """
 from __future__ import annotations
 
@@ -206,31 +217,73 @@ def load_tables(path, expect_p: Optional[Fraction] = None,
     if digest.hexdigest().encode() != fourth.removeprefix(b"sha256="):
         raise TableChecksumError("checksum mismatch (corrupt or truncated)")
 
-    dtype = np.int64 if fits_int64(p, n) else object
-    plus, minus = [], []
-    pos = 0
-    for m in range(n + 1):
-        side, denom = 2 ** m + 1, (2 * p.denominator) ** m
-        for grids in (plus, minus):
-            end = payload.find(b"\n", pos)
-            tokens = payload[pos:end].split(b" ") if end >= 0 else []
-            if len(tokens) != side * side or not all(map(bytes.isdigit, tokens)):
-                raise TableFormatError(
-                    f"level {m} grid is not {side * side} decimal numerators"
-                )
-            values = list(map(int, tokens))
-            if max(values) > denom:
-                raise TableFormatError(f"entry outside [0, 1] at level {m}")
-            grid = np.array(values, dtype=dtype).reshape(side, side)
-            grid.flags.writeable = False
-            grids.append(grid)
-            pos = end + 1
-    if pos != len(payload):
+    sides = [2 ** (g // 2) + 1 for g in range(2 * n + 2)]
+    ends = np.cumsum([side * side for side in sides])
+    body = _grid_body(payload, ends, len(str((2 * p.denominator) ** n)))
+    if fits_int64(p, n):
+        values = np.fromstring(body, dtype=np.int64, sep=" ")
+    else:
+        values = np.fromiter(map(int, body.split()), dtype=object, count=int(ends[-1]))
+    values.flags.writeable = False
+    grids = []
+    for g, (side, end) in enumerate(zip(sides, ends.tolist())):
+        grid = values[end - side * side:end].reshape(side, side)
+        if grid.max() > (2 * p.denominator) ** (g // 2):
+            raise TableFormatError(f"entry outside [0, 1] at level {g // 2}")
+        grids.append(grid)
+    if len(body) != len(payload):
         raise TableHeaderError(
             "payload longer than the declared n accounts for"
         )
-    return DeltaTables(p=p, n=n, plus=tuple(plus), minus=tuple(minus),
+    return DeltaTables(p=p, n=n, plus=tuple(grids[0::2]), minus=tuple(grids[1::2]),
                        ops_per_level=ops)
+
+
+#: the bytes of a grid line: digits, the space between tokens, its newline
+_GRID_CHARS = b"0123456789 \n"
+
+
+def _grid_body(payload: bytes, ends: np.ndarray, digits: int) -> bytes:
+    """The first len(ends) lines of ``payload``, where line g must hold
+    ends[g] - ends[g-1] tokens of 1 to ``digits`` decimal digits, one space
+    apart: no sign, no empty token and no token too long for the dtype.
+    Raises TableFormatError naming the level of the first line that does not.
+    """
+    newlines = []
+    pos = payload.find(b"\n")
+    while pos >= 0 and len(newlines) < len(ends):
+        newlines.append(pos)
+        pos = payload.find(b"\n", pos + 1)
+    body = payload[:newlines[-1] + 1] if len(newlines) == len(ends) else payload
+    raw = np.frombuffer(body, np.uint8)
+    # separator k (a space or a newline) ends token k; newline g is
+    # separator lines[g]
+    spaces = np.flatnonzero(raw == 32)
+    at = np.searchsorted(spaces, newlines)
+    seps = np.insert(spaces, at, newlines)
+    lines = at + np.arange(len(newlines))
+    # the byte offsets of the first foreign byte and of the end of the first
+    # token of a bad width; the grid named is the line holding the first
+    faults = []
+    if body.translate(None, _GRID_CHARS):
+        faults.append(np.flatnonzero(~np.isin(raw, list(_GRID_CHARS)))[0])
+    width = np.diff(seps, prepend=-1) - 1
+    wide = np.flatnonzero((width < 1) | (width > digits))
+    if len(wide):
+        faults.append(seps[wide[0]])
+    grid = len(ends)
+    if faults:
+        grid = int(np.searchsorted(newlines, min(faults)))
+    # the newline of line g must be separator ends[g] - 1: a missing or an
+    # extra token moves it
+    moved = np.flatnonzero(lines != ends[:len(lines)] - 1)
+    grid = min(grid, int(moved[0]) if len(moved) else len(lines))
+    if grid < len(ends):
+        side = 2 ** (grid // 2) + 1
+        raise TableFormatError(
+            f"level {grid // 2} grid is not {side * side} decimal numerators"
+        )
+    return body
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import warnings
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -220,6 +221,33 @@ def test_pruned_block_keeps_near_ties():
          + rng.integers(0, 64, (h + 1, h + 1)) + rng.integers(0, 1 << 12, (h + 1, 1)))
     assert q.dtype == np.int64 and (1 << 57) < q.min() and q.max() < (1 << 58)
     assert np.array_equal(pruned_wedge(q, 2 * h, 1, 1), sweep_wedge(q, 2 * h, 1, 1))
+
+
+def test_majorant_margin_keeps_vertices_within_rounding():
+    # Rows (a, deep, j, b) near 2^58 whose point j lies above the chord of a
+    # and b in exact integers, by 1/3 to 63 units, but below it as read in
+    # floats: the cross product _majorant_slopes takes for j is negative, and
+    # only its margin keeps j.  The rows are kept where the two float slopes
+    # around j differ, so that the survivors show in the returned slopes.
+    rng = np.random.default_rng(13)
+    count = 1 << 14
+    qa = -rng.integers(1 << 56, 1 << 57, count)
+    qb = rng.integers(1 << 57, 1 << 58, count)
+    qj = (qa + 2 * qb) // 3 + rng.integers(1, 64, count)
+    q = np.stack([qa, qa - (1 << 56), qj, qb], axis=1)
+    x = q.astype(np.float64)
+    near = (((x[:, 2] - x[:, 0]) * 3 - (x[:, 3] - x[:, 0]) * 2 < 0)
+            & ((x[:, 2] - x[:, 0]) / 2 != x[:, 3] - x[:, 2]))
+    q = q[near]
+    assert len(q) > 50
+    for row, d in zip(q.tolist(), kernels._majorant_slopes(q).tolist()):
+        assert 3 * (row[2] - row[0]) > 2 * (row[3] - row[0])
+        # the line through the survivors, in exact integers, lies on or
+        # above every point of the row
+        kept = [0] + [t for t in range(1, 3) if d[t - 1] != d[t]] + [3]
+        for s, e in zip(kept, kept[1:]):
+            for t in range(s, e + 1):
+                assert (row[t] - row[s]) * (e - s) <= (row[e] - row[s]) * (t - s), row
 
 
 def test_pruned_levels_report_counts():
@@ -520,6 +548,15 @@ def test_malformed_payload_is_distinct(tmp_path, p, dtype):
         head + b" %d" % (top + 1),  # a numerator above D_1
         head + b" -1",  # a negative numerator
         head,  # one entry missing
+        head + b" +1",  # a signed numerator
+        row.replace(b" ", b"  ", 1),  # a doubled space
+        b" " + row,  # a leading space
+        row + b" ",  # a trailing space
+        row + b"\r",  # a carriage return before the newline
+        b"",  # an empty grid line
+        head + b" 1" + b"0" * 19,  # a token of 20 digits
+        # a token one digit longer than D_n has: no file save writes holds it
+        head + b" " + b"0" * len(str(t.level_denominator(3))) + b"1",
     ]
     bad = tmp_path / "bad.nldt"
     for bad_row in bad_rows:
@@ -529,6 +566,33 @@ def test_malformed_payload_is_distinct(tmp_path, p, dtype):
     bad.write_bytes(_restamp(lines[:-1] + [b"0", b""]))  # an extra last line
     with pytest.raises(TableHeaderError):
         load_tables(bad)
+
+
+@pytest.mark.parametrize("p, n", [(F(2, 5), 8), (F(13, 32), 8), (F(0), 8), (F(1, 2), 8),
+                                  (F(1234567, 8000000), 7), (F(301, 800), 7)])
+def test_bulk_load_matches_token_reference(tmp_path, p, n):
+    # the loader parses every grid from one buffer; the per-token reference
+    # reads each line apart
+    path = tmp_path / "t.nldt"
+    build_tables(p, n).save(path)
+    got = load_tables(path)
+    want = scalar_kernels.load_payload(path.read_bytes().split(b"\n", 4)[4], p, n)
+    assert len(want) == 2 * n + 2
+    for m in range(n + 1):
+        for grid, ref in ((got.plus[m], want[2 * m]), (got.minus[m], want[2 * m + 1])):
+            assert grid.dtype == ref.dtype and np.array_equal(grid, ref), (m, grid.dtype)
+            assert not grid.flags.writeable
+
+
+def test_load_raises_no_warning(tmp_path):
+    # numpy's text parser warns when it stops before the end of its input;
+    # a well-formed cache of either dtype must load without any warning
+    for p in (F(2, 5), F(1234567, 8000000)):
+        path = tmp_path / f"{p.denominator}.nldt"
+        build_tables(p, 4).save(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert load_tables(path) == build_tables(p, 4)
 
 
 def test_ops_counts_criterion_window():
