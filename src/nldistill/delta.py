@@ -11,14 +11,24 @@ over i in [k-min(k,2^(m-1)), min(k,2^(m-1))] and j likewise.
 Entries are stored as integer numerators over the exact per-level
 denominator D_m = (2*den(p))^m, which keeps the whole build in integer
 arithmetic: int64 whenever magnitudes provably fit, otherwise Python big
-ints in object arrays.  Only the wedge k <= min(l, 2^(m-1)) is scanned;
-the rest of each grid follows from the (k,l) <-> (l,k) symmetry and the
-complement identity
+ints in object arrays.  Only the plus grid is filled, and only its wedge
+k <= min(l, 2^(m-1)); the rest of it follows from the (k,l) <-> (l,k)
+symmetry and the complement identity
 
-    delta_m(2^m - k, 2^m - l) = delta_m(k, l) + 1 - (k + l)/2^m,
+    delta_m(2^m - k, 2^m - l) = delta_m(k, l) + 1 - (k + l)/2^m.
 
-which both hold exactly for the recursion (and are cross-checked against
-a direct recursive evaluation in the tests).
+The minus grid is a function of the plus grid,
+
+    delta_m_minus(k, l) = l/2^m - delta_m_plus(2^m - k, l),
+
+by induction on m.  At level 0 it reads k*l = l - (1 - k)*l.  At level m,
+h = 2^(m-1), put the identity for level m-1 into the min recursion: its
+l/h terms add up to p*l/h + (1/2 - p)*l/h = l/2^m, and the rest is minus
+the max objective at (2^m - k, l) under the split i' = h - i, which maps
+the i window [max(0, k-h), min(k, h)] onto the window of 2^m - k exactly.
+So the min is l/2^m minus the max.  All three identities hold exactly for
+the recursion and are cross-checked against a direct recursive
+evaluation in the tests.
 
 A cache file (format 2) is ASCII text: four header lines
 
@@ -313,14 +323,18 @@ def build_tables(p: RationalLike, n: int, *,
     D_n <= 2**limit_bits).  Each ``level_filled`` event records its dtype
     too.  Builds past ``MEMORY_BUDGET`` raise ``MemoryBudgetError`` first.
 
-    A big-int level is filled by ``kernels.fill_wedge`` through a float
-    filter: the window pairs within ``kernels.filter_margin`` of their
-    cell's float64 optimum (the margin's proof is in its docstring) are
-    evaluated in Python ints, and a block with more than
-    ``kernels.FILTER_CAP`` of them is swept exactly.  Its ``level_filled``
-    event adds ``filter_survivors`` and ``filter_fallbacks``, the pairs so
-    evaluated and the blocks so swept over both signs.  The grids are the
-    exact ones either way.
+    Each level runs one fill, ``kernels.fill_wedge`` for the plus grid,
+    and derives the minus grid from it by the identity in the module
+    docstring.  Its ``level_filled`` event still counts, as ``ops``, the
+    logical window pairs of both grids' recursions.
+
+    A big-int level is filled through a float filter: the window pairs
+    within ``kernels.filter_margin`` of their cell's float64 optimum (the
+    margin's proof is in its docstring) are evaluated in Python ints, and a
+    block with more than ``kernels.FILTER_CAP`` of them is swept exactly.
+    Its ``level_filled`` event adds ``filter_survivors`` and
+    ``filter_fallbacks``, the pairs so evaluated and the blocks so swept in
+    the plus fill.  The grids are the exact ones either way.
 
     An int64 level of size at least ``kernels.PRUNE_MIN_SIZE`` (level 8 on)
     is filled by bound, then prune: a float upper bound per (row, l) pair,
@@ -331,8 +345,8 @@ def build_tables(p: RationalLike, n: int, *,
     the tie-heavy tables at p = 0 and 1/2, is swept exactly, and so is the
     rest of its level.  Its ``level_filled`` event adds ``prune_kept`` and
     ``prune_fallbacks``, the (row, l) pairs so evaluated and the blocks so
-    swept over both signs.  The fill functions return their counts with the
-    grid (``kernels.FillOps``), and the event sums them.
+    swept in the plus fill.  ``kernels.fill_wedge`` returns these counts
+    with the grid (``kernels.FillOps``).
     """
     p = rational(p)
     if not 0 <= p <= Fraction(1, 2):
@@ -362,27 +376,29 @@ def build_tables(p: RationalLike, n: int, *,
         t0 = time.perf_counter()
         size = 2 ** m
         dppow = dp ** m
-        gp, ops_p = kernels.fill_wedge(plus[-1], size, ca, cb, True)
-        gm, ops_m = kernels.fill_wedge(minus[-1], size, ca, cb, False)
-        counts = ops_p.counts + ops_m.counts
+        gp, fill = kernels.fill_wedge(plus[-1], size, ca, cb)
+        _complete_grid(gp, size, dppow)
+        # l*dp^m numerates l/2^m over D_m; exact in int64 (entries <= D_m)
+        gm = np.arange(size + 1).astype(dtype) * dppow - gp[::-1]
         for g in (gp, gm):
-            _complete_grid(g, size, dppow)
             g.flags.writeable = False
         plus.append(gp)
         minus.append(gm)
-        ops_per_level.append(ops_p + ops_m)
+        # the window pairs of the recursion's two grids, one fill each
+        ops = 2 * fill
+        ops_per_level.append(ops)
         if progress is not None:
             event = {
-                "event": "level_filled", "m": m, "ops": ops_p + ops_m,
+                "event": "level_filled", "m": m, "ops": ops,
                 "seconds": round(time.perf_counter() - t0, 3),
                 "dtype": base.dtype.name,
             }
             if not use_int64:
-                event["filter_survivors"] = counts["survivors"]
-                event["filter_fallbacks"] = counts["fallbacks"]
+                event["filter_survivors"] = fill.counts["survivors"]
+                event["filter_fallbacks"] = fill.counts["fallbacks"]
             elif size >= kernels.PRUNE_MIN_SIZE:
-                event["prune_kept"] = counts["prune_kept"]
-                event["prune_fallbacks"] = counts["prune_fallbacks"]
+                event["prune_kept"] = fill.counts["prune_kept"]
+                event["prune_fallbacks"] = fill.counts["prune_fallbacks"]
             progress(event)
     return DeltaTables(p=p, n=n, plus=tuple(plus), minus=tuple(minus),
                        ops_per_level=tuple(ops_per_level))

@@ -1,7 +1,7 @@
 """Kernels for table filling and profile scans.
 
 Every hot loop in this package works on integer numerators over a common
-denominator, with max/min reductions.  Each kernel is one numpy body that
+denominator, with max reductions.  Each kernel is one numpy body that
 runs on int64 arrays and on object arrays of Python big ints; callers only
 produce int64 arrays once they have proved that all intermediate
 magnitudes fit.  On object arrays ``fill_wedge`` and the pair scans
@@ -68,11 +68,11 @@ def filter_margin(depth: int, magnitude: float) -> float:
         |F - V| <= gamma_depth * sum_i |c_i x_i| <= gamma_depth * M * (1 + u) =: E,
 
     gamma_d = d*u / (1 - d*u), M = ``magnitude`` >= sum_i |c_i|.  Rounding
-    is monotone, so an opt of float sums equals the float sum of the opts,
-    and max and min move no value by more than their arguments move: the
-    float optimum F* of a set of candidates lies within E of its exact
-    optimum V*.  Every candidate with V = V* thus has F >= V* - E >= F* - 2E
-    (for a min, F <= F* + 2E).  Keeping the candidates with
+    is monotone, so a max of float sums equals the float sum of the maxes,
+    and max moves no value by more than its arguments move: the float
+    optimum F* of a set of candidates lies within E of its exact optimum V*.
+    Every candidate with V = V* thus has F >= V* - E >= F* - 2E.  Keeping
+    the candidates with
     F >= fl(F* - margin) loses none of them once margin >= 2E + u*(|F*| +
     margin), the last term for the rounding of the threshold itself.  The
     value returned, 4*(depth + 1)*u*M, meets that for every depth up to
@@ -98,21 +98,23 @@ def filter_margin(depth: int, magnitude: float) -> float:
 # ---------------------------------------------------------------------------
 # Level fill: one dynamic-programming level of the delta tables.
 #
-# prev (P) holds level m-1 numerators over D_{m-1}; the new level entry is
-#   opt_{i,j} ca*(P[i,j] + P[k-i,l-j]) + cb*(P[i,l-j] + P[k-i,j])
+# prev (P) holds the level m-1 plus grid, numerators over D_{m-1}; the new
+# level entry is
+#   max_{i,j} ca*(P[i,j] + P[k-i,l-j]) + cb*(P[i,l-j] + P[k-i,j])
 # over the window i in [max(0,k-h), min(k,h)], j likewise, h = 2^(m-1),
 # with ca = 2*num(p), cb = den(p) - 2*num(p), all over D_m = 2*den(p)*D_{m-1}.
 # Only the wedge k <= min(l, h) is computed here; the caller completes the
-# grid by the (k,l) <-> (l,k) reflection and the complement identity.
+# grid by the (k,l) <-> (l,k) reflection and the complement identity, and
+# derives the minus grid from it (see the ``delta`` module docstring).
 #
 # For k <= h the i window is 0..k.  With the rows
 #   U_i = ca*P[i] + cb*P[k-i],   V_i = ca*P[k-i] + cb*P[i]
-# the entry is the (max,+) or (min,+) convolution
-#   out[k, l] = opt_i opt_j U_i[j] + V_i[l-j],
+# the entry is the (max,+) convolution
+#   out[k, l] = max_i max_j U_i[j] + V_i[l-j],
 # the j window being exactly the j with 0 <= j, l-j <= h.  The orbit
 # (i, j) -> (k-i, l-j) swaps U_i and V_i, so the rows i <= k/2 suffice.
 # The rows (k, i) of consecutive k are stacked in blocks of about
-# FILL_BLOCK_ROWS; each block sweeps j once, one add and one opt per j,
+# FILL_BLOCK_ROWS; each block sweeps j once, one add and one max per j,
 # over l >= the block's smallest k, and reduces its rows per k.
 #
 # Big-int levels sweep each block on the shadow P/max(P) with
@@ -123,12 +125,11 @@ def filter_margin(depth: int, magnitude: float) -> float:
 # coefficient alpha or beta, alpha + beta = 1, so M = 2; each meets 5
 # roundings (reading P, rounding alpha, the product, U's sum, U + V).
 #
-# int64 levels with size >= PRUNE_MIN_SIZE bound, then prune.  The minus
-# grid is filled as the plus fill of Q = -P (an exact negation), so take
-# Q = +-P and opt = max.  A majorant phi_x of each row Q[x] (the line
-# through the points the float test of _majorant_slopes keeps, every
-# vertex of the row's concave majorant among them) gives the majorants
-# ca*phi_i + cb*phi_{k-i} of U_i and ca*phi_{k-i} + cb*phi_i of V_i.
+# int64 levels with size >= PRUNE_MIN_SIZE bound, then prune.  A majorant
+# phi_x of each row P[x] (the line through the points the float test of
+# _majorant_slopes keeps, every vertex of the row's concave majorant among
+# them) gives the majorants ca*phi_i + cb*phi_{k-i} of U_i and
+# ca*phi_{k-i} + cb*phi_i of V_i.
 # U[0] + V[0] plus the sum of the l largest of the two rows' 2h unit-step
 # slopes is at least U[j] + V[l-j] for every j: those two sums take j and
 # l - j of the slopes.  For concave majorants it is their (max,+)
@@ -180,26 +181,21 @@ class FillOps(int):
         return self
 
 
-def fill_wedge(prev: np.ndarray, size: int, ca, cb, maximize: bool):
-    """Fill the wedge region of one level; returns (grid, FillOps)."""
+def fill_wedge(prev: np.ndarray, size: int, ca, cb):
+    """Fill the wedge region of one level's plus grid; returns (grid, FillOps)."""
     out = np.zeros((size + 1, size + 1), dtype=prev.dtype)
-    opt = np.maximum if maximize else np.minimum
-    # entries and coefficients are >= 0, so every candidate lies in
-    # [0, 2*(ca+cb)*max(P)]; the seed lies outside on the losing side
-    top = int(prev.max())
-    seed = -1 if maximize else 2 * (ca + cb) * top + 1
     counts = Counter()
     filtered = prev.dtype == object
     prunes = not filtered and size >= PRUNE_MIN_SIZE
     if filtered:
-        shadow = float_shadow(prev, max(top, 1))
+        shadow = float_shadow(prev, max(int(prev.max()), 1))
         alpha, beta = ca / (ca + cb), cb / (ca + cb)
-    pruner = _Pruner(prev if maximize else -prev, ca, cb) if prunes else None
+    pruner = _Pruner(prev, ca, cb) if prunes else None
     for k_lo, ks, iv in _fill_blocks(size):
         best = None
         if filtered:
             kept = _filtered_block(out, prev, shadow, ks, iv, k_lo, ca, cb,
-                                   alpha, beta, maximize)
+                                   alpha, beta)
             if kept is not None:
                 counts["survivors"] += kept
                 continue
@@ -209,13 +205,14 @@ def fill_wedge(prev: np.ndarray, size: int, ca, cb, maximize: bool):
             if found is None:
                 pruner = None  # the rest of the level sweeps as well
             else:
-                best = found[0] if maximize else -found[0]
+                best = found[0]
                 counts["prune_kept"] += found[1]
         if best is None:
             if prunes:
                 counts["prune_fallbacks"] += 1
-            _, _, acc = _block_sweep(prev, ks, iv, ca, cb, k_lo, opt, seed)
-            best = opt.reduceat(acc, np.flatnonzero(iv == 0), axis=0)
+            # entries and coefficients are >= 0, so every candidate is too
+            _, _, acc = _block_sweep(prev, ks, iv, ca, cb, k_lo, -1)
+            best = np.maximum.reduceat(acc, np.flatnonzero(iv == 0), axis=0)
         for r, kk in enumerate(range(k_lo, int(ks[-1]) + 1)):
             out[kk, kk:] = best[r, kk - k_lo:]
     return out, FillOps(_wedge_pairs(size), counts)
@@ -244,14 +241,15 @@ def _window_terms(u, v, k_lo: int):
         yield j, slice(j + t0 - k_lo, j + h + 1 - k_lo), u[:, j:j + 1] + v[:, t0:]
 
 
-def _block_sweep(prev, ks, iv, ca, cb, k_lo: int, opt, seed):
-    """The rows U, V of a block and acc[r, l - k_lo] = opt_j U[r, j] + V[r, l - j]."""
+def _block_sweep(prev, ks, iv, ca, cb, k_lo: int, seed):
+    """The rows U, V of a block and acc[r, l - k_lo] = max_j U[r, j] + V[r, l - j],
+    starting from ``seed``, which must lie below every candidate."""
     a, b = prev[iv], prev[ks - iv]
     u, v = ca * a + cb * b, ca * b + cb * a
     acc = np.full((len(ks), 2 * prev.shape[0] - 1 - k_lo), seed, dtype=u.dtype)
     for _, cols, cand in _window_terms(u, v, k_lo):
         seg = acc[:, cols]
-        opt(seg, cand, out=seg)
+        np.maximum(seg, cand, out=seg)
     return u, v, acc
 
 
@@ -302,28 +300,24 @@ def _window_max(up, vp, rows, ls):
     return out
 
 
-def _filtered_block(out, prev, shadow, ks, iv, k_lo: int, ca, cb, alpha, beta,
-                    maximize: bool):
+def _filtered_block(out, prev, shadow, ks, iv, k_lo: int, ca, cb, alpha, beta):
     """Write the block's wedge cells of ``out`` through the float filter and
     return the surviving pairs; None, writing nothing, past FILTER_CAP."""
-    opt, keep = (np.maximum, np.greater_equal) if maximize else (np.minimum, np.less_equal)
-    lose = -np.inf if maximize else np.inf
-    uf, vf, acc = _block_sweep(shadow, ks, iv, alpha, beta, k_lo, opt, lose)
+    uf, vf, acc = _block_sweep(shadow, ks, iv, alpha, beta, k_lo, -np.inf)
     rk = ks - k_lo
-    best = opt.reduceat(acc, np.flatnonzero(iv == 0), axis=0)[rk]
-    margin = filter_margin(5, 2.0)
-    thr = best - margin if maximize else best + margin
+    best = np.maximum.reduceat(acc, np.flatnonzero(iv == 0), axis=0)[rk]
+    thr = best - filter_margin(5, 2.0)
     # a row's columns l < k are no wedge cells; nothing survives there
-    thr[np.arange(thr.shape[1]) < rk[:, None]] = -lose
-    # acc[r, c] is the float opt over the pair's candidates, so a (row, l)
+    thr[np.arange(thr.shape[1]) < rk[:, None]] = np.inf
+    # acc[r, c] is the float max over the pair's candidates, so a (row, l)
     # pair holds a survivor exactly when its acc entry passes
-    rows, cols = np.nonzero(keep(acc, thr))
+    rows, cols = np.nonzero(acc >= thr)
     if len(rows) > FILTER_CAP:
         return None
     found, count = [], 0
-    up, vp = _padded_windows(uf, vf, lose)
+    up, vp = _padded_windows(uf, vf, -np.inf)
     for sel, j0, cand in _window_chunks(up, vp, rows, cols + k_lo):
-        p, t = np.nonzero(keep(cand, thr[rows[sel], cols[sel]][:, None]))
+        p, t = np.nonzero(cand >= thr[rows[sel], cols[sel]][:, None])
         count += len(p)
         if count > FILTER_CAP:
             return None
@@ -342,7 +336,7 @@ def _filtered_block(out, prev, shadow, ks, iv, k_lo: int, ca, cb, alpha, beta,
         raise AssertionError(
             f"the float filter kept {len(starts)} of {cells} wedge cells")
     key = key[starts]
-    out[key // width, key % width] = opt.reduceat(exact[order], starts)
+    out[key // width, key % width] = np.maximum.reduceat(exact[order], starts)
     return count
 
 
@@ -385,10 +379,10 @@ def _majorant_slopes(q):
 
 
 class _Pruner:
-    """Bound-then-prune blocks of one int64 level on the grid q (P, or -P
-    for the minus grid), with the per-level inputs its blocks share and the
-    buffers they reuse: a fresh array per block costs more in page faults
-    than in arithmetic."""
+    """Bound-then-prune blocks of one int64 level on the grid q of the level
+    below, with the per-level inputs its blocks share and the buffers they
+    reuse: a fresh array per block costs more in page faults than in
+    arithmetic."""
 
     def __init__(self, q, ca, cb):
         h = q.shape[1] - 1

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -108,26 +107,36 @@ def test_matches_naive_recursion(p):
     assert_matches_naive(build_tables(p, 3))
 
 
+def wedge_cells(grid, size):
+    """The wedge cells k <= min(l, size/2) of a grid, others set to 0."""
+    k, l = np.indices(grid.shape)
+    return np.where((k <= l) & (k <= size // 2), grid, 0)
+
+
 def test_backends_agree():
     # The scalar reference body and the public fill kernel run on the same
-    # previous level; grids and op counts must match.  At p = 0 ca is 0 and
-    # at p = 1/2 cb is 0, where ties abound.
+    # previous level; grids and op counts must match.  The built tables
+    # derive the minus grid from the plus grid, so its wedge is checked
+    # against the scalar min fill of the minus level below.  At p = 0 ca is
+    # 0 and at p = 1/2 cb is 0, where ties abound.
     for p in (F(2, 5), F(0), F(1, 2)):
         t = build_tables(p, 6)
         ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
         for m in range(1, 7):
             size = 2 ** m
-            level_ops = 0
-            for maximize, prev in ((True, t.plus[m - 1]), (False, t.minus[m - 1])):
-                scalar = np.zeros((size + 1, size + 1), dtype=np.int64)
-                ops_s = scalar_kernels.fill_wedge(
-                    prev, scalar, size, np.int64(ca), np.int64(cb), maximize
-                )
-                vector, ops_v = kernels.fill_wedge(prev, size, ca, cb, maximize)
-                assert np.array_equal(scalar, vector), (p, m, maximize)
-                assert ops_s == ops_v, (p, m, maximize)
-                level_ops += ops_v
-            assert level_ops == t.ops_per_level[m], (p, m)
+            scalar = np.zeros((size + 1, size + 1), dtype=np.int64)
+            ops_s = scalar_kernels.fill_wedge(
+                t.plus[m - 1], scalar, size, np.int64(ca), np.int64(cb), True
+            )
+            vector, ops_v = kernels.fill_wedge(t.plus[m - 1], size, ca, cb)
+            assert np.array_equal(scalar, vector), (p, m)
+            assert ops_s == ops_v, (p, m)
+            assert 2 * ops_v == t.ops_per_level[m], (p, m)
+            scalar = np.zeros((size + 1, size + 1), dtype=np.int64)
+            scalar_kernels.fill_wedge(
+                t.minus[m - 1], scalar, size, np.int64(ca), np.int64(cb), False
+            )
+            assert np.array_equal(wedge_cells(t.minus[m], size), scalar), (p, m)
 
 
 def test_filtered_fill_matches_int64_kernel():
@@ -139,15 +148,13 @@ def test_filtered_fill_matches_int64_kernel():
         t = build_tables(p, 7)
         ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
         for m in range(1, 8):
-            counts = Counter()
-            for maximize, prev in ((True, t.plus[m - 1]), (False, t.minus[m - 1])):
-                want, ops = kernels.fill_wedge(prev, 2 ** m, ca, cb, maximize)
-                got, ops_obj = kernels.fill_wedge(prev.astype(object), 2 ** m,
-                                                  ca, cb, maximize)
-                assert got.dtype == object
-                assert got.tolist() == want.tolist(), (p, m, maximize)
-                assert ops_obj == ops
-                counts += ops_obj.counts
+            prev = t.plus[m - 1]
+            want, ops = kernels.fill_wedge(prev, 2 ** m, ca, cb)
+            got, ops_obj = kernels.fill_wedge(prev.astype(object), 2 ** m, ca, cb)
+            assert got.dtype == object
+            assert got.tolist() == want.tolist(), (p, m)
+            assert ops_obj == ops
+            counts = ops_obj.counts
             assert counts["survivors"] > 0 or counts["fallbacks"] > 0
             if m == 7:
                 assert (counts["fallbacks"] > 0) == (p != F(2, 5)), (p, counts)
@@ -156,8 +163,8 @@ def test_filtered_fill_matches_int64_kernel():
 def test_filter_margin_keeps_near_ties():
     # At p = 1/3 + 2^-101 window pairs that tie at p = 1/3 differ by about
     # 2^-101 and round in either order; a filter keeping only the float
-    # optimum (margin 0) gets the cells (5, 6) of plus and (5, 26), (7, 15)
-    # of minus at level 5 wrong.
+    # optimum (margin 0) gets the plus cell (5, 6) at level 5 wrong, and the
+    # minus grid, derived from the plus grid, follows it.
     p = F(1, 3) + F(1, 2 ** 101)
     t = build_tables(p, 5)
     assert t.plus[5].dtype == object
@@ -173,8 +180,7 @@ def sweep_wedge(q, size, ca, cb):
     of a grid whose other cells are 0."""
     out = np.zeros((size + 1, size + 1), dtype=np.int64)
     for k_lo, ks, iv in kernels._fill_blocks(size):
-        _, _, acc = kernels._block_sweep(q, ks, iv, ca, cb, k_lo, np.maximum,
-                                         -(1 << 62))
+        _, _, acc = kernels._block_sweep(q, ks, iv, ca, cb, k_lo, -(1 << 62))
         best = np.maximum.reduceat(acc, np.flatnonzero(iv == 0), axis=0)
         for r, k in enumerate(range(k_lo, int(ks[-1]) + 1)):
             out[k, k:] = best[r, k - k_lo:]
@@ -198,7 +204,7 @@ def pruned_wedge(q, size, ca, cb):
 def test_pruned_block_matches_sweep(p):
     # The pruned body is called directly, so levels below PRUNE_MIN_SIZE and
     # the tie-heavy p = 0 and 1/2 (whose blocks fall back in fill_wedge)
-    # exercise it too.  The minus grid is the plus fill of -P.
+    # exercise it too.  The cases q = -P exercise signed rows.
     t = build_tables(p, 7)
     ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
     for m in range(3, 9):
@@ -259,13 +265,12 @@ def test_pruned_levels_report_counts():
         t = build_tables(p, 7)
         ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
         blocks = len(list(kernels._fill_blocks(size)))
-        for maximize, prev in ((True, t.plus[7]), (False, t.minus[7])):
-            _, ops = kernels.fill_wedge(prev, size, ca, cb, maximize)
-            if p:
-                assert ops.counts["prune_fallbacks"] == 0
-                assert 0 < ops.counts["prune_kept"] < kernels.PRUNE_CAP * ops
-            else:
-                assert ops.counts == {"prune_fallbacks": blocks}
+        _, ops = kernels.fill_wedge(t.plus[7], size, ca, cb)
+        if p:
+            assert ops.counts["prune_fallbacks"] == 0
+            assert 0 < ops.counts["prune_kept"] < kernels.PRUNE_CAP * ops
+        else:
+            assert ops.counts == {"prune_fallbacks": blocks}
     events = []
     build_tables(F(31, 80), 8, progress=events.append)
     filled = [e for e in events if e["event"] == "level_filled"]
@@ -276,13 +281,14 @@ def test_pruned_levels_report_counts():
 @pytest.mark.longrun
 def test_pruned_level_9_matches_sweep():
     p = F(13, 32)
-    t = build_tables(p, 8)
+    t = build_tables(p, 9)
     ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
-    for maximize, prev in ((True, t.plus[8]), (False, t.minus[8])):
-        grid, ops = kernels.fill_wedge(prev, 512, ca, cb, maximize)
-        assert ops.counts["prune_fallbacks"] == 0
-        sign = 1 if maximize else -1
-        assert np.array_equal(sign * grid, sweep_wedge(sign * prev, 512, ca, cb))
+    grid, ops = kernels.fill_wedge(t.plus[8], 512, ca, cb)
+    assert ops.counts["prune_fallbacks"] == 0
+    assert np.array_equal(grid, sweep_wedge(t.plus[8], 512, ca, cb))
+    # the derived minus grid against the min fill of the minus level below
+    assert np.array_equal(wedge_cells(t.minus[9], 512),
+                          -sweep_wedge(-t.minus[8], 512, ca, cb))
 
 
 def test_fill_op_count_closed_form():
@@ -293,7 +299,7 @@ def test_fill_op_count_closed_form():
         out = np.zeros((size + 1, size + 1), dtype=np.int64)
         ops = scalar_kernels.fill_wedge(prev, out, size, np.int64(1),
                                         np.int64(1), True)
-        assert kernels.fill_wedge(prev, size, 1, 1, False)[1] == ops, m
+        assert kernels.fill_wedge(prev, size, 1, 1)[1] == ops, m
 
 
 @st.composite
