@@ -16,10 +16,11 @@ exhaustive search) must be opted into with --long-run.  Progress is
 reported as one JSON object per line on stderr; a table build's
 ``path_selected`` event says why it took int64 or big ints, and each
 ``level_filled`` event names the dtype ("int64" or "object") its level
-was filled in.  A level fills its plus grid only and derives the minus
-grid from it; big-int levels add the plus fill's float-filter counts
-``filter_survivors`` and ``filter_fallbacks``, and int64 levels from level
-8 on its pruning counts ``prune_kept`` and ``prune_fallbacks``.
+was filled in.  A level fills its plus grid only, from which the minus
+grid is derived on first read; big-int levels add the plus fill's
+float-filter counts ``filter_survivors`` and ``filter_fallbacks``, and
+int64 levels from level 8 on its pruning counts ``prune_kept`` and
+``prune_fallbacks``.
 """
 from __future__ import annotations
 

@@ -30,18 +30,18 @@ So the min is l/2^m minus the max.  All three identities hold exactly for
 the recursion and are cross-checked against a direct recursive
 evaluation in the tests.
 
-A cache file (format 2) is ASCII text: four header lines
+A cache file (format 3) is ASCII text: four header lines
 
-    NLDELTA 2
+    NLDELTA 3
     n=<n> p=<num>/<den>
     ops=<ops_per_level, comma-separated>
     sha256=<hex digest of every other byte of the file>
 
-then one line per grid, levels 0..n with the plus grid before the minus
-grid, each holding the grid's numerators over D_m in row-major order as
-space-separated decimals.  int64 and big-int tables share this encoding;
-the loader picks the dtype from ``fits_int64`` as the build does.  Files
-of another version raise ``TableVersionError``.
+then one line per level m = 0..n holding the plus grid's numerators over
+D_m in row-major order as space-separated decimals.  The minus grid is not
+stored: ``DeltaTables.minus`` derives it on first read.  int64 and big-int
+tables share this encoding; the loader picks the dtype from ``fits_int64``
+as the build does.  Files of another version raise ``TableVersionError``.
 
 Loading checks the header (``TableHeaderError``) and the checksum
 (``TableChecksumError``), then the grid lines in one pass over their bytes
@@ -57,6 +57,7 @@ Python ints.  Each level's entries must lie in [0, D_m]
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import os
 import time
@@ -76,7 +77,7 @@ INT64_SAFE_LIMIT = 1 << 59
 MEMORY_BUDGET = 2 << 30  # bytes
 
 _MAGIC = "NLDELTA"
-_FORMAT_VERSION = 2
+_FORMAT_VERSION = 3
 
 
 class DeltaTableError(Exception):
@@ -115,6 +116,8 @@ def fits_int64(p: Fraction, n: int) -> bool:
 
 def _estimate_bytes(n: int, int64: bool) -> int:
     per_entry = 8 if int64 else 120  # object arrays: pointer plus a small int
+    # two grids per level: only plus is built, but bound and grid read
+    # DeltaTables.minus, which materializes the minus grids beside it
     return sum(2 * (2 ** m + 1) ** 2 * per_entry for m in range(n + 1))
 
 
@@ -123,13 +126,27 @@ ProgressFn = Callable[[dict], None]
 
 @dataclass(frozen=True)
 class DeltaTables:
-    """Immutable numerator grids for levels 0..n at parameter p."""
+    """Immutable numerator grids for levels 0..n at parameter p.
+
+    Only the plus grids are held; ``minus`` derives the minus grids from
+    them on first read, by the identity in the module docstring.
+    """
 
     p: Fraction
     n: int
     plus: tuple[np.ndarray, ...]
-    minus: tuple[np.ndarray, ...]
     ops_per_level: tuple[int, ...]
+
+    @functools.cached_property
+    def minus(self) -> tuple[np.ndarray, ...]:
+        """The read-only minus grids of levels 0..n, derived once."""
+        grids = []
+        for m, g in enumerate(self.plus):
+            # l*dp^m numerates l/2^m over D_m; exact in int64 (entries <= D_m)
+            gm = np.arange(len(g)).astype(g.dtype) * self.p.denominator ** m - g[::-1]
+            gm.flags.writeable = False
+            grids.append(gm)
+        return tuple(grids)
 
     def level_denominator(self, m: int) -> int:
         return (2 * self.p.denominator) ** m
@@ -154,7 +171,7 @@ class DeltaTables:
             and self.n == other.n
             and self.ops_per_level == other.ops_per_level
             and all(a.dtype == b.dtype and np.array_equal(a, b)
-                    for a, b in zip(self.plus + self.minus, other.plus + other.minus))
+                    for a, b in zip(self.plus, other.plus))
         )
 
     __hash__ = None  # type: ignore[assignment]
@@ -171,7 +188,7 @@ class DeltaTables:
             f"ops={','.join(map(str, self.ops_per_level))}\n"
         ).encode()
         lines = [" ".join(map(str, grid.ravel().tolist())).encode() + b"\n"
-                 for m in range(self.n + 1) for grid in (self.plus[m], self.minus[m])]
+                 for grid in self.plus]
         digest = hashlib.sha256(head)
         for line in lines:
             digest.update(line)
@@ -227,7 +244,7 @@ def load_tables(path, expect_p: Optional[Fraction] = None,
     if digest.hexdigest().encode() != fourth.removeprefix(b"sha256="):
         raise TableChecksumError("checksum mismatch (corrupt or truncated)")
 
-    sides = [2 ** (g // 2) + 1 for g in range(2 * n + 2)]
+    sides = [2 ** m + 1 for m in range(n + 1)]
     ends = np.cumsum([side * side for side in sides])
     body = _grid_body(payload, ends, len(str((2 * p.denominator) ** n)))
     if fits_int64(p, n):
@@ -236,17 +253,16 @@ def load_tables(path, expect_p: Optional[Fraction] = None,
         values = np.fromiter(map(int, body.split()), dtype=object, count=int(ends[-1]))
     values.flags.writeable = False
     grids = []
-    for g, (side, end) in enumerate(zip(sides, ends.tolist())):
+    for m, (side, end) in enumerate(zip(sides, ends.tolist())):
         grid = values[end - side * side:end].reshape(side, side)
-        if grid.max() > (2 * p.denominator) ** (g // 2):
-            raise TableFormatError(f"entry outside [0, 1] at level {g // 2}")
+        if grid.max() > (2 * p.denominator) ** m:
+            raise TableFormatError(f"entry outside [0, 1] at level {m}")
         grids.append(grid)
     if len(body) != len(payload):
         raise TableHeaderError(
             "payload longer than the declared n accounts for"
         )
-    return DeltaTables(p=p, n=n, plus=tuple(grids[0::2]), minus=tuple(grids[1::2]),
-                       ops_per_level=ops)
+    return DeltaTables(p=p, n=n, plus=tuple(grids), ops_per_level=ops)
 
 
 #: the bytes of a grid line: digits, the space between tokens, its newline
@@ -254,8 +270,8 @@ _GRID_CHARS = b"0123456789 \n"
 
 
 def _grid_body(payload: bytes, ends: np.ndarray, digits: int) -> bytes:
-    """The first len(ends) lines of ``payload``, where line g must hold
-    ends[g] - ends[g-1] tokens of 1 to ``digits`` decimal digits, one space
+    """The first len(ends) lines of ``payload``, where line m must hold
+    ends[m] - ends[m-1] tokens of 1 to ``digits`` decimal digits, one space
     apart: no sign, no empty token and no token too long for the dtype.
     Raises TableFormatError naming the level of the first line that does not.
     """
@@ -266,8 +282,8 @@ def _grid_body(payload: bytes, ends: np.ndarray, digits: int) -> bytes:
         pos = payload.find(b"\n", pos + 1)
     body = payload[:newlines[-1] + 1] if len(newlines) == len(ends) else payload
     raw = np.frombuffer(body, np.uint8)
-    # separator k (a space or a newline) ends token k; newline g is
-    # separator lines[g]
+    # separator k (a space or a newline) ends token k; newline m is
+    # separator lines[m]
     spaces = np.flatnonzero(raw == 32)
     at = np.searchsorted(spaces, newlines)
     seps = np.insert(spaces, at, newlines)
@@ -281,17 +297,17 @@ def _grid_body(payload: bytes, ends: np.ndarray, digits: int) -> bytes:
     wide = np.flatnonzero((width < 1) | (width > digits))
     if len(wide):
         faults.append(seps[wide[0]])
-    grid = len(ends)
+    m = len(ends)
     if faults:
-        grid = int(np.searchsorted(newlines, min(faults)))
-    # the newline of line g must be separator ends[g] - 1: a missing or an
+        m = int(np.searchsorted(newlines, min(faults)))
+    # the newline of line m must be separator ends[m] - 1: a missing or an
     # extra token moves it
     moved = np.flatnonzero(lines != ends[:len(lines)] - 1)
-    grid = min(grid, int(moved[0]) if len(moved) else len(lines))
-    if grid < len(ends):
-        side = 2 ** (grid // 2) + 1
+    m = min(m, int(moved[0]) if len(moved) else len(lines))
+    if m < len(ends):
+        side = 2 ** m + 1
         raise TableFormatError(
-            f"level {grid // 2} grid is not {side * side} decimal numerators"
+            f"level {m} grid is not {side * side} decimal numerators"
         )
     return body
 
@@ -323,10 +339,11 @@ def build_tables(p: RationalLike, n: int, *,
     D_n <= 2**limit_bits).  Each ``level_filled`` event records its dtype
     too.  Builds past ``MEMORY_BUDGET`` raise ``MemoryBudgetError`` first.
 
-    Each level runs one fill, ``kernels.fill_wedge`` for the plus grid,
-    and derives the minus grid from it by the identity in the module
-    docstring.  Its ``level_filled`` event still counts, as ``ops``, the
-    logical window pairs of both grids' recursions.
+    Each level runs one fill, ``kernels.fill_wedge`` for the plus grid;
+    the tables keep only the plus grids, and ``DeltaTables.minus`` derives
+    the minus grids from them by the identity in the module docstring.
+    Each ``level_filled`` event still counts, as ``ops``, the logical window
+    pairs of both grids' recursions.
 
     A big-int level is filled through a float filter: the window pairs
     within ``kernels.filter_margin`` of their cell's float64 optimum (the
@@ -370,20 +387,15 @@ def build_tables(p: RationalLike, n: int, *,
             "bits": ((2 * dp) ** n).bit_length(),
             "limit_bits": INT64_SAFE_LIMIT.bit_length() - 1,
         })
-    plus, minus = [base], [base]
+    plus = [base]
     ops_per_level = [0]
     for m in range(1, n + 1):
         t0 = time.perf_counter()
         size = 2 ** m
-        dppow = dp ** m
         gp, fill = kernels.fill_wedge(plus[-1], size, ca, cb)
-        _complete_grid(gp, size, dppow)
-        # l*dp^m numerates l/2^m over D_m; exact in int64 (entries <= D_m)
-        gm = np.arange(size + 1).astype(dtype) * dppow - gp[::-1]
-        for g in (gp, gm):
-            g.flags.writeable = False
+        _complete_grid(gp, size, dp ** m)
+        gp.flags.writeable = False
         plus.append(gp)
-        minus.append(gm)
         # the window pairs of the recursion's two grids, one fill each
         ops = 2 * fill
         ops_per_level.append(ops)
@@ -400,8 +412,7 @@ def build_tables(p: RationalLike, n: int, *,
                 event["prune_kept"] = fill.counts["prune_kept"]
                 event["prune_fallbacks"] = fill.counts["prune_fallbacks"]
             progress(event)
-    return DeltaTables(p=p, n=n, plus=tuple(plus), minus=tuple(minus),
-                       ops_per_level=tuple(ops_per_level))
+    return DeltaTables(p=p, n=n, plus=tuple(plus), ops_per_level=tuple(ops_per_level))
 
 
 def tables_for(p: Fraction, n: int, tables: Optional[DeltaTables] = None) -> DeltaTables:

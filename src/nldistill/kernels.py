@@ -105,7 +105,8 @@ def filter_margin(depth: int, magnitude: float) -> float:
 # with ca = 2*num(p), cb = den(p) - 2*num(p), all over D_m = 2*den(p)*D_{m-1}.
 # Only the wedge k <= min(l, h) is computed here; the caller completes the
 # grid by the (k,l) <-> (l,k) reflection and the complement identity, and
-# derives the minus grid from it (see the ``delta`` module docstring).
+# ``DeltaTables.minus`` derives the minus grid from it (see the ``delta``
+# module docstring).
 #
 # For k <= h the i window is 0..k.  With the rows
 #   U_i = ca*P[i] + cb*P[k-i],   V_i = ca*P[k-i] + cb*P[i]

@@ -135,21 +135,20 @@ def bilinear_scan(t, a0_idx):
 
 
 def load_payload(payload, p, n):
-    """The grids of a cache file's payload (the bytes after its sha256 line)
-    for levels 0..n, plus before minus, each line split and checked token by
-    token; int64 while (2*den(p))^n <= 2^59, else Python ints."""
+    """The plus grids of a cache file's payload (the bytes after its sha256
+    line) for levels 0..n, one line per level, each split and checked token
+    by token; int64 while (2*den(p))^n <= 2^59, else Python ints."""
     dtype = np.int64 if (2 * p.denominator) ** n <= 1 << 59 else object
     grids = []
     pos = 0
     for m in range(n + 1):
         side = 2 ** m + 1
-        for _ in range(2):
-            end = payload.index(b"\n", pos)
-            tokens = payload[pos:end].split(b" ")
-            assert len(tokens) == side * side and all(map(bytes.isdigit, tokens))
-            values = list(map(int, tokens))
-            assert max(values) <= (2 * p.denominator) ** m
-            grids.append(np.array(values, dtype=dtype).reshape(side, side))
-            pos = end + 1
+        end = payload.index(b"\n", pos)
+        tokens = payload[pos:end].split(b" ")
+        assert len(tokens) == side * side and all(map(bytes.isdigit, tokens))
+        values = list(map(int, tokens))
+        assert max(values) <= (2 * p.denominator) ** m
+        grids.append(np.array(values, dtype=dtype).reshape(side, side))
+        pos = end + 1
     assert pos == len(payload)
     return grids

@@ -272,15 +272,15 @@ except ValueError as exc:
 
 
 def test_bound_check_survives_optimize_flag():
-    # all-zero level-2 grids bound wedge(1/5, 0) by 2 < NL = 12/5; the check
+    # all-zero plus grids, and the minus grids derived from them, bound
+    # wedge(1/5, 0) at n=2 by 2 < NL = 12/5 (at (0, 0, 0, 0)); the check
     # must raise even under python -O, which strips assert statements
     code = """
 from fractions import Fraction
 import numpy as np
 from nldistill import DeltaTables, iso_bound, wedge
 zeros = tuple(np.zeros((2 ** m + 1, 2 ** m + 1), dtype=np.int64) for m in range(3))
-tables = DeltaTables(p=Fraction(2, 5), n=2, plus=zeros, minus=zeros,
-                     ops_per_level=(0, 0, 0))
+tables = DeltaTables(p=Fraction(2, 5), n=2, plus=zeros, ops_per_level=(0, 0, 0))
 print("debug", __debug__)
 try:
     iso_bound(wedge(Fraction(1, 5), 0), 2, tables=tables)

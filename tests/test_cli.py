@@ -130,12 +130,14 @@ def test_corrupt_cache_is_distinct_io_error(capsys, tmp_path):
                        "--cache", str(cache))
     assert code == 4
     assert "cache corrupt" in err and "TableChecksumError" in err
-    # a cache written by format 1 names the file to delete
-    victim.write_bytes(b"NLDELTA 1\nn=2 p=2/5\nsha256=0\n")
-    code, _, err = run(capsys, "bound", "--wedge", "1/5,0", "--n", "2",
-                       "--cache", str(cache))
-    assert code == 4
-    assert str(victim) in err and "TableVersionError" in err
+    # a cache written by format 1 or 2 names the file to delete
+    for old in (b"NLDELTA 1\nn=2 p=2/5\nsha256=0\n",
+                b"NLDELTA 2\nn=2 p=2/5\nops=0,20,86\nsha256=0\n0 0 0 1\n"):
+        victim.write_bytes(old)
+        code, _, err = run(capsys, "bound", "--wedge", "1/5,0", "--n", "2",
+                           "--cache", str(cache))
+        assert code == 4
+        assert str(victim) in err and "TableVersionError" in err
 
 
 def test_grid_csv_and_json(capsys):

@@ -414,14 +414,12 @@ def test_saved_bytes_are_pinned(tmp_path):
     path = tmp_path / "t.nldt"
     build_tables(F(1, 2), 1).save(path)
     assert path.read_bytes() == (
-        b"NLDELTA 2\n"
+        b"NLDELTA 3\n"
         b"n=1 p=1/2\n"
         b"ops=0,20\n"
-        b"sha256=435693ce460a985a377317c3c92faee513a5a63281f7dbcdf351f9fe411e3956\n"
-        b"0 0 0 1\n"
+        b"sha256=a42a17f41ec61afb3340160cf69327b5c6b59aef47e8ab25a891632cab21d7cf\n"
         b"0 0 0 1\n"
         b"0 0 0 0 2 2 0 2 4\n"
-        b"0 0 0 0 0 2 0 2 4\n"
     )
 
 
@@ -431,10 +429,10 @@ def test_saved_level_6_digest_is_pinned(tmp_path):
     build_tables(F(2, 5), 6).save(path)
     head = path.read_bytes().split(b"\n")[:4]
     assert head == [
-        b"NLDELTA 2",
+        b"NLDELTA 3",
         b"n=6 p=2/5",
         b"ops=0,20,86,580,5550,66810,919666",
-        b"sha256=9b7ec62509ae4501ed8c937f019266c6783cd823abc13f8d3566f16f80f37be6",
+        b"sha256=ee9d7da4a410c21434e8ee04106fa74a60ba2d102d8ba163af12714fe8a690d7",
     ]
 
 
@@ -497,7 +495,7 @@ def test_load_error_cases(tmp_path):
         load_tables(truncated)
 
     versioned = tmp_path / "version.nldt"
-    versioned.write_bytes(data.replace(b"NLDELTA 2", b"NLDELTA 1", 1))
+    versioned.write_bytes(data.replace(b"NLDELTA 3", b"NLDELTA 2", 1))
     with pytest.raises(TableVersionError):
         load_tables(versioned)
 
@@ -546,7 +544,7 @@ def test_malformed_payload_is_distinct(tmp_path, p, dtype):
     assert load_tables(path).plus[1].dtype == dtype
     lines = path.read_bytes().split(b"\n")
     assert _restamp(lines) == path.read_bytes()
-    row, top = lines[6], t.level_denominator(1)  # the level-1 plus grid
+    row, top = lines[5], t.level_denominator(1)  # the level-1 grid
     head, last = row.rsplit(b" ", 1)
     assert int(last) == top
     bad_rows = [
@@ -566,7 +564,7 @@ def test_malformed_payload_is_distinct(tmp_path, p, dtype):
     ]
     bad = tmp_path / "bad.nldt"
     for bad_row in bad_rows:
-        bad.write_bytes(_restamp(lines[:6] + [bad_row] + lines[7:]))
+        bad.write_bytes(_restamp(lines[:5] + [bad_row] + lines[6:]))
         with pytest.raises(TableFormatError):
             load_tables(bad)
     bad.write_bytes(_restamp(lines[:-1] + [b"0", b""]))  # an extra last line
@@ -583,9 +581,12 @@ def test_bulk_load_matches_token_reference(tmp_path, p, n):
     build_tables(p, n).save(path)
     got = load_tables(path)
     want = scalar_kernels.load_payload(path.read_bytes().split(b"\n", 4)[4], p, n)
-    assert len(want) == 2 * n + 2
-    for m in range(n + 1):
-        for grid, ref in ((got.plus[m], want[2 * m]), (got.minus[m], want[2 * m + 1])):
+    assert len(want) == n + 1
+    for m, ref_plus in enumerate(want):
+        # the minus grid is derived from the plus grid: l*dp^m - plus[2^m - k, l]
+        ref_minus = (np.arange(2 ** m + 1).astype(ref_plus.dtype) * p.denominator ** m
+                     - ref_plus[::-1])
+        for grid, ref in ((got.plus[m], ref_plus), (got.minus[m], ref_minus)):
             assert grid.dtype == ref.dtype and np.array_equal(grid, ref), (m, grid.dtype)
             assert not grid.flags.writeable
 
