@@ -14,10 +14,15 @@ runs in Python ints throughout on object arrays.
 Large int64 levels of ``fill_wedge`` bound each row's optimum from above
 in floats and evaluate in int64 only the rows whose bound reaches an
 exact lower bound of their cell (see the comment above ``fill_wedge``).
-Results are exact on every path.
+On int64 arrays ``iso_scan`` bounds each pair of (l0, l1) tiles from above
+by exact integer tile extremes and evaluates only the pairs whose bound
+reaches the exact optimum of the pair of largest bound (see the comment
+above ``_slab_best``).  Results are exact on every path.
 """
 from __future__ import annotations
 
+import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -141,9 +146,11 @@ def filter_margin(depth: int, magnitude: float) -> float:
 # (row, l) pairs whose float bound, widened by filter_margin, reaches L
 # are evaluated in int64.  On the four cold_int64 tables of the benchmark
 # a level 8 fill evaluates 10-14 % of its (row, l) pairs; below level 8
-# the bound pass costs more than it saves.  The tie-heavy tables (p = 0 or
-# 1/2) keep nearly every pair: a block past PRUNE_CAP sweeps instead, and
-# so does the rest of its level.
+# the bound pass costs more than it saves.  A block past PRUNE_CAP sweeps
+# instead, and so does the rest of its level.  At p = 0 and p = 1/2, where
+# ca*cb = 0, nearly every row ties with its cell's optimum (97 % of the
+# (row, l) pairs at level 8 reach L), so those levels sweep from the start
+# without building a pruner; every block still counts as a prune fallback.
 # ---------------------------------------------------------------------------
 
 #: rows (k, i) per block of the level fill; about 1 MB of int64 working
@@ -191,7 +198,7 @@ def fill_wedge(prev: np.ndarray, size: int, ca, cb):
     if filtered:
         shadow = float_shadow(prev, max(int(prev.max()), 1))
         alpha, beta = ca / (ca + cb), cb / (ca + cb)
-    pruner = _Pruner(prev, ca, cb) if prunes else None
+    pruner = _Pruner(prev, ca, cb) if prunes and ca * cb else None
     for k_lo, ks, iv in _fill_blocks(size):
         best = None
         if filtered:
@@ -485,6 +492,26 @@ def _wedge_pairs(size: int) -> int:
 # of a and c, the add of off_b.  Only the (b0, b1) cells within
 # filter_margin(5, 6) of the float optimum are scanned again exactly; with
 # more than FILTER_CAP of them every slab is.
+#
+# The int64 profile scan bounds, then prunes.  The b axis is cut into tiles
+# of width max(1, isqrt(size) // 2); the last one is ragged.  For a
+# tile pair (T0, T1), with max_T and min_T taken over the tile's columns of
+# one row, every cell (b0 in T0, b1 in T1) is at most the exact integer
+#   max_a0 (max_T0 A[a0] + max_T1 A[a0] + off_a[a0])
+#     + max_a1 (max_T0 B[a1] - min_T1 C[a1]) + max_T0 off_b,
+# since each term of the cell is at most its tile extreme at the same a0
+# or a1.  One reduceat per array gives the tile extremes, and the bounds
+# take O((S/width)^2 * S) adds, one T0 row at a time.  The pair of largest
+# bound is evaluated exactly; its best value L is the value of a cell, so
+# L <= V*, the optimum.  Every optimal cell lies in a pair whose bound is
+# >= V* >= L, so evaluating exactly the cells of every pair with bound
+# >= L, through the same slabs, yields V* and, as all optimal cells are
+# among them, the same lex-min witness as the full sweep.  No margin is
+# needed: every bound is an integer sum of the terms the sweep itself adds,
+# so the int64 premise of the sweep covers it.  The width grows with n, as
+# measured: at n = 8 a width of 8 keeps 0.5-2 % of the tile pairs and a
+# fixed 16 kept up to 30 % (p = 31/80).  The n <= 2 search tables keep
+# every tile pair at widths 4-16, so ``bilinear_scan`` sweeps.
 # ---------------------------------------------------------------------------
 
 def _slab_best(a, c):
@@ -495,6 +522,14 @@ def _slab_best(a, c):
     best = v.max()
     tied = np.flatnonzero(v == best)
     return int(best), min(zip(r0[tied].tolist(), r1[tied].tolist(), tied.tolist()))
+
+
+def _cells(slabs, a0_idx):
+    """(-value, lex-min (a0, a1, b0, b1)) of each slab's best cell: the least
+    of them is the largest value with, among ties, the lex-min witness."""
+    for b0, b1s, a, c, const in slabs:
+        cell, (i, a1, j) = _slab_best(a, c)
+        yield -(cell + const), (int(a0_idx[i]), a1, b0, j if b1s is None else int(b1s[j]))
 
 
 def _pair_scan(A, B, C, a0_idx, off_a, off_b, scale):
@@ -512,13 +547,54 @@ def _pair_scan(A, B, C, a0_idx, off_a, off_b, scale):
         if len(survivors) <= FILTER_CAP:
             b0s, starts = np.unique(survivors[:, 0], return_index=True)
             rows = zip(b0s.tolist(), np.split(survivors[:, 1], starts[1:]))
+    value, witness = min(_cells(_pair_slabs(A, B, C, a0_idx, off_a, off_b, rows), a0_idx))
+    return -value, witness
 
-    def cells():
-        for b0, b1s, a, c, const in _pair_slabs(A, B, C, a0_idx, off_a, off_b, rows):
-            cell, (i, a1, j) = _slab_best(a, c)
-            yield -(cell + const), (int(a0_idx[i]), a1, b0, j if b1s is None else int(b1s[j]))
-    # the least negated value is the largest; ties go to the lex-min witness
-    value, witness = min(cells())
+
+def _tile_bounds(A, B, C, a0_idx, off_a, off_b, starts):
+    """bound[T0, T1] >= the pair objective at every cell (b0 in T0, b1 in T1)
+    of the tiles that begin at ``starts``: the tile maxima of A and B and the
+    tile minima of C, taken per row, in place of the cell's entries."""
+    def per_tile(x, reduce):
+        # [T, r]: the reduction of row r of x over tile T
+        return np.ascontiguousarray(reduce.reduceat(x, starts, axis=1).T)
+    hi_b = per_tile(B, np.maximum)
+    hi_a = (hi_b if A is B else per_tile(A, np.maximum))[:, a0_idx]
+    lo_c = per_tile(C, np.minimum)
+    hi_a_off = hi_a + off_a
+    bound = np.empty((len(starts), len(starts)), dtype=A.dtype)
+    # one T0 row at a time keeps the temporaries at tiles x rows
+    for t0 in range(len(starts)):
+        bound[t0] = (hi_a_off + hi_a[t0]).max(axis=1) + (hi_b[t0] - lo_c).max(axis=1)
+    bound += np.maximum.reduceat(off_b, starts)[:, None]
+    return bound
+
+
+def _tile_rows(keep, width: int, cols: int):
+    """(b0, ascending b1s) over the cells of the tile pairs keep[T0, T1] of
+    ``width`` columns each, the last one cut at ``cols``."""
+    for t0 in np.flatnonzero(keep.any(axis=1)).tolist():
+        b1s = np.flatnonzero(np.repeat(keep[t0], width)[:cols])
+        for b0 in range(t0 * width, min((t0 + 1) * width, cols)):
+            yield b0, b1s
+
+
+def _tiled_scan(A, B, C, a0_idx, off_a, off_b, width: int):
+    """``_pair_scan`` on int64 arrays through an exact bound per tile pair.
+
+    The tile pair of largest bound is evaluated first; its best value L is
+    a lower bound of the optimum, so every tile pair holding an optimal
+    cell has a bound >= L, and the scan evaluates exactly those."""
+    cols = A.shape[1]
+    bound = _tile_bounds(A, B, C, a0_idx, off_a, off_b, np.arange(0, cols, width))
+    keep = np.zeros(bound.shape, dtype=bool)
+    keep.flat[bound.argmax()] = True
+    top = min(_cells(_pair_slabs(A, B, C, a0_idx, off_a, off_b,
+                                 _tile_rows(keep, width, cols)), a0_idx))
+    keep = (bound >= -top[0]) & ~keep
+    rest = _cells(_pair_slabs(A, B, C, a0_idx, off_a, off_b,
+                              _tile_rows(keep, width, cols)), a0_idx)
+    value, witness = min(itertools.chain([top], rest))
     return -value, witness
 
 
@@ -526,26 +602,32 @@ def _pair_slabs(A, B, C, a0_idx, off_a, off_b, rows=None):
     """(b0, b1s, a, c, off_b[b0]) per slab, over the ascending b1 = b1s[j] of
     the (b0, b1s) pairs in ``rows``; by default every b0 with b1s None (all
     b1), in buffers reused from slab to slab."""
+    consts = off_b.tolist()
+    if rows is not None:
+        # a few b1 per slab: gather their columns rather than transpose
+        a_cols = A[a0_idx] + off_a[:, None]
+        for b0, b1s in rows:
+            a = a_cols[:, b1s] + A[a0_idx, b0][:, None]
+            yield b0, b1s, a.T, (B[:, b0, None] - C[:, b1s]).T, consts[b0]
+        return
     bt = np.ascontiguousarray(B.T)
     at = np.ascontiguousarray((bt if A is B else A.T)[:, a0_idx])
     ct = bt if C is B else np.ascontiguousarray(C.T)
     a_rows = at + off_a
-    consts = off_b.tolist()
-    if rows is None:
-        a, c = np.empty_like(a_rows), np.empty_like(ct)
-        for b0 in range(len(bt)):
-            np.add(a_rows, at[b0], out=a)
-            yield b0, None, a, np.subtract(bt[b0], ct, out=c), consts[b0]
-        return
-    for b0, b1s in rows:
-        yield b0, b1s, a_rows[b1s] + at[b0], bt[b0] - ct[b1s], consts[b0]
+    a, c = np.empty_like(a_rows), np.empty_like(ct)
+    for b0 in range(len(bt)):
+        np.add(a_rows, at[b0], out=a)
+        yield b0, None, a, np.subtract(bt[b0], ct, out=c), consts[b0]
 
 
 def iso_scan(xp, xm, dpn, k0_cap, size):
     """The isotropic bound's profile scan; returns (best, (k0, k1, l0, l1))."""
     ks = np.arange(size + 1).astype(xp.dtype)
-    return _pair_scan(xp, xp, xm, np.arange(k0_cap + 1), -ks[:k0_cap + 1] * dpn,
-                      (size // 2 - ks) * dpn, size * dpn)
+    args = (xp, xp, xm, np.arange(k0_cap + 1), -ks[:k0_cap + 1] * dpn,
+            (size // 2 - ks) * dpn)
+    if xp.dtype == object:
+        return _pair_scan(*args, size * dpn)
+    return _tiled_scan(*args, max(1, math.isqrt(size) // 2))
 
 
 def bilinear_scan(t: np.ndarray, a0_idx: np.ndarray, scale: int):

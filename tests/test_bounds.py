@@ -244,6 +244,90 @@ def test_iso_scan_falls_back_past_the_cap(monkeypatch):
     assert exact == [True]
 
 
+def _full_sweep(xp, xm, dpn, k0_cap, size):
+    """The untiled profile scan, one slab per l0 over every (l0, l1) cell:
+    the reference for the tiled int64 scan."""
+    ks = np.arange(size + 1).astype(xp.dtype)
+    return kernels._pair_scan(xp, xp, xm, np.arange(k0_cap + 1), -ks[:k0_cap + 1] * dpn,
+                              (size // 2 - ks) * dpn, size * dpn)
+
+
+TILED_SCAN_PS = ["2/5", "13/32", "31/80", "39/80", "0", "1/2", "5/12", "17/40"]
+
+
+def _check_tiled_scan_on_tables(p, n_max):
+    t = build_tables(F(p), n_max)
+    for n in range(1, n_max + 1):
+        xp, xm, dpn, size = t.plus[n], t.minus[n], t.p.denominator ** n, 2 ** n
+        assert xp.dtype == np.int64
+        for k0_cap in (size // 2, size):
+            assert kernels.iso_scan(xp, xm, dpn, k0_cap, size) \
+                == _full_sweep(xp, xm, dpn, k0_cap, size), (n, k0_cap)
+
+
+@pytest.mark.parametrize("p", TILED_SCAN_PS)
+def test_tiled_iso_scan_matches_full_sweep(p):
+    # value and lex-min witness of the tiled scan equal the full sweep's,
+    # reduced (k0 <= size/2) and unreduced, at every n up to 8
+    _check_tiled_scan_on_tables(p, 8)
+
+
+@pytest.mark.longrun
+@pytest.mark.parametrize("p", ["2/5", "13/32", "0", "1/2", "5/12", "17/40"])
+def test_tiled_iso_scan_matches_full_sweep_n9(p):
+    # 31/80 and 39/80 leave int64 at n = 9
+    _check_tiled_scan_on_tables(p, 9)
+
+
+def test_tiled_iso_scan_finds_witness_outside_the_top_tile():
+    # size 16 makes tiles of width isqrt(16) // 2 = 2: {0, 1}, ...,
+    # {14, 15} and the ragged last tile {16}.  Row 5 has 1 at l = 4 and
+    # row 12 has 1 at l = 5, so the tile pair ({4, 5}, {4, 5}) bounds its
+    # cells by 3 (k0 = 5 takes 1 + 1, k1 = 12 takes 1 - 0), although none
+    # of them exceeds 2: row 12 lies past k0_cap = 8, and xm = 10 on row 5
+    # keeps k1 = 5 from paying.
+    # Row 1 has 1 at l = 16 and xm = 10: the cell (16, 16) reaches 2 as
+    # (k0, k1) = (1, 0), and the bound of its tile pair is exactly 2.  So
+    # the lex-min witness lies in a tile pair whose bound only equals the
+    # top pair's best value.
+    size, k0_cap = 16, 8
+    xp = np.zeros((size + 1, size + 1), dtype=np.int64)
+    xm = np.zeros_like(xp)
+    xp[5, 4] = xp[12, 5] = xp[1, 16] = 1
+    xm[5] = xm[1] = 10
+    # dpn = 0: both offsets vanish
+    zeros = np.zeros(size + 1, dtype=np.int64)
+    bound = kernels._tile_bounds(xp, xp, xm, np.arange(k0_cap + 1), zeros[:k0_cap + 1],
+                                 zeros, np.arange(0, size + 1, 2))
+    assert np.unravel_index(bound.argmax(), bound.shape) == (2, 2)
+    assert bound[2, 2] == 3 and bound[8, 8] == 2
+    want = (2, (1, 0, 16, 16))
+    assert _iso_oracle(xp, xm, 0, k0_cap, size) == _full_sweep(xp, xm, 0, k0_cap, size) \
+        == want
+    assert kernels.iso_scan(xp, xm, 0, k0_cap, size) == want
+
+
+@st.composite
+def tie_heavy_tiled_inputs(draw):
+    """Grids of size 16 to 64, so tiles are 2 to 4 wide, whose entries take
+    3 or 4 values; dpn = 0 drops the offsets, so whole tiles tie."""
+    size = draw(st.integers(min_value=16, max_value=64))
+    dpn = draw(st.integers(min_value=0, max_value=2))
+    top = draw(st.integers(min_value=2, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    xp, xm = rng.integers(0, top + 1, size=(2, size + 1, size + 1))
+    return xp, xm, dpn, size
+
+
+@settings(max_examples=80, deadline=None)
+@given(tie_heavy_tiled_inputs())
+def test_tiled_iso_scan_matches_full_sweep_on_ties(inputs):
+    xp, xm, dpn, size = inputs
+    for k0_cap in (size // 2, size):
+        assert kernels.iso_scan(xp, xm, dpn, k0_cap, size) \
+            == _full_sweep(xp, xm, dpn, k0_cap, size), k0_cap
+
+
 def test_filter_checks_survive_optimize_flag():
     # a big-int entry above size*dpn breaks the margin's premise; the
     # shadow's range check must raise even under python -O
