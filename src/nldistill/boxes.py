@@ -218,8 +218,11 @@ def nl_value(system: BinarySystem) -> tuple[Fraction, CHSHExpression]:
     Ties are broken by the lexicographically smallest (anchor, sign),
     positive sign first.
     """
-    # max keeps the first of equal values, so the smallest key wins a tie
-    return max(((expr.evaluate(system), expr)
+    corr = {(x, y): system.correlator(x, y) for x, y in product(BITS, BITS)}
+    total = sum(corr.values())
+    # E_xy + E_x'y + E_xy' - E_x'y' = total - 2 E_x'y'; max keeps the first
+    # of equal values, so the smallest key wins a tie
+    return max(((expr.sign * (total - 2 * corr[1 - expr.x, 1 - expr.y]), expr)
                 for expr in sorted(CHSH_EXPRESSIONS, key=lambda e: e.key)),
                key=lambda pair: pair[0])
 

@@ -26,6 +26,7 @@ from .boxes import (
     BITS,
     BinarySystem,
     CHSHExpression,
+    CHSH_EXPRESSIONS,
     LOCAL_VERTICES,
     mix,
     nl_value,
@@ -38,6 +39,21 @@ from .simplex import solve_max
 
 class DecompositionError(Exception):
     """Internal consistency failure while decomposing a box."""
+
+
+# The local vertices are 0/1 tables: the vertices that carry each table
+# entry, so an entry of a local mixture is a sum of weights.
+_SUPPORT = tuple(tuple(i for i, v in enumerate(LOCAL_VERTICES) if v.table[t])
+                 for t in range(16))
+# the nonlocal vertex of each CHSH expression and its isotropic facet box P_F
+_FACETS = {e: (vertex_for_expression(e), mix([(Fraction(3, 4), vertex_for_expression(e)),
+                                              (Fraction(1, 4), opposite_vertex(e))]))
+           for e in CHSH_EXPRESSIONS}
+
+
+def _local_mix(weights: Sequence[Fraction]) -> list[Fraction]:
+    """sum_i weights[i] * V_i, entry by entry in table order."""
+    return [sum(weights[i] for i in support) for support in _SUPPORT]
 
 
 @dataclass(frozen=True)
@@ -72,9 +88,9 @@ def local_part(system: BinarySystem,
     # exact optimality certificate: feasible basis + no positive reduced cost
     if any(w < 0 for w in weights) or any(rc > 0 for rc in res.reduced_costs):
         raise DecompositionError("simplex returned an uncertified optimum")
+    local = BinarySystem(tuple(_local_mix(weights)))
     for (a, b, x, y), s in zip(constraints, res.slack):
-        lhs = sum(w * v.prob(a, b, x, y) for w, v in zip(weights, LOCAL_VERTICES))
-        if lhs + s != system.prob(a, b, x, y):
+        if local.prob(a, b, x, y) + s != system.prob(a, b, x, y):
             raise DecompositionError("LP slack fails to reconstruct the constraint")
     return LPResult(weights=tuple(weights), local_part=res.value,
                     slack=res.slack, iterations=res.iterations)
@@ -85,9 +101,7 @@ def facet_of(system: BinarySystem) -> tuple[CHSHExpression, BinarySystem, Binary
     nl, expr = nl_value(system)
     if nl <= 2:
         raise ValueError(f"NL(P) = {nl} <= 2: no violated CHSH facet")
-    p_nl = vertex_for_expression(expr)
-    p_f = mix([(Fraction(3, 4), p_nl), (Fraction(1, 4), opposite_vertex(expr))])
-    return expr, p_nl, p_f
+    return (expr, *_FACETS[expr])
 
 
 def facet_weight(p_star: BinarySystem, p_f: BinarySystem) -> Fraction:
@@ -137,16 +151,13 @@ def minimal_isotropic(system: BinarySystem) -> Decomposition:
             epsilon=Fraction(0), q=Fraction(0), p_f=None, facet=None,
             p_iso=None, p_star=system, p_l=system, lp=lp,
         )
-    nl, _ = nl_value(system)
+    nl, expr = nl_value(system)
     if nl <= 2:
         raise DecompositionError(
             f"local part {s} < 1 for a box with NL = {nl} <= 2"
         )
-    expr, p_nl, p_f_sys = facet_of(system)
-    local_mix = [Fraction(0)] * 16
-    for w, v in zip(lp.weights, LOCAL_VERTICES):
-        for i, e in enumerate(v.table):
-            local_mix[i] += w * e
+    p_nl, p_f_sys = _FACETS[expr]
+    local_mix = _local_mix(lp.weights)
     # the maximal-local remainder must sit on the violated vertex
     remainder = [e - lm for e, lm in zip(system.table, local_mix)]
     if remainder != _scale(p_nl, 1 - s):

@@ -1,4 +1,4 @@
-"""Scalar reference bodies of the four integer kernels.
+"""Scalar reference bodies of the four integer kernels and the simplex.
 
 One explicit loop per term, written independently of the vectorised
 kernels in ``nldistill.kernels``; the agreement tests compare the two on
@@ -6,13 +6,18 @@ the same int64 inputs, op counts and lexicographic tie-breaks included.
 They take int64 arrays; ``bilinear_scan``, whose sentinel lies below
 every integer, also takes object arrays of Python ints of any size.
 ``load_payload`` reads a table cache's grid lines token by token, the
-reference for the loader's bulk parse.
+reference for the loader's bulk parse.  ``solve_max`` is the simplex on a
+``Fraction`` tableau, the reference for the fraction-free one in
+``nldistill.simplex``: same Bland's rule, so the same pivot sequence.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
+
+from nldistill.simplex import SimplexResult, UnboundedError
 
 _SENTINEL = 1 << 62
 
@@ -152,3 +157,54 @@ def load_payload(payload, p, n):
         pos = end + 1
     assert pos == len(payload)
     return grids
+
+
+def solve_max(c, a, b):
+    """max c.x s.t. A x <= b, x >= 0 with b >= 0, on Fractions throughout."""
+    m, n = len(a), len(c)
+    if any(bi < 0 for bi in b):
+        raise ValueError("this solver requires b >= 0")
+    zero, one = Fraction(0), Fraction(1)
+    # tableau rows: [A | I | rhs]; cost row holds c_j - z_j
+    rows = [[Fraction(v) for v in a[i]] + [one if j == i else zero for j in range(m)]
+            + [Fraction(b[i])] for i in range(m)]
+    cost = [Fraction(v) for v in c] + [zero] * (m + 1)
+    basis = list(range(n, n + m))
+    iterations = 0
+    while True:
+        enter = next((j for j in range(n + m) if cost[j] > 0), None)
+        if enter is None:
+            break
+        ratio, leave = None, None
+        for i in range(m):
+            if rows[i][enter] > 0:
+                r = rows[i][-1] / rows[i][enter]
+                if ratio is None or r < ratio or (r == ratio and basis[i] < basis[leave]):
+                    ratio, leave = r, i
+        if leave is None:
+            raise UnboundedError("objective unbounded above")
+        piv = rows[leave][enter]
+        rows[leave] = [v / piv for v in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter] != 0:
+                f = rows[i][enter]
+                rows[i] = [v - f * w for v, w in zip(rows[i], rows[leave])]
+        if cost[enter] != 0:
+            f = cost[enter]
+            cost = [v - f * w for v, w in zip(cost, rows[leave])]
+        basis[leave] = enter
+        iterations += 1
+
+    x = [zero] * n
+    slack = [zero] * m
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = rows[i][-1]
+        else:
+            slack[j - n] = rows[i][-1]
+    value = sum(ci * xi for ci, xi in zip(c, x))
+    return SimplexResult(
+        value=value, x=tuple(x), slack=tuple(slack),
+        reduced_costs=tuple(cost[:n]), basis=tuple(basis),
+        iterations=iterations,
+    )

@@ -32,8 +32,13 @@ F = Fraction
 
 
 def test_nl_value_ties_go_to_the_first_key():
+    # nl_value evaluates all 8 expressions from 4 correlators; the reference
+    # is the max over CHSHExpression.evaluate, first in key order
+    rng = random.Random(1)
     boxes = [*LOCAL_VERTICES, *NONLOCAL_VERTICES, P_C, P_F,
-             wedge(F(1, 5), F(1, 5))]
+             wedge(F(1, 5), F(1, 5)), wedge(0, 0),
+             BinarySystem((F(1, 4),) * 16)]
+    boxes += [random_ns_box(rng) for _ in range(40)]
     for box in boxes:
         ranked = sorted(CHSH_EXPRESSIONS, key=lambda e: e.key)
         best = max(e.evaluate(box) for e in ranked)

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from nldistill import (
@@ -23,10 +26,78 @@ from nldistill import (
     validate,
     wedge,
 )
-from nldistill.simplex import solve_max
+from nldistill import decompose, simplex
+from nldistill.simplex import UnboundedError, solve_max
 from conftest import random_ns_box
+import scalar_kernels
 
 F = Fraction
+
+UNIFORM = BinarySystem((F(1, 4),) * 16)
+# degenerate LPs: many tied ratios, so Bland's basis-index tie-break decides
+TIE_HEAVY = [*LOCAL_VERTICES, PR, ANTI_PR, P_C, UNIFORM]
+
+
+@pytest.fixture
+def lp_agreement(monkeypatch):
+    """Route local_part's LPs through the integer solver and the Fraction
+    reference; every SimplexResult field, basis and iterations included,
+    must agree."""
+    solved = []
+
+    def both(c, a, b):
+        got = solve_max(c, a, b)
+        assert got == scalar_kernels.solve_max(c, a, b)
+        solved.append(got)
+        return got
+
+    monkeypatch.setattr(decompose, "solve_max", both)
+    yield solved
+    assert solved
+
+
+@contextmanager
+def replayed_pivots():
+    """Replay every pivot of ``simplex.solve_max`` with divmod: each
+    (piv*v - f*w) / d is exact and equals the row the solver stored."""
+    pivot = simplex._pivot
+    count = [0]
+
+    def replay(rows, leave, enter, d):
+        before = [list(row) for row in rows]
+        new_d = pivot(rows, leave, enter, d)
+        prow = before[leave]
+        piv = prow[enter]
+        assert new_d == piv > 0 and d > 0 and rows[leave] == prow
+        for i, (old, new) in enumerate(zip(before, rows)):
+            if i != leave:
+                f = old[enter]
+                for v, w, got in zip(old, prow, new):
+                    q, r = divmod(piv * v - f * w, d)
+                    assert r == 0 and q == got
+        count[0] += 1
+        return new_d
+
+    simplex._pivot = replay
+    try:
+        yield count
+    finally:
+        simplex._pivot = pivot
+
+
+fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 9))
+
+
+@st.composite
+def small_lps(draw):
+    """max c.x, A x <= b, x >= 0 with fractional A, b >= 0 and c."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    a = draw(st.lists(st.lists(fractions, min_size=n, max_size=n),
+                      min_size=m, max_size=m))
+    b = draw(st.lists(st.builds(F, st.integers(0, 6), st.integers(1, 9)),
+                      min_size=m, max_size=m))
+    c = draw(st.lists(fractions, min_size=n, max_size=n))
+    return c, a, b
 
 
 def test_simplex_known_lp():
@@ -37,6 +108,58 @@ def test_simplex_known_lp():
     assert all(rc <= 0 for rc in res.reduced_costs)
 
 
+@pytest.mark.parametrize("solve", [solve_max, scalar_kernels.solve_max],
+                         ids=["integer", "fraction"])
+def test_simplex_error_paths(solve):
+    with pytest.raises(ValueError, match=r"^this solver requires b >= 0$"):
+        solve([F(1)], [[F(1)]], [F(-1, 3)])
+    # max x + y s.t. x - y <= 1: y grows without bound
+    with pytest.raises(UnboundedError, match=r"^objective unbounded above$"):
+        solve([F(1), F(1)], [[F(1), F(-1)]], [F(1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_lps())
+def test_integer_simplex_matches_fraction_solver_on_fractional_lps(lp):
+    c, a, b = lp
+    try:
+        want = scalar_kernels.solve_max(c, a, b)
+    except UnboundedError:
+        with pytest.raises(UnboundedError), replayed_pivots():
+            solve_max(c, a, b)
+        return
+    with replayed_pivots():
+        assert solve_max(c, a, b) == want
+
+
+def test_every_pivot_division_is_exact():
+    rng = random.Random(16)
+    boxes = [wedge(F(i, 10), (1 - F(i, 10)) * F(j, 10))
+             for i in range(0, 10, 3) for j in range(0, 10, 3)]
+    boxes += [random_ns_box(rng) for _ in range(10)] + TIE_HEAVY
+    with replayed_pivots() as count:
+        for box in boxes:
+            local_part(box)
+    assert count[0]
+
+
+def test_integer_simplex_matches_fraction_solver_on_ties(lp_agreement):
+    rng = random.Random(17)
+    for box in TIE_HEAVY:
+        expected = 0 if box in (PR, ANTI_PR) else 1
+        orders = [list(range(16)), list(range(15, -1, -1))]
+        orders += [rng.sample(range(16), 16) for _ in range(3)]
+        for order in orders:
+            assert local_part(box, vertex_order=order).local_part == expected
+    # sparse random local mixtures: local part 1, with tied ratios
+    for _ in range(20):
+        weights = [rng.randrange(0, 3) for _ in LOCAL_VERTICES]
+        weights[rng.randrange(16)] += 1  # never all zero
+        box = mix([(F(w, sum(weights)), v) for w, v in zip(weights, LOCAL_VERTICES)])
+        assert local_part(box).local_part == 1
+        assert local_part(box, vertex_order=rng.sample(range(16), 16)).local_part == 1
+
+
 def test_local_part_vertices_and_pr():
     assert local_part(PR).local_part == 0
     assert local_part(ANTI_PR).local_part == 0
@@ -44,7 +167,7 @@ def test_local_part_vertices_and_pr():
         assert local_part(v).local_part == 1
 
 
-def test_local_part_wedge_grid():
+def test_local_part_wedge_grid(lp_agreement):
     for i in range(0, 10):
         eps = F(i, 10)
         for j in range(0, 10):
@@ -52,7 +175,7 @@ def test_local_part_wedge_grid():
             assert local_part(wedge(eps, delta)).local_part == 1 - eps
 
 
-def test_lp_constraints_hold_exactly():
+def test_lp_constraints_hold_exactly(lp_agreement):
     rng = random.Random(11)
     for _ in range(15):
         box = random_ns_box(rng)
@@ -65,7 +188,7 @@ def test_lp_constraints_hold_exactly():
             assert lhs <= box.prob(a, b, x, y)
 
 
-def test_lp_value_independent_of_vertex_order():
+def test_lp_value_independent_of_vertex_order(lp_agreement):
     rng = random.Random(12)
     for _ in range(5):
         box = random_ns_box(rng)
