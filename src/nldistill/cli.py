@@ -20,7 +20,8 @@ was filled in.  A level fills its plus grid only, from which the minus
 grid is derived on first read; big-int levels add the plus fill's
 float-filter counts ``filter_survivors`` and ``filter_fallbacks``, and
 int64 levels from level 8 on its pruning counts ``prune_kept`` and
-``prune_fallbacks``.
+``prune_fallbacks``.  A big-int search's ``search_done`` event adds
+``filter_survivors``, the cells it re-checked in Python ints.
 """
 from __future__ import annotations
 
@@ -272,8 +273,11 @@ def cmd_search(args) -> int:
         _require_long_run(args, "the n=2 exhaustive search")
     t0 = time.perf_counter()
     result = brute_force_D(system, args.n)
-    _log({"event": "search_done", "value": str(result.value),
-          "cells": result.cells_scanned, "seconds": _since(t0)})
+    event = {"event": "search_done", "value": str(result.value),
+             "cells": result.cells_scanned, "seconds": _since(t0)}
+    if result.filter_survivors is not None:
+        event["filter_survivors"] = result.filter_survivors
+    _log(event)
     obj = result.to_json_obj()
     obj["nl"] = str(nl_value(system)[0])
     _emit(args, json.dumps(obj, indent=2))

@@ -18,6 +18,7 @@ returned; a failure raises DecompositionError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Sequence
@@ -51,6 +52,18 @@ _FACETS = {e: (vertex_for_expression(e), mix([(Fraction(3, 4), vertex_for_expres
            for e in CHSH_EXPRESSIONS}
 
 
+# the LP's constraint entries (a, b, x, y), one per row
+_CONSTRAINTS = tuple(product(BITS, BITS, BITS, BITS))
+
+
+@cache
+def _vertex_matrix() -> tuple[tuple[Fraction, ...], ...]:
+    """V_j(a, b|x, y) per constraint row and canonical vertex column j,
+    built on first use."""
+    return tuple(tuple(v.prob(a, b, x, y) for v in LOCAL_VERTICES)
+                 for a, b, x, y in _CONSTRAINTS)
+
+
 def _local_mix(weights: Sequence[Fraction]) -> list[Fraction]:
     """sum_i weights[i] * V_i, entry by entry in table order."""
     return [sum(weights[i] for i in support) for support in _SUPPORT]
@@ -75,12 +88,8 @@ def local_part(system: BinarySystem,
     order = list(vertex_order) if vertex_order is not None else list(range(16))
     if sorted(order) != list(range(16)):
         raise ValueError("vertex_order must be a permutation of 0..15")
-    constraints = list(product(BITS, BITS, BITS, BITS))  # (a, b, x, y)
-    a_mat = [
-        [LOCAL_VERTICES[order[j]].prob(a, b, x, y) for j in range(16)]
-        for (a, b, x, y) in constraints
-    ]
-    b_vec = [system.prob(a, b, x, y) for (a, b, x, y) in constraints]
+    a_mat = [[row[j] for j in order] for row in _vertex_matrix()]
+    b_vec = [system.prob(a, b, x, y) for (a, b, x, y) in _CONSTRAINTS]
     res = solve_max([Fraction(1)] * 16, a_mat, b_vec)
     weights = [Fraction(0)] * 16
     for j in range(16):
@@ -89,7 +98,7 @@ def local_part(system: BinarySystem,
     if any(w < 0 for w in weights) or any(rc > 0 for rc in res.reduced_costs):
         raise DecompositionError("simplex returned an uncertified optimum")
     local = BinarySystem(tuple(_local_mix(weights)))
-    for (a, b, x, y), s in zip(constraints, res.slack):
+    for (a, b, x, y), s in zip(_CONSTRAINTS, res.slack):
         if local.prob(a, b, x, y) + s != system.prob(a, b, x, y):
             raise DecompositionError("LP slack fails to reconstruct the constraint")
     return LPResult(weights=tuple(weights), local_part=res.value,

@@ -4,13 +4,17 @@ Every hot loop in this package works on integer numerators over a common
 denominator, with max reductions.  Each kernel is one numpy body that
 runs on int64 arrays and on object arrays of Python big ints; callers only
 produce int64 arrays once they have proved that all intermediate
-magnitudes fit.  On object arrays ``fill_wedge`` and the pair scans
-(``iso_scan``, ``bilinear_scan``) first run the same body on a float64
-shadow of their inputs (``float_shadow``), keep the candidates within a
-proved rounding margin of the float optimum (``filter_margin``) and
-evaluate only those in Python ints; a block, or a scan, with more than
-``FILTER_CAP`` such survivors runs the exact body instead.  ``grid_scan``
-runs in Python ints throughout on object arrays.
+magnitudes fit.  On object arrays ``fill_wedge``, the profile scan
+``iso_scan`` and the search's ``bilinear_scan`` first run the same body on
+a float64 shadow of their inputs (``float_shadow``), keep the candidates
+within a proved rounding margin of the float optimum (``filter_margin``)
+and evaluate only those in Python ints; a fill block, or a profile scan,
+with more than ``FILTER_CAP`` such survivors runs the exact body instead.
+``grid_scan`` runs in Python ints throughout on object arrays.
+``bilinear_scan`` never forms the search's atom table: for fixed b0, b1
+the best decision tables are sign patterns, so each cell is a sum of
+absolute values of the wiring vectors (see the comment above
+``_sign_pass``).
 Large int64 levels of ``fill_wedge`` bound each row's optimum from above
 in floats and evaluate in int64 only the rows whose bound reaches an
 exact lower bound of their cell (see the comment above ``fill_wedge``).
@@ -466,41 +470,37 @@ def _wedge_pairs(size: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Pair scans.  The isotropic bound and the n <= 2 search both maximize
-#   A[a0,b0] + A[a0,b1] + off_a[a0] + B[a1,b0] - C[a1,b1] + off_b[b0]
-# over a0 in the ascending a0_idx and every a1, b0, b1, and return the
-# lex-min maximizer (a0, a1, b0, b1).  The profile scan (size = 2^n) takes
-# A = B = xp, C = xm, (a0, a1, b0, b1) = (k0 <= k0_cap, k1, l0, l1),
-# off_a[k0] = -k0*dpn and off_b[l0] = (size/2 - l0)*dpn: the class bound
-# scaled by 2^(n-2)*den(p)^n.  The search takes A = B = C = T and no offsets.
-# With no a0-a1 cross term the objective for fixed b0 is a[b1, a0] + c[b1, a1],
-#   a[b1, a0] = A[a0,b0] + A[a0,b1] + off_a[a0],  c[b1, a1] = B[a1,b0] - C[a1,b1],
-# so a scan sweeps one slab per b0, one b1 per contiguous row.  argmax
-# returns the first maximum: the least best a0 and a1 of each b1.  Tied b1
-# go to the least (a0, a1, b1); slabs merge under the full lexicographic
+# Profile scan.  The isotropic bound (size = 2^n) maximizes
+#   xp[k0,l0] + xp[k0,l1] + off_a[k0] + xp[k1,l0] - xm[k1,l1] + off_b[l0]
+# over k0 < len(off_a) and every k1, l0, l1, with off_a[k0] = -k0*dpn and
+# off_b[l0] = (size/2 - l0)*dpn: the class bound scaled by
+# 2^(n-2)*den(p)^n.  It returns the lex-min maximizer (k0, k1, l0, l1).
+# With no k0-k1 cross term the objective for fixed l0 is a[l1, k0] + c[l1, k1],
+#   a[l1, k0] = xp[k0,l0] + xp[k0,l1] + off_a[k0],  c[l1, k1] = xp[k1,l0] - xm[k1,l1],
+# so a scan sweeps one slab per l0, one l1 per contiguous row.  argmax
+# returns the first maximum: the least best k0 and k1 of each l1.  Tied l1
+# go to the least (k0, k1, l1); slabs merge under the full lexicographic
 # rule.  Slab buffers are reused: past the allocator's mmap threshold a
 # fresh array per slab costs more than its arithmetic.
 #
 # Object arrays are first scanned on float shadows: each input, offsets
-# included, divided by the caller's ``scale``, which bounds every entry.
-# Table numerators lie in [0, size*dpn] and the offsets in
-# [-size*dpn, size*dpn/2] with scale = size*dpn; a search entry is a signed
-# sum of a wiring distribution whose entries total scale.  A candidate
-# thus sums six terms in [-1, 1], so M = 6.  Each term meets at most 5
-# roundings: its reading, the add of off_a and A[a0,b1], the add of
-# A[a0,b0] (for B and C the subtraction takes these two places), the add
-# of a and c, the add of off_b.  Only the (b0, b1) cells within
+# included, divided by scale = size*dpn, which bounds every entry.  Grid
+# numerators lie in [0, size*dpn] and the offsets in [-size*dpn, size*dpn/2],
+# so a candidate sums six terms in [-1, 1] and M = 6.  Each term meets at
+# most 5 roundings: its reading, the add of off_a and xp[k0,l1], the add of
+# xp[k0,l0] (for the c terms the subtraction takes these two places), the
+# add of a and c, the add of off_b.  Only the (l0, l1) cells within
 # filter_margin(5, 6) of the float optimum are scanned again exactly; with
 # more than FILTER_CAP of them every slab is.
 #
-# The int64 profile scan bounds, then prunes.  The b axis is cut into tiles
-# of width max(1, isqrt(size) // 2); the last one is ragged.  For a
-# tile pair (T0, T1), with max_T and min_T taken over the tile's columns of
-# one row, every cell (b0 in T0, b1 in T1) is at most the exact integer
-#   max_a0 (max_T0 A[a0] + max_T1 A[a0] + off_a[a0])
-#     + max_a1 (max_T0 B[a1] - min_T1 C[a1]) + max_T0 off_b,
-# since each term of the cell is at most its tile extreme at the same a0
-# or a1.  One reduceat per array gives the tile extremes, and the bounds
+# The int64 scan bounds, then prunes.  The l axis is cut into tiles of
+# width max(1, isqrt(size) // 2); the last one is ragged.  For a tile pair
+# (T0, T1), with max_T and min_T taken over the tile's columns of one row,
+# every cell (l0 in T0, l1 in T1) is at most the exact integer
+#   max_k0 (max_T0 xp[k0] + max_T1 xp[k0] + off_a[k0])
+#     + max_k1 (max_T0 xp[k1] - min_T1 xm[k1]) + max_T0 off_b,
+# since each term of the cell is at most its tile extreme at the same k0
+# or k1.  One reduceat per array gives the tile extremes, and the bounds
 # take O((S/width)^2 * S) adds, one T0 row at a time.  The pair of largest
 # bound is evaluated exactly; its best value L is the value of a cell, so
 # L <= V*, the optimum.  Every optimal cell lies in a pair whose bound is
@@ -510,8 +510,7 @@ def _wedge_pairs(size: int) -> int:
 # needed: every bound is an integer sum of the terms the sweep itself adds,
 # so the int64 premise of the sweep covers it.  The width grows with n, as
 # measured: at n = 8 a width of 8 keeps 0.5-2 % of the tile pairs and a
-# fixed 16 kept up to 30 % (p = 31/80).  The n <= 2 search tables keep
-# every tile pair at widths 4-16, so ``bilinear_scan`` sweeps.
+# fixed 16 kept up to 30 % (p = 31/80).
 # ---------------------------------------------------------------------------
 
 def _slab_best(a, c):
@@ -524,117 +523,264 @@ def _slab_best(a, c):
     return int(best), min(zip(r0[tied].tolist(), r1[tied].tolist(), tied.tolist()))
 
 
-def _cells(slabs, a0_idx):
-    """(-value, lex-min (a0, a1, b0, b1)) of each slab's best cell: the least
+def _cells(slabs):
+    """(-value, lex-min (k0, k1, l0, l1)) of each slab's best cell: the least
     of them is the largest value with, among ties, the lex-min witness."""
-    for b0, b1s, a, c, const in slabs:
-        cell, (i, a1, j) = _slab_best(a, c)
-        yield -(cell + const), (int(a0_idx[i]), a1, b0, j if b1s is None else int(b1s[j]))
+    for l0, l1s, a, c, const in slabs:
+        cell, (k0, k1, j) = _slab_best(a, c)
+        yield -(cell + const), (k0, k1, l0, j if l1s is None else int(l1s[j]))
 
 
-def _pair_scan(A, B, C, a0_idx, off_a, off_b, scale):
-    """Exact max of the pair objective; returns (best, lex-min (a0, a1, b0, b1))."""
+def _pair_scan(xp, xm, off_a, off_b, scale):
+    """Exact max of the profile objective; returns (best, lex-min (k0, k1, l0, l1))."""
     rows = None
-    if A.dtype == object:
-        # one shadow per distinct input array
-        inputs = (A, B, C, off_a, off_b)
-        shadow = {id(x): float_shadow(x, scale) for x in {id(x): x for x in inputs}.values()}
-        sa, sb, sc, sa_off, sb_off = (shadow[id(x)] for x in inputs)
+    if xp.dtype == object:
+        shadows = (float_shadow(x, scale) for x in (xp, xm, off_a, off_b))
         floats = np.array([a.max(axis=1) + c.max(axis=1) + const for _, _, a, c, const
-                           in _pair_slabs(sa, sb, sc, a0_idx, sa_off, sb_off)])
-        # argwhere lists the survivors by ascending b0, then b1
+                           in _pair_slabs(*shadows)])
+        # argwhere lists the survivors by ascending l0, then l1
         survivors = np.argwhere(floats >= floats.max() - filter_margin(5, 6.0))
         if len(survivors) <= FILTER_CAP:
-            b0s, starts = np.unique(survivors[:, 0], return_index=True)
-            rows = zip(b0s.tolist(), np.split(survivors[:, 1], starts[1:]))
-    value, witness = min(_cells(_pair_slabs(A, B, C, a0_idx, off_a, off_b, rows), a0_idx))
+            l0s, starts = np.unique(survivors[:, 0], return_index=True)
+            rows = zip(l0s.tolist(), np.split(survivors[:, 1], starts[1:]))
+    value, witness = min(_cells(_pair_slabs(xp, xm, off_a, off_b, rows)))
     return -value, witness
 
 
-def _tile_bounds(A, B, C, a0_idx, off_a, off_b, starts):
-    """bound[T0, T1] >= the pair objective at every cell (b0 in T0, b1 in T1)
-    of the tiles that begin at ``starts``: the tile maxima of A and B and the
-    tile minima of C, taken per row, in place of the cell's entries."""
+def _tile_bounds(xp, xm, off_a, off_b, starts):
+    """bound[T0, T1] >= the profile objective at every cell (l0 in T0, l1 in
+    T1) of the tiles that begin at ``starts``: the tile maxima of xp and the
+    tile minima of xm, taken per row, in place of the cell's entries."""
     def per_tile(x, reduce):
-        # [T, r]: the reduction of row r of x over tile T
+        # [T, k]: the reduction of row k of x over tile T
         return np.ascontiguousarray(reduce.reduceat(x, starts, axis=1).T)
-    hi_b = per_tile(B, np.maximum)
-    hi_a = (hi_b if A is B else per_tile(A, np.maximum))[:, a0_idx]
-    lo_c = per_tile(C, np.minimum)
+    hi, lo = per_tile(xp, np.maximum), per_tile(xm, np.minimum)
+    hi_a = hi[:, :len(off_a)]
     hi_a_off = hi_a + off_a
-    bound = np.empty((len(starts), len(starts)), dtype=A.dtype)
+    bound = np.empty((len(starts), len(starts)), dtype=xp.dtype)
     # one T0 row at a time keeps the temporaries at tiles x rows
     for t0 in range(len(starts)):
-        bound[t0] = (hi_a_off + hi_a[t0]).max(axis=1) + (hi_b[t0] - lo_c).max(axis=1)
+        bound[t0] = (hi_a_off + hi_a[t0]).max(axis=1) + (hi[t0] - lo).max(axis=1)
     bound += np.maximum.reduceat(off_b, starts)[:, None]
     return bound
 
 
 def _tile_rows(keep, width: int, cols: int):
-    """(b0, ascending b1s) over the cells of the tile pairs keep[T0, T1] of
+    """(l0, ascending l1s) over the cells of the tile pairs keep[T0, T1] of
     ``width`` columns each, the last one cut at ``cols``."""
     for t0 in np.flatnonzero(keep.any(axis=1)).tolist():
-        b1s = np.flatnonzero(np.repeat(keep[t0], width)[:cols])
-        for b0 in range(t0 * width, min((t0 + 1) * width, cols)):
-            yield b0, b1s
+        l1s = np.flatnonzero(np.repeat(keep[t0], width)[:cols])
+        for l0 in range(t0 * width, min((t0 + 1) * width, cols)):
+            yield l0, l1s
 
 
-def _tiled_scan(A, B, C, a0_idx, off_a, off_b, width: int):
-    """``_pair_scan`` on int64 arrays through an exact bound per tile pair.
+def _tiled_scan(xp, xm, off_a, off_b, width: int):
+    """``_pair_scan`` on int64 grids through an exact bound per tile pair.
 
     The tile pair of largest bound is evaluated first; its best value L is
     a lower bound of the optimum, so every tile pair holding an optimal
     cell has a bound >= L, and the scan evaluates exactly those."""
-    cols = A.shape[1]
-    bound = _tile_bounds(A, B, C, a0_idx, off_a, off_b, np.arange(0, cols, width))
+    cols = xp.shape[1]
+    bound = _tile_bounds(xp, xm, off_a, off_b, np.arange(0, cols, width))
     keep = np.zeros(bound.shape, dtype=bool)
     keep.flat[bound.argmax()] = True
-    top = min(_cells(_pair_slabs(A, B, C, a0_idx, off_a, off_b,
-                                 _tile_rows(keep, width, cols)), a0_idx))
+    top = min(_cells(_pair_slabs(xp, xm, off_a, off_b, _tile_rows(keep, width, cols))))
     keep = (bound >= -top[0]) & ~keep
-    rest = _cells(_pair_slabs(A, B, C, a0_idx, off_a, off_b,
-                              _tile_rows(keep, width, cols)), a0_idx)
+    rest = _cells(_pair_slabs(xp, xm, off_a, off_b, _tile_rows(keep, width, cols)))
     value, witness = min(itertools.chain([top], rest))
     return -value, witness
 
 
-def _pair_slabs(A, B, C, a0_idx, off_a, off_b, rows=None):
-    """(b0, b1s, a, c, off_b[b0]) per slab, over the ascending b1 = b1s[j] of
-    the (b0, b1s) pairs in ``rows``; by default every b0 with b1s None (all
-    b1), in buffers reused from slab to slab."""
+def _pair_slabs(xp, xm, off_a, off_b, rows=None):
+    """(l0, l1s, a, c, off_b[l0]) per slab, over the ascending l1 = l1s[j] of
+    the (l0, l1s) pairs in ``rows``; by default every l0 with l1s None (all
+    l1), in buffers reused from slab to slab."""
     consts = off_b.tolist()
+    ka = len(off_a)
     if rows is not None:
-        # a few b1 per slab: gather their columns rather than transpose
-        a_cols = A[a0_idx] + off_a[:, None]
-        for b0, b1s in rows:
-            a = a_cols[:, b1s] + A[a0_idx, b0][:, None]
-            yield b0, b1s, a.T, (B[:, b0, None] - C[:, b1s]).T, consts[b0]
+        # a few l1 per slab: gather their columns rather than transpose
+        a_cols = xp[:ka] + off_a[:, None]
+        for l0, l1s in rows:
+            a = a_cols[:, l1s] + xp[:ka, l0][:, None]
+            yield l0, l1s, a.T, (xp[:, l0, None] - xm[:, l1s]).T, consts[l0]
         return
-    bt = np.ascontiguousarray(B.T)
-    at = np.ascontiguousarray((bt if A is B else A.T)[:, a0_idx])
-    ct = bt if C is B else np.ascontiguousarray(C.T)
-    a_rows = at + off_a
-    a, c = np.empty_like(a_rows), np.empty_like(ct)
-    for b0 in range(len(bt)):
-        np.add(a_rows, at[b0], out=a)
-        yield b0, None, a, np.subtract(bt[b0], ct, out=c), consts[b0]
+    pt, mt = np.ascontiguousarray(xp.T), np.ascontiguousarray(xm.T)
+    a_rows = pt[:, :ka] + off_a
+    a, c = np.empty_like(a_rows), np.empty_like(mt)
+    for l0 in range(len(pt)):
+        np.add(a_rows, pt[l0, :ka], out=a)
+        yield l0, None, a, np.subtract(pt[l0], mt, out=c), consts[l0]
 
 
 def iso_scan(xp, xm, dpn, k0_cap, size):
     """The isotropic bound's profile scan; returns (best, (k0, k1, l0, l1))."""
     ks = np.arange(size + 1).astype(xp.dtype)
-    args = (xp, xp, xm, np.arange(k0_cap + 1), -ks[:k0_cap + 1] * dpn,
-            (size // 2 - ks) * dpn)
+    args = (xp, xm, -ks[:k0_cap + 1] * dpn, (size // 2 - ks) * dpn)
     if xp.dtype == object:
         return _pair_scan(*args, size * dpn)
     return _tiled_scan(*args, max(1, math.isqrt(size) // 2))
 
 
-def bilinear_scan(t: np.ndarray, a0_idx: np.ndarray, scale: int):
-    """The n <= 2 search's scan of T[a0,b0] + T[a0,b1] + T[a1,b0] - T[a1,b1]
-    over every |T| <= ``scale``; returns (best, (a0, a1, b0, b1))."""
-    return _pair_scan(t, t, t, a0_idx, np.zeros(len(a0_idx), dtype=t.dtype),
-                      np.zeros(t.shape[1], dtype=t.dtype), scale)
+# ---------------------------------------------------------------------------
+# The n <= 2 search.  An atom (p, f) of one side pairs a wiring plan p with a
+# decision table f, a bitmask over the size = 2^n outcome strings, whose
+# sign vector is s_f[a] = 1 - 2*f(a); its index is p*2^size + f.  The
+# anchor-00 CHSH sum of the atoms (a0, a1, b0, b1) is
+#   T[a0,b0] + T[a0,b1] + T[a1,b0] - T[a1,b1],   T[(p,f), b] = s_f . u_b[p],
+# with u_b[p] = W_pq s_g for b = (q, g) and W_pq the wiring numerators of
+# the plan pair.  For fixed (b0, b1) put v = u_b0 + u_b1, w = u_b0 - u_b1.
+# The best a0 and a1 are then sign patterns, as max_f s_f . x = sum_a |x_a|,
+# reached by the f that sets the bits where x_a < 0; with f(0) = 0 fixed
+# (the complement reduction of a0) the max is x_0 + sum_{a>=1} |x_a|.  So
+#   cell(b0, b1) = max_p A(v[p]) + max_p B(w[p]),   B(x) = sum_a |x_a|,
+# with A(x) = x_0 + sum_{a>=1} |x_a| when the sign of coordinate 0 is fixed
+# and A = B otherwise.
+#
+# The complement ~b = (q, ~g) has u_~b = -u_b, so the half atoms h = (q, g)
+# with bit 0 of g clear carry every u, in ``u[p, a, h]``.  For a half pair
+# (h0, h1) with V+ = u_h0 + u_h1 and V- = u_h0 - u_h1, as B(-x) = B(x),
+#   (h0, h1): A(V+) + B(V-)       (h0, ~h1): A(V-) + B(V+)
+#   (~h0, h1): A(-V-) + B(V+)     (~h0, ~h1): A(-V+) + B(V-),
+# so one pass over the H x H half pairs, one plan at a time in reused
+# buffers, keeps the running maxima over p of A(V), A(-V) and B(V) for both
+# V and yields all four cells.  No entry of T is formed.
+#
+# The witness is the lex-min (a0, a1, b0, b1) over the optimal cells, each
+# cell taking its least best a0 and a1: the first plan reaching the max and
+# the least mask, the bits where x_a < 0 strictly (bit 0 kept clear when
+# fixed).  The cells (b0, b1) and (b1, b0) tie in value, but their a1 masks
+# are complements, so every tied cell is evaluated, by ``_search_cells``.
+#
+# Object arrays run the pass on a float shadow and evaluate the cells near
+# its optimum exactly; the margin is proved in ``bilinear_scan``'s docstring.
+# ---------------------------------------------------------------------------
+
+#: cells per chunk of ``_search_cells``
+SEARCH_CHUNK = 1 << 10
+
+
+def _sign_pass(u, fixed: bool):
+    """cells[b0, b1]: the value of every cell, in one pass over the half
+    pairs, one plan at a time."""
+    n_plans, size, n_half = u.shape
+    x = np.empty((2, size, n_half, n_half), dtype=u.dtype)  # V+, V-
+    # per V: sum_{a>=1} |V_a|, and a candidate A or B
+    mag, cand = np.empty((2, 2, n_half, n_half), dtype=u.dtype)
+    lowest = -np.inf if u.dtype == np.float64 else np.iinfo(u.dtype).min
+    best_b = np.full_like(mag, lowest)
+    best_a = np.full((2, 2, n_half, n_half), lowest, dtype=u.dtype)  # A(V), A(-V)
+    for p in range(n_plans):
+        col, row = u[p, :, :, None], u[p, :, None, :]
+        np.add(col, row, out=x[0])
+        np.subtract(col, row, out=x[1])
+        np.abs(x[:, 1:], out=x[:, 1:])
+        np.sum(x[:, 1:], axis=1, out=mag)
+        v0 = x[:, 0]
+        if fixed:
+            np.maximum(best_a[:, 0], np.add(mag, v0, out=cand), out=best_a[:, 0])
+            np.maximum(best_a[:, 1], np.subtract(mag, v0, out=cand), out=best_a[:, 1])
+        np.maximum(best_b, np.add(mag, np.abs(v0, out=v0), out=cand), out=best_b)
+    if not fixed:
+        best_a[:] = best_b[:, None]
+    # atom[s, h]: the atom of half atom h = (q, g), complemented when s = 1
+    n_tables = 1 << size
+    q, g = divmod(np.arange(n_half), n_tables // 2)
+    atom = q * n_tables + (np.array([[0], [n_tables - 1]]) ^ (2 * g))
+    cells = np.empty((2 * n_half, 2 * n_half), dtype=u.dtype)
+    for s0, s1 in itertools.product((0, 1), (0, 1)):
+        k = s0 ^ s1  # 0: v = +-V+, w = V-;  1: v = +-V-, w = V+
+        cells[np.ix_(atom[s0], atom[s1])] = best_a[k, s0] + best_b[1 - k]
+    return cells
+
+
+def _atom_vectors(u):
+    """x[b, p, a] = u_b[p, a] for every atom b = q*2^size + g, the half
+    atoms' u for even g and the negated u of the complement for odd g."""
+    n_plans, size, n_half = u.shape
+    n_tables = 1 << size
+    ut = u.transpose(2, 0, 1).reshape(-1, n_tables // 2, n_plans, size)  # [q, g/2, p, a]
+    x = np.empty((len(ut), n_tables, n_plans, size), dtype=u.dtype)
+    x[:, 0::2] = ut
+    x[:, 1::2] = -ut[:, ::-1]  # g odd: ~g = 2^size - 1 - g
+    return x.reshape(-1, n_plans, size)
+
+
+def _abs_sum(x, lo: int):
+    """sum_{a >= lo} |x[..., a]|, one add per a."""
+    total = np.abs(x[..., lo])
+    for a in range(lo + 1, x.shape[-1]):
+        total += np.abs(x[..., a])
+    return total
+
+
+def _search_cells(x, fixed: bool, b0, b1):
+    """(value, a0, a1) of the cells (b0, b1) on the ``_atom_vectors`` x,
+    exactly: each cell's value with its least best a0 and a1."""
+    n_plans, size = x.shape[1:]
+    n_tables = 1 << size
+    bit = 1 << np.arange(size)
+
+    def best_atom(y, total):
+        # the first plan reaching the max, and the bits where y_a < 0
+        p = total.argmax(axis=1)
+        k = np.arange(len(p))
+        return total[k, p], p * n_tables + ((y[k, p] < 0) * bit).sum(axis=1)
+
+    parts = []
+    for lo in range(0, len(b0), SEARCH_CHUNK):
+        x0, x1 = x[b0[lo:lo + SEARCH_CHUNK]], x[b1[lo:lo + SEARCH_CHUNK]]
+        v, w = x0 + x1, x0 - x1
+        if fixed:
+            v_a, a0 = best_atom(v, v[..., 0] + _abs_sum(v, 1))
+            a0 &= ~1
+        else:
+            v_a, a0 = best_atom(v, _abs_sum(v, 0))
+        w_b, a1 = best_atom(w, _abs_sum(w, 0))
+        parts.append((v_a + w_b, a0, a1))
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def bilinear_scan(u, scale: int, fixed: bool):
+    """The n <= 2 search over the half-atom vectors ``u[p, a, h]``, each
+    column of absolute sum at most ``scale``; ``fixed`` keeps a0's
+    coordinate-0 bit clear.  Returns (best, lex-min (a0, a1, b0, b1),
+    survivors), survivors counting the cells that object arrays evaluated
+    exactly after the float pass (None on int64).
+
+    On object arrays the pass runs on float_shadow(u, scale), and
+    ``_search_cells`` evaluates exactly every cell within
+    filter_margin(size + 2, 4) of the float optimum.  The margin's premise
+    is sum_a |u[p, a, h]| <= scale for every column (true of the search,
+    where u = W s_g and W sums to scale), checked on entry.  Fix the plans
+    p, p' that the two maxima of a cell pick.  The cell's value then sums
+    4*size terms +-u/scale, the entries of u_b0[p], u_b1[p], u_b0[p'] and
+    u_b1[p'], so M = 4.  Each term meets at most size + 2 roundings: its
+    reading, the add or subtract forming V+ or V-, at most size - 2 adds
+    summing the size - 1 terms |x_a|, a >= 1 (a sum of k terms meets at
+    most k - 1 roundings whatever its order), the add of x_0 or |x_0|, and
+    the add of the two maxima.  The absolute values add none, since
+    ||y'| - |y|| <= |y' - y|.  A max moves no value by more than its
+    arguments move, so the proof of ``filter_margin`` carries over and
+    every optimal cell survives.  There is no cap: ``_search_cells`` is
+    the exact path.
+    """
+    survivors = None
+    if u.dtype == object:
+        shadow = float_shadow(u, scale)
+        if np.abs(u).sum(axis=1).max() > scale:
+            raise ValueError(f"a column of u sums past {scale} in absolute value")
+        cells = _sign_pass(shadow, fixed)
+        keep = cells >= cells.max() - filter_margin(u.shape[1] + 2, 4.0)
+        survivors = int(np.count_nonzero(keep))
+    else:
+        cells = _sign_pass(u, fixed)
+        keep = cells == cells.max()
+    b0, b1 = np.nonzero(keep)
+    value, a0, a1 = _search_cells(_atom_vectors(u), fixed, b0, b1)
+    best = value.max()
+    tied = np.flatnonzero(value == best)
+    i = tied[np.lexsort((b1[tied], b0[tied], a1[tied], a0[tied]))[0]]
+    return int(best), (int(a0[i]), int(a1[i]), int(b0[i]), int(b1[i])), survivors
 
 
 # ---------------------------------------------------------------------------

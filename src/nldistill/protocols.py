@@ -10,11 +10,13 @@ with each side's box inputs determined by its own observed bits.
 
 The exhaustive search exploits that the anchor-00 CHSH sum of a protocol
 is linear in four independent choices (Alice's per-input wiring plus
-decision table, same for Bob), so D(n, P) is a decoupled scan over a
-precomputed inner-product table; the complement symmetry removes the
-modulus and halves the f_0 space.  ``kernels.bilinear_scan`` is the same
-decoupled pair scan as the isotropic bound's profile scan: int64 when
-magnitudes fit, otherwise Python ints behind its certified float filter.
+decision table, same for Bob), each entry an inner product
+<f, g> = (1-2f)^T W (1-2g); the complement symmetry removes the modulus
+and halves the f_0 space.  For fixed Bob atoms the best decision table of
+Alice is a sign pattern, so the search needs only the vectors W (1-2g),
+one matmul over the wiring numerators W, and never the table of inner
+products.  ``kernels.bilinear_scan`` scans them in int64 when magnitudes
+fit, otherwise in Python ints behind its certified float filter.
 """
 from __future__ import annotations
 
@@ -247,6 +249,7 @@ class SearchResult:
     cells_scanned: int
     method: str  # the table's dtype: "int64", or "prefilter" on big ints
     distilled: bool  # value > NL(P)
+    filter_survivors: Optional[int] = None  # cells re-checked on "prefilter"
 
     def to_json_obj(self) -> dict:
         return {
@@ -270,47 +273,28 @@ def _plan_input_table(plans: list[WiringPlan], n: int) -> list[list[tuple[int, .
     return [[plan.box_inputs(_bits(o, n)) for o in range(size)] for plan in plans]
 
 
-def _sign_matrix(n_tables: int, size: int) -> np.ndarray:
-    sf = np.empty((n_tables, size), dtype=np.int64)
-    for mask in range(n_tables):
-        for a in range(size):
-            sf[mask, a] = 1 - 2 * ((mask >> a) & 1)
-    return sf
-
-
-def _ip_table(system: BinarySystem, plans: list[WiringPlan], n: int,
-              dtype) -> np.ndarray:
-    """T[(plan,f),(plan,g)] = <f,g> scaled by lcm-denominator^n, integer."""
-    denom, nums = _entry_numerators(system)
+def _wiring_numerators(system: BinarySystem, plans: list[WiringPlan], n: int,
+                       dtype) -> np.ndarray:
+    """W[pa, pb, a, b]: the outcome distribution of the plan pair (pa, pb)
+    times lcm-denominator^n, the product over the n copies of
+    nums[x*8 + y*4 + a_i*2 + b_i], in one gather."""
+    _, nums = _entry_numerators(system)
     size = 1 << n
-    n_tables = 1 << size
-    inputs = _plan_input_table(plans, n)
-    sf = _sign_matrix(n_tables, size)
-    if dtype is object:
-        sf = sf.astype(object)
-    n_atoms = len(plans) * n_tables
-    t = np.zeros((n_atoms, n_atoms), dtype=dtype)
+    bits = np.array([_bits(o, n) for o in range(size)])  # [o, i]
+    inputs = np.array(_plan_input_table(plans, n))  # [plan, o, i]
+    idx = ((8 * inputs + 2 * bits)[:, None, :, None]
+           + (4 * inputs + bits)[None, :, None, :])  # [pa, pb, a, b, i]
+    return np.array(nums, dtype=dtype)[idx].prod(axis=-1)
 
-    def entry(a: int, b: int, x: int, y: int) -> int:
-        return nums[x * 8 + y * 4 + a * 2 + b]
 
-    for pa, ua in enumerate(inputs):
-        for pb, vb in enumerate(inputs):
-            w = np.zeros((size, size), dtype=dtype)
-            for a in range(size):
-                abits = _bits(a, n)
-                u = ua[a]
-                for b in range(size):
-                    bbits = _bits(b, n)
-                    v = vb[b]
-                    prod_num = 1
-                    for i in range(n):
-                        prod_num *= entry(abits[i], bbits[i], u[i], v[i])
-                    w[a, b] = prod_num
-            block = sf @ w @ sf.T
-            t[pa * n_tables:(pa + 1) * n_tables,
-              pb * n_tables:(pb + 1) * n_tables] = block
-    return t
+def _half_atom_vectors(w: np.ndarray) -> np.ndarray:
+    """u[p, a, h] = (W_pq s_g)_a over the half atoms h = (q, g), the tables g
+    with bit 0 clear in ascending order, s_g[b] = 1 - 2*g(b)."""
+    n_plans, _, size, _ = w.shape
+    g = np.arange(0, 1 << size, 2)
+    signs = 1 - 2 * ((g[:, None] >> np.arange(size)) & 1)  # [g / 2, b]
+    u = w @ signs.T.astype(w.dtype)  # [p, q, a, g / 2]
+    return u.transpose(0, 2, 1, 3).reshape(n_plans, size, -1)
 
 
 def _atom_protocol(n: int, plans: list[WiringPlan], n_tables: int,
@@ -339,33 +323,22 @@ def brute_force_D(system: BinarySystem, n: int, *,
     """Exact D(n, P) for n in {1, 2} by complete protocol enumeration.
 
     The complement reduction fixes f_0 on the all-zeros string and drops
-    the modulus; disable it to scan the full space with both modulus branches
-    (used for cross-checks).
+    the modulus; disable it to scan the full space (used for cross-checks).
     """
     if n not in (1, 2):
         raise ValueError("exhaustive search is feasible for n in {1, 2} only")
     plans = enumerate_plans(n)
-    size = 1 << n
-    n_tables = 1 << size
+    n_tables = 1 << (1 << n)
     denom, _ = _entry_numerators(system)
     scale = denom ** n
     dtype = np.int64 if 16 * scale < (1 << 62) else object
-    t = _ip_table(system, plans, n, dtype)
-    n_atoms = t.shape[0]
-
-    if complement_reduction:
-        # f_0(0,...,0) = 0: keep atoms whose table mask has bit 0 clear
-        a0_idx = np.array([a for a in range(n_atoms) if not (a % n_tables) & 1],
-                          dtype=np.int64)
-    else:
-        a0_idx = np.arange(n_atoms, dtype=np.int64)
-
-    best, witness = kernels.bilinear_scan(t, a0_idx, scale)
-    if not complement_reduction:
-        # modulus branch: maximize the negated sum as well
-        best2, witness2 = kernels.bilinear_scan(-t, a0_idx, scale)
-        if best2 > best:
-            best, witness = best2, witness2
+    u = _half_atom_vectors(_wiring_numerators(system, plans, n, dtype))
+    # The full space needs no separate scan of the negated sum for the
+    # modulus: s_~f = -s_f, so -T[(p, f), b] = T[(p, ~f), b], and the
+    # negated sum at (a0, a1, b0, b1) is the sum at (~a0, ~a1, b0, b1).
+    # Complementing is a bijection of the full atom set, so both maxima
+    # are equal.
+    best, witness, survivors = kernels.bilinear_scan(u, scale, complement_reduction)
 
     value = Fraction(best, scale)
     protocol = _atom_protocol(n, plans, n_tables, witness)
@@ -375,11 +348,12 @@ def brute_force_D(system: BinarySystem, n: int, *,
             f"witness protocol evaluates to {check}, scan reported {value}"
         )
     nl, _ = nl_value(system)
+    n_atoms = len(plans) * n_tables
     return SearchResult(
         value=value, protocol=protocol, n=n,
         atoms_per_side=n_atoms, cells_scanned=n_atoms * n_atoms,
         method="int64" if dtype is np.int64 else "prefilter",
-        distilled=value > nl,
+        distilled=value > nl, filter_survivors=survivors,
     )
 
 

@@ -5,6 +5,11 @@ kernels in ``nldistill.kernels``; the agreement tests compare the two on
 the same int64 inputs, op counts and lexicographic tie-breaks included.
 They take int64 arrays; ``bilinear_scan``, whose sentinel lies below
 every integer, also takes object arrays of Python ints of any size.
+The search's references build the atom table T that the kernel never
+forms: ``ip_table`` from a box, ``atom_table`` from the kernel's half-atom
+vectors.  ``t_sweep`` is the vectorised sweep of T, one b0 slab at a time,
+that the search ran before; it is fast enough for n = 2, where the
+scalar ``bilinear_scan`` is not.
 ``load_payload`` reads a table cache's grid lines token by token, the
 reference for the loader's bulk parse.  ``solve_max`` is the simplex on a
 ``Fraction`` tableau, the reference for the fraction-free one in
@@ -17,6 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from nldistill.protocols import _bits, _entry_numerators, _plan_input_table
 from nldistill.simplex import SimplexResult, UnboundedError
 
 _SENTINEL = 1 << 62
@@ -137,6 +143,74 @@ def bilinear_scan(t, a0_idx):
                 if (a_arg, c_arg, b0, b1) < (w0, w1, wb0, wb1):
                     w0, w1, wb0, wb1 = a_arg, c_arg, b0, b1
     return best, w0, w1, wb0, wb1
+
+
+def _sign_matrix(size):
+    """s[f, a] = 1 - 2*f(a) over every decision table f of ``size`` strings."""
+    return 1 - 2 * ((np.arange(1 << size)[:, None] >> np.arange(size)) & 1)
+
+
+def ip_table(system, plans, n, dtype):
+    """T[(plan,f),(plan,g)] = <f,g> scaled by lcm-denominator^n, integer."""
+    _, nums = _entry_numerators(system)
+    size = 1 << n
+    n_tables = 1 << size
+    inputs = _plan_input_table(plans, n)
+    sf = _sign_matrix(size).astype(dtype)
+    n_atoms = len(plans) * n_tables
+    t = np.zeros((n_atoms, n_atoms), dtype=dtype)
+    for pa, ua in enumerate(inputs):
+        for pb, vb in enumerate(inputs):
+            w = np.zeros((size, size), dtype=dtype)
+            for a in range(size):
+                abits = _bits(a, n)
+                for b in range(size):
+                    bbits = _bits(b, n)
+                    prod_num = 1
+                    for i in range(n):
+                        prod_num *= nums[ua[a][i] * 8 + vb[b][i] * 4
+                                         + abits[i] * 2 + bbits[i]]
+                    w[a, b] = prod_num
+            t[pa * n_tables:(pa + 1) * n_tables,
+              pb * n_tables:(pb + 1) * n_tables] = sf @ w @ sf.T
+    return t
+
+
+def atom_table(u):
+    """T[(p, f), (q, g)] = s_f . u_(q,g)[p] from the half-atom vectors
+    u[p, a, h], h = (q, g) with bit 0 of g clear, and u_~b = -u_b."""
+    n_plans, size, n_half = u.shape
+    n_tables = 1 << size
+    half = n_tables // 2
+    cols = np.empty((n_plans, size, n_half * 2), dtype=u.dtype)
+    for b in range(n_half * 2):
+        q, g = divmod(b, n_tables)
+        if g % 2 == 0:
+            cols[:, :, b] = u[:, :, q * half + g // 2]
+        else:
+            cols[:, :, b] = -u[:, :, q * half + (n_tables - 1 - g) // 2]
+    sf = _sign_matrix(size).astype(u.dtype)
+    return np.concatenate([sf @ cols[p] for p in range(n_plans)])
+
+
+def t_sweep(t, a0_idx):
+    """max of T[a0,b0] + T[a0,b1] + T[a1,b0] - T[a1,b1] over a0 in the
+    ascending a0_idx and every a1, b0, b1, one b0 slab at a time; returns
+    (best, lex-min (a0, a1, b0, b1))."""
+    tt = np.ascontiguousarray(t.T)  # tt[b, a] = T[a, b]
+    at = np.ascontiguousarray(tt[:, a0_idx])
+    j = np.arange(len(tt))
+    found = []
+    for b0 in range(len(tt)):
+        a = at + at[b0]  # a[b1, i] = T[a0_idx[i], b1] + T[a0_idx[i], b0]
+        c = tt[b0] - tt  # c[b1, a1] = T[a1, b0] - T[a1, b1]
+        r0, r1 = a.argmax(axis=1), c.argmax(axis=1)
+        v = a[j, r0] + c[j, r1]
+        top = v.max()
+        found.extend((-top, int(a0_idx[r0[b1]]), int(r1[b1]), b0, int(b1))
+                     for b1 in np.flatnonzero(v == top))
+    value, *witness = min(found)
+    return -value, tuple(witness)
 
 
 def load_payload(payload, p, n):

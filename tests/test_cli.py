@@ -16,7 +16,7 @@ from nldistill import (
     kernels, wedge,
 )
 from nldistill.cli import main
-from nldistill.protocols import _entry_numerators, _ip_table, enumerate_plans
+from nldistill.protocols import _entry_numerators, enumerate_plans
 
 import scalar_kernels
 
@@ -198,25 +198,31 @@ def test_search_and_long_run_guards(capsys, tmp_path):
 
 
 def test_search_n2_with_long_run(capsys):
-    code, out, _ = run(capsys, "search", "--wedge", "1/2,0", "--n", "2",
-                       "--long-run")
+    code, out, err = run(capsys, "search", "--wedge", "1/2,0", "--n", "2",
+                         "--long-run")
     obj = json.loads(out)
     assert code == 0
     assert obj["value"] == "3" and obj["nl"] == "3"
+    # an int64 search has no float filter to report
+    done = [json.loads(line) for line in err.splitlines()][-1]
+    assert done["event"] == "search_done" and "filter_survivors" not in done
 
 
 def test_search_beyond_float_range(capsys):
-    # the scaled table entries pass 1e308 here; the float pre-filter must
+    # the scaled search vectors pass 1e308 here; the float pre-filter must
     # convert them by exact division instead of overflowing
     eps = F(1, 10 ** 400)
-    code, out, _ = run(capsys, "search", "--wedge", f"{eps},0", "--n", "1")
+    code, out, err = run(capsys, "search", "--wedge", f"{eps},0", "--n", "1")
     assert code == 0
     obj = json.loads(out)
     assert obj["method"] == "prefilter"
+    # 32 of the 64 cells lie within the margin of the float optimum
+    done = [json.loads(line) for line in err.splitlines()][-1]
+    assert done["event"] == "search_done" and done["filter_survivors"] == 32
     # the scalar reference scans the same big-int table in Python ints
     box = wedge(eps, 0)
     denom, _ = _entry_numerators(box)
-    t = _ip_table(box, enumerate_plans(1), 1, object)
+    t = scalar_kernels.ip_table(box, enumerate_plans(1), 1, object)
     reduced = np.arange(0, t.shape[0], 2)  # f_0(0) = 0: even table masks
     best = scalar_kernels.bilinear_scan(t, reduced)[0]
     assert F(obj["value"]) == F(best, denom) == 2 + 2 * eps

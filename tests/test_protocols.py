@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nldistill import (
+    BinarySystem,
     LOCAL_VERTICES,
     NONLOCAL_VERTICES,
     PR,
@@ -31,7 +34,8 @@ from nldistill import (
     wiring_distribution,
     wiring_grid,
 )
-from nldistill.protocols import _entry_numerators, _ip_table
+from nldistill.protocols import (_atom_protocol, _entry_numerators, _half_atom_vectors,
+                                 _wiring_numerators)
 
 import scalar_kernels
 from conftest import random_nonlocal_box, random_ns_box
@@ -243,12 +247,11 @@ def test_brute_force_reductions_and_prefilter_agree():
     full = brute_force_D(box, 1, complement_reduction=False)
     half = brute_force_D(box, 1, complement_reduction=True)
     assert full.value == half.value
-    # the same table as Python ints takes the float filter path
+    # the same vectors as Python ints take the float filter path
     denom, _ = _entry_numerators(box)
-    t = _ip_table(box, enumerate_plans(1), 1, np.int64)
-    reduced = np.arange(0, t.shape[0], 2)  # f_0(0) = 0: even table masks
-    filtered = kernels.bilinear_scan(t.astype(object), reduced, denom)
-    assert filtered == kernels.bilinear_scan(t, reduced, denom)
+    u = _half_atom_vectors(_wiring_numerators(box, enumerate_plans(1), 1, np.int64))
+    filtered = kernels.bilinear_scan(u.astype(object), denom, True)
+    assert filtered[:2] == kernels.bilinear_scan(u, denom, True)[:2]
     assert F(filtered[0], denom) == half.value
     two_half = brute_force_D(wedge(F(1, 2), 0), 2, complement_reduction=True)
     two_full = brute_force_D(wedge(F(1, 2), 0), 2, complement_reduction=False)
@@ -332,54 +335,139 @@ def test_protocol_json_round_trip():
     assert Protocol.from_json_obj(obj["witness"]) == res.protocol
 
 
-def test_bilinear_scan_backends_agree():
-    # The scalar reference body and the public scan kernel run on the same
-    # tables; best value and witness must match.
-    w = wedge(F(1, 2), 0)
-    t = _ip_table(w, enumerate_plans(1), 1, np.int64)
-    denom, _ = _entry_numerators(w)
-    n_atoms, n_tables = t.shape[0], 4  # 2 wiring plans x 4 functions of a bit
-    assert t.shape == (8, 8)
-    reduced = np.array([a for a in range(n_atoms) if not (a % n_tables) & 1],
+def _half_atoms(box, n, dtype=np.int64):
+    """The search's half-atom vectors of ``box`` and their scale."""
+    denom, _ = _entry_numerators(box)
+    return _half_atom_vectors(_wiring_numerators(box, enumerate_plans(n), n, dtype)), denom ** n
+
+
+def _a0_sets(t, size):
+    """The reduced a0 set (f_0(0) = 0: even table masks) and the full one."""
+    reduced = np.array([a for a in range(t.shape[0]) if not (a % (1 << size)) & 1],
                        dtype=np.int64)
-    full = np.arange(n_atoms, dtype=np.int64)
-    for a0_idx in (reduced, full):
-        scalar = scalar_kernels.bilinear_scan(t, a0_idx)
-        best, witness = kernels.bilinear_scan(t, a0_idx, denom)
-        assert [int(v) for v in scalar] == [best, *witness], a0_idx
-    # an all-zero table ties everywhere: both bodies return the lex-min witness
-    zeros = np.zeros_like(t)
-    scalar = scalar_kernels.bilinear_scan(zeros, reduced)
-    best, witness = kernels.bilinear_scan(zeros, reduced, denom)
-    assert [int(v) for v in scalar] == [best, *witness] == [0] * 5
+    return (reduced, True), (np.arange(t.shape[0], dtype=np.int64), False)
+
+
+def test_bilinear_scan_backends_agree():
+    # The scalar reference body sweeps the atom table T built from the
+    # search's vectors; the kernel, which never forms T, must return the
+    # same best value and witness on int64 and on Python ints.
+    w = wedge(F(1, 2), 0)
+    u, scale = _half_atoms(w, 1)
+    assert u.shape == (2, 2, 4)  # 2 wiring plans, 2 outcomes, 2 x 2 half atoms
+    t = scalar_kernels.atom_table(u)
+    assert t.shape == (8, 8)
+    assert (t == scalar_kernels.ip_table(w, enumerate_plans(1), 1, np.int64)).all()
+    for a0_idx, fixed in _a0_sets(t, 2):
+        scalar = [int(v) for v in scalar_kernels.bilinear_scan(t, a0_idx)]
+        for vectors in (u, u.astype(object)):
+            best, witness, _ = kernels.bilinear_scan(vectors, scale, fixed)
+            assert [best, *witness] == scalar, (fixed, vectors.dtype)
+    # all-zero vectors tie everywhere: the lex-min witness, and on Python
+    # ints every cell survives the float pass
+    zeros = np.zeros((2, 4, 16), dtype=object)
+    assert kernels.bilinear_scan(zeros, 1, True) == (0, (0, 0, 0, 0), 32 * 32)
+    assert kernels.bilinear_scan(zeros.astype(np.int64), 1, True) \
+        == (0, (0, 0, 0, 0), None)
     # the reduced scan is the whole n = 1 search for this box
-    best, _ = kernels.bilinear_scan(t, reduced, denom)
-    assert F(best, denom) == brute_force_D(w, 1).value
+    best, _, _ = kernels.bilinear_scan(u, scale, True)
+    assert F(best, scale) == brute_force_D(w, 1).value
+
+
+def test_bilinear_scan_checks_the_column_sums():
+    # the float filter's margin assumes sum_a |u[p, a, h]| <= scale
+    u = np.zeros((1, 2, 2), dtype=object)
+    u[0, :, 1] = [3, -2]
+    assert kernels.bilinear_scan(u, 5, True)[0] == 10
+    with pytest.raises(ValueError, match="sums past 4"):
+        kernels.bilinear_scan(u, 4, True)
+
+
+def _reference_boxes():
+    ref = json.loads((Path(__file__).resolve().parents[1] / "perfbench"
+                      / "reference.json").read_text())
+    rng = random.Random(31)
+    return ([wedge(F(1, 2), 0), wedge(0, 0), wedge(1, 0)]
+            + [BinarySystem.from_json_obj(obj) for obj in ref["boxes"].values()]
+            + list(LOCAL_VERTICES) + list(NONLOCAL_VERTICES)
+            + [random_nonlocal_box(rng) for _ in range(3)]
+            + [random_ns_box(rng) for _ in range(3)])
+
+
+def test_search_n2_matches_the_t_sweep():
+    # value, witness and Protocol of the two-copy search against the sweep
+    # of the full atom table: pr_half, the benchmark's r0-r7, all 24
+    # vertices, wedge(0,0), wedge(1,0) and random boxes
+    plans = enumerate_plans(2)
+    for box in _reference_boxes():
+        t = scalar_kernels.ip_table(box, plans, 2, np.int64)
+        u, scale = _half_atoms(box, 2)
+        (reduced, _), _ = _a0_sets(t, 4)
+        best, witness = scalar_kernels.t_sweep(t, reduced)
+        assert kernels.bilinear_scan(u, scale, True) == (best, witness, None)
+        res = brute_force_D(box, 2)
+        assert res.value == F(best, scale)
+        assert res.protocol == _atom_protocol(2, plans, 16, witness)
+
+
+def test_full_search_equals_the_reduced_one_n2():
+    # without the complement reduction: one scan, no modulus branch, and
+    # the witness of the full table's sweep
+    plans = enumerate_plans(2)
+    for box in (wedge(F(1, 2), 0), wedge(0, 0), NONLOCAL_VERTICES[2], LOCAL_VERTICES[5]):
+        t = scalar_kernels.ip_table(box, plans, 2, np.int64)
+        u, scale = _half_atoms(box, 2)
+        best, witness = scalar_kernels.t_sweep(t, np.arange(t.shape[0]))
+        assert kernels.bilinear_scan(u, scale, False) == (best, witness, None)
+        full = brute_force_D(box, 2, complement_reduction=False)
+        assert full.protocol == _atom_protocol(2, plans, 16, witness)
+        assert full.value == brute_force_D(box, 2).value == F(best, scale)
 
 
 @st.composite
-def tie_heavy_table(draw):
-    """A small atom table with entries from a range of 3 or 4 values, and a
-    nonempty ascending a0 subset standing in for the reduced atom set."""
-    n_a = draw(st.integers(min_value=1, max_value=7))
-    n_b = draw(st.integers(min_value=1, max_value=7))
+def tie_heavy_vectors(draw):
+    """Small half-atom vectors u[p, a, h] of entries from a range of 3 or 4
+    values around zero, so that many cells tie: 1-3 Alice plans and 1-2 Bob
+    plans at size 2, one of each at size 4."""
+    size = draw(st.sampled_from([2, 2, 4]))
+    n_plans = draw(st.integers(min_value=1, max_value=3 if size == 2 else 1))
+    n_half = (1 << size) // 2 * draw(st.integers(min_value=1, max_value=2 if size == 2 else 1))
     lo = draw(st.integers(min_value=-2, max_value=0))
     hi = lo + draw(st.integers(min_value=2, max_value=3))
     cells = draw(st.lists(st.integers(min_value=lo, max_value=hi),
-                          min_size=n_a * n_b, max_size=n_a * n_b))
-    t = np.array(cells, dtype=np.int64).reshape(n_a, n_b)
-    reduced = draw(st.lists(st.integers(min_value=0, max_value=n_a - 1),
-                            min_size=1, unique=True))
-    return t, np.array(sorted(reduced), dtype=np.int64)
+                          min_size=n_plans * size * n_half, max_size=n_plans * size * n_half))
+    return np.array(cells, dtype=np.int64).reshape(n_plans, size, n_half)
 
 
 @settings(max_examples=150, deadline=None)
-@given(tie_heavy_table())
-def test_bilinear_scan_matches_reference_on_ties(inputs):
-    t, reduced = inputs
-    for a0_idx in (reduced, np.arange(t.shape[0], dtype=np.int64)):
+@given(tie_heavy_vectors())
+def test_bilinear_scan_matches_reference_on_ties(u):
+    t = scalar_kernels.atom_table(u)
+    # the least scale the float filter's premise allows
+    scale = max(1, int(np.abs(u).sum(axis=1).max()))
+    for a0_idx, fixed in _a0_sets(t, u.shape[1]):
         scalar = [int(v) for v in scalar_kernels.bilinear_scan(t, a0_idx)]
-        for table in (t, t.astype(object)):
-            # entries lie in [-2, 3], so 3 bounds them for the float filter
-            best, witness = kernels.bilinear_scan(table, a0_idx, 3)
-            assert [best, *witness] == scalar, (a0_idx, table.dtype)
+        for vectors in (u, u.astype(object)):
+            best, witness, _ = kernels.bilinear_scan(vectors, scale, fixed)
+            assert [best, *witness] == scalar, (fixed, vectors.dtype)
+
+
+def test_bilinear_scan_filter_keeps_near_ties():
+    # Python-int vectors near fractions of the scale (thirds, fifths,
+    # sixths, sevenths), moved by a few units: cells whose exact values
+    # differ by about 2^-95 of the scale sum differently rounded floats, and
+    # the float order inverts the exact one now and then.  A filter keeping
+    # only the float optimum (margin 0) returns a wrong cell on 4 of these
+    # 400 scans.
+    rng = random.Random(1)
+    scale = 3 ** 60
+    parts = [0, scale // 3, scale // 5, 2 * scale // 5, scale // 6, scale // 7,
+             3 * scale // 7]
+    for _ in range(200):
+        u = np.array([rng.choice((-1, 1)) * rng.choice(parts) + rng.randrange(-2, 3)
+                      for _ in range(16)], dtype=object).reshape(2, 2, 4)
+        t = scalar_kernels.atom_table(u)
+        for a0_idx, fixed in _a0_sets(t, 2):
+            scalar = [int(v) for v in scalar_kernels.bilinear_scan(t, a0_idx)]
+            best, witness, _ = kernels.bilinear_scan(u, scale, fixed)
+            assert [best, *witness] == scalar, (u.tolist(), fixed)
