@@ -96,12 +96,14 @@ def _scan_inputs(tables: DeltaTables, n: int):
 
 def iso_bound(system: BinarySystem, n: int, *,
               tables: Optional[DeltaTables] = None,
-              reduced: bool = True) -> BoundReport:
+              reduced: bool = True,
+              system_nl: Optional[Fraction] = None) -> BoundReport:
     """Upper bound on D(n, P) for an isotropic system.
 
     ``reduced`` restricts the k0 sweep to [0, 2^(n-1)] (complement
     symmetry); the unreduced scan exists for verification.  Given
     ``tables`` must be at the system's p and reach level n (``ValueError``).
+    ``system_nl`` is the system's ``nl_value``, when the caller has it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -119,7 +121,7 @@ def iso_bound(system: BinarySystem, n: int, *,
         raise AssertionError(
             f"witness profile {witness} evaluates to {check}, scan reported {raw}"
         )
-    nl, _ = nl_value(system)
+    nl = nl_value(system)[0] if system_nl is None else system_nl
     if raw < nl:
         raise AssertionError(
             f"bound {raw} fell below the trivial one-copy protocol's {nl}"
@@ -172,14 +174,18 @@ class ClassGrid:
 
     def reduced_rows(self):
         """Each row [s_k] of cells as lowest-terms (numerator, denominator)
-        pairs, reduced by ``math.gcd`` without building Fractions."""
-        d = self.denominator
-        for row in self.scaled.tolist():
-            cells = []
-            for v in row:
-                g = math.gcd(4 * v, d)
-                cells.append((4 * v // g, d // g))
-            yield cells
+        pairs, reduced by one ``np.gcd`` over the grid without building
+        Fractions.
+
+        4v/d = m4*v/d4 in lowest terms, m4 = 4/g4 and d4 = d/g4 with
+        g4 = gcd(d, 4); with g = gcd(v, d4) the cell is (m4*(v/g), d4/g),
+        since m4 is prime to d4.  The factor m4 is applied to Python ints
+        after ``tolist``, so 4v never has to fit int64."""
+        g4 = math.gcd(self.denominator, 4)
+        m4, d4 = 4 // g4, self.denominator // g4
+        g = np.gcd(self.scaled, d4)
+        for nums, dens in zip((self.scaled // g).tolist(), (d4 // g).tolist()):
+            yield [(m4 * v, e) for v, e in zip(nums, dens)]
 
 
 def class_grid(system: BinarySystem, n: int, *,
@@ -200,8 +206,10 @@ def envelope_bound(system: BinarySystem, n: int, dec: Decomposition,
                    envelope: Optional[BoundReport]) -> BoundReport:
     """The box's report from its decomposition and its envelope's bound.
 
-    ``envelope`` is ``iso_bound``'s report on ``dec.p_iso``; a local box
-    (epsilon 0) has no envelope and gets the trivial bound 2.
+    ``dec`` is ``minimal_isotropic(system)``, whose ``system_nl`` the
+    report carries.  ``envelope`` is ``iso_bound``'s report on
+    ``dec.p_iso``; a local box (epsilon 0) has no envelope and gets the
+    trivial bound 2.
     """
     if (envelope is None) != (dec.epsilon == 0):
         raise ValueError("a box has an envelope bound exactly when epsilon > 0")
@@ -212,7 +220,7 @@ def envelope_bound(system: BinarySystem, n: int, dec: Decomposition,
         profile = envelope.witness_profile
     return BoundReport(
         raw_bound=raw, clamped_bound=clamped, witness_profile=profile, n=n,
-        system=system, system_nl=nl_value(system)[0], decomposition=dec,
+        system=system, system_nl=dec.system_nl, decomposition=dec,
     )
 
 
@@ -222,5 +230,6 @@ def general_bound(system: BinarySystem, n: int, *,
     if n < 1:
         raise ValueError("n must be >= 1")
     dec = minimal_isotropic(system)
-    envelope = None if dec.epsilon == 0 else iso_bound(dec.p_iso, n, tables=tables)
+    envelope = None if dec.epsilon == 0 else iso_bound(
+        dec.p_iso, n, tables=tables, system_nl=dec.iso_nl)
     return envelope_bound(system, n, dec, envelope)

@@ -132,6 +132,12 @@ class Decomposition:
     p_star: Optional[BinarySystem]
     p_l: Optional[BinarySystem]
     lp: LPResult
+    system_nl: Fraction
+
+    @property
+    def iso_nl(self) -> Fraction:
+        """NL(p_iso) = 2(1 + epsilon), as ``minimal_isotropic`` checks."""
+        return 2 * (1 + self.epsilon)
 
     def to_json_obj(self) -> dict:
         return {
@@ -155,12 +161,12 @@ def minimal_isotropic(system: BinarySystem) -> Decomposition:
     """Decompose P over the weakest isotropic system that can carry it."""
     lp = local_part(system)
     s = lp.local_part
+    nl, expr = nl_value(system)
     if s == 1:
         return Decomposition(
             epsilon=Fraction(0), q=Fraction(0), p_f=None, facet=None,
-            p_iso=None, p_star=system, p_l=system, lp=lp,
+            p_iso=None, p_star=system, p_l=system, lp=lp, system_nl=nl,
         )
-    nl, expr = nl_value(system)
     if nl <= 2:
         raise DecompositionError(
             f"local part {s} < 1 for a box with NL = {nl} <= 2"
@@ -200,5 +206,5 @@ def minimal_isotropic(system: BinarySystem) -> Decomposition:
             raise DecompositionError("q = 1 decomposition must equal the box")
     return Decomposition(
         epsilon=eps, q=q, p_f=pf, facet=expr, p_iso=p_iso,
-        p_star=p_star, p_l=p_l, lp=lp,
+        p_star=p_star, p_l=p_l, lp=lp, system_nl=nl,
     )

@@ -10,7 +10,10 @@ a float64 shadow of their inputs (``float_shadow``), keep the candidates
 within a proved rounding margin of the float optimum (``filter_margin``)
 and evaluate only those in Python ints; a fill block, or a profile scan,
 with more than ``FILTER_CAP`` such survivors runs the exact body instead.
-``grid_scan`` runs in Python ints throughout on object arrays.
+``grid_scan`` sweeps only the profiles with l0 <= size/2 when its inputs
+satisfy the complement identity, which it checks, and gets the rest of the
+grid by a reflection (see the comment above ``grid_scan``); on object
+arrays it runs in Python ints throughout.
 ``bilinear_scan`` never forms the search's atom table: for fixed b0, b1
 the best decision tables are sign patterns, so each cell is a sum of
 absolute values of the wiring vectors (see the comment above
@@ -784,20 +787,76 @@ def bilinear_scan(u, scale: int, fixed: bool):
 
 
 # ---------------------------------------------------------------------------
-# Aggregated class grid: max of the scaled objective per (k0+k1, l0+l1).
-# Per l0 each k0 takes one max of a[k0] + c[k1, l1] into out[k0:k0+S, l0:l0+S].
+# Aggregated class grid: out[sk, sl] is the max of the profile scan's scaled
+# objective
+#   f = xp[k0,l0] + xp[k0,l1] + xp[k1,l0] - xm[k1,l1] + (h - k0 - l0)*dpn,
+# h = size/2, over the profiles with k0 + k1 = sk, l0 + l1 = sl.  For fixed
+# l0 it is a[k0, l1] + c[k1, l1] with a = xp[k0,l0] + xp[k0,l1]
+# + (h - k0 - l0)*dpn and c = xp[k1,l0] - xm[k1,l1]: per column l1, a
+# (max,+) convolution over k.
+#
+# Symmetry.  Every level grid satisfies the complement identity
+#   x[size-k, size-l] = x[k, l] + (size - k - l)*dpn,
+# xp by the recursion (the ``delta`` module docstring) and xm through
+# xm[k,l] = l*dpn - xp[size-k, l].  Under it the map (k0, k1, l0, l1) ->
+# (size-k0, size-k1, size-l0, size-l1) leaves f unchanged: the four table
+# terms gain (size-k0-l0) + (size-k0-l1) + (size-k1-l0) - (size-k1-l1)
+# = 2*size - 2*k0 - 2*l0 times dpn, the offset becomes
+# (h - 2*size + k0 + l0)*dpn, and the dpn coefficients sum back to
+# h - k0 - l0.  So the map is a bijection from the profiles of cell
+# (sk, sl) onto those of (2*size - sk, 2*size - sl), with equal values,
+# and it sends l0 > h to l0 < h.  With g the grid over l0 <= h only,
+#   out[sk, sl] = max(g[sk, sl], g[2*size - sk, 2*size - sl]),
+# one reflected maximum (the profiles with l0 = h count twice, which a max
+# ignores).  This half of the (l0, l1) pairs, rather than l0 + l1 <= size,
+# keeps every block a full rectangle: no slab entry is wasted on a ragged
+# l1 range, and n = 6 runs in about half the time of the l0 + l1 <= size
+# sweep.  Premise: the identity is checked on both inputs, exactly and in
+# O(size^2) on either dtype (each step (size-k-l)*dpn is at most an entry's
+# bound size*dpn).  When it fails, the same loop sweeps every l0 and skips
+# the reflection, so arbitrary inputs stay exact.
+#
+# Layout.  The l0 sweep runs in blocks of about GRID_BLOCK_CELLS slab
+# entries: each block holds a and c as (l0, k, l1) slabs and takes one add
+# and one maximum per k0 into its own (l0, sk, l1) accumulator, which then
+# folds into out[:, l0:l0+size+1] one l0 at a time.  One l0 per call pair
+# would make (size + 1)^2 pairs of numpy calls, which dominate at n <= 6;
+# from n = 7 on a block is a single l0.  Temporaries never exceed one block.
 # ---------------------------------------------------------------------------
 
+#: the (l0, k1, l1) entries one grid_scan block sweeps per numpy call
+GRID_BLOCK_CELLS = 1 << 15
+
+
+def _complement_holds(x, dpn, size: int) -> bool:
+    k = np.arange(size + 1)
+    steps = (size - np.add.outer(k, k)).astype(x.dtype) * dpn
+    return bool(np.array_equal(x[::-1, ::-1], x + steps))
+
+
 def grid_scan(xp, xm, dpn, size):
+    side = size + 1
     # xp and xm hold numerators in [0, size*dpn], so every candidate is at
     # least -2.5*size*dpn; the seed lies below all of them on both dtypes
-    out = np.full((2 * size + 1, 2 * size + 1), -3 * size * dpn, dtype=xp.dtype)
-    a_rows = -np.arange(size + 1).astype(xp.dtype)[:, None] * dpn + xp
-    cand = np.empty_like(xm)
-    for l0 in range(size + 1):
-        a = a_rows + (xp[:, l0:l0 + 1] + (size // 2 - l0) * dpn)
-        c = xp[:, l0:l0 + 1] - xm
-        for k0 in range(size + 1):
-            seg = out[k0:k0 + size + 1, l0:l0 + size + 1]
-            np.maximum(seg, np.add(a[k0], c, out=cand), out=seg)
+    floor = -3 * size * dpn
+    out = np.full((2 * size + 1, 2 * size + 1), floor, dtype=xp.dtype)
+    half = _complement_holds(xp, dpn, size) and _complement_holds(xm, dpn, size)
+    l0_end = size // 2 + 1 if half else side
+    block = max(1, GRID_BLOCK_CELLS // side ** 2)
+    a_rows = -np.arange(side).astype(xp.dtype)[:, None] * dpn + xp
+    for lo in range(0, l0_end, block):
+        l0s = np.arange(lo, min(l0_end, lo + block))
+        x0 = xp[:, l0s].T[:, :, None]
+        a = a_rows + (x0 + ((size // 2 - l0s).astype(xp.dtype) * dpn)[:, None, None])
+        c = x0 - xm
+        acc = np.full((len(l0s), 2 * size + 1, side), floor, dtype=xp.dtype)
+        cand = np.empty_like(c)
+        for k0 in range(side):
+            seg = acc[:, k0:k0 + side]
+            np.maximum(seg, np.add(a[:, k0:k0 + 1], c, out=cand), out=seg)
+        for l0, part in zip(l0s.tolist(), acc):
+            seg = out[:, l0:l0 + side]
+            np.maximum(seg, part, out=seg)
+    if half:
+        np.maximum(out, out[::-1, ::-1], out=out)
     return out

@@ -10,6 +10,10 @@ forms: ``ip_table`` from a box, ``atom_table`` from the kernel's half-atom
 vectors.  ``t_sweep`` is the vectorised sweep of T, one b0 slab at a time,
 that the search ran before; it is fast enough for n = 2, where the
 scalar ``bilinear_scan`` is not.
+``grid_sweep`` is the vectorised class-grid sweep the package ran before
+``kernels.grid_scan`` used the complement symmetry: one ``np.maximum`` per
+(l0, k0) over every l0, on int64 and object arrays alike, fast enough to
+check the kernel on real tables up to n = 7.
 ``load_payload`` reads a table cache's grid lines token by token, the
 reference for the loader's bulk parse.  ``solve_max`` is the simplex on a
 ``Fraction`` tableau, the reference for the fraction-free one in
@@ -111,6 +115,21 @@ def grid_scan(xp, xm, dpn, size):
                     cand = v0 + c[k1]
                     if cand > out[k0 + k1, sl]:
                         out[k0 + k1, sl] = cand
+    return out
+
+
+def grid_sweep(xp, xm, dpn, size):
+    # xp and xm hold numerators in [0, size*dpn], so every candidate is at
+    # least -2.5*size*dpn; the seed lies below all of them on both dtypes
+    out = np.full((2 * size + 1, 2 * size + 1), -3 * size * dpn, dtype=xp.dtype)
+    a_rows = -np.arange(size + 1).astype(xp.dtype)[:, None] * dpn + xp
+    cand = np.empty_like(xm)
+    for l0 in range(size + 1):
+        a = a_rows + (xp[:, l0:l0 + 1] + (size // 2 - l0) * dpn)
+        c = xp[:, l0:l0 + 1] - xm
+        for k0 in range(size + 1):
+            seg = out[k0:k0 + size + 1, l0:l0 + size + 1]
+            np.maximum(seg, np.add(a[k0], c, out=cand), out=seg)
     return out
 
 

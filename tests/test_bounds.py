@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -27,7 +28,10 @@ from nldistill import (
     wedge,
 )
 
+from nldistill import bounds as bounds_module
+from nldistill import decompose as decompose_module
 from nldistill.bounds import envelope_bound
+from nldistill.cli import main as cli_main
 from nldistill.decompose import minimal_isotropic
 
 import scalar_kernels
@@ -173,6 +177,95 @@ def test_grid_scan_matches_reference_on_ties(inputs):
         vector = kernels.grid_scan(xp_, xm_, dpn, size)
         assert vector.dtype == xp_.dtype
         assert vector.tolist() == scalar.tolist()
+
+
+GRID_PS = [F(2, 5), F(31, 80), F(39, 80), F(13, 32), F(1, 3), F(0), F(1, 2)]
+
+
+@pytest.mark.parametrize("p", GRID_PS + [F(301, 800)], ids=str)
+def test_grid_scan_equals_the_sweep(p):
+    # real tables satisfy the complement identity, so the kernel sweeps
+    # l0 <= size/2 and reflects, while the reference sweeps every l0;
+    # 301/800 fills every level in Python ints
+    tables = build_tables(p, 6)
+    for n in range(1, 7):
+        xp, xm = tables.plus[n], tables.minus[n]
+        dpn, size = p.denominator ** n, 2 ** n
+        assert kernels._complement_holds(xp, dpn, size)
+        assert kernels._complement_holds(xm, dpn, size)
+        want = scalar_kernels.grid_sweep(xp, xm, dpn, size)
+        pairs = [(xp, xm)] if xp.dtype == object else _int64_and_object(xp, xm)
+        for xp_, xm_ in pairs:
+            got = kernels.grid_scan(xp_, xm_, dpn, size)
+            # the reference's dtype is its input's, int64 values are exact
+            assert got.dtype == xp_.dtype, (n, xp_.dtype)
+            assert got.tolist() == want.tolist(), (n, xp_.dtype)
+
+
+def _complemented_grid(draw, size: int, dpn: int, values):
+    """A level-like grid drawn on the wedge k <= l, k + l <= size and
+    completed by the (k, l) <-> (l, k) reflection and the complement
+    identity x[size-k, size-l] = x[k, l] + (size-k-l)*dpn.  An entry at
+    (k, l) is dpn*min(t, k, l) for a drawn t in ``values``, so entries lie
+    in [max(0, k+l-size), min(k, l)]*dpn, as in real tables."""
+    x = np.zeros((size + 1, size + 1), dtype=np.int64)
+    for k in range(size + 1):
+        for l in range(k, size - k + 1):
+            x[k, l] = x[l, k] = dpn * min(draw(st.sampled_from(values)), k)
+    for k in range(size + 1):
+        for l in range(size - k + 1, size + 1):
+            x[k, l] = x[size - k, size - l] + (k + l - size) * dpn
+    return x
+
+
+@st.composite
+def complemented_scan_inputs(draw):
+    """Tie-heavy scan inputs that satisfy the complement identity, so the
+    kernel takes its half sweep.  xm comes from a second plus-like grid
+    through xm[k, l] = l*dpn - x[size-k, l], as ``DeltaTables.minus``
+    derives it."""
+    size = draw(st.integers(min_value=1, max_value=8))
+    dpn = draw(st.integers(min_value=1, max_value=2))
+    values = draw(st.lists(st.integers(min_value=0, max_value=3),
+                           min_size=1, max_size=2, unique=True))
+    xp = _complemented_grid(draw, size, dpn, values)
+    x2 = _complemented_grid(draw, size, dpn, values)
+    xm = np.arange(size + 1, dtype=np.int64) * dpn - x2[::-1, :]
+    return xp, xm, dpn, size
+
+
+@settings(max_examples=100, deadline=None)
+@given(complemented_scan_inputs())
+def test_grid_scan_half_sweep_matches_reference_on_ties(inputs):
+    xp, xm, dpn, size = inputs
+    assert kernels._complement_holds(xp, dpn, size)
+    assert kernels._complement_holds(xm, dpn, size)
+    scalar = scalar_kernels.grid_scan(xp, xm, np.int64(dpn), size)
+    for xp_, xm_ in _int64_and_object(xp, xm):
+        vector = kernels.grid_scan(xp_, xm_, dpn, size)
+        assert vector.dtype == xp_.dtype
+        assert vector.tolist() == scalar.tolist()
+
+
+def test_grid_scan_sweeps_every_l0_when_the_identity_fails():
+    # one entry raised by one unit breaks the complement identity of its
+    # grid; the reference grid then loses its reflection symmetry, so a
+    # kernel that still reflected could not match it
+    p, n = F(2, 5), 3
+    t = build_tables(p, n)
+    dpn, size = p.denominator ** n, 2 ** n
+    for grid, (k, l) in (("xp", (1, 2)), ("xp", (6, 7)), ("xm", (1, 2)),
+                         ("xm", (4, 6))):
+        xp, xm = t.plus[n].copy(), t.minus[n].copy()
+        (xp if grid == "xp" else xm)[k, l] += 1
+        assert not (kernels._complement_holds(xp, dpn, size)
+                    and kernels._complement_holds(xm, dpn, size))
+        want = scalar_kernels.grid_sweep(xp, xm, dpn, size)
+        assert not np.array_equal(want, want[::-1, ::-1]), (grid, k, l)
+        for xp_, xm_ in _int64_and_object(xp, xm):
+            got = kernels.grid_scan(xp_, xm_, dpn, size)
+            assert got.dtype == xp_.dtype and got.tolist() == want.tolist(), \
+                (grid, k, l, xp_.dtype)
 
 
 def test_iso_scan_tied_columns_take_the_least_rows():
@@ -496,6 +589,28 @@ def test_envelope_bound_takes_an_envelope_exactly_for_nonlocal_boxes():
     assert envelope_bound(P_C, 2, local, None) == general_bound(P_C, 2)
     with pytest.raises(ValueError):
         envelope_bound(P_C, 2, local, iso_bound(PR, 2))
+
+
+def test_general_bound_evaluates_each_nl_once(monkeypatch, capsys):
+    # the box, its isotropic envelope and its local residue: one nl_value
+    # each, in the library and in the CLI's bound path
+    seen = []
+
+    def counted(system):
+        seen.append(system.table)
+        return nl_value(system)
+
+    for module in (bounds_module, decompose_module):
+        monkeypatch.setattr(module, "nl_value", counted)
+    box = wedge(F(1, 5), F(1, 5))
+    report = general_bound(box, 2)
+    dec = report.decomposition
+    assert dec.q < 1 and report.system_nl == nl_value(box)[0]
+    assert sorted(seen) == sorted([box.table, dec.p_iso.table, dec.p_l.table])
+    seen.clear()
+    assert cli_main(["bound", "--wedge", "1/5,1/5", "--n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out) == report.to_json_obj()
+    assert sorted(seen) == sorted([box.table, dec.p_iso.table, dec.p_l.table])
 
 
 def test_soundness_on_isotropic_line():

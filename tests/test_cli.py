@@ -495,6 +495,18 @@ def test_grid_n6_reproduces_peak(capsys):
 
 
 @pytest.mark.longrun
+def test_grid_n7_matches_the_sweep(capsys, monkeypatch):
+    # the n >= 7 grid path against the full sweep through the same ClassGrid
+    # and the same output code
+    argv = ["grid", "--wedge", "1/5,0", "--n", "7", "--long-run", "--format", "json"]
+    code, out, _ = run(capsys, *argv)
+    monkeypatch.setattr(kernels, "grid_scan", scalar_kernels.grid_sweep)
+    ref_code, ref_out, _ = run(capsys, *argv)
+    assert code == ref_code == 0
+    assert out == ref_out
+
+
+@pytest.mark.longrun
 def test_bound_n9_long_run(capsys, tmp_path):
     code, out, _ = run(capsys, "bound", "--wedge", "1/4,0", "--n", "9",
                        "--long-run", "--cache", str(tmp_path / "cache"))
