@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .boxes import BinarySystem, is_isotropic, nl_value
+from .boxes import BinarySystem, is_isotropic
 from .decompose import Decomposition, minimal_isotropic
 from .delta import DeltaTables, tables_for
 
@@ -96,18 +96,17 @@ def _scan_inputs(tables: DeltaTables, n: int):
 
 def iso_bound(system: BinarySystem, n: int, *,
               tables: Optional[DeltaTables] = None,
-              reduced: bool = True,
-              system_nl: Optional[Fraction] = None) -> BoundReport:
+              reduced: bool = True) -> BoundReport:
     """Upper bound on D(n, P) for an isotropic system.
 
     ``reduced`` restricts the k0 sweep to [0, 2^(n-1)] (complement
     symmetry); the unreduced scan exists for verification.  Given
     ``tables`` must be at the system's p and reach level n (``ValueError``).
-    ``system_nl`` is the system's ``nl_value``, when the caller has it.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if is_isotropic(system) is None:
+    form = is_isotropic(system)
+    if form is None:
         raise ValueError("the isotropic bound applies to isotropic systems only")
     tables = tables_for(system.prob(0, 0, 0, 0), n, tables)
     xp, xm, dpn, denom = _scan_inputs(tables, n)
@@ -121,7 +120,7 @@ def iso_bound(system: BinarySystem, n: int, *,
         raise AssertionError(
             f"witness profile {witness} evaluates to {check}, scan reported {raw}"
         )
-    nl = nl_value(system)[0] if system_nl is None else system_nl
+    nl = 2 * (1 + form.epsilon)  # NL(P), exactly (``is_isotropic``)
     if raw < nl:
         raise AssertionError(
             f"bound {raw} fell below the trivial one-copy protocol's {nl}"
@@ -230,6 +229,5 @@ def general_bound(system: BinarySystem, n: int, *,
     if n < 1:
         raise ValueError("n must be >= 1")
     dec = minimal_isotropic(system)
-    envelope = None if dec.epsilon == 0 else iso_bound(
-        dec.p_iso, n, tables=tables, system_nl=dec.iso_nl)
+    envelope = None if dec.epsilon == 0 else iso_bound(dec.p_iso, n, tables=tables)
     return envelope_bound(system, n, dec, envelope)

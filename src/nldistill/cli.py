@@ -228,8 +228,7 @@ def cmd_bound(args) -> int:
     local = dec.epsilon == 0
     tables = None if local else _tables_for(dec.p_iso.prob(0, 0, 0, 0), args.n, args)
     t0 = time.perf_counter()
-    envelope = None if local else iso_bound(dec.p_iso, args.n, tables=tables,
-                                            system_nl=dec.iso_nl)
+    envelope = None if local else iso_bound(dec.p_iso, args.n, tables=tables)
     report = envelope_bound(system, args.n, dec, envelope)
     _log({"event": "bound_done", "raw": str(report.raw_bound),
           "witness": list(report.witness_profile.as_tuple()), "seconds": _since(t0)})

@@ -134,11 +134,6 @@ class Decomposition:
     lp: LPResult
     system_nl: Fraction
 
-    @property
-    def iso_nl(self) -> Fraction:
-        """NL(p_iso) = 2(1 + epsilon), as ``minimal_isotropic`` checks."""
-        return 2 * (1 + self.epsilon)
-
     def to_json_obj(self) -> dict:
         return {
             "epsilon": str(self.epsilon),

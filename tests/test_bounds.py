@@ -593,15 +593,16 @@ def test_envelope_bound_takes_an_envelope_exactly_for_nonlocal_boxes():
 
 def test_general_bound_evaluates_each_nl_once(monkeypatch, capsys):
     # the box, its isotropic envelope and its local residue: one nl_value
-    # each, in the library and in the CLI's bound path
+    # each, in the library and in the CLI's bound path; the bounds module
+    # takes NL(p_iso) from the isotropic epsilon
     seen = []
 
     def counted(system):
         seen.append(system.table)
         return nl_value(system)
 
-    for module in (bounds_module, decompose_module):
-        monkeypatch.setattr(module, "nl_value", counted)
+    assert not hasattr(bounds_module, "nl_value")
+    monkeypatch.setattr(decompose_module, "nl_value", counted)
     box = wedge(F(1, 5), F(1, 5))
     report = general_bound(box, 2)
     dec = report.decomposition
