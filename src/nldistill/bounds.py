@@ -95,13 +95,11 @@ def _scan_inputs(tables: DeltaTables, n: int):
 
 
 def iso_bound(system: BinarySystem, n: int, *,
-              tables: Optional[DeltaTables] = None,
-              reduced: bool = True) -> BoundReport:
+              tables: Optional[DeltaTables] = None) -> BoundReport:
     """Upper bound on D(n, P) for an isotropic system.
 
-    ``reduced`` restricts the k0 sweep to [0, 2^(n-1)] (complement
-    symmetry); the unreduced scan exists for verification.  Given
-    ``tables`` must be at the system's p and reach level n (``ValueError``).
+    The k0 sweep stops at 2^(n-1) (complement symmetry).  Given ``tables``
+    must be at the system's p and reach level n (``ValueError``).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -111,8 +109,7 @@ def iso_bound(system: BinarySystem, n: int, *,
     tables = tables_for(system.prob(0, 0, 0, 0), n, tables)
     xp, xm, dpn, denom = _scan_inputs(tables, n)
     size = 2 ** n
-    k0_cap = size // 2 if reduced else size
-    best, witness = kernels.iso_scan(xp, xm, dpn, k0_cap, size)
+    best, witness = kernels.iso_scan(xp, xm, dpn, size // 2, size)
     raw = Fraction(4 * best, denom)
     profile = ClassProfile(*witness)
     check = class_bound(tables, n, profile)

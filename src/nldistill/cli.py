@@ -1,13 +1,13 @@
 """Command-line interface.
 
 Subcommands: validate, nl, decompose, tables, bound, grid, search.
-Boxes come either from ``--box FILE`` (JSON table of "num/den" strings)
-or ``--wedge e,d`` (the PR / correlated-bit / facet mixture).  Each
-command takes ``--out FILE`` and only the other flags it reads (see
-``_build_parser``); any other flag is a usage error.  All rationals are
-printed as "num/den"; floats appear only in explicitly approximate
-columns.  Exit codes: 0 success, 2 invalid box, 3 infeasible parameters
-or usage error, 4 I/O or cache failure.
+Boxes come from exactly one of ``--box FILE`` (JSON table of "num/den"
+strings) and ``--wedge e,d`` (the PR / correlated-bit / facet mixture).
+Each command takes ``--out FILE``, which gets the bytes stdout would, and
+only the other flags it reads (see ``_build_parser``); any other flag is a
+usage error.  All rationals are printed as "num/den"; floats appear only
+in explicitly approximate columns.  Exit codes: 0 success, 2 invalid box,
+3 infeasible parameters or usage error, 4 I/O or cache failure.
 
 ``bound`` and ``tables`` both reduce the box to its minimal isotropic
 envelope, so ``tables`` caches the tables ``bound`` reads; a local box
@@ -110,6 +110,8 @@ def _load_box(args, *, require_valid: bool = True) -> BinarySystem:
 
 
 def _emit(args, text: str) -> None:
+    if not text.endswith("\n"):
+        text += "\n"
     if args.out:
         try:
             Path(args.out).write_text(text)
@@ -117,8 +119,6 @@ def _emit(args, text: str) -> None:
             raise CliError(EXIT_IO, f"cannot write output: {exc}")
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _require_long_run(args, what: str) -> None:
@@ -299,9 +299,10 @@ def _build_parser() -> argparse.ArgumentParser:
         # formats: the --format choices, default first;
         # cache: None, "optional" or "required"
         sub = subs.add_parser(name, help=help_text)
-        sub.add_argument("--wedge", metavar="E,D",
+        box = sub.add_mutually_exclusive_group()
+        box.add_argument("--wedge", metavar="E,D",
                          help="wedge box: eps,delta as rationals, e.g. 1/5,0")
-        sub.add_argument("--box", metavar="FILE", help="box JSON file")
+        box.add_argument("--box", metavar="FILE", help="box JSON file")
         if copies:
             sub.add_argument("--n", type=int, required=True, metavar="N",
                              help="number of box copies")

@@ -30,29 +30,26 @@ So the min is l/2^m minus the max.  All three identities hold exactly for
 the recursion and are cross-checked against a direct recursive
 evaluation in the tests.
 
-A cache file (format 3) is ASCII text: four header lines
+A cache file (format 4) starts with four ASCII header lines
 
-    NLDELTA 3
+    NLDELTA 4
     n=<n> p=<num>/<den>
     ops=<ops_per_level, comma-separated>
     sha256=<hex digest of every other byte of the file>
 
-then one line per level m = 0..n holding the plus grid's numerators over
-D_m in row-major order as space-separated decimals.  The minus grid is not
-stored: ``DeltaTables.minus`` derives it on first read.  int64 and big-int
-tables share this encoding; the loader picks the dtype from ``fits_int64``
+and goes on with the plus grids' numerators over D_m, level 0..n in
+row-major order, each entry as L unsigned little-endian 64-bit limbs,
+least significant first, where L = ceil(bits(D_n)/64).  L is not stored:
+it follows from n and p, and it is 1 for every int64 table, as
+D_n <= 2^59 there.  The minus grid is not stored: ``DeltaTables.minus``
+derives it on first read.  The loader picks the dtype from ``fits_int64``
 as the build does.  Files of another version raise ``TableVersionError``.
 
 Loading checks the header (``TableHeaderError``) and the checksum
-(``TableChecksumError``), then the grid lines in one pass over their bytes
-(``TableFormatError``): digits, single spaces and one newline per grid,
-each grid's entry count, and every entry 1 to len(str(D_n)) digits long,
-which rules out signs, empty entries and entries too long for int64.
-Only then is the text parsed: once with ``np.fromstring`` into one int64
-buffer, of which each grid is a read-only view, or token by token into
-Python ints.  Each level's entries must lie in [0, D_m]
-(``TableFormatError``), and bytes after the last grid raise
-``TableHeaderError``.
+(``TableChecksumError``), then that the payload holds exactly the entries
+of levels 0..n at 8*L bytes each, and that every level's entries lie in
+[0, D_m] (``TableFormatError``).  The int64 grids are read-only views of
+the one decoded buffer; big-int grids join their limbs in Python ints.
 """
 from __future__ import annotations
 
@@ -77,7 +74,7 @@ INT64_SAFE_LIMIT = 1 << 59
 MEMORY_BUDGET = 2 << 30  # bytes
 
 _MAGIC = "NLDELTA"
-_FORMAT_VERSION = 3
+_FORMAT_VERSION = 4
 
 
 class DeltaTableError(Exception):
@@ -187,21 +184,33 @@ class DeltaTables:
             f"n={self.n} p={self.p.numerator}/{self.p.denominator}\n"
             f"ops={','.join(map(str, self.ops_per_level))}\n"
         ).encode()
-        lines = [" ".join(map(str, grid.ravel().tolist())).encode() + b"\n"
-                 for grid in self.plus]
-        digest = hashlib.sha256(head)
-        for line in lines:
-            digest.update(line)
+        limbs = _limb_count(self.p, self.n)
+        if limbs == 1:
+            payload = b"".join(grid.astype("<u8").tobytes() for grid in self.plus)
+        else:
+            values = np.concatenate([grid.ravel() for grid in self.plus])
+            words = np.empty((len(values), limbs), dtype="<u8")
+            for k in range(limbs):
+                words[:, k] = (values >> (64 * k)) & _LIMB_MASK
+            payload = words.tobytes()
+        digest = hashlib.sha256(head + payload).hexdigest()
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
         try:
             with open(tmp, "wb") as fh:
-                fh.write(head + f"sha256={digest.hexdigest()}\n".encode())
-                for line in lines:
-                    fh.write(line)
+                fh.write(head + f"sha256={digest}\n".encode())
+                fh.write(payload)
             os.replace(tmp, path)
         finally:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
+
+
+_LIMB_MASK = (1 << 64) - 1
+
+
+def _limb_count(p: Fraction, n: int) -> int:
+    """The 64-bit limbs per cache entry: enough for D_n, 1 on int64 tables."""
+    return -(-((2 * p.denominator) ** n).bit_length() // 64)
 
 
 def load_tables(path, expect_p: Optional[Fraction] = None,
@@ -245,71 +254,28 @@ def load_tables(path, expect_p: Optional[Fraction] = None,
         raise TableChecksumError("checksum mismatch (corrupt or truncated)")
 
     sides = [2 ** m + 1 for m in range(n + 1)]
-    ends = np.cumsum([side * side for side in sides])
-    body = _grid_body(payload, ends, len(str((2 * p.denominator) ** n)))
+    ends = np.cumsum([side * side for side in sides]).tolist()
+    limbs = _limb_count(p, n)
+    if len(payload) != ends[-1] * 8 * limbs:
+        raise TableFormatError(
+            f"payload of {len(payload)} bytes, expected {ends[-1]} entries "
+            f"of {8 * limbs} bytes for n={n}"
+        )
+    words = np.frombuffer(payload, "<u8").reshape(-1, limbs)
     if fits_int64(p, n):
-        values = np.fromstring(body, dtype=np.int64, sep=" ")
+        values = words[:, 0]  # unsigned until checked: a set top bit exceeds D_m
     else:
-        values = np.fromiter(map(int, body.split()), dtype=object, count=int(ends[-1]))
-    values.flags.writeable = False
+        values = words[:, -1].astype(object)
+        for k in range(limbs - 2, -1, -1):
+            values = (values << 64) | words[:, k].astype(object)
+        values.flags.writeable = False
     grids = []
-    for m, (side, end) in enumerate(zip(sides, ends.tolist())):
+    for m, (side, end) in enumerate(zip(sides, ends)):
         grid = values[end - side * side:end].reshape(side, side)
         if grid.max() > (2 * p.denominator) ** m:
             raise TableFormatError(f"entry outside [0, 1] at level {m}")
-        grids.append(grid)
-    if len(body) != len(payload):
-        raise TableHeaderError(
-            "payload longer than the declared n accounts for"
-        )
+        grids.append(grid.view(np.int64) if grid.dtype != object else grid)
     return DeltaTables(p=p, n=n, plus=tuple(grids), ops_per_level=ops)
-
-
-#: the bytes of a grid line: digits, the space between tokens, its newline
-_GRID_CHARS = b"0123456789 \n"
-
-
-def _grid_body(payload: bytes, ends: np.ndarray, digits: int) -> bytes:
-    """The first len(ends) lines of ``payload``, where line m must hold
-    ends[m] - ends[m-1] tokens of 1 to ``digits`` decimal digits, one space
-    apart: no sign, no empty token and no token too long for the dtype.
-    Raises TableFormatError naming the level of the first line that does not.
-    """
-    newlines = []
-    pos = payload.find(b"\n")
-    while pos >= 0 and len(newlines) < len(ends):
-        newlines.append(pos)
-        pos = payload.find(b"\n", pos + 1)
-    body = payload[:newlines[-1] + 1] if len(newlines) == len(ends) else payload
-    raw = np.frombuffer(body, np.uint8)
-    # separator k (a space or a newline) ends token k; newline m is
-    # separator lines[m]
-    spaces = np.flatnonzero(raw == 32)
-    at = np.searchsorted(spaces, newlines)
-    seps = np.insert(spaces, at, newlines)
-    lines = at + np.arange(len(newlines))
-    # the byte offsets of the first foreign byte and of the end of the first
-    # token of a bad width; the grid named is the line holding the first
-    faults = []
-    if body.translate(None, _GRID_CHARS):
-        faults.append(np.flatnonzero(~np.isin(raw, list(_GRID_CHARS)))[0])
-    width = np.diff(seps, prepend=-1) - 1
-    wide = np.flatnonzero((width < 1) | (width > digits))
-    if len(wide):
-        faults.append(seps[wide[0]])
-    m = len(ends)
-    if faults:
-        m = int(np.searchsorted(newlines, min(faults)))
-    # the newline of line m must be separator ends[m] - 1: a missing or an
-    # extra token moves it
-    moved = np.flatnonzero(lines != ends[:len(lines)] - 1)
-    m = min(m, int(moved[0]) if len(moved) else len(lines))
-    if m < len(ends):
-        side = 2 ** m + 1
-        raise TableFormatError(
-            f"level {m} grid is not {side * side} decimal numerators"
-        )
-    return body
 
 
 # ---------------------------------------------------------------------------

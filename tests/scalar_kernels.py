@@ -14,8 +14,8 @@ scalar ``bilinear_scan`` is not.
 ``kernels.grid_scan`` used the complement symmetry: one ``np.maximum`` per
 (l0, k0) over every l0, on int64 and object arrays alike, fast enough to
 check the kernel on real tables up to n = 7.
-``load_payload`` reads a table cache's grid lines token by token, the
-reference for the loader's bulk parse.  ``solve_max`` is the simplex on a
+``load_payload`` reads a table cache's payload entry by entry, the
+reference for the loader's bulk decode.  ``solve_max`` is the simplex on a
 ``Fraction`` tableau, the reference for the fraction-free one in
 ``nldistill.simplex``: same Bland's rule, so the same pivot sequence.
 """
@@ -234,20 +234,21 @@ def t_sweep(t, a0_idx):
 
 def load_payload(payload, p, n):
     """The plus grids of a cache file's payload (the bytes after its sha256
-    line) for levels 0..n, one line per level, each split and checked token
-    by token; int64 while (2*den(p))^n <= 2^59, else Python ints."""
-    dtype = np.int64 if (2 * p.denominator) ** n <= 1 << 59 else object
+    line) for levels 0..n, each entry read apart with ``int.from_bytes``
+    from its 8*L little-endian bytes, L = ceil(bits(D_n)/64); int64 while
+    (2*den(p))^n <= 2^59, else Python ints."""
+    top = (2 * p.denominator) ** n
+    dtype = np.int64 if top <= 1 << 59 else object
+    width = 8 * math.ceil(top.bit_length() / 64)
     grids = []
     pos = 0
     for m in range(n + 1):
         side = 2 ** m + 1
-        end = payload.index(b"\n", pos)
-        tokens = payload[pos:end].split(b" ")
-        assert len(tokens) == side * side and all(map(bytes.isdigit, tokens))
-        values = list(map(int, tokens))
+        values = [int.from_bytes(payload[at:at + width], "little")
+                  for at in range(pos, pos + side * side * width, width)]
         assert max(values) <= (2 * p.denominator) ** m
         grids.append(np.array(values, dtype=dtype).reshape(side, side))
-        pos = end + 1
+        pos += side * side * width
     assert pos == len(payload)
     return grids
 

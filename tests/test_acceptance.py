@@ -24,6 +24,7 @@ from nldistill import (
     general_bound,
     inner_product,
     iso_bound,
+    kernels,
     local_part,
     minimal_isotropic,
     mix,
@@ -240,14 +241,18 @@ def test_c8_symmetries():
                         assert tables.delta("+", m, k, l) <= \
                             tables.delta("+", m, k + 1, l)
 
-    # (c) complement-reduced profile scan equals the unreduced scan, n <= 4
+    # (c) complement-reduced profile scan equals the full k0 scan on the
+    # same tables, n <= 4
     for eps in (F(1, 5), F(1, 2), F(7, 9)):
         box = wedge(eps, 0)
         for n in range(1, 5):
-            reduced = iso_bound(box, n, reduced=True)
-            full = iso_bound(box, n, reduced=False)
-            assert reduced.raw_bound == full.raw_bound
-            assert reduced.witness_profile == full.witness_profile
+            tables = build_tables(box.prob(0, 0, 0, 0), n)
+            size = 2 ** n
+            best, witness = kernels.iso_scan(tables.plus[n], tables.minus[n],
+                                             tables.p.denominator ** n, size, size)
+            reduced = iso_bound(box, n, tables=tables)
+            assert reduced.raw_bound == F(4 * best, tables.level_denominator(n))
+            assert reduced.witness_profile.as_tuple() == witness
     return "complement invariance x1000 exact, table symmetry+monotonicity, scan reduction"
 
 

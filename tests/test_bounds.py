@@ -65,13 +65,18 @@ def test_iso_bound_small_n():
 
 
 def test_iso_bound_reduced_equals_unreduced_up_to_n4():
+    # iso_bound sweeps k0 <= 2^(n-1) only; the full k0 sweep on the same
+    # tables finds the same maximum and the same lex-min witness
     for eps in (F(1, 5), F(1, 2), F(7, 9)):
         w = wedge(eps, 0)
         for n in range(1, 5):
-            a = iso_bound(w, n, reduced=True)
-            b = iso_bound(w, n, reduced=False)
-            assert a.raw_bound == b.raw_bound
-            assert a.witness_profile == b.witness_profile
+            t = build_tables(w.prob(0, 0, 0, 0), n)
+            size = 2 ** n
+            best, witness = kernels.iso_scan(t.plus[n], t.minus[n],
+                                             t.p.denominator ** n, size, size)
+            report = iso_bound(w, n, tables=t)
+            assert report.raw_bound == F(4 * best, t.level_denominator(n))
+            assert report.witness_profile.as_tuple() == witness
 
 
 def test_iso_bound_requires_isotropic():
@@ -105,12 +110,13 @@ def test_backends_agree_on_bound():
              (wedge(0, 0), F(2), (0, 0, 0, 0))]
     for w, bound, profile in cases:
         t, xp, xm, dpn, size = _n4_scan_inputs(w)
-        for reduced, k0_cap in ((True, size // 2), (False, size)):
+        # iso_bound's reduced sweep (k0 <= size/2) against both sweeps
+        report = iso_bound(w, 4, tables=t)
+        for k0_cap in (size // 2, size):
             scalar = scalar_kernels.iso_scan(xp, xm, np.int64(dpn), k0_cap, size)
             vector = kernels.iso_scan(xp, xm, dpn, k0_cap, size)
             best, *witness = (int(v) for v in scalar)
             assert (best, tuple(witness)) == vector, (bound, k0_cap)
-            report = iso_bound(w, 4, tables=t, reduced=reduced)
             assert report.raw_bound == F(4 * best, t.level_denominator(4)) == bound
             assert report.witness_profile.as_tuple() == tuple(witness) == profile
     # all-zero inputs tie on every profile, so both bodies must pick the

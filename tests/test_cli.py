@@ -130,14 +130,40 @@ def test_corrupt_cache_is_distinct_io_error(capsys, tmp_path):
                        "--cache", str(cache))
     assert code == 4
     assert "cache corrupt" in err and "TableChecksumError" in err
-    # a cache written by format 1 or 2 names the file to delete
+    # a cache written by format 1, 2 or 3 names the file to delete
     for old in (b"NLDELTA 1\nn=2 p=2/5\nsha256=0\n",
-                b"NLDELTA 2\nn=2 p=2/5\nops=0,20,86\nsha256=0\n0 0 0 1\n"):
+                b"NLDELTA 2\nn=2 p=2/5\nops=0,20,86\nsha256=0\n0 0 0 1\n",
+                b"NLDELTA 3\nn=2 p=2/5\nops=0,20,86\nsha256=0\n0 0 0 1\n"):
         victim.write_bytes(old)
         code, _, err = run(capsys, "bound", "--wedge", "1/5,0", "--n", "2",
                            "--cache", str(cache))
         assert code == 4
         assert str(victim) in err and "TableVersionError" in err
+
+
+@pytest.mark.parametrize("command", ["nl", "bound"])
+def test_wedge_and_box_are_exclusive(capsys, tmp_path, command):
+    argv = [command, "--wedge", "1/5,0", "--box", str(tmp_path / "none.json")]
+    if command == "bound":
+        argv += ["--n", "2"]
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert "not allowed with argument" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["nl", "--wedge", "1/5,0"],
+    ["bound", "--wedge", "1/5,0", "--n", "2"],
+    ["grid", "--wedge", "1/5,0", "--n", "2"],
+    ["grid", "--wedge", "1/5,0", "--n", "2", "--format", "json"],
+], ids=["nl", "bound", "grid-csv", "grid-json"])
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.endswith("\n")
+    path = tmp_path / "out.txt"
+    code, again, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and again == ""
+    assert path.read_bytes() == out.encode()
 
 
 def test_grid_csv_and_json(capsys):

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import struct
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from functools import lru_cache
@@ -414,12 +417,11 @@ def test_saved_bytes_are_pinned(tmp_path):
     path = tmp_path / "t.nldt"
     build_tables(F(1, 2), 1).save(path)
     assert path.read_bytes() == (
-        b"NLDELTA 3\n"
+        b"NLDELTA 4\n"
         b"n=1 p=1/2\n"
         b"ops=0,20\n"
-        b"sha256=a42a17f41ec61afb3340160cf69327b5c6b59aef47e8ab25a891632cab21d7cf\n"
-        b"0 0 0 1\n"
-        b"0 0 0 0 2 2 0 2 4\n"
+        b"sha256=d0e0beeef481e2ba8cdfb84041d0ce2f75d82b043f691068d7aa573427172da7\n"
+        + struct.pack("<13Q", 0, 0, 0, 1, 0, 0, 0, 0, 2, 2, 0, 2, 4)
     )
 
 
@@ -427,12 +429,12 @@ def test_saved_level_6_digest_is_pinned(tmp_path):
     # a fill change that alters any grid or op count changes this digest
     path = tmp_path / "t.nldt"
     build_tables(F(2, 5), 6).save(path)
-    head = path.read_bytes().split(b"\n")[:4]
+    head, _ = _split(path.read_bytes())
     assert head == [
-        b"NLDELTA 3",
+        b"NLDELTA 4",
         b"n=6 p=2/5",
         b"ops=0,20,86,580,5550,66810,919666",
-        b"sha256=ee9d7da4a410c21434e8ee04106fa74a60ba2d102d8ba163af12714fe8a690d7",
+        b"sha256=91ef0e070823fc5b6bb46f2c5f71d4b829d60ee5bce77ec3d1f01579c9989f8c",
     ]
 
 
@@ -495,16 +497,17 @@ def test_load_error_cases(tmp_path):
         load_tables(truncated)
 
     versioned = tmp_path / "version.nldt"
-    versioned.write_bytes(data.replace(b"NLDELTA 3", b"NLDELTA 2", 1))
-    with pytest.raises(TableVersionError):
-        load_tables(versioned)
+    for old in (b"NLDELTA 2", b"NLDELTA 3"):
+        versioned.write_bytes(data.replace(b"NLDELTA 4", old, 1))
+        with pytest.raises(TableVersionError):
+            load_tables(versioned)
 
     wrong_n = tmp_path / "n.nldt"
     wrong_n.write_bytes(data.replace(b"n=2", b"n=1", 1))
     with pytest.raises(TableHeaderError):
         load_tables(wrong_n)
 
-    ops_line = data.split(b"\n")[2]
+    ops_line = _split(data)[0][2]
     assert ops_line == b"ops=0,20,86"
     for bad_ops in (b"ops=0,20", b"ops=0,20,86,9", b"ops=1,20,86",
                     b"ops=0,-20,86", b"ops=0,x,86", b"ops="):
@@ -525,62 +528,92 @@ def test_load_error_cases(tmp_path):
         load_tables(garbage)
 
 
-def _restamp(lines: list[bytes]) -> bytes:
-    """Join the lines of a table file under a recomputed sha256 line, so
-    that only the payload checks can object."""
+def _split(data: bytes) -> tuple[list[bytes], bytes]:
+    """The four header lines of a table file, without their newlines, and
+    its binary payload."""
+    *head, payload = data.split(b"\n", 4)
+    return head, payload
+
+
+def _restamp(head: list[bytes], payload: bytes) -> bytes:
+    """A table file of these header lines and payload under a recomputed
+    sha256 line, so that only the payload checks can object."""
     import hashlib
 
-    digest = hashlib.sha256(b"\n".join(lines[:3] + lines[4:])).hexdigest()
-    return b"\n".join(lines[:3] + [f"sha256={digest}".encode()] + lines[4:])
+    digest = hashlib.sha256(b"".join(line + b"\n" for line in head[:3]) + payload)
+    return b"\n".join(head[:3] + [b"sha256=" + digest.hexdigest().encode()]) + b"\n" + payload
 
 
-@pytest.mark.parametrize("p, dtype", [(F(1, 2), np.int64),
-                                      (F(1234567, 8000000), object)],
+@pytest.mark.parametrize("p, dtype, limbs", [(F(1, 2), np.int64, 1),
+                                             (F(1234567, 8000000), object, 2)],
                          ids=["int64", "bigint"])
-def test_malformed_payload_is_distinct(tmp_path, p, dtype):
+def test_malformed_payload_is_distinct(tmp_path, p, dtype, limbs):
     t = build_tables(p, 3)
     path = tmp_path / "t.nldt"
     t.save(path)
     assert load_tables(path).plus[1].dtype == dtype
-    lines = path.read_bytes().split(b"\n")
-    assert _restamp(lines) == path.read_bytes()
-    row, top = lines[5], t.level_denominator(1)  # the level-1 grid
-    head, last = row.rsplit(b" ", 1)
-    assert int(last) == top
-    bad_rows = [
-        row.replace(b" ", b" x", 1),  # a non-digit token
-        head + b" %d" % (top + 1),  # a numerator above D_1
-        head + b" -1",  # a negative numerator
-        head,  # one entry missing
-        head + b" +1",  # a signed numerator
-        row.replace(b" ", b"  ", 1),  # a doubled space
-        b" " + row,  # a leading space
-        row + b" ",  # a trailing space
-        row + b"\r",  # a carriage return before the newline
-        b"",  # an empty grid line
-        head + b" 1" + b"0" * 19,  # a token of 20 digits
-        # a token one digit longer than D_n has: no file save writes holds it
-        head + b" " + b"0" * len(str(t.level_denominator(3))) + b"1",
+    head, payload = _split(path.read_bytes())
+    assert _restamp(head, payload) == path.read_bytes()
+    width = 8 * limbs
+    assert len(payload) == (4 + 9 + 25 + 81) * width
+    # entry 4 + 8 is the last of the level-1 grid, D_1 itself
+    at = (4 + 8) * width
+    top = t.level_denominator(1)
+    assert int.from_bytes(payload[at:at + width], "little") == top
+    bad_payloads = [
+        payload[:-width],  # one entry short
+        payload + bytes(width),  # one entry extra
+        payload[:-1],  # a torn last entry
+        # a numerator above D_1
+        payload[:at] + (top + 1).to_bytes(width, "little") + payload[at + width:],
     ]
+    if dtype == np.int64:  # an entry that reads negative as int64
+        bad_payloads.append(payload[:at] + (1 << 63).to_bytes(8, "little")
+                            + payload[at + 8:])
     bad = tmp_path / "bad.nldt"
-    for bad_row in bad_rows:
-        bad.write_bytes(_restamp(lines[:5] + [bad_row] + lines[6:]))
+    for bad_payload in bad_payloads:
+        bad.write_bytes(_restamp(head, bad_payload))
         with pytest.raises(TableFormatError):
             load_tables(bad)
-    bad.write_bytes(_restamp(lines[:-1] + [b"0", b""]))  # an extra last line
-    with pytest.raises(TableHeaderError):
-        load_tables(bad)
+
+
+def test_payload_checks_survive_optimize_flag(tmp_path):
+    # the payload length and range checks must raise even under python -O,
+    # which strips assert statements
+    code = f"""
+import hashlib
+from fractions import Fraction
+from nldistill.delta import TableFormatError, build_tables, load_tables
+path = {str(tmp_path / "t.nldt")!r}
+build_tables(Fraction(1, 2), 2).save(path)
+data = open(path, "rb").read()
+*head, payload = data.split(b"\\n", 4)
+top = (5).to_bytes(8, "little")  # D_1 + 1 over the last level-1 entry
+for bad in (payload[:-8], payload + bytes(8), payload[:96] + top + payload[104:]):
+    digest = hashlib.sha256(b"".join(h + b"\\n" for h in head[:3]) + bad).hexdigest()
+    open(path, "wb").write(b"".join(h + b"\\n" for h in head[:3])
+                           + f"sha256={{digest}}\\n".encode() + bad)
+    try:
+        load_tables(path)
+    except TableFormatError:
+        continue
+    raise SystemExit("accepted a malformed payload")
+print("ok")
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "ok\n", proc.stderr
 
 
 @pytest.mark.parametrize("p, n", [(F(2, 5), 8), (F(13, 32), 8), (F(0), 8), (F(1, 2), 8),
                                   (F(1234567, 8000000), 7), (F(301, 800), 7)])
 def test_bulk_load_matches_token_reference(tmp_path, p, n):
-    # the loader parses every grid from one buffer; the per-token reference
-    # reads each line apart
+    # the loader decodes every grid from one buffer; the per-entry reference
+    # reads each entry's bytes apart
     path = tmp_path / "t.nldt"
     build_tables(p, n).save(path)
     got = load_tables(path)
-    want = scalar_kernels.load_payload(path.read_bytes().split(b"\n", 4)[4], p, n)
+    want = scalar_kernels.load_payload(_split(path.read_bytes())[1], p, n)
     assert len(want) == n + 1
     for m, ref_plus in enumerate(want):
         # the minus grid is derived from the plus grid: l*dp^m - plus[2^m - k, l]
@@ -591,8 +624,26 @@ def test_bulk_load_matches_token_reference(tmp_path, p, n):
             assert not grid.flags.writeable
 
 
+@pytest.mark.parametrize("p, n, limbs", [(F(1, 30000), 4, 1), (F(1, 32768), 4, 2),
+                                         (F(1, 10 ** 9), 5, 3)],
+                         ids=["64-bit", "2^64", "3-limb"])
+def test_limb_boundary_round_trip(tmp_path, p, n, limbs):
+    # D_n of 64 bits takes one limb, D_n = 2^64 two; all three are big-int
+    # tables, and each entry takes exactly its limbs in the file
+    t = build_tables(p, n)
+    assert not fits_int64(p, n)
+    assert 64 * (limbs - 1) < ((2 * p.denominator) ** n).bit_length() <= 64 * limbs
+    path = tmp_path / "t.nldt"
+    t.save(path)
+    entries = sum((2 ** m + 1) ** 2 for m in range(n + 1))
+    assert len(_split(path.read_bytes())[1]) == entries * 8 * limbs
+    again = load_tables(path)
+    assert again == t
+    assert all(g.dtype == object and not g.flags.writeable for g in again.plus)
+    assert again.plus[n][-1, -1] == (2 * p.denominator) ** n
+
+
 def test_load_raises_no_warning(tmp_path):
-    # numpy's text parser warns when it stops before the end of its input;
     # a well-formed cache of either dtype must load without any warning
     for p in (F(2, 5), F(1234567, 8000000)):
         path = tmp_path / f"{p.denominator}.nldt"
