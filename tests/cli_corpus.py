@@ -1,0 +1,131 @@
+"""The CLI stdout corpus: argv, exit code and the sha256 of stdout.
+
+``test_cli_corpus.py`` replays every entry of ``cli_corpus.json`` in
+process, against a fresh table cache and then against the cache the first
+pass filled.  A change that alters any output regenerates the file with
+
+    PYTHONPATH=src python tests/cli_corpus.py
+
+and names each changed argv in CHANGES.md.  In argv, ``{tmp}`` stands for
+a scratch directory that holds the box files of ``BOX_FILES`` and
+``{cache}`` for the table cache directory.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from nldistill import PR, mix, wedge
+from nldistill.cli import main
+
+CORPUS = Path(__file__).with_name("cli_corpus.json")
+
+F = Fraction
+
+
+def _signaling_box() -> str:
+    entries = [["1", "0", "0", "0"], ["0", "0", "0", "1"]]
+    return json.dumps({"p": [[entries[0], entries[1]], [entries[0], entries[0]]]})
+
+
+def _zero_denominator_box() -> str:
+    obj = json.loads(wedge(F(1, 5), 0).to_json())
+    obj["p"][0][0][0] = "1/0"
+    return json.dumps(obj)
+
+
+#: box files written into {tmp} before a replay
+BOX_FILES = {
+    "pr.json": lambda: PR.to_json(),
+    "mixed.json": lambda: mix([(F(3, 4), PR), (F(1, 4), wedge(F(2, 7), F(1, 7)))]).to_json(),
+    "signaling.json": _signaling_box,
+    "zero_den.json": _zero_denominator_box,
+}
+
+WEDGES = ["1/5,0", "3/1000,0", "1/100,0", "2/7,1/7", "1/5,1/5", "0,0"]
+BOXES = ["{tmp}/pr.json", "{tmp}/mixed.json"]
+BOUND_WEDGES = ["1/5,0", "3/1000,0", "1/100,0", "2/7,1/7", "1/5,1/5"]
+GRID_WEDGES = ["1/10,0", "3/10,0", "7/10,0"]
+
+
+def _box_args(source: str) -> list[str]:
+    return ["--box", source] if source.startswith("{tmp}") else ["--wedge", source]
+
+
+def corpus_argvs() -> list[list[str]]:
+    argvs = []
+    for source in WEDGES + BOXES:
+        box = _box_args(source)
+        argvs += [["nl", *box], ["nl", *box, "--format", "json"],
+                  ["validate", *box], ["decompose", *box]]
+    for source in ["1/5,0", "2/7,1/7", "0,0", "{tmp}/pr.json"]:
+        argvs.append(["search", *_box_args(source), "--n", "1"])
+    for w in BOUND_WEDGES:
+        for n in range(1, 8):
+            argvs.append(["bound", "--wedge", w, "--n", str(n), "--cache", "{cache}"])
+    argvs.append(["bound", "--wedge", "0,0", "--n", "3", "--cache", "{cache}"])
+    for w in GRID_WEDGES:
+        for n in range(1, 7):
+            grid = ["grid", "--wedge", w, "--n", str(n), "--cache", "{cache}"]
+            argvs += [grid, grid + ["--approx"], grid + ["--format", "json"]]
+    argvs += [
+        # exit 2: invalid boxes
+        ["validate", "--box", "{tmp}/signaling.json"],
+        ["nl", "--box", "{tmp}/signaling.json"],
+        ["bound", "--box", "{tmp}/signaling.json", "--n", "2"],
+        ["nl", "--box", "{tmp}/zero_den.json"],
+        # exit 3: infeasible parameters and usage errors
+        ["nl", "--wedge", "3/4,1/2"],
+        ["nl", "--wedge", "nonsense"],
+        ["nl"],
+        ["bound", "--wedge", "1/5,0", "--n", "0"],
+        ["bound", "--wedge", "1/5,0", "--n", "8"],
+        ["bound", "--wedge", "1/5,0", "--n", "2", "--format", "csv"],
+        ["grid", "--wedge", "1/5,1/5", "--n", "2"],
+        ["grid", "--wedge", "1/5,0", "--n", "2", "--approx", "--format", "json"],
+        ["search", "--wedge", "1/5,0", "--n", "3"],
+        ["search", "--wedge", "1/5,0", "--n", "2"],
+        ["tables", "--wedge", "0,0", "--n", "2", "--cache", "{cache}"],
+        # exit 4: I/O failures
+        ["nl", "--box", "{tmp}/missing.json"],
+        ["nl", "--wedge", "1/5,0", "--out", "{tmp}/no_such_dir/out.txt"],
+    ]
+    return argvs
+
+
+def write_box_files(tmp: Path) -> None:
+    for name, make in BOX_FILES.items():
+        (tmp / name).write_text(make())
+
+
+def replay(argv: list[str], tmp: Path, cache: Path) -> tuple[int, str]:
+    """(exit code, sha256 of stdout) of one in-process CLI run; stderr is
+    dropped."""
+    args = [a.replace("{tmp}", str(tmp)).replace("{cache}", str(cache)) for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def generate() -> list[dict]:
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_box_files(tmp)
+        entries = []
+        for argv in corpus_argvs():
+            code, digest = replay(argv, tmp, tmp / "cache")
+            entries.append({"argv": argv, "exit": code, "stdout_sha256": digest})
+    return entries
+
+
+if __name__ == "__main__":
+    entries = generate()
+    CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
+    print(f"wrote {len(entries)} entries to {CORPUS}", file=sys.stderr)
