@@ -8,8 +8,8 @@ magnitudes fit.  On object arrays ``fill_wedge``, the profile scan
 ``iso_scan`` and the search's ``bilinear_scan`` first run the same body on
 a float64 shadow of their inputs (``float_shadow``), keep the candidates
 within a proved rounding margin of the float optimum (``filter_margin``)
-and evaluate only those in Python ints; a fill block, or a profile scan,
-with more than ``FILTER_CAP`` such survivors runs the exact body instead.
+and evaluate only those in Python ints; a fill block with more than
+``FILTER_CAP`` such survivors runs the exact body instead.
 ``grid_scan`` sweeps only the profiles with l0 <= size/2 when its inputs
 satisfy the complement identity, which it checks, and gets the rest of the
 grid by a reflection (see the comment above ``grid_scan``); on object
@@ -21,10 +21,11 @@ absolute values of the wiring vectors (see the comment above
 Large int64 levels of ``fill_wedge`` bound each row's optimum from above
 in floats and evaluate in int64 only the rows whose bound reaches an
 exact lower bound of their cell (see the comment above ``fill_wedge``).
-On int64 arrays ``iso_scan`` bounds each pair of (l0, l1) tiles from above
-by exact integer tile extremes and evaluates only the pairs whose bound
-reaches the exact optimum of the pair of largest bound (see the comment
-above ``_slab_best``).  Results are exact on every path.
+``iso_scan`` takes one tiled pass on both dtypes, on int64 grids and on
+the float shadows of object grids: it bounds each pair of (l0, l1) tiles
+from above by tile extremes and evaluates only the pairs whose bound
+reaches, within the margin, the best value of the pair of largest bound
+(see the comment above ``_tile_bounds``).  Results are exact on every path.
 """
 from __future__ import annotations
 
@@ -44,8 +45,8 @@ import numpy as np
 #: unit roundoff of float64 (round to nearest)
 UNIT_ROUNDOFF = 2.0 ** -53
 
-#: a fill block, or a whole pair scan, with more float survivors than
-#: this runs the exact sweep instead of re-checking them one by one
+#: a fill block with more float survivors than this runs the exact sweep
+#: instead of re-checking them one by one
 FILTER_CAP = 1 << 14
 
 
@@ -478,77 +479,50 @@ def _wedge_pairs(size: int) -> int:
 # over k0 < len(off_a) and every k1, l0, l1, with off_a[k0] = -k0*dpn and
 # off_b[l0] = (size/2 - l0)*dpn: the class bound scaled by
 # 2^(n-2)*den(p)^n.  It returns the lex-min maximizer (k0, k1, l0, l1).
-# With no k0-k1 cross term the objective for fixed l0 is a[l1, k0] + c[l1, k1],
-#   a[l1, k0] = xp[k0,l0] + xp[k0,l1] + off_a[k0],  c[l1, k1] = xp[k1,l0] - xm[k1,l1],
-# so a scan sweeps one slab per l0, one l1 per contiguous row.  argmax
-# returns the first maximum: the least best k0 and k1 of each l1.  Tied l1
-# go to the least (k0, k1, l1); slabs merge under the full lexicographic
-# rule.  Slab buffers are reused: past the allocator's mmap threshold a
-# fresh array per slab costs more than its arithmetic.
+# With no k0-k1 cross term the value of the cell (l0, l1) is
+#   max_k0 a[k0] + max_k1 c[k1] + off_b[l0],
+#   a[k0] = xp[k0,l1] + off_a[k0] + xp[k0,l0],  c[k1] = xp[k1,l0] - xm[k1,l1],
+# and ``_best_cells`` evaluates the cells of one l0 at a time, each with its
+# first-argmax k0 and k1, the least best ones.
 #
-# Object arrays are first scanned on float shadows: each input, offsets
-# included, divided by scale = size*dpn, which bounds every entry.  Grid
-# numerators lie in [0, size*dpn] and the offsets in [-size*dpn, size*dpn/2],
-# so a candidate sums six terms in [-1, 1] and M = 6.  Each term meets at
-# most 5 roundings: its reading, the add of off_a and xp[k0,l1], the add of
-# xp[k0,l0] (for the c terms the subtraction takes these two places), the
-# add of a and c, the add of off_b.  Only the (l0, l1) cells within
-# filter_margin(5, 6) of the float optimum are scanned again exactly; with
-# more than FILTER_CAP of them every slab is.
-#
-# The int64 scan bounds, then prunes.  The l axis is cut into tiles of
-# width max(1, isqrt(size) // 2); the last one is ragged.  For a tile pair
+# One pass serves both dtypes: it runs on int64 grids as they are and on
+# the float shadows of object grids.  The l axis is cut into tiles of width
+# max(1, isqrt(size) // 2); the last one is ragged.  For a tile pair
 # (T0, T1), with max_T and min_T taken over the tile's columns of one row,
-# every cell (l0 in T0, l1 in T1) is at most the exact integer
-#   max_k0 (max_T0 xp[k0] + max_T1 xp[k0] + off_a[k0])
+# every cell (l0 in T0, l1 in T1) is at most
+#   max_k0 (max_T1 xp[k0] + off_a[k0] + max_T0 xp[k0])
 #     + max_k1 (max_T0 xp[k1] - min_T1 xm[k1]) + max_T0 off_b,
 # since each term of the cell is at most its tile extreme at the same k0
 # or k1.  One reduceat per array gives the tile extremes, and the bounds
 # take O((S/width)^2 * S) adds, one T0 row at a time.  The pair of largest
-# bound is evaluated exactly; its best value L is the value of a cell, so
-# L <= V*, the optimum.  Every optimal cell lies in a pair whose bound is
-# >= V* >= L, so evaluating exactly the cells of every pair with bound
-# >= L, through the same slabs, yields V* and, as all optimal cells are
-# among them, the same lex-min witness as the full sweep.  No margin is
-# needed: every bound is an integer sum of the terms the sweep itself adds,
-# so the int64 premise of the sweep covers it.  The width grows with n, as
-# measured: at n = 8 a width of 8 keeps 0.5-2 % of the tile pairs and a
-# fixed 16 kept up to 30 % (p = 31/80).
+# bound is evaluated; its best value L is the value of a cell, so L <= V*,
+# the optimum.  Every optimal cell lies in a pair whose bound is >= V*
+# >= L.  The scan evaluates the cells of every pair with bound >= L - margin
+# and keeps those within margin of their best, the optimal cells among them.
+#
+# On int64 the margin is 0, and the cells kept are exactly the optimal
+# ones: every bound is an integer sum of the terms a cell adds, so the int64
+# premise of the grids covers it.  The witness is their lex-min
+# (k0, k1, l0, l1).  Object grids are scanned on float shadows: each input,
+# offsets included, divided by scale = size*dpn, which bounds every entry.
+# Grid numerators lie in [0, size*dpn] and the offsets in
+# [-size*dpn, size*dpn/2], so a cell and a tile bound alike sum six terms in
+# [-1, 1], and M = 6.  Each term meets at most 5 roundings: its reading, the
+# add of off_a, the add of the T0 extreme (xp[k0,l0] in a cell), the add of
+# the c part, the add of off_b; a c term meets its reading, the
+# subtraction, and the last two adds.  Rounding is monotone, so the tile
+# extremes of a shadow are the shadows of the exact extremes, and the proof
+# of filter_margin(5, 6) covers both keep tests: a pair holding an optimal
+# cell has a float bound >= V* - E >= L - 2E, and an optimal cell a float
+# value within 2E of the best kept one.  The cells kept are evaluated again,
+# by the same ``_best_cells`` on the Python-int grids, and the witness is the
+# lex-min over the exact optimal ones.  There is no cap: when every cell
+# survives, as on all-tie grids, the re-check is one exact sweep of them.
+# The width grows with n, as measured: at n = 8 a width of 8 keeps 0.5-2 %
+# of the int64 tile pairs and a fixed 16 kept up to 30 % (p = 31/80); at
+# n = 7 the float bound keeps 0.4-24 % of the pairs of width 5 (24 % at
+# p = 301/800).
 # ---------------------------------------------------------------------------
-
-def _slab_best(a, c):
-    """max_j (max_r a[j, r] + max_r c[j, r]) as (value, lex-min (r0, r1, j))."""
-    j = np.arange(a.shape[0])
-    r0, r1 = a.argmax(axis=1), c.argmax(axis=1)
-    v = a[j, r0] + c[j, r1]
-    best = v.max()
-    tied = np.flatnonzero(v == best)
-    return int(best), min(zip(r0[tied].tolist(), r1[tied].tolist(), tied.tolist()))
-
-
-def _cells(slabs):
-    """(-value, lex-min (k0, k1, l0, l1)) of each slab's best cell: the least
-    of them is the largest value with, among ties, the lex-min witness."""
-    for l0, l1s, a, c, const in slabs:
-        cell, (k0, k1, j) = _slab_best(a, c)
-        yield -(cell + const), (k0, k1, l0, j if l1s is None else int(l1s[j]))
-
-
-def _pair_scan(xp, xm, off_a, off_b, scale):
-    """Exact max of the profile objective; returns (best, lex-min (k0, k1, l0, l1))."""
-    rows = None
-    if xp.dtype == object:
-        shadows = (float_shadow(x, scale) for x in (xp, xm, off_a, off_b))
-        floats = np.array([a.max(axis=1) + c.max(axis=1) + const for _, _, a, c, const
-                           in _pair_slabs(*shadows)])
-        # argwhere lists the survivors by ascending l0, then l1
-        survivors = np.argwhere(floats >= floats.max() - filter_margin(5, 6.0))
-        if len(survivors) <= FILTER_CAP:
-            l0s, starts = np.unique(survivors[:, 0], return_index=True)
-            rows = zip(l0s.tolist(), np.split(survivors[:, 1], starts[1:]))
-    value, witness = min(_cells(_pair_slabs(xp, xm, off_a, off_b, rows)))
-    return -value, witness
-
 
 def _tile_bounds(xp, xm, off_a, off_b, starts):
     """bound[T0, T1] >= the profile objective at every cell (l0 in T0, l1 in
@@ -577,51 +551,46 @@ def _tile_rows(keep, width: int, cols: int):
             yield l0, l1s
 
 
-def _tiled_scan(xp, xm, off_a, off_b, width: int):
-    """``_pair_scan`` on int64 grids through an exact bound per tile pair.
-
-    The tile pair of largest bound is evaluated first; its best value L is
-    a lower bound of the optimum, so every tile pair holding an optimal
-    cell has a bound >= L, and the scan evaluates exactly those."""
-    cols = xp.shape[1]
-    bound = _tile_bounds(xp, xm, off_a, off_b, np.arange(0, cols, width))
-    keep = np.zeros(bound.shape, dtype=bool)
-    keep.flat[bound.argmax()] = True
-    top = min(_cells(_pair_slabs(xp, xm, off_a, off_b, _tile_rows(keep, width, cols))))
-    keep = (bound >= -top[0]) & ~keep
-    rest = _cells(_pair_slabs(xp, xm, off_a, off_b, _tile_rows(keep, width, cols)))
-    value, witness = min(itertools.chain([top], rest))
-    return -value, witness
-
-
-def _pair_slabs(xp, xm, off_a, off_b, rows=None):
-    """(l0, l1s, a, c, off_b[l0]) per slab, over the ascending l1 = l1s[j] of
-    the (l0, l1s) pairs in ``rows``; by default every l0 with l1s None (all
-    l1), in buffers reused from slab to slab."""
-    consts = off_b.tolist()
-    ka = len(off_a)
-    if rows is not None:
-        # a few l1 per slab: gather their columns rather than transpose
-        a_cols = xp[:ka] + off_a[:, None]
-        for l0, l1s in rows:
-            a = a_cols[:, l1s] + xp[:ka, l0][:, None]
-            yield l0, l1s, a.T, (xp[:, l0, None] - xm[:, l1s]).T, consts[l0]
-        return
-    pt, mt = np.ascontiguousarray(xp.T), np.ascontiguousarray(xm.T)
-    a_rows = pt[:, :ka] + off_a
-    a, c = np.empty_like(a_rows), np.empty_like(mt)
-    for l0 in range(len(pt)):
-        np.add(a_rows, pt[l0, :ka], out=a)
-        yield l0, None, a, np.subtract(pt[l0], mt, out=c), consts[l0]
+def _best_cells(xp, xm, off_a, off_b, rows, margin):
+    """(l0, l1, value, k0, k1) arrays of the cells within ``margin`` of the
+    best among the cells (l0, l1 in l1s) of ``rows``, in their order; k0
+    and k1 are each cell's first argmax."""
+    a_cols = xp[:len(off_a)] + off_a[:, None]
+    parts = []
+    for l0, l1s in rows:
+        # a few l1 per l0: gather their columns rather than transpose
+        a = a_cols[:, l1s] + xp[:len(off_a), l0, None]
+        c = xp[:, l0, None] - xm[:, l1s]
+        k0, k1 = a.argmax(axis=0), c.argmax(axis=0)
+        j = np.arange(len(l1s))
+        parts.append((np.full(len(l1s), l0), l1s, a[k0, j] + c[k1, j] + off_b[l0],
+                      k0, k1))
+    l0, l1, value, k0, k1 = (np.concatenate(col) for col in zip(*parts))
+    near = value >= value.max() - margin
+    return l0[near], l1[near], value[near], k0[near], k1[near]
 
 
 def iso_scan(xp, xm, dpn, k0_cap, size):
     """The isotropic bound's profile scan; returns (best, (k0, k1, l0, l1))."""
     ks = np.arange(size + 1).astype(xp.dtype)
     args = (xp, xm, -ks[:k0_cap + 1] * dpn, (size // 2 - ks) * dpn)
+    scan, margin = args, 0
     if xp.dtype == object:
-        return _pair_scan(*args, size * dpn)
-    return _tiled_scan(*args, max(1, math.isqrt(size) // 2))
+        scan = [float_shadow(x, size * dpn) for x in args]
+        margin = filter_margin(5, 6.0)
+    width, cols = max(1, math.isqrt(size) // 2), size + 1
+    bound = _tile_bounds(*scan, np.arange(0, cols, width))
+    top = np.zeros(bound.shape, dtype=bool)
+    top.flat[bound.argmax()] = True
+    floor = _best_cells(*scan, _tile_rows(top, width, cols), 0)[2][0]
+    cells = _best_cells(*scan, _tile_rows(bound >= floor - margin, width, cols), margin)
+    if xp.dtype == object:
+        # the float survivors come ordered by l0; re-check them exactly
+        l0s, starts = np.unique(cells[0], return_index=True)
+        cells = _best_cells(*args, zip(l0s.tolist(), np.split(cells[1], starts[1:])), 0)
+    l0, l1, value, k0, k1 = cells
+    i = np.lexsort((l1, l0, k1, k0))[0]
+    return int(value[i]), (int(k0[i]), int(k1[i]), int(l0[i]), int(l1[i]))
 
 
 # ---------------------------------------------------------------------------

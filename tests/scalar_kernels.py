@@ -14,6 +14,9 @@ scalar ``bilinear_scan`` is not.
 ``kernels.grid_scan`` used the complement symmetry: one ``np.maximum`` per
 (l0, k0) over every l0, on int64 and object arrays alike, fast enough to
 check the kernel on real tables up to n = 7.
+``iso_sweep`` is the untiled profile scan the package ran before
+``kernels.iso_scan`` took its tiled pass: one numpy slab per l0 over every
+l1, on int64 and object arrays alike.
 ``load_payload`` reads a table cache's payload entry by entry, the
 reference for the loader's bulk decode.  ``solve_max`` is the simplex on a
 ``Fraction`` tableau, the reference for the fraction-free one in
@@ -96,6 +99,26 @@ def iso_scan(xp, xm, dpn, k0_cap, size):
                 if (a_arg, c_arg, l0, l1) < (bk0, bk1, bl0, bl1):
                     bk0, bk1, bl0, bl1 = a_arg, c_arg, l0, l1
     return best, bk0, bk1, bl0, bl1
+
+
+def iso_sweep(xp, xm, dpn, k0_cap, size):
+    """(best, (k0, k1, l0, l1)) of the profile scan over every cell: each
+    cell takes its first-argmax k0 and k1, the witness is the lex-min over
+    the optimal cells."""
+    ks = np.arange(size + 1).astype(xp.dtype)
+    a_rows = xp[:k0_cap + 1] - ks[:k0_cap + 1, None] * dpn
+    l1s = np.arange(size + 1)
+    cells = []
+    for l0 in range(size + 1):
+        a = a_rows + xp[:k0_cap + 1, l0, None]  # [k0, l1]
+        c = xp[:, l0, None] - xm  # [k1, l1]
+        k0, k1 = a.argmax(axis=0), c.argmax(axis=0)
+        v = a[k0, l1s] + c[k1, l1s] + (size // 2 - l0) * dpn
+        best = v.max()
+        cells += [(-best, (int(k0[l1]), int(k1[l1]), l0, l1))
+                  for l1 in np.flatnonzero(v == best).tolist()]
+    value, witness = min(cells)
+    return int(-value), witness
 
 
 def grid_scan(xp, xm, dpn, size):

@@ -314,49 +314,33 @@ def test_iso_scan_filter_keeps_near_ties():
                 == _iso_oracle(xp, xm, dpn, k0_cap, size)
 
 
-def test_iso_scan_falls_back_past_the_cap(monkeypatch):
-    # grids xp = xm = (k + l)*dpn/2 give every profile the value size/2*dpn:
-    # (size+1)^2 surviving cells, above FILTER_CAP at size 128, so the exact
-    # sweep runs; at size 64 the survivors are re-checked one by one
-    exact = []
-    real = kernels._pair_slabs
-
-    def spy(xp, xm, off_a, off_b, rows=None):
-        if xp.dtype == object:
-            exact.append(rows is None)
-        return real(xp, xm, off_a, off_b, rows)
-
-    monkeypatch.setattr(kernels, "_pair_slabs", spy)
-    for size, fell_back in ((128, True), (64, False)):
+def test_iso_scan_all_tie_grids_take_the_least_profile():
+    # grids xp = xm = (k + l)*dpn/2 give every profile the value size/2*dpn,
+    # so every cell survives the float filter of the object scan and is
+    # re-checked exactly; both dtypes must pick the lex-min profile
+    for size in (64, 128):
         x = np.add.outer(np.arange(size + 1), np.arange(size + 1)) * 3
         for k0_cap in (size // 2, size):
-            want = kernels.iso_scan(x, x, 6, k0_cap, size)
-            exact.clear()
-            got = kernels.iso_scan(x.astype(object), x.astype(object), 6,
-                                   k0_cap, size)
-            assert got == want == (size // 2 * 6, (0, 0, 0, 0))
-            assert exact == [fell_back], (size, k0_cap)
-
-
-def _full_sweep(xp, xm, dpn, k0_cap, size):
-    """The untiled profile scan, one slab per l0 over every (l0, l1) cell:
-    the reference for the tiled int64 scan."""
-    ks = np.arange(size + 1).astype(xp.dtype)
-    return kernels._pair_scan(xp, xm, -ks[:k0_cap + 1] * dpn, (size // 2 - ks) * dpn,
-                              size * dpn)
+            for xp, xm in _int64_and_object(x, x):
+                assert kernels.iso_scan(xp, xm, 6, k0_cap, size) \
+                    == (size // 2 * 6, (0, 0, 0, 0)), (size, k0_cap, xp.dtype)
 
 
 TILED_SCAN_PS = ["2/5", "13/32", "31/80", "39/80", "0", "1/2", "5/12", "17/40"]
 
 
 def _check_tiled_scan_on_tables(p, n_max):
+    # the object rows run the float pass on the same tables as big ints
     t = build_tables(F(p), n_max)
     for n in range(1, n_max + 1):
         xp, xm, dpn, size = t.plus[n], t.minus[n], t.p.denominator ** n, 2 ** n
         assert xp.dtype == np.int64
+        pairs = _int64_and_object(xp, xm) if n <= 6 else [(xp, xm)]
         for k0_cap in (size // 2, size):
-            assert kernels.iso_scan(xp, xm, dpn, k0_cap, size) \
-                == _full_sweep(xp, xm, dpn, k0_cap, size), (n, k0_cap)
+            want = scalar_kernels.iso_sweep(xp, xm, dpn, k0_cap, size)
+            for xp_, xm_ in pairs:
+                assert kernels.iso_scan(xp_, xm_, dpn, k0_cap, size) == want, \
+                    (n, k0_cap, xp_.dtype)
 
 
 @pytest.mark.parametrize("p", TILED_SCAN_PS)
@@ -371,6 +355,21 @@ def test_tiled_iso_scan_matches_full_sweep(p):
 def test_tiled_iso_scan_matches_full_sweep_n9(p):
     # 31/80 and 39/80 leave int64 at n = 9
     _check_tiled_scan_on_tables(p, 9)
+
+
+@pytest.mark.parametrize("p", ["301/800", "303/800", "311/800", "399/800",
+                               "1234567/8000000"])
+def test_tiled_iso_scan_matches_full_sweep_on_big_ints(p):
+    # tables filled in Python ints at every level; at n = 7 the float tile
+    # bound keeps from under 1 % (399/800) to about a quarter (301/800,
+    # 303/800) of the tile pairs
+    t = build_tables(F(p), 7)
+    for n in range(5, 8):
+        xp, xm, dpn, size = t.plus[n], t.minus[n], t.p.denominator ** n, 2 ** n
+        assert xp.dtype == object
+        for k0_cap in (size // 2, size):
+            assert kernels.iso_scan(xp, xm, dpn, k0_cap, size) \
+                == scalar_kernels.iso_sweep(xp, xm, dpn, k0_cap, size), (n, k0_cap)
 
 
 def test_tiled_iso_scan_finds_witness_outside_the_top_tile():
@@ -396,8 +395,8 @@ def test_tiled_iso_scan_finds_witness_outside_the_top_tile():
     assert np.unravel_index(bound.argmax(), bound.shape) == (2, 2)
     assert bound[2, 2] == 3 and bound[8, 8] == 2
     want = (2, (1, 0, 16, 16))
-    assert _iso_oracle(xp, xm, 0, k0_cap, size) == _full_sweep(xp, xm, 0, k0_cap, size) \
-        == want
+    assert _iso_oracle(xp, xm, 0, k0_cap, size) \
+        == scalar_kernels.iso_sweep(xp, xm, 0, k0_cap, size) == want
     assert kernels.iso_scan(xp, xm, 0, k0_cap, size) == want
 
 
@@ -416,10 +415,14 @@ def tie_heavy_tiled_inputs(draw):
 @settings(max_examples=80, deadline=None)
 @given(tie_heavy_tiled_inputs())
 def test_tiled_iso_scan_matches_full_sweep_on_ties(inputs):
+    # the object scan's shadows divide by size*dpn, so it needs dpn >= 1
     xp, xm, dpn, size = inputs
+    pairs = _int64_and_object(xp, xm) if dpn >= 1 else [(xp, xm)]
     for k0_cap in (size // 2, size):
-        assert kernels.iso_scan(xp, xm, dpn, k0_cap, size) \
-            == _full_sweep(xp, xm, dpn, k0_cap, size), k0_cap
+        want = scalar_kernels.iso_sweep(xp, xm, dpn, k0_cap, size)
+        for xp_, xm_ in pairs:
+            assert kernels.iso_scan(xp_, xm_, dpn, k0_cap, size) == want, \
+                (k0_cap, xp_.dtype)
 
 
 def test_filter_checks_survive_optimize_flag():
