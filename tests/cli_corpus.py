@@ -8,7 +8,9 @@ pass filled.  A change that alters any output regenerates the file with
 
 and names each changed argv in CHANGES.md.  In argv, ``{tmp}`` stands for
 a scratch directory that holds the box files of ``BOX_FILES`` and
-``{cache}`` for the table cache directory.
+``{cache}`` for the table cache directory.  The entries of
+``cli_corpus_longrun.json`` (``--long-run`` bounds at n = 8 and json
+grids at n = 7) replay only under ``pytest --long-run``.
 """
 from __future__ import annotations
 
@@ -24,6 +26,9 @@ from nldistill import PR, mix, wedge
 from nldistill.cli import main
 
 CORPUS = Path(__file__).with_name("cli_corpus.json")
+LONGRUN_CORPUS = Path(__file__).with_name("cli_corpus_longrun.json")
+#: the benchmark's inputs, read for the boxes of its warm round
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 F = Fraction
 
@@ -39,6 +44,16 @@ def _zero_denominator_box() -> str:
     return json.dumps(obj)
 
 
+def _reference_boxes() -> dict[str, dict]:
+    """The benchmark's eight random nonlocal boxes (``ref_r0.json`` ...)
+    and its three criterion-6 bound boxes (``c6_1_2.json`` ...)."""
+    ref = json.loads(REFERENCE.read_text())
+    boxes = {f"ref_{key}.json": box for key, box in ref["boxes"].items()}
+    for q, job in ref["warm_bound"]["jobs"].items():
+        boxes[f"c6_{q.replace('/', '_')}.json"] = job["box"]
+    return dict(sorted(boxes.items()))
+
+
 #: box files written into {tmp} before a replay
 BOX_FILES = {
     "pr.json": lambda: PR.to_json(),
@@ -51,6 +66,10 @@ WEDGES = ["1/5,0", "3/1000,0", "1/100,0", "2/7,1/7", "1/5,1/5", "0,0"]
 BOXES = ["{tmp}/pr.json", "{tmp}/mixed.json"]
 BOUND_WEDGES = ["1/5,0", "3/1000,0", "1/100,0", "2/7,1/7", "1/5,1/5"]
 GRID_WEDGES = ["1/10,0", "3/10,0", "7/10,0"]
+#: grids off the den(p) = 80 int64 path: 3/1000,0 has object-dtype grids
+#: from n = 5 on; 5/9,0 has p = 4/9, so its n = 1 grid has denominator 18
+#: and its reduced cells take the factor 4/gcd(18, 4) = 2
+GRID_EXTRA = [("3/1000,0", (4, 5)), ("5/9,0", (1, 2))]
 
 
 def _box_args(source: str) -> list[str]:
@@ -69,10 +88,19 @@ def corpus_argvs() -> list[list[str]]:
         for n in range(1, 8):
             argvs.append(["bound", "--wedge", w, "--n", str(n), "--cache", "{cache}"])
     argvs.append(["bound", "--wedge", "0,0", "--n", "3", "--cache", "{cache}"])
-    for w in GRID_WEDGES:
-        for n in range(1, 7):
+    grids = [(w, range(1, 7)) for w in GRID_WEDGES] + GRID_EXTRA
+    for w, ns in grids:
+        for n in ns:
             grid = ["grid", "--wedge", w, "--n", str(n), "--cache", "{cache}"]
             argvs += [grid, grid + ["--approx"], grid + ["--format", "json"]]
+    # the benchmark's warm round: decompose on its random boxes, bound on
+    # its criterion-6 boxes at n = 8, the n = 2 search on wedge(1/2, 0)
+    names = list(_reference_boxes())
+    argvs += [["decompose", "--box", f"{{tmp}}/{name}"]
+              for name in names if name.startswith("ref_")]
+    argvs += [["bound", "--box", f"{{tmp}}/{name}", "--n", "8", "--long-run",
+               "--cache", "{cache}"] for name in names if name.startswith("c6_")]
+    argvs.append(["search", "--wedge", "1/2,0", "--n", "2", "--long-run"])
     argvs += [
         # exit 2: invalid boxes
         ["validate", "--box", "{tmp}/signaling.json"],
@@ -98,9 +126,21 @@ def corpus_argvs() -> list[list[str]]:
     return argvs
 
 
+def longrun_argvs() -> list[list[str]]:
+    """``bound --long-run`` at n = 8 and the json grids at n = 7, the
+    largest payload of the grid emitter (object dtype on 3/1000,0)."""
+    argvs = [["bound", "--wedge", w, "--n", "8", "--long-run", "--cache", "{cache}"]
+             for w in BOUND_WEDGES]
+    argvs += [["grid", "--wedge", w, "--n", "7", "--format", "json", "--cache", "{cache}"]
+              for w in GRID_WEDGES + ["3/1000,0"]]
+    return argvs
+
+
 def write_box_files(tmp: Path) -> None:
     for name, make in BOX_FILES.items():
         (tmp / name).write_text(make())
+    for name, box in _reference_boxes().items():
+        (tmp / name).write_text(json.dumps(box))
 
 
 def replay(argv: list[str], tmp: Path, cache: Path) -> tuple[int, str]:
@@ -113,19 +153,20 @@ def replay(argv: list[str], tmp: Path, cache: Path) -> tuple[int, str]:
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
-def generate() -> list[dict]:
+def generate(argvs: list[list[str]]) -> list[dict]:
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         write_box_files(tmp)
         entries = []
-        for argv in corpus_argvs():
+        for argv in argvs:
             code, digest = replay(argv, tmp, tmp / "cache")
             entries.append({"argv": argv, "exit": code, "stdout_sha256": digest})
     return entries
 
 
 if __name__ == "__main__":
-    entries = generate()
-    CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
-    print(f"wrote {len(entries)} entries to {CORPUS}", file=sys.stderr)
+    for path, argvs in ((CORPUS, corpus_argvs()), (LONGRUN_CORPUS, longrun_argvs())):
+        entries = generate(argvs)
+        path.write_text(json.dumps(entries, indent=1) + "\n")
+        print(f"wrote {len(entries)} entries to {path}", file=sys.stderr)
