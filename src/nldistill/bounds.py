@@ -14,8 +14,7 @@ nonsignaling box to its minimal isotropic envelope first.
 """
 from __future__ import annotations
 
-import csv
-import io
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -154,24 +153,31 @@ class ClassGrid:
         return Fraction(4 * int(self.scaled[sk, sl]), self.denominator), (int(sk), int(sl))
 
     def to_csv(self, approx: bool = False) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        header = ["s_k", "s_l", "bound_num", "bound_den"]
+        """A header, then "s_k,s_l,bound_num,bound_den" per cell in row-major
+        order, lines ended by "\r\n" as the csv module ends them."""
+        header = "s_k,s_l,bound_num,bound_den"
         if approx:
-            header.append("bound_approx")  # decimal approximation, not exact
-        writer.writerow(header)
-        for sk, row in enumerate(self.reduced_rows()):
-            for sl, (num, den) in enumerate(row):
-                rec = [sk, sl, num, den]
-                if approx:
-                    rec.append(f"{num / den:.12g}")
-                writer.writerow(rec)
-        return buf.getvalue()
+            header += ",bound_approx"  # decimal approximation, not exact
+            rows = self._rows(lambda v, e: f"{v},{e},{v / e:.12g}")
+        else:
+            rows = self._rows(lambda v, e: f"{v},{e}")
+        cols = [f"{sl}," for sl in range(self.size + 1)]
+        lines = (f"{sk}," + f"\r\n{sk},".join(map(str.__add__, cols, row))
+                 for sk, row in enumerate(rows))
+        return "\r\n".join([header, *lines, ""])
 
-    def reduced_rows(self):
-        """Each row [s_k] of cells as lowest-terms (numerator, denominator)
-        pairs, reduced by one ``np.gcd`` over the grid without building
-        Fractions.
+    def to_json(self) -> str:
+        """``json.dumps`` of {"n", "max", "max_cell", "cells"}, where
+        cells[s_k][s_l] is "num/den" ("num" when whole), built by joins."""
+        best, cell = self.max_cell()
+        head = json.dumps({"n": self.n, "max": str(best), "max_cell": list(cell)})
+        rows = self._rows(lambda v, e: f"{v}/{e}" if e != 1 else f"{v}")
+        cells = '"], ["'.join(map('", "'.join, rows))
+        return f'{head[:-1]}, "cells": [["{cells}"]]}}'
+
+    def _rows(self, fmt) -> list[list[str]]:
+        """``fmt(num, den)`` of every cell in lowest terms, indexed
+        [s_k][s_l]; each distinct value is reduced and formatted once.
 
         4v/d = m4*v/d4 in lowest terms, m4 = 4/g4 and d4 = d/g4 with
         g4 = gcd(d, 4); with g = gcd(v, d4) the cell is (m4*(v/g), d4/g),
@@ -179,9 +185,10 @@ class ClassGrid:
         after ``tolist``, so 4v never has to fit int64."""
         g4 = math.gcd(self.denominator, 4)
         m4, d4 = 4 // g4, self.denominator // g4
-        g = np.gcd(self.scaled, d4)
-        for nums, dens in zip((self.scaled // g).tolist(), (d4 // g).tolist()):
-            yield [(m4 * v, e) for v, e in zip(nums, dens)]
+        values, inverse = np.unique(self.scaled.ravel(), return_inverse=True)
+        g = np.gcd(values, d4)
+        text = [fmt(m4 * v, e) for v, e in zip((values // g).tolist(), (d4 // g).tolist())]
+        return np.array(text, dtype=object)[inverse].reshape(self.scaled.shape).tolist()
 
 
 def class_grid(system: BinarySystem, n: int, *,

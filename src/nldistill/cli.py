@@ -26,6 +26,7 @@ int64 levels from level 8 on its pruning counts ``prune_kept`` and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -251,17 +252,8 @@ def cmd_grid(args) -> int:
     seconds = _since(t0)
     best, arg = grid.max_cell()
     _log({"event": "grid_done", "max": str(best), "cell": list(arg), "seconds": seconds})
-    if args.format == "json":
-        obj = {
-            "n": grid.n,
-            "max": str(best),
-            "max_cell": list(arg),
-            "cells": [[f"{num}" if den == 1 else f"{num}/{den}" for num, den in row]
-                      for row in grid.reduced_rows()],
-        }
-        _emit(args, json.dumps(obj))
-    else:
-        _emit(args, grid.to_csv(approx=args.approx))
+    _emit(args, grid.to_json() if args.format == "json"
+          else grid.to_csv(approx=args.approx))
     return EXIT_OK
 
 
@@ -288,6 +280,7 @@ def cmd_search(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built on the first ``main`` call; parsing leaves it as it is
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nldistill",
                      description="Exact bounds on distillable nonlocality "

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
+import math
 import random
 import subprocess
 import sys
@@ -559,6 +562,60 @@ def test_grid_csv_format():
     assert len(lines) == 1 + 9 * 9
     approx = g.to_csv(approx=True).splitlines()
     assert approx[0].endswith("bound_approx")
+
+
+def _hand_grid(denominator, dtype):
+    # n = 1: a 5 x 5 grid of values that share every factor of the
+    # denominator with some cell, a negative one and (object) ones past int64
+    rng = random.Random(denominator)
+    big = 2 ** 70 if dtype == object else 1
+    values = [rng.choice([0, 1, 2, 3, -3, 12, denominator, 4 * denominator])
+              * rng.choice([1, big]) + rng.randrange(3) for _ in range(25)]
+    return bounds_module.ClassGrid(
+        n=1, scaled=np.array(values, dtype=dtype).reshape(5, 5),
+        denominator=denominator)
+
+
+GRID_CASES = {
+    "int64": lambda: class_grid(wedge(F(1, 5), 0), 3),
+    "object": lambda: class_grid(wedge(F(3, 1000), 0), 5),
+    "den 2 mod 4": lambda: _hand_grid(18, np.int64),
+    "odd den": lambda: _hand_grid(81, np.int64),
+    "odd den, object": lambda: _hand_grid(3 ** 50, object),
+}
+
+
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_grid_cells_are_the_reduced_fractions(case):
+    # every json cell and csv row against Fraction(4v, d), cell by cell, and
+    # both texts byte for byte against json.dumps and the csv module
+    g = GRID_CASES[case]()
+    if case == "object":
+        assert g.scaled.dtype == object
+    if case.startswith("den") or case.startswith("odd"):
+        assert 4 // math.gcd(g.denominator, 4) == (2 if case.startswith("den") else 4)
+    cells = [[Fraction(4 * v, g.denominator) for v in row] for row in g.scaled.tolist()]
+    obj = json.loads(g.to_json())
+    best, arg = g.max_cell()
+    assert obj == {"n": g.n, "max": str(best), "max_cell": list(arg),
+                   "cells": [[str(c) for c in row] for row in cells]}
+    assert g.to_json() == json.dumps(obj)
+    for approx in (False, True):
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["s_k", "s_l", "bound_num", "bound_den"]
+                        + ["bound_approx"] * approx)
+        for sk, row in enumerate(cells):
+            for sl, c in enumerate(row):
+                writer.writerow([sk, sl, c.numerator, c.denominator]
+                                + [f"{c.numerator / c.denominator:.12g}"] * approx)
+        assert g.to_csv(approx=approx) == buf.getvalue()
+        lines = g.to_csv(approx=approx).split("\r\n")
+        assert len(lines) == 2 + len(cells) ** 2 and lines[-1] == ""
+        for line, (sk, sl) in zip(lines[1:], itertools.product(range(len(cells)), repeat=2)):
+            c = cells[sk][sl]
+            assert line.split(",")[:4] == [str(sk), str(sl), str(c.numerator),
+                                           str(c.denominator)]
 
 
 def test_general_bound_isotropic_fixed_point():

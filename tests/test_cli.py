@@ -15,6 +15,7 @@ from nldistill import (
     BinarySystem, MemoryBudgetError, PR, brute_force_D, build_tables, decompose,
     kernels, wedge,
 )
+from nldistill import cli
 from nldistill.cli import main
 from nldistill.protocols import _entry_numerators, enumerate_plans
 
@@ -260,6 +261,39 @@ def test_parameter_errors(capsys):
     assert run(capsys, "nl")[0] == 3
     assert run(capsys, "bound", "--wedge", "1/5,0", "--n", "0")[0] == 3
     assert run(capsys, "search", "--wedge", "1/5,0", "--n", "3")[0] == 3
+
+
+def test_one_parser_serves_every_call_without_leaking_state(capsys, tmp_path):
+    # main builds its parser once per process; a call must leave nothing in
+    # it that changes the next call.  Each second call must print what it
+    # prints on a freshly built parser.
+    grid = ["grid", "--wedge", "1/5,0", "--n", "2"]
+    bound = ["bound", "--wedge", "1/5,0", "--n", "3"]
+    pairs = [
+        (grid + ["--approx"], 0, grid),
+        (bound + ["--cache", str(tmp_path)], 0, bound),
+        (bound + ["--format", "csv"], 3, bound),  # a usage error
+        (["bound", "--wedge", "1/5,0", "--n", "0"], 3, ["nl", "--wedge", "1/5,0"]),
+        (["--help"], 0, grid),
+    ]
+    fresh = {}
+    for _, _, second in pairs:
+        cli._build_parser.cache_clear()
+        fresh[tuple(second)] = run(capsys, *second)[:2]
+    cli._build_parser.cache_clear()
+    for first, code, second in pairs:
+        assert run(capsys, *first)[0] == code, first
+        got_code, out, err = run(capsys, *second)
+        assert (got_code, out) == fresh[tuple(second)], (first, second)
+        assert "cache_" not in err and "bound_approx" not in out
+    assert cli._build_parser.cache_info().misses == 1
+    # the parser is built on the first main call, not at import
+    proc = subprocess.run(
+        [sys.executable, "-c", "import nldistill.cli as c; "
+                               "print(c._build_parser.cache_info().currsize)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.strip() == "0"
 
 
 def test_missing_file_is_io_error(capsys, tmp_path):
