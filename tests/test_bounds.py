@@ -583,6 +583,8 @@ GRID_CASES = {
     "odd den": lambda: _hand_grid(81, np.int64),
     "odd den, object": lambda: _hand_grid(3 ** 50, object),
 }
+#: the factor m4 = 4/gcd(d, 4) of the hand-built grids' reduced cells
+HAND_M4 = {"den 2 mod 4": 2, "odd den": 4, "odd den, object": 4}
 
 
 @pytest.mark.parametrize("case", GRID_CASES)
@@ -592,8 +594,8 @@ def test_grid_cells_are_the_reduced_fractions(case):
     g = GRID_CASES[case]()
     if case == "object":
         assert g.scaled.dtype == object
-    if case.startswith("den") or case.startswith("odd"):
-        assert 4 // math.gcd(g.denominator, 4) == (2 if case.startswith("den") else 4)
+    if case in HAND_M4:
+        assert 4 // math.gcd(g.denominator, 4) == HAND_M4[case]
     cells = [[Fraction(4 * v, g.denominator) for v in row] for row in g.scaled.tolist()]
     obj = json.loads(g.to_json())
     best, arg = g.max_cell()
