@@ -6,10 +6,12 @@ runs on int64 arrays and on object arrays of Python big ints; callers only
 produce int64 arrays once they have proved that all intermediate
 magnitudes fit.  On object arrays ``fill_wedge``, the profile scan
 ``iso_scan`` and the search's ``bilinear_scan`` first run the same body on
-a float64 shadow of their inputs (``float_shadow``), keep the candidates
-within a proved rounding margin of the float optimum (``filter_margin``)
-and evaluate only those in Python ints; a fill block with more than
-``FILTER_CAP`` such survivors runs the exact body instead.
+a float64 shadow of their inputs, keep the candidates within a proved
+rounding margin of the float optimum (``filter_margin``) and evaluate only
+those in Python ints; a fill block with more than ``FILTER_CAP`` such
+survivors runs the exact body instead.  ``float_shadow`` converts a whole
+array at once: each entry over a power of two 2^e >= the scale, so that
+only the int -> float conversion rounds.
 ``grid_scan`` sweeps only the profiles with l0 <= size/2 when its inputs
 satisfy the complement identity, which it checks, and gets the rest of the
 grid by a reflection (see the comment above ``grid_scan``); on object
@@ -17,7 +19,8 @@ arrays it runs in Python ints throughout.
 ``bilinear_scan`` never forms the search's atom table: for fixed b0, b1
 the best decision tables are sign patterns, so each cell is a sum of
 absolute values of the wiring vectors (see the comment above
-``_sign_pass``).
+``_sign_pass``).  On integers it runs in int32 when 4*scale < 2^31, which
+bounds every integer it forms (see the comment above ``bilinear_scan``).
 Large int64 levels of ``fill_wedge`` bound each row's optimum from above
 in floats and evaluate in int64 only the rows whose bound reaches an
 exact lower bound of their cell (see the comment above ``fill_wedge``).
@@ -50,46 +53,65 @@ UNIT_ROUNDOFF = 2.0 ** -53
 FILTER_CAP = 1 << 14
 
 
-def float_shadow(x: np.ndarray, scale: int) -> np.ndarray:
-    """x / scale in float64, each entry by exact integer true division.
+#: shadows of entries past 2^SHADOW_EXP are shifted right first, so that
+#: every entry converts to a float, none of them subnormal once scaled
+SHADOW_EXP = 1000
 
-    Python's int / int is correctly rounded and cannot overflow, because
-    the ratio is bounded however large x and scale are.  Raises ValueError
-    when an entry reads outside [-1, 1]; rounding is monotone, so every
-    entry that passes has |x| / scale <= 1 + 2^-53, as ``filter_margin``
-    assumes.
+
+def float_shadow(x: np.ndarray, scale: int) -> np.ndarray:
+    """x / 2^e in float64, 2^e the least power of two >= scale, by one
+    vectorised conversion.
+
+    CPython's int -> float conversion rounds correctly, once, and scaling by
+    a power of two is exact, so each entry is x / 2^e correctly rounded.
+    Past float range (e > SHADOW_EXP) the entries are first floored by
+    2^(e - SHADOW_EXP), which moves each by less than 2^-SHADOW_EXP in
+    shadow units, far inside the slack of ``filter_margin``.  No entry
+    becomes subnormal: a nonzero one reads at least 2^-SHADOW_EXP.  Raises
+    ValueError when an entry reads outside [-1, 1]; rounding is monotone,
+    so every entry that passes has |x| / 2^e <= 1 + 2^-53, as
+    ``filter_margin`` assumes.
     """
-    shadow = np.array([v / scale for v in x.ravel().tolist()],
-                      dtype=np.float64).reshape(x.shape)
-    if shadow.size and np.abs(shadow).max() > 1.0:
-        raise ValueError(f"a float shadow entry lies outside [-{scale}, {scale}]")
+    e = (scale - 1).bit_length()
+    shift = max(0, e - SHADOW_EXP)
+    try:
+        shadow = np.ldexp((x >> shift if shift else x).astype(np.float64), shift - e)
+    except OverflowError:  # an entry far past 2^e
+        shadow = None
+    if shadow is None or shadow.size and np.abs(shadow).max() > 1.0:
+        raise ValueError(f"a float shadow entry lies outside [-{1 << e}, {1 << e}]")
     return shadow
 
 
 def filter_margin(depth: int, magnitude: float) -> float:
     """A float filter margin that no exact optimum can fall outside.
 
-    Each candidate is a sum V = sum_i c_i x_i whose inputs x_i are read from
-    a ``float_shadow`` (|x_i| <= 1 + u, u = 2^-53) and whose coefficients
-    are exact or correctly rounded; in the fill c = alpha or beta with
-    alpha, beta >= 0 and alpha + beta = 1.  If each term meets at most
-    ``depth`` roundings on its way into the float result F (reading x_i,
-    rounding c_i, its product and each later sum), the usual bound for
-    floating-point sums (Higham, "Accuracy and Stability of Numerical
-    Algorithms", Lemma 3.1) gives
+    Each candidate is a sum V = sum_i c_i x_i whose inputs x_i, integers
+    over one power of two 2^e, are read from a ``float_shadow``
+    (|x_i| <= 1 + u, u = 2^-53) and whose coefficients are exact or
+    correctly rounded; in the fill c = alpha or beta with alpha, beta >= 0
+    and alpha + beta = 1.  Reading x_i is one correct rounding, the
+    conversion of the integer, since the division by 2^e is exact.  If
+    each term meets at most ``depth`` roundings on its way into the float
+    result F (reading x_i, rounding c_i, its product and each later sum),
+    the usual bound for floating-point sums (Higham, "Accuracy and
+    Stability of Numerical Algorithms", Lemma 3.1) gives
 
         |F - V| <= gamma_depth * sum_i |c_i x_i| <= gamma_depth * M * (1 + u) =: E,
 
-    gamma_d = d*u / (1 - d*u), M = ``magnitude`` >= sum_i |c_i|.  Rounding
-    is monotone, so a max of float sums equals the float sum of the maxes,
-    and max moves no value by more than its arguments move: the float
-    optimum F* of a set of candidates lies within E of its exact optimum V*.
-    Every candidate with V = V* thus has F >= V* - E >= F* - 2E.  Keeping
-    the candidates with
-    F >= fl(F* - margin) loses none of them once margin >= 2E + u*(|F*| +
-    margin), the last term for the rounding of the threshold itself.  The
-    value returned, 4*(depth + 1)*u*M, meets that for every depth up to
-    2^40 (where gamma_depth <= 1.001*depth*u), and it is more than twice E.
+    gamma_d = d*u / (1 - d*u), M = ``magnitude`` >= sum_i |c_i|.  Shadows
+    past float range floor their integers first, which adds less than
+    2^-1000 * M to |F - V|, far below the slack that the margin below
+    leaves (more than depth*u*M), so the arguments that follow hold with
+    it.  Rounding is monotone, so a max of float sums equals the float sum
+    of the maxes, and max moves no value by more than its arguments move:
+    the float optimum F* of a set of candidates lies within E of its exact
+    optimum V*.  Every candidate with V = V* thus has F >= V* - E >= F* - 2E.
+    Keeping the candidates with F >= fl(F* - margin) loses none of them
+    once margin >= 2E + u*(|F*| + margin), the last term for the rounding
+    of the threshold itself.  The value returned, 4*(depth + 1)*u*M, meets
+    that for every depth up to 2^40 (where gamma_depth <= 1.001*depth*u),
+    and it is more than twice E.
 
     The pruned int64 fill uses the margin the other way round.  Its float
     bound F of a row's exact optimum V is a sorted cumulative sum of
@@ -131,13 +153,14 @@ def filter_margin(depth: int, magnitude: float) -> float:
 # FILL_BLOCK_ROWS; each block sweeps j once, one add and one max per j,
 # over l >= the block's smallest k, and reduces its rows per k.
 #
-# Big-int levels sweep each block on the shadow P/max(P) with
-# alpha = ca/(ca+cb), beta = cb/(ca+cb), list the (row, l) pairs whose float
-# row optimum lies within filter_margin of their cell's float optimum,
-# gather those pairs' windows to list the pairs (r, j, l) that do, and
-# evaluate only those in Python ints.  A candidate sums four terms of
-# coefficient alpha or beta, alpha + beta = 1, so M = 2; each meets 5
-# roundings (reading P, rounding alpha, the product, U's sum, U + V).
+# Big-int levels sweep each block on the shadow P/2^e, 2^e the least power
+# of two >= max(P), with alpha = ca/(ca+cb), beta = cb/(ca+cb), list the
+# (row, l) pairs whose float row optimum lies within filter_margin of their
+# cell's float optimum, gather those pairs' windows to list the pairs
+# (r, j, l) that do, and evaluate only those in Python ints.  A candidate
+# sums four terms in [0, 1] of coefficient alpha or beta, alpha + beta = 1,
+# so M = 2; each meets 5 roundings (reading P, one conversion, as the
+# division by 2^e is exact; rounding alpha; the product; U's sum; U + V).
 #
 # int64 levels with size >= PRUNE_MIN_SIZE bound, then prune.  A majorant
 # phi_x of each row P[x] (the line through the points the float test of
@@ -235,16 +258,21 @@ def fill_wedge(prev: np.ndarray, size: int, ca, cb):
 
 
 def _fill_blocks(size: int):
-    """(k_lo, ks, iv) per block: the rows (k, i <= k/2) of consecutive k."""
+    """(k_lo, ks, iv) per block: the rows (k, i <= k/2) of consecutive k,
+    as many k as keep the block within FILL_BLOCK_ROWS rows, and at least
+    one."""
     h = size // 2
+    counts = np.arange(h + 1) // 2 + 1  # the rows of each k
+    ends = np.cumsum(counts)  # the rows of every k up to each k
+    ks = np.repeat(np.arange(h + 1), counts)
+    iv = np.arange(ends[-1]) - np.repeat(ends - counts, counts)
     k = 0
     while k <= h:
-        k_lo, rows = k, []
-        while k <= h and (not rows or len(rows) + k // 2 < FILL_BLOCK_ROWS):
-            rows.extend((k, i) for i in range(k // 2 + 1))
-            k += 1
-        ks, iv = np.array(rows).T
-        yield k_lo, ks, iv
+        start = int(ends[k] - counts[k])
+        stop = max(k + 1, int(np.searchsorted(ends, start + FILL_BLOCK_ROWS, "right")))
+        end = int(ends[stop - 1])
+        yield k, ks[start:end], iv[start:end]
+        k = stop
 
 
 def _window_terms(u, v, k_lo: int):
@@ -504,10 +532,11 @@ def _wedge_pairs(size: int) -> int:
 # ones: every bound is an integer sum of the terms a cell adds, so the int64
 # premise of the grids covers it.  The witness is their lex-min
 # (k0, k1, l0, l1).  Object grids are scanned on float shadows: each input,
-# offsets included, divided by scale = size*dpn, which bounds every entry.
-# Grid numerators lie in [0, size*dpn] and the offsets in
-# [-size*dpn, size*dpn/2], so a cell and a tile bound alike sum six terms in
-# [-1, 1], and M = 6.  Each term meets at most 5 roundings: its reading, the
+# offsets included, divided by 2^e, the least power of two >= scale =
+# size*dpn, which bounds every entry.  Grid numerators lie in [0, size*dpn]
+# and the offsets in [-size*dpn, size*dpn/2], so a cell and a tile bound
+# alike sum six terms in [-1, 1], and M = 6.  Each term meets at most 5
+# roundings: its reading (one conversion; the division by 2^e is exact), the
 # add of off_a, the add of the T0 extreme (xp[k0,l0] in a cell), the add of
 # the c part, the add of off_b; a c term meets its reading, the
 # subtraction, and the last two adds.  Rounding is monotone, so the tile
@@ -625,6 +654,8 @@ def iso_scan(xp, xm, dpn, k0_cap, size):
 #
 # Object arrays run the pass on a float shadow and evaluate the cells near
 # its optimum exactly; the margin is proved in ``bilinear_scan``'s docstring.
+# int64 vectors run in int32 when their scale allows it; the bound is proved
+# above ``bilinear_scan``.
 # ---------------------------------------------------------------------------
 
 #: cells per chunk of ``_search_cells``
@@ -712,22 +743,38 @@ def _search_cells(x, fixed: bool, b0, b1):
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
+# The int path's width.  The premise sum_a |u[p, a, h]| <= scale, checked
+# on entry on both paths, bounds every integer the pass and the cells form:
+#   - V+- = u_h0 +- u_h1: each coordinate at most 2*scale, and so is
+#     sum_a |V+-_a|;
+#   - mag = sum_{a>=1} |V_a| and each candidate mag +- V_0 or mag + |V_0|:
+#     at most 2*scale;
+#   - a cell, best_a + best_b: at most 4*scale (the iinfo.min seeds are all
+#     replaced after plan 0);
+#   - in ``_search_cells`` v = x0 + x1 and w = x0 - x1 have the same bounds
+#     as V+- and their abs sums, and a cell's v_a + w_b is at most 4*scale.
+# So when 4*scale < 2^31 the int64 u is cast to int32 before ``_sign_pass``
+# and ``_search_cells``: the same bodies, on half the bytes.  Every box of
+# the benchmark's searches but one fits; r7's scale has 30 bits.
+
 def bilinear_scan(u, scale: int, fixed: bool):
     """The n <= 2 search over the half-atom vectors ``u[p, a, h]``, each
-    column of absolute sum at most ``scale``; ``fixed`` keeps a0's
-    coordinate-0 bit clear.  Returns (best, lex-min (a0, a1, b0, b1),
-    survivors), survivors counting the cells that object arrays evaluated
-    exactly after the float pass (None on int64).
+    column of absolute sum at most ``scale`` (checked; ValueError if not);
+    ``fixed`` keeps a0's coordinate-0 bit clear.  Returns (best, lex-min
+    (a0, a1, b0, b1), survivors), survivors counting the cells that object
+    arrays evaluated exactly after the float pass (None on int64).  int64
+    vectors run in int32 when 4*scale < 2^31 (see the comment above).
 
     On object arrays the pass runs on float_shadow(u, scale), and
     ``_search_cells`` evaluates exactly every cell within
     filter_margin(size + 2, 4) of the float optimum.  The margin's premise
-    is sum_a |u[p, a, h]| <= scale for every column (true of the search,
-    where u = W s_g and W sums to scale), checked on entry.  Fix the plans
-    p, p' that the two maxima of a cell pick.  The cell's value then sums
-    4*size terms +-u/scale, the entries of u_b0[p], u_b1[p], u_b0[p'] and
-    u_b1[p'], so M = 4.  Each term meets at most size + 2 roundings: its
-    reading, the add or subtract forming V+ or V-, at most size - 2 adds
+    is sum_a |u[p, a, h]| <= scale <= 2^e for every column, 2^e the
+    shadow's power of two (true of the search, where u = W s_g and W sums
+    to scale).  Fix the plans p, p' that the two maxima of a cell pick.  The
+    cell's value then sums 4*size terms +-u/2^e, the entries of u_b0[p],
+    u_b1[p], u_b0[p'] and u_b1[p'], so M = 4.  Each term meets at most
+    size + 2 roundings: its reading (one conversion; the division by 2^e is
+    exact), the add or subtract forming V+ or V-, at most size - 2 adds
     summing the size - 1 terms |x_a|, a >= 1 (a sum of k terms meets at
     most k - 1 roundings whatever its order), the add of x_0 or |x_0|, and
     the add of the two maxima.  The absolute values add none, since
@@ -737,14 +784,16 @@ def bilinear_scan(u, scale: int, fixed: bool):
     the exact path.
     """
     survivors = None
-    if u.dtype == object:
-        shadow = float_shadow(u, scale)
-        if np.abs(u).sum(axis=1).max() > scale:
-            raise ValueError(f"a column of u sums past {scale} in absolute value")
+    shadow = float_shadow(u, scale) if u.dtype == object else None
+    if np.abs(u).sum(axis=1).max() > scale:
+        raise ValueError(f"a column of u sums past {scale} in absolute value")
+    if shadow is not None:
         cells = _sign_pass(shadow, fixed)
         keep = cells >= cells.max() - filter_margin(u.shape[1] + 2, 4.0)
         survivors = int(np.count_nonzero(keep))
     else:
+        if 4 * scale < 1 << 31:
+            u = u.astype(np.int32)
         cells = _sign_pass(u, fixed)
         keep = cells == cells.max()
     b0, b1 = np.nonzero(keep)

@@ -16,7 +16,9 @@ and halves the f_0 space.  For fixed Bob atoms the best decision table of
 Alice is a sign pattern, so the search needs only the vectors W (1-2g),
 one matmul over the wiring numerators W, and never the table of inner
 products.  ``kernels.bilinear_scan`` scans them in int64 when magnitudes
-fit, otherwise in Python ints behind its certified float filter.
+fit (in int32 when four times the scale does), otherwise in Python ints
+behind its certified float filter.  ``SearchResult.method`` names the table's
+dtype, "int64" on both integer widths.
 """
 from __future__ import annotations
 

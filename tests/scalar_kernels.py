@@ -17,6 +17,9 @@ check the kernel on real tables up to n = 7.
 ``iso_sweep`` is the untiled profile scan the package ran before
 ``kernels.iso_scan`` took its tiled pass: one numpy slab per l0 over every
 l1, on int64 and object arrays alike.
+``fill_blocks`` is the level fill's block generator as the package ran it
+before ``kernels._fill_blocks`` built its rows with ``np.repeat``: a
+Python list of (k, i) rows, grown k by k.
 ``load_payload`` reads a table cache's payload entry by entry, the
 reference for the loader's bulk decode.  ``solve_max`` is the simplex on a
 ``Fraction`` tableau, the reference for the fraction-free one in
@@ -69,6 +72,21 @@ def fill_wedge(prev, out, size, ca, cb, maximize):
                     ops += 1 if (i == ri and j == rj) else 2
             out[k, l] = best
     return ops
+
+
+def fill_blocks(size, block_rows):
+    """(k_lo, ks, iv) per block of the level fill: the rows (k, i <= k/2)
+    of consecutive k, greedily while the block stays within ``block_rows``
+    rows, and at least one k."""
+    h = size // 2
+    k = 0
+    while k <= h:
+        k_lo, rows = k, []
+        while k <= h and (not rows or len(rows) + k // 2 < block_rows):
+            rows.extend((k, i) for i in range(k // 2 + 1))
+            k += 1
+        ks, iv = np.array(rows).T
+        yield k_lo, ks, iv
 
 
 def iso_scan(xp, xm, dpn, k0_cap, size):

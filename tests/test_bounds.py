@@ -445,6 +445,12 @@ try:
     kernels.bilinear_scan(xp.reshape(1, 3, 3), 2 ** 70, True)
 except ValueError as exc:
     print("raised", exc)
+u = np.zeros((1, 2, 2), dtype=np.int64)
+u[0, :, 1] = [3, -2]
+try:
+    kernels.bilinear_scan(u, 4, True)
+except ValueError as exc:
+    print("raised", exc)
 """
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True)
@@ -452,7 +458,48 @@ except ValueError as exc:
     assert proc.stdout.splitlines() == [
         "debug False",
         f"raised a float shadow entry lies outside [-{2 ** 70}, {2 ** 70}]",
-        f"raised a float shadow entry lies outside [-{2 ** 70}, {2 ** 70}]"]
+        f"raised a float shadow entry lies outside [-{2 ** 70}, {2 ** 70}]",
+        "raised a column of u sums past 4 in absolute value"]
+
+
+def _shadow_inputs(rng, e):
+    """+-2^e, small entries, half-ulp ties and random entries in [-2^e, 2^e]."""
+    vals = [2 ** e, -2 ** e, 0, 1, -1, 2 ** e - 1, 1 - 2 ** e]
+    if e > 60:
+        tie = 2 ** (e - 1) + 2 ** (e - 55)  # halfway between two floats
+        vals += [tie, -tie, tie + 1, tie - 1, tie + 2 ** (e - 54)]
+    vals += [rng.randrange(-2 ** e, 2 ** e + 1) for _ in range(256 - len(vals))]
+    return np.array(vals, dtype=object).reshape(-1, 8)
+
+
+def test_float_shadow_rounds_each_entry_once():
+    # x / 2^e correctly rounded, entry by entry, 2^e the least power of two
+    # >= scale; +-2^e read +-1
+    rng = random.Random(24)
+    for scale in (1, 2, 3, 5, 6, 2 ** 53 + 1, 3 ** 60, 128 * 800 ** 7,
+                  10 ** 300, 2 ** 1000):
+        e = (scale - 1).bit_length()
+        x = _shadow_inputs(rng, e)
+        shadow = kernels.float_shadow(x, scale)
+        assert shadow.dtype == np.float64 and shadow.shape == x.shape
+        for v, f in zip(x.ravel().tolist(), shadow.ravel().tolist()):
+            assert f == float(F(v, 2 ** e)), (scale, v)
+        assert shadow[0, :2].tolist() == [1.0, -1.0]
+    # past 2^1024 the entries are floored to 1000 bits first: each reads
+    # within 2^-1000 plus one ulp of x / 2^e, and in [-1, 1]
+    for scale in (2 ** 1000 + 1, 10 ** 400, 3 ** 1000, 2 ** 1500):
+        e = (scale - 1).bit_length()
+        x = _shadow_inputs(rng, e)
+        shadow = kernels.float_shadow(x, scale)
+        assert np.abs(shadow).max() <= 1.0
+        for v, f in zip(x.ravel().tolist(), shadow.ravel().tolist()):
+            assert abs(F(f) - F(v, 2 ** e)) <= F(1, 2 ** 1000) + F(math.ulp(f)), (scale, v)
+        assert shadow[0, :2].tolist() == [1.0, -1.0]
+    # entries past 2^e, by a rounding step or past float range, raise
+    for scale, v in ((5, 9), (2 ** 60, 2 ** 60 + 2 ** 20), (2 ** 10, 2 ** 2000),
+                     (10 ** 400, -2 ** 1400), (2 ** 1500, 2 ** 1500 + 2 ** 1460)):
+        with pytest.raises(ValueError, match="float shadow entry lies outside"):
+            kernels.float_shadow(np.array([0, v], dtype=object), scale)
 
 
 def test_bound_check_survives_optimize_flag():

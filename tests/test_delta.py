@@ -178,6 +178,22 @@ def test_filter_margin_keeps_near_ties():
                 assert t.delta(sign, 5, k, l) == ref(sign, 5, k, l), (sign, k, l)
 
 
+@pytest.mark.parametrize("block_rows", [1, 5, kernels.FILL_BLOCK_ROWS])
+def test_fill_blocks_match_the_row_list_generator(monkeypatch, block_rows):
+    # the block cuts decide the PRUNE_CAP fallbacks and prune_kept, so the
+    # vectorised generator must cut where the list-of-rows one did; from
+    # size 1024 on (or a smaller block) some k alone holds more than a
+    # block's rows
+    monkeypatch.setattr(kernels, "FILL_BLOCK_ROWS", block_rows)
+    for size in [2 ** m for m in range(1, 12)] + [3, 6, 10, 100, 513, 1000, 1030]:
+        got = list(kernels._fill_blocks(size))
+        want = list(scalar_kernels.fill_blocks(size, block_rows))
+        assert len(got) == len(want), size
+        for (k_lo, ks, iv), (w_lo, w_ks, w_iv) in zip(got, want):
+            assert k_lo == w_lo and ks.dtype == w_ks.dtype == iv.dtype, size
+            assert ks.tolist() == w_ks.tolist() and iv.tolist() == w_iv.tolist(), size
+
+
 def sweep_wedge(q, size, ca, cb):
     """The (max,+) fill of q through the exact block sweep: the wedge cells
     of a grid whose other cells are 0."""

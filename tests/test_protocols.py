@@ -375,12 +375,50 @@ def test_bilinear_scan_backends_agree():
 
 
 def test_bilinear_scan_checks_the_column_sums():
-    # the float filter's margin assumes sum_a |u[p, a, h]| <= scale
-    u = np.zeros((1, 2, 2), dtype=object)
-    u[0, :, 1] = [3, -2]
-    assert kernels.bilinear_scan(u, 5, True)[0] == 10
-    with pytest.raises(ValueError, match="sums past 4"):
-        kernels.bilinear_scan(u, 4, True)
+    # the float filter's margin and the int path's width both assume
+    # sum_a |u[p, a, h]| <= scale
+    for dtype in (object, np.int64):
+        u = np.zeros((1, 2, 2), dtype=dtype)
+        u[0, :, 1] = [3, -2]
+        assert kernels.bilinear_scan(u, 5, True)[0] == 10
+        with pytest.raises(ValueError, match="sums past 4"):
+            kernels.bilinear_scan(u, 4, True)
+
+
+def test_bilinear_scan_int32_width_matches_the_t_sweep(monkeypatch):
+    # An int64 u runs in int32 exactly when 4*scale < 2^31, where every
+    # integer the search forms fits (the comment above bilinear_scan).  r7's
+    # vectors, whose scale has 30 bits, stay int64; floored to column sums
+    # of at most 2^29 - 1 they run in int32, and at scale 2^29 in int64.
+    # Doubled, with scale 2*r7 < 2^31, they stay int64: their best cell
+    # passes 2^31.
+    widths = []
+    sign_pass = kernels._sign_pass
+
+    def recording(u, fixed):
+        widths.append(u.dtype)
+        return sign_pass(u, fixed)
+
+    monkeypatch.setattr(kernels, "_sign_pass", recording)
+    box = BinarySystem.from_json_obj(json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json")
+        .read_text())["boxes"]["r7"])
+    u7, s7 = _half_atoms(box, 2)
+    assert 2 ** 29 <= s7 < 2 ** 30
+    top = (2 ** 31 - 1) // 4  # 4*top is 2^31 - 4
+    # |floor(x)| <= |x| + 1, so each column of four sums to at most top
+    small = u7 * (top - 4) // s7
+    assert top - 8 <= np.abs(small).sum(axis=1).max() <= top
+    cases = [(small, top, np.int32), (small, top + 1, np.int64),
+             (u7, s7, np.int64), (2 * u7, 2 * s7, np.int64)]
+    for u, scale, width in cases:
+        t = scalar_kernels.atom_table(u)
+        (reduced, _), _ = _a0_sets(t, 4)
+        best, witness = scalar_kernels.t_sweep(t, reduced)
+        widths.clear()
+        assert kernels.bilinear_scan(u, scale, True) == (best, witness, None), scale
+        assert widths == [width], scale
+    assert best > 2 ** 31
 
 
 def _reference_boxes():
