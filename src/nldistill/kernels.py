@@ -754,8 +754,8 @@ def _search_cells(x, fixed: bool, b0, b1):
 #   - in ``_search_cells`` v = x0 + x1 and w = x0 - x1 have the same bounds
 #     as V+- and their abs sums, and a cell's v_a + w_b is at most 4*scale.
 # So when 4*scale < 2^31 the int64 u is cast to int32 before ``_sign_pass``
-# and ``_search_cells``: the same bodies, on half the bytes.  Every box of
-# the benchmark's searches but one fits; r7's scale has 30 bits.
+# and ``_search_cells``: the same bodies, on half the bytes.  At n = 2 every
+# box of perfbench/reference.json fits but r7, whose scale has 30 bits.
 
 def bilinear_scan(u, scale: int, fixed: bool):
     """The n <= 2 search over the half-atom vectors ``u[p, a, h]``, each
