@@ -5,13 +5,19 @@ bit per side, stored as 16 exact rationals.  This module provides the
 polytope vertices, convex mixtures, the two-parameter wedge family, the
 CHSH nonlocality measure NL(P) and membership/structure tests.  No
 floating point anywhere: every value is a ``fractions.Fraction``.
+``nl_value`` and ``validate`` run on the table's integer numerators over
+the lcm of its denominators (``BinarySystem.integer_form``); their
+integer bodies ``nl_value_int`` and ``validate_int`` take such a table
+directly.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from math import lcm
 from typing import Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -44,6 +50,13 @@ class BinarySystem:
         if len(self.table) != 16:
             raise ValueError("a binary system has exactly 16 entries")
 
+    @cached_property
+    def integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(numerators, D): the table as integers over the lcm D of its
+        denominators, in table order."""
+        d = lcm(*(e.denominator for e in self.table))
+        return tuple(e.numerator * (d // e.denominator) for e in self.table), d
+
     def prob(self, a: int, b: int, x: int, y: int) -> Fraction:
         """P(a,b|x,y)."""
         return self.table[_idx(a, b, x, y)]
@@ -55,12 +68,6 @@ class BinarySystem:
             v = self.prob(a, b, x, y)
             e += v if a == b else -v
         return e
-
-    def alice_marginal(self, a: int, x: int, y: int) -> Fraction:
-        return self.prob(a, 0, x, y) + self.prob(a, 1, x, y)
-
-    def bob_marginal(self, b: int, x: int, y: int) -> Fraction:
-        return self.prob(0, b, x, y) + self.prob(1, b, x, y)
 
     def flip_outputs(self) -> "BinarySystem":
         """Relabel a -> 1-a and b -> 1-b on both sides."""
@@ -212,19 +219,37 @@ CHSH_EXPRESSIONS: tuple[CHSHExpression, ...] = tuple(
 )
 
 
+# the CHSH expressions in tie-break order, each with the index 2x' + y' of
+# the correlator E_x'y' that carries its minus sign
+_NL_ORDER = tuple((e, 2 * (1 - e.x) + 1 - e.y)
+                  for e in sorted(CHSH_EXPRESSIONS, key=lambda e: e.key))
+
+
+def nl_value_int(numerators: Sequence[int]) -> tuple[int, CHSHExpression]:
+    """``nl_value`` on a table's numerators: the value is over the table's
+    denominator."""
+    t = numerators
+    corr = [t[i] - t[i + 1] - t[i + 2] + t[i + 3] for i in (0, 4, 8, 12)]
+    total = sum(corr)
+    # E_xy + E_x'y + E_xy' - E_x'y' = total - 2 E_x'y'; a later expression
+    # must beat the best so far, so the smallest key wins a tie
+    best, arg = None, None
+    for expr, minus in _NL_ORDER:
+        value = expr.sign * (total - 2 * corr[minus])
+        if best is None or value > best:
+            best, arg = value, expr
+    return best, arg
+
+
 def nl_value(system: BinarySystem) -> tuple[Fraction, CHSHExpression]:
     """NL(P): the maximum over all 8 CHSH expressions, with its arg max.
 
     Ties are broken by the lexicographically smallest (anchor, sign),
     positive sign first.
     """
-    corr = {(x, y): system.correlator(x, y) for x, y in product(BITS, BITS)}
-    total = sum(corr.values())
-    # E_xy + E_x'y + E_xy' - E_x'y' = total - 2 E_x'y'; max keeps the first
-    # of equal values, so the smallest key wins a tie
-    return max(((expr.sign * (total - 2 * corr[1 - expr.x, 1 - expr.y]), expr)
-                for expr in sorted(CHSH_EXPRESSIONS, key=lambda e: e.key)),
-               key=lambda pair: pair[0])
+    numerators, d = system.integer_form
+    value, expr = nl_value_int(numerators)
+    return Fraction(value, d), expr
 
 
 def _vertex_expression_map() -> dict[CHSHExpression, tuple[int, int, int]]:
@@ -241,6 +266,7 @@ def _vertex_expression_map() -> dict[CHSHExpression, tuple[int, int, int]]:
 
 
 _EXPR_TO_VERTEX = _vertex_expression_map()
+_VERTEX_TO_EXPR = {bits: expr for expr, bits in _EXPR_TO_VERTEX.items()}
 
 
 def vertex_for_expression(expr: CHSHExpression) -> BinarySystem:
@@ -282,30 +308,37 @@ class ValidationReport:
         }
 
 
+def validate_int(numerators: Sequence[int], denominator: int) -> ValidationReport:
+    """``validate`` on a table given as integer numerators over a positive
+    denominator."""
+    t, d = numerators, denominator
+    issues: list[Issue] = []
+    for i, v in enumerate(t):
+        if v < 0:
+            where = (i >> 1 & 1, i & 1, i >> 3, i >> 2 & 1)  # (a, b, x, y)
+            issues.append(Issue("negative", where, f"P(a,b|x,y) = {Fraction(v, d)} < 0"))
+    for x, y in product(BITS, BITS):
+        i = _idx(0, 0, x, y)
+        total = t[i] + t[i + 1] + t[i + 2] + t[i + 3]
+        if total != d:
+            issues.append(Issue("normalization", (x, y),
+                                f"sum over outputs = {Fraction(total, d)}"))
+    for a, x in product(BITS, BITS):
+        m0, m1 = (t[_idx(a, 0, x, y)] + t[_idx(a, 1, x, y)] for y in BITS)
+        if m0 != m1:
+            issues.append(Issue("signaling-alice", (a, x), f"marginal {Fraction(m0, d)} "
+                                f"for y=0 vs {Fraction(m1, d)} for y=1"))
+    for b, y in product(BITS, BITS):
+        m0, m1 = (t[_idx(0, b, x, y)] + t[_idx(1, b, x, y)] for x in BITS)
+        if m0 != m1:
+            issues.append(Issue("signaling-bob", (b, y), f"marginal {Fraction(m0, d)} "
+                                f"for x=0 vs {Fraction(m1, d)} for x=1"))
+    return ValidationReport(tuple(issues))
+
+
 def validate(system: BinarySystem) -> ValidationReport:
     """Check nonnegativity, normalization and nonsignaling; report violations."""
-    issues: list[Issue] = []
-    for x, y, a, b in product(BITS, BITS, BITS, BITS):
-        v = system.prob(a, b, x, y)
-        if v < 0:
-            issues.append(Issue("negative", (a, b, x, y), f"P(a,b|x,y) = {v} < 0"))
-    for x, y in product(BITS, BITS):
-        total = sum(system.prob(a, b, x, y) for a, b in product(BITS, BITS))
-        if total != 1:
-            issues.append(Issue("normalization", (x, y), f"sum over outputs = {total}"))
-    for a, x in product(BITS, BITS):
-        m0, m1 = system.alice_marginal(a, x, 0), system.alice_marginal(a, x, 1)
-        if m0 != m1:
-            issues.append(
-                Issue("signaling-alice", (a, x), f"marginal {m0} for y=0 vs {m1} for y=1")
-            )
-    for b, y in product(BITS, BITS):
-        m0, m1 = system.bob_marginal(b, 0, y), system.bob_marginal(b, 1, y)
-        if m0 != m1:
-            issues.append(
-                Issue("signaling-bob", (b, y), f"marginal {m0} for x=0 vs {m1} for x=1")
-            )
-    return ValidationReport(tuple(issues))
+    return validate_int(*system.integer_form)
 
 
 @dataclass(frozen=True)
@@ -318,6 +351,15 @@ class IsotropicForm:
     vertex: tuple[int, int, int]
 
 
+# per (alpha, beta): the entries where nonlocal_vertex(alpha, beta, 0) is
+# 1/2, and those where it is 0 (the support of the gamma = 1 vertex)
+_ISO_SUPPORTS = tuple(
+    ((alpha, beta),
+     tuple(i for i, e in enumerate(nonlocal_vertex(alpha, beta, 0).table) if e),
+     tuple(i for i, e in enumerate(nonlocal_vertex(alpha, beta, 0).table) if not e))
+    for alpha, beta in product(BITS, BITS))
+
+
 def is_isotropic(system: BinarySystem) -> Optional[IsotropicForm]:
     """Recognize mixtures of opposite nonlocal vertices.
 
@@ -325,18 +367,18 @@ def is_isotropic(system: BinarySystem) -> Optional[IsotropicForm]:
     NL(P) = 2*(1 + epsilon) exactly (negative for mixtures below the
     facet), or None if P is not isotropic.
     """
-    for alpha, beta in product(BITS, BITS):
-        v0 = nonlocal_vertex(alpha, beta, 0)
-        vals0 = {system.table[i] for i, e in enumerate(v0.table) if e != 0}
-        vals1 = {system.table[i] for i, e in enumerate(v0.table) if e == 0}
-        if len(vals0) != 1 or len(vals1) != 1:
+    t, d = system.integer_form
+    for (alpha, beta), on, off in _ISO_SUPPORTS:
+        n0, n1 = t[on[0]], t[off[0]]
+        if any(t[i] != n0 for i in on) or any(t[i] != n1 for i in off):
             continue
-        q = 2 * next(iter(vals0))  # weight on the gamma=0 vertex
-        if not 0 <= q <= 1 or next(iter(vals1)) != (1 - q) / 2:
+        # q = 2*n0/d is the weight on the gamma=0 vertex, and each entry of
+        # the gamma=1 vertex's support must hold (1 - q)/2
+        if not 0 <= 2 * n0 <= d or 2 * n1 != d - 2 * n0:
             continue
-        gamma = 0 if q >= Fraction(1, 2) else 1
-        weight = max(q, 1 - q)
-        epsilon = 2 * abs(2 * q - 1) - 1
-        _, expr = nl_value(nonlocal_vertex(alpha, beta, gamma))
-        return IsotropicForm(epsilon, weight, expr, (alpha, beta, gamma))
+        gamma = 0 if 4 * n0 >= d else 1
+        weight = Fraction(max(2 * n0, d - 2 * n0), d)
+        epsilon = Fraction(2 * abs(4 * n0 - d) - d, d)  # 2*|2q - 1| - 1
+        return IsotropicForm(epsilon, weight, _VERTEX_TO_EXPR[alpha, beta, gamma],
+                             (alpha, beta, gamma))
     return None

@@ -14,13 +14,19 @@ mixture with the min-ratio weight p_f yields the minimal parameter
 so that P = q*P_iso(eps) + (1-q)*P_L with q = s*p_f + 1 - s.  Every
 identity is re-verified entry-exactly before a decomposition is
 returned; a failure raises DecompositionError.
+
+The work runs on integer numerators over one common denominator per box:
+the box and the LP weights over Q, the lcm of their denominators, and the
+vertex and P_F over 8.  Each later box is a table of integers over one
+denominator built from these, and each identity is checked by cross
+multiplication.  Fractions are built only for the fields returned.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Optional, Sequence
 
 from .boxes import (
@@ -29,10 +35,12 @@ from .boxes import (
     CHSHExpression,
     CHSH_EXPRESSIONS,
     LOCAL_VERTICES,
+    _idx,
     mix,
     nl_value,
+    nl_value_int,
     opposite_vertex,
-    validate,
+    validate_int,
     vertex_for_expression,
 )
 from .simplex import solve_max
@@ -46,27 +54,40 @@ class DecompositionError(Exception):
 # entry, so an entry of a local mixture is a sum of weights.
 _SUPPORT = tuple(tuple(i for i, v in enumerate(LOCAL_VERTICES) if v.table[t])
                  for t in range(16))
-# the nonlocal vertex of each CHSH expression and its isotropic facet box P_F
-_FACETS = {e: (vertex_for_expression(e), mix([(Fraction(3, 4), vertex_for_expression(e)),
-                                              (Fraction(1, 4), opposite_vertex(e))]))
-           for e in CHSH_EXPRESSIONS}
 
 
-# the LP's constraint entries (a, b, x, y), one per row
+def _numerators(values: Sequence[Fraction], den: int) -> list[int]:
+    """The numerators of ``values`` over ``den``, a multiple of each
+    value's denominator."""
+    return [v.numerator * (den // v.denominator) for v in values]
+
+
+# the nonlocal vertex of each CHSH expression and its isotropic facet box
+# P_F, as numerators over _FACET_DEN
+_FACET_DEN = 8
+_FACETS = {e: tuple(tuple(_numerators(box.table, _FACET_DEN)) for box in (
+    vertex_for_expression(e),
+    mix([(Fraction(3, 4), vertex_for_expression(e)), (Fraction(1, 4), opposite_vertex(e))])))
+    for e in CHSH_EXPRESSIONS}
+
+# the LP's constraint entries (a, b, x, y), one per row, and the table
+# index of each
 _CONSTRAINTS = tuple(product(BITS, BITS, BITS, BITS))
+_ROW_ENTRY = tuple(_idx(*abxy) for abxy in _CONSTRAINTS)
+# V_j(a, b|x, y) per constraint row and canonical vertex column j
+_VERTEX_MATRIX = tuple(tuple(int(j in _SUPPORT[t]) for j in range(16))
+                       for t in _ROW_ENTRY)
+_ONES = (1,) * 16
 
 
-@cache
-def _vertex_matrix() -> tuple[tuple[Fraction, ...], ...]:
-    """V_j(a, b|x, y) per constraint row and canonical vertex column j,
-    built on first use."""
-    return tuple(tuple(v.prob(a, b, x, y) for v in LOCAL_VERTICES)
-                 for a, b, x, y in _CONSTRAINTS)
-
-
-def _local_mix(weights: Sequence[Fraction]) -> list[Fraction]:
+def _local_mix(weights: Sequence[int]) -> list[int]:
     """sum_i weights[i] * V_i, entry by entry in table order."""
     return [sum(weights[i] for i in support) for support in _SUPPORT]
+
+
+def _box(numerators: Sequence[int], den: int) -> BinarySystem:
+    """The table numerators / den."""
+    return BinarySystem(tuple(Fraction(n, den) for n in numerators))
 
 
 @dataclass(frozen=True)
@@ -88,18 +109,24 @@ def local_part(system: BinarySystem,
     order = list(vertex_order) if vertex_order is not None else list(range(16))
     if sorted(order) != list(range(16)):
         raise ValueError("vertex_order must be a permutation of 0..15")
-    a_mat = [[row[j] for j in order] for row in _vertex_matrix()]
-    b_vec = [system.prob(a, b, x, y) for (a, b, x, y) in _CONSTRAINTS]
-    res = solve_max([Fraction(1)] * 16, a_mat, b_vec)
+    a_mat = (_VERTEX_MATRIX if vertex_order is None
+             else [[row[j] for j in order] for row in _VERTEX_MATRIX])
+    res = solve_max(_ONES, a_mat, [system.table[t] for t in _ROW_ENTRY])
     weights = [Fraction(0)] * 16
     for j in range(16):
         weights[order[j]] = res.x[j]
-    # exact optimality certificate: feasible basis + no positive reduced cost
-    if any(w < 0 for w in weights) or any(rc > 0 for rc in res.reduced_costs):
+    # exact optimality certificate: a feasible basis whose objective is the
+    # weights' sum, and no positive reduced cost
+    numerators, d = system.integer_form
+    den = lcm(d, *(w.denominator for w in weights), *(s.denominator for s in res.slack))
+    w = _numerators(weights, den)
+    if (any(wi < 0 for wi in w) or any(rc.numerator > 0 for rc in res.reduced_costs)
+            or sum(w) * res.value.denominator != res.value.numerator * den):
         raise DecompositionError("simplex returned an uncertified optimum")
-    local = BinarySystem(tuple(_local_mix(weights)))
-    for (a, b, x, y), s in zip(_CONSTRAINTS, res.slack):
-        if local.prob(a, b, x, y) + s != system.prob(a, b, x, y):
+    local = _local_mix(w)
+    scale = den // d
+    for t, s in zip(_ROW_ENTRY, _numerators(res.slack, den)):
+        if local[t] + s != numerators[t] * scale:
             raise DecompositionError("LP slack fails to reconstruct the constraint")
     return LPResult(weights=tuple(weights), local_part=res.value,
                     slack=res.slack, iterations=res.iterations)
@@ -110,7 +137,7 @@ def facet_of(system: BinarySystem) -> tuple[CHSHExpression, BinarySystem, Binary
     nl, expr = nl_value(system)
     if nl <= 2:
         raise ValueError(f"NL(P) = {nl} <= 2: no violated CHSH facet")
-    return (expr, *_FACETS[expr])
+    return (expr, *(_box(t, _FACET_DEN) for t in _FACETS[expr]))
 
 
 def facet_weight(p_star: BinarySystem, p_f: BinarySystem) -> Fraction:
@@ -148,58 +175,68 @@ class Decomposition:
         }
 
 
-def _scale(system: BinarySystem, factor: Fraction) -> list[Fraction]:
-    return [factor * e for e in system.table]
-
-
 def minimal_isotropic(system: BinarySystem) -> Decomposition:
     """Decompose P over the weakest isotropic system that can carry it."""
     lp = local_part(system)
     s = lp.local_part
-    nl, expr = nl_value(system)
+    numerators, d = system.integer_form
+    nl_num, expr = nl_value_int(numerators)
+    nl = Fraction(nl_num, d)
     if s == 1:
         return Decomposition(
             epsilon=Fraction(0), q=Fraction(0), p_f=None, facet=None,
             p_iso=None, p_star=system, p_l=system, lp=lp, system_nl=nl,
         )
-    if nl <= 2:
+    if nl_num <= 2 * d:
         raise DecompositionError(
             f"local part {s} < 1 for a box with NL = {nl} <= 2"
         )
-    p_nl, p_f_sys = _FACETS[expr]
-    local_mix = _local_mix(lp.weights)
-    # the maximal-local remainder must sit on the violated vertex
-    remainder = [e - lm for e, lm in zip(system.table, local_mix)]
-    if remainder != _scale(p_nl, 1 - s):
+    vertex, facet = _FACETS[expr]
+    g = _FACET_DEN
+    # P = a/Q, the local mixture sum_i p_i V_i = b/Q and s = sigma/Q
+    big_q = lcm(d, *(w.denominator for w in lp.weights))
+    a = [n * (big_q // d) for n in numerators]
+    w = _numerators(lp.weights, big_q)
+    b, sigma = _local_mix(w), sum(w)
+    # the maximal-local remainder a - b must sit on the violated vertex
+    rem = [ai - bi for ai, bi in zip(a, b)]
+    top = vertex.index(max(vertex))
+    if any(r * vertex[top] != rem[top] * v for r, v in zip(rem, vertex)):
         raise DecompositionError("LP remainder is not proportional to the facet vertex")
-    if s > 0:
-        p_star = BinarySystem(tuple(lm / s for lm in local_mix))
-        pf = facet_weight(p_star, p_f_sys)
+    if sigma > 0:
+        # p_star = b/sigma; p_f = min_t p_star_t / (facet_t/g) = g*m/(k*sigma)
+        # with m/k the least b_t / facet_t
+        m, k = b[0], facet[0]
+        for bt, ft in zip(b, facet):
+            if bt * k < m * ft:
+                m, k = bt, ft
+        p_star, pf = _box(b, sigma), Fraction(g * m, k * sigma)
     else:
-        p_star, pf = None, None
-    eps = (1 - s) / ((s * pf if pf is not None else Fraction(0)) + 1 - s)
-    q = (s * pf if pf is not None else Fraction(0)) + 1 - s
-    p_iso = mix([(eps, p_nl), (1 - eps, p_f_sys)])
-    iso_nl, _ = nl_value(p_iso)
-    if iso_nl != 2 * (1 + eps):
+        (m, k), p_star, pf = (0, 1), None, None
+    # q = s*p_f + 1 - s = qn/qd and eps = (1 - s)/q = en/qn
+    en = k * (big_q - sigma)
+    qn, qd = g * m + en, k * big_q
+    # P_iso = eps*V + (1 - eps)*P_F = iso / (g*qn)
+    iso = [en * v + g * m * f for v, f in zip(vertex, facet)]
+    if nl_value_int(iso)[0] != 2 * g * (qn + en):
         raise DecompositionError("isotropic component has inconsistent nonlocality")
-    if q < 1:
-        p_l = BinarySystem(tuple(
-            (e - q * pi) / (1 - q) for e, pi in zip(system.table, p_iso.table)
-        ))
-        if not validate(p_l).ok:
+    p_l = None
+    if qn < qd:
+        # P_L = (p_star - p_f*P_F) / (1 - p_f) = res / (k*sigma - g*m)
+        res = [k * bt - m * ft for bt, ft in zip(b, facet)]
+        res_den = k * sigma - g * m
+        if not validate_int(res, res_den).ok:
             raise DecompositionError("local residue is not a valid box")
-        residue_nl, _ = nl_value(p_l)
-        if residue_nl > 2:
+        if nl_value_int(res)[0] > 2 * res_den:
             raise DecompositionError("local residue violates a CHSH facet")
-        rebuilt = [q * pi + (1 - q) * pl for pi, pl in zip(p_iso.table, p_l.table)]
-        if rebuilt != list(system.table):
+        # q*P_iso = iso/(g*qd) and (1 - q)*P_L = res/qd, since
+        # 1 - q = res_den/qd; their sum must be a/Q, and qd = k*Q
+        if any(i + g * r != g * k * ai for i, r, ai in zip(iso, res, a)):
             raise DecompositionError("decomposition does not reconstruct the box")
-    else:
-        p_l = None
-        if p_iso.table != system.table:
-            raise DecompositionError("q = 1 decomposition must equal the box")
+        p_l = _box(res, res_den)
+    elif any(big_q * i != g * qn * ai for i, ai in zip(iso, a)):
+        raise DecompositionError("q = 1 decomposition must equal the box")
     return Decomposition(
-        epsilon=eps, q=q, p_f=pf, facet=expr, p_iso=p_iso,
-        p_star=p_star, p_l=p_l, lp=lp, system_nl=nl,
+        epsilon=Fraction(en, qn), q=Fraction(qn, qd), p_f=pf, facet=expr,
+        p_iso=_box(iso, g * qn), p_star=p_star, p_l=p_l, lp=lp, system_nl=nl,
     )

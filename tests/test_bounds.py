@@ -34,6 +34,7 @@ from nldistill import (
 from nldistill import bounds as bounds_module
 from nldistill import decompose as decompose_module
 from nldistill.bounds import envelope_bound
+from nldistill.boxes import nl_value_int
 from nldistill.cli import main as cli_main
 from nldistill.decompose import minimal_isotropic
 
@@ -707,17 +708,20 @@ def test_envelope_bound_takes_an_envelope_exactly_for_nonlocal_boxes():
 
 
 def test_general_bound_evaluates_each_nl_once(monkeypatch, capsys):
-    # the box, its isotropic envelope and its local residue: one nl_value
-    # each, in the library and in the CLI's bound path; the bounds module
-    # takes NL(p_iso) from the isotropic epsilon
+    # the box, its isotropic envelope and its local residue: one NL
+    # evaluation each, in the library and in the CLI's bound path; the
+    # bounds module takes NL(p_iso) from the isotropic epsilon.  The
+    # decomposition evaluates NL on integer numerators, and the four entries
+    # of one input pair sum to the denominator, so each table read back
+    # over that sum is the box it was evaluated on
     seen = []
 
-    def counted(system):
-        seen.append(system.table)
-        return nl_value(system)
+    def counted(numerators):
+        seen.append(tuple(F(v, sum(numerators[:4])) for v in numerators))
+        return nl_value_int(numerators)
 
     assert not hasattr(bounds_module, "nl_value")
-    monkeypatch.setattr(decompose_module, "nl_value", counted)
+    monkeypatch.setattr(decompose_module, "nl_value_int", counted)
     box = wedge(F(1, 5), F(1, 5))
     report = general_bound(box, 2)
     dec = report.decomposition

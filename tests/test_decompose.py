@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
+import re
+import subprocess
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +33,8 @@ from nldistill import (
     wedge,
 )
 from nldistill import decompose, simplex
+from nldistill.boxes import CHSHExpression
+from nldistill.decompose import DecompositionError
 from nldistill.simplex import UnboundedError, solve_max
 from conftest import random_ns_box
 import scalar_kernels
@@ -318,3 +326,193 @@ def test_decomposition_json():
     assert obj["epsilon"] == str(dec.epsilon)
     assert obj["facet"] == {"anchor": [0, 0], "sign": 1}
     assert len(obj["weights"]) == 16
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def test_decomposition_tableau_entries_stay_below_2_32(monkeypatch):
+    # the right-hand side carries den(P) once, as one column factor, and the
+    # 0/1 rows are not scaled: no tableau entry of these LPs reaches 2^32
+    ref = json.loads(REFERENCE.read_text())
+    boxes = [BinarySystem.from_json_obj(obj) for obj in ref["boxes"].values()]
+    boxes += [BinarySystem.from_json_obj(job["box"])
+              for job in ref["warm_bound"]["jobs"].values()]
+    boxes += [wedge(F(i, 10), (1 - F(i, 10)) * F(j, 10))
+              for i in range(10) for j in range(10)]
+    pivot = simplex._pivot
+    widest = [0]
+
+    def measured(rows, leave, enter, d):
+        widest[0] = max(widest[0], *(abs(v) for row in rows for v in row))
+        new_d = pivot(rows, leave, enter, d)
+        widest[0] = max(widest[0], *(abs(v) for row in rows for v in row))
+        return new_d
+
+    monkeypatch.setattr(simplex, "_pivot", measured)
+    for box in boxes:
+        minimal_isotropic(box)
+    assert 0 < widest[0] < 2 ** 32
+
+
+PR_FACET = CHSHExpression(0, 0, 1)
+
+
+def _lp_edit(**edits):
+    """A patch of local_part's LP: each edit maps the real SimplexResult to
+    a replacement field value."""
+    def patch(monkeypatch):
+        real = decompose.solve_max
+
+        def edited(c, a, b):
+            res = real(c, a, b)
+            return dataclasses.replace(res, **{k: f(res) for k, f in edits.items()})
+
+        monkeypatch.setattr(decompose, "solve_max", edited)
+    return patch
+
+
+def _lp_weights(box, weights):
+    """A patch that reports ``weights`` as the LP's solution, with their sum
+    as its value and the slacks that make every constraint exact: the
+    certificate holds, the optimality does not."""
+    slack = tuple(box.prob(a, b, x, y)
+                  - sum(w * v.prob(a, b, x, y) for w, v in zip(weights, LOCAL_VERTICES))
+                  for a, b, x, y in product((0, 1), repeat=4))
+    return _lp_edit(x=lambda res: tuple(weights), value=lambda res: sum(weights),
+                    slack=lambda res: slack)
+
+
+def _lowered(box, delta):
+    """The LP weights of ``box`` with its largest weight lowered by delta."""
+    weights = list(local_part(box).weights)
+    weights[weights.index(max(weights))] -= delta
+    return _lp_weights(box, weights)
+
+
+def _facet_edit(edit):
+    """A patch of the facet table entry of PR: edit(vertex, facet) returns
+    the new numerators over 8."""
+    def patch(monkeypatch):
+        vertex, facet = decompose._FACETS[PR_FACET]
+        monkeypatch.setitem(decompose._FACETS, PR_FACET, edit(list(vertex), list(facet)))
+    return patch
+
+
+def _moved(facet, delta):
+    # P(0,0|0,0) and P(0,1|0,0) move together: E_00, and with it every CHSH
+    # value, stays; the mass of the input pair (0, 0) does not
+    facet[0] += delta
+    facet[1] += delta
+    return facet
+
+
+def _residue_case():
+    """P = PR/2 + p_star/2, p_star = (M + P_F)/2 with M the vertices on the
+    CHSH facets of PR and of anchor (0, 1).  A certified LP of value 7/16 <
+    1/2 leaves a local mixture 7/16 * p2 with p2 local, so the remainder
+    still sits on PR; peeling P_F off p2 pushes the residue through the
+    anchor (0, 1) facet."""
+    other = CHSHExpression(0, 1, 1)
+    on_both = [v for v in LOCAL_VERTICES
+               if PR_FACET.evaluate(v) == 2 and other.evaluate(v) == 2]
+    p_star = mix([(F(1, 2), mix([(F(1, len(on_both)), v) for v in on_both])),
+                  (F(1, 2), P_F)])
+    box = mix([(F(1, 2), PR), (F(1, 2), p_star)])
+    s, low = F(1, 2), F(7, 16)
+    p2 = BinarySystem(tuple((s * e - (s - low) * v) / low
+                            for e, v in zip(p_star.table, PR.table)))
+    lp = local_part(p2)
+    assert lp.local_part == 1 and min(p2.table) >= 0
+    return box, _lp_weights(box, [low * w for w in lp.weights])
+
+
+RESIDUE_BOX, RESIDUE_LP = _residue_case()
+WEDGE = wedge(F(1, 5), F(1, 5))
+# each DecompositionError message, a box and the patch that breaks the
+# identity its check guards
+BROKEN = {
+    "simplex returned an uncertified optimum": [
+        (WEDGE, _lp_edit(reduced_costs=lambda res: (F(1),) + res.reduced_costs[1:])),
+        (WEDGE, _lp_edit(x=lambda res: (-res.x[0],) + res.x[1:] if res.x[0]
+                         else (F(-1, 5),) + res.x[1:])),
+        (WEDGE, _lp_edit(value=lambda res: res.value + F(1, 5))),
+    ],
+    # one unit of den(P) on one slack
+    "LP slack fails to reconstruct the constraint": [
+        (WEDGE, _lp_edit(slack=lambda res: (res.slack[0] + F(1, 20),) + res.slack[1:])),
+    ],
+    "local part 3/4 < 1 for a box with NL = 2 <= 2": [(P_C, _lowered(P_C, F(1, 4)))],
+    # the lowered weight's vertex joins the remainder
+    "LP remainder is not proportional to the facet vertex": [
+        (WEDGE, _lowered(WEDGE, F(1, 20))),
+    ],
+    # a uniform facet box has CHSH value 0, so NL(P_iso) = 4 eps
+    "isotropic component has inconsistent nonlocality": [
+        (WEDGE, _facet_edit(lambda vertex, facet: (vertex, [2] * 16))),
+    ],
+    # a facet box of mass 5/4 on the input pair (0, 0)
+    "local residue is not a valid box": [
+        (WEDGE, _facet_edit(lambda vertex, facet: (vertex, _moved(facet, 1)))),
+    ],
+    "local residue violates a CHSH facet": [(RESIDUE_BOX, RESIDUE_LP)],
+    # with every LP identity intact, only a box whose rows sum to 11/10 in
+    # place of 1 leaves a remainder of weight other than 1 - s
+    "decomposition does not reconstruct the box": [
+        (BinarySystem(tuple(F(11, 10) * e for e in WEDGE.table)), lambda mp: None),
+    ],
+    # a facet box of mass 3/4 on the input pair (0, 0) fits into P_F with
+    # weight 1, so q = 1, but eps*PR + (1 - eps)*facet is not the box
+    "q = 1 decomposition must equal the box": [
+        (wedge(F(1, 5), 0), _facet_edit(lambda vertex, facet: (vertex, _moved(facet, -1)))),
+    ],
+}
+
+
+def test_every_decomposition_raise_is_broken_below():
+    source = Path(decompose.__file__).read_text()
+    sites = re.findall(r'raise DecompositionError\(\s*f?"([^"]*)"', source)
+    assert len(sites) == 9
+    patterns = [re.sub(r"\\{[^}]*\\}", ".*", re.escape(site)) for site in sites]
+    assert sorted(patterns) == sorted(
+        next(p for p in patterns if re.fullmatch(p, message)) for message in BROKEN)
+
+
+@pytest.mark.parametrize("message, box, patch",
+                         [(m, box, patch) for m, cases in BROKEN.items()
+                          for box, patch in cases])
+def test_each_broken_identity_raises(monkeypatch, message, box, patch):
+    patch(monkeypatch)
+    with pytest.raises(DecompositionError, match=f"^{re.escape(message)}$"):
+        minimal_isotropic(box)
+
+
+def test_decomposition_checks_survive_optimize_flag():
+    # the certificate and the reconstruction are raises, not asserts: they
+    # still fire under python -O
+    code = """
+import dataclasses
+from fractions import Fraction
+from nldistill import BinarySystem, decompose, wedge
+box = wedge(Fraction(1, 5), Fraction(1, 5))
+print("debug", __debug__)
+try:
+    decompose.minimal_isotropic(BinarySystem(tuple(Fraction(11, 10) * e for e in box.table)))
+except decompose.DecompositionError as exc:
+    print("raised", exc)
+real = decompose.solve_max
+decompose.solve_max = lambda c, a, b: dataclasses.replace(
+    real(c, a, b), reduced_costs=(Fraction(1),) + (Fraction(0),) * 15)
+try:
+    decompose.minimal_isotropic(box)
+except decompose.DecompositionError as exc:
+    print("raised", exc)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "debug False",
+        "raised decomposition does not reconstruct the box",
+        "raised simplex returned an uncertified optimum",
+    ]
