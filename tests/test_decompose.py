@@ -434,8 +434,7 @@ WEDGE = wedge(F(1, 5), F(1, 5))
 BROKEN = {
     "simplex returned an uncertified optimum": [
         (WEDGE, _lp_edit(reduced_costs=lambda res: (F(1),) + res.reduced_costs[1:])),
-        (WEDGE, _lp_edit(x=lambda res: (-res.x[0],) + res.x[1:] if res.x[0]
-                         else (F(-1, 5),) + res.x[1:])),
+        (WEDGE, _lp_edit(x=lambda res: (F(-1, 5),) + res.x[1:])),
         (WEDGE, _lp_edit(value=lambda res: res.value + F(1, 5))),
     ],
     # one unit of den(P) on one slack
