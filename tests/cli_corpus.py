@@ -9,8 +9,8 @@ pass filled.  A change that alters any output regenerates the file with
 and names each changed argv in CHANGES.md.  In argv, ``{tmp}`` stands for
 a scratch directory that holds the box files of ``BOX_FILES`` and
 ``{cache}`` for the table cache directory.  The entries of
-``cli_corpus_longrun.json`` (``--long-run`` bounds at n = 8 and json
-grids at n = 7) replay only under ``pytest --long-run``.
+``cli_corpus_longrun.json`` (``--long-run`` bounds at n = 8 and 9 and
+json grids at n = 7) replay only under ``pytest --long-run``.
 """
 from __future__ import annotations
 
@@ -127,10 +127,14 @@ def corpus_argvs() -> list[list[str]]:
 
 
 def longrun_argvs() -> list[list[str]]:
-    """``bound --long-run`` at n = 8 and the json grids at n = 7, the
-    largest payload of the grid emitter (object dtype on 3/1000,0)."""
+    """``bound --long-run`` at n = 8, two at n = 9, where the level fill
+    dominates (p = 2/5 and the odd den(p) of p = 3/7), and the json grids at
+    n = 7, the largest payload of the grid emitter (object dtype on
+    3/1000,0)."""
     argvs = [["bound", "--wedge", w, "--n", "8", "--long-run", "--cache", "{cache}"]
              for w in BOUND_WEDGES]
+    argvs += [["bound", "--wedge", w, "--n", "9", "--long-run", "--cache", "{cache}"]
+              for w in ("1/5,0", "2/7,1/7")]
     argvs += [["grid", "--wedge", w, "--n", "7", "--format", "json", "--cache", "{cache}"]
               for w in GRID_WEDGES + ["3/1000,0"]]
     return argvs
