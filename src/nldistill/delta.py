@@ -283,14 +283,14 @@ def load_tables(path, expect_p: Optional[Fraction] = None,
 # ---------------------------------------------------------------------------
 
 def _complete_grid(grid: np.ndarray, size: int, dppow: int) -> None:
-    """Fill a level grid from its computed wedge k <= min(l, size/2)."""
-    h = size // 2
-    for k in range(h + 1):
-        grid[k:, k] = grid[k, k:]
-    if h >= 1:
-        src = grid[h - 1::-1, h - 1::-1]
-        steps = np.add.outer(np.arange(1, h + 1), np.arange(1, h + 1))
-        grid[h + 1:, h + 1:] = src + steps.astype(grid.dtype) * dppow
+    """Fill a level grid from its computed wedge k <= l <= size - k: the
+    mirror gives every cell with k + l <= size, then each cell with
+    k + l > size is its transposed complement (module docstring)."""
+    for k in range(size // 2 + 1):
+        grid[k + 1:size - k + 1, k] = grid[k, k + 1:size - k + 1]
+    steps = np.arange(1, size + 1).astype(grid.dtype) * dppow
+    for k in range(1, size + 1):
+        grid[k, size - k + 1:] = grid[k - 1::-1, size - k] + steps[:k]
 
 
 def build_tables(p: RationalLike, n: int, *,

@@ -253,7 +253,7 @@ def fill_wedge(prev: np.ndarray, size: int, ca, cb):
             _, _, acc = _block_sweep(prev, ks, iv, ca, cb, k_lo, -1)
             best = np.maximum.reduceat(acc, np.flatnonzero(iv == 0), axis=0)
         for r, kk in enumerate(range(k_lo, int(ks[-1]) + 1)):
-            out[kk, kk:] = best[r, kk - k_lo:]
+            out[kk, kk:size - kk + 1] = best[r, kk - k_lo:size - kk - k_lo + 1]
     return out, FillOps(_wedge_pairs(size), counts)
 
 
@@ -277,20 +277,22 @@ def _fill_blocks(size: int):
 
 def _window_terms(u, v, k_lo: int):
     """(j, acc columns, candidates) per j of a block whose accumulator holds
-    the wedge columns l >= k_lo: cand[r, t - t0] = u[r, j] + v[r, t] is the
-    pair (j, l = j + t) of row r, at accumulator column l - k_lo."""
+    the capped wedge columns k_lo <= l <= 2h - k_lo: cand[r, t - t0] =
+    u[r, j] + v[r, t] is the pair (j, l = j + t) of row r, at accumulator
+    column l - k_lo."""
     h = u.shape[1] - 1
     for j in range(h + 1):
-        t0 = max(0, k_lo - j)
-        yield j, slice(j + t0 - k_lo, j + h + 1 - k_lo), u[:, j:j + 1] + v[:, t0:]
+        t0, t1 = max(0, k_lo - j), min(h, 2 * h - k_lo - j)
+        yield j, slice(j + t0 - k_lo, j + t1 + 1 - k_lo), u[:, j:j + 1] + v[:, t0:t1 + 1]
 
 
 def _block_sweep(prev, ks, iv, ca, cb, k_lo: int, seed):
-    """The rows U, V of a block and acc[r, l - k_lo] = max_j U[r, j] + V[r, l - j],
-    starting from ``seed``, which must lie below every candidate."""
+    """The rows U, V of a block and acc[r, l - k_lo] = max_j U[r, j] + V[r, l - j]
+    over k_lo <= l <= 2h - k_lo, starting from ``seed``, which must lie below
+    every candidate."""
     a, b = prev[iv], prev[ks - iv]
     u, v = ca * a + cb * b, ca * b + cb * a
-    acc = np.full((len(ks), 2 * prev.shape[0] - 1 - k_lo), seed, dtype=u.dtype)
+    acc = np.full((len(ks), 2 * prev.shape[0] - 1 - 2 * k_lo), seed, dtype=u.dtype)
     for _, cols, cand in _window_terms(u, v, k_lo):
         seg = acc[:, cols]
         np.maximum(seg, cand, out=seg)
@@ -345,14 +347,17 @@ def _window_max(up, vp, rows, ls):
 
 
 def _filtered_block(out, prev, shadow, ks, iv, k_lo: int, ca, cb, alpha, beta):
-    """Write the block's wedge cells of ``out`` through the float filter and
-    return the surviving pairs; None, writing nothing, past FILTER_CAP."""
+    """Write the block's capped wedge cells k <= l <= 2h - k of ``out``
+    through the float filter and return the surviving pairs; None, writing
+    nothing, past FILTER_CAP."""
     uf, vf, acc = _block_sweep(shadow, ks, iv, alpha, beta, k_lo, -np.inf)
-    rk = ks - k_lo
-    best = np.maximum.reduceat(acc, np.flatnonzero(iv == 0), axis=0)[rk]
+    best = np.maximum.reduceat(acc, np.flatnonzero(iv == 0), axis=0)[ks - k_lo]
     thr = best - filter_margin(5, 2.0)
-    # a row's columns l < k are no wedge cells; nothing survives there
-    thr[np.arange(thr.shape[1]) < rk[:, None]] = np.inf
+    # a row's columns l < k and l > 2h - k are no capped wedge cells;
+    # nothing survives there
+    width = 2 * prev.shape[0] - 1  # size + 1
+    ls = np.arange(thr.shape[1]) + k_lo
+    thr[(ls < ks[:, None]) | (ls >= width - ks[:, None])] = np.inf
     # acc[r, c] is the float max over the pair's candidates, so a (row, l)
     # pair holds a survivor exactly when its acc entry passes
     rows, cols = np.nonzero(acc >= thr)
@@ -370,12 +375,11 @@ def _filtered_block(out, prev, shadow, ks, iv, k_lo: int, ca, cb, alpha, beta):
     k, i = ks[r], iv[r]
     exact = (ca * (prev[i, j] + prev[k - i, l - j])
              + cb * (prev[i, l - j] + prev[k - i, j]))
-    width = 2 * prev.shape[0] - 1  # size + 1
     key = k * width + l
     order = np.argsort(key, kind="stable")
     key = key[order]
     starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    cells = sum(width - kk for kk in range(k_lo, int(ks[-1]) + 1))
+    cells = sum(width - 2 * kk for kk in range(k_lo, int(ks[-1]) + 1))
     if len(starts) != cells:
         raise AssertionError(
             f"the float filter kept {len(starts)} of {cells} wedge cells")
@@ -448,13 +452,14 @@ class _Pruner:
 
     def block(self, ks, iv, k_lo: int, cap: float):
         """(best, evaluated): best[k - k_lo, l - k_lo] = max over the block's
-        rows (k, i) and j of U_i[j] + V_i[l - j], exact at every wedge cell
-        l >= k, and the (row, l) pairs it evaluated exactly.  None when that
-        would exceed ``cap`` of the block's wedge (row, l) pairs."""
+        rows (k, i) and j of U_i[j] + V_i[l - j], exact at every capped wedge
+        cell k <= l <= 2h - k, and the (row, l) pairs it evaluated exactly.
+        None when that would exceed ``cap`` of the block's capped wedge
+        (row, l) pairs."""
         q, h = self.q, self.q.shape[1] - 1
         a, b = iv, ks - iv
         rk = ks - k_lo
-        ncols = 2 * h + 1 - k_lo
+        ncols = 2 * h + 1 - 2 * k_lo
         # the bound at column l - k_lo: U[0] + V[0] + the l largest slopes
         merged, sums = self.merged[:len(ks)], self.sums[:len(ks)]
         np.add(self.sa[a], self.sb[b], out=merged[:, :h])
@@ -462,7 +467,7 @@ class _Pruner:
         merged.sort(axis=1)
         sums[:, 0] = 0.0
         np.cumsum(merged[:, ::-1], axis=1, out=sums[:, 1:])
-        bound = sums[:, k_lo:]
+        bound = sums[:, k_lo:k_lo + ncols]
         bound += ((self.ca + self.cb) * (q[a, 0] + q[b, 0])).astype(np.float64)[:, None]
         # lower bounds: each cell's first row of largest bound, evaluated exactly
         starts = np.flatnonzero(iv == 0)
@@ -470,7 +475,8 @@ class _Pruner:
         largest = np.maximum.reduceat(bound, starts, axis=0)
         first = np.where(bound == largest[group], np.arange(len(ks))[:, None], len(ks))
         first = np.minimum.reduceat(first, starts, axis=0)
-        cg, cc = np.nonzero(np.arange(ncols) >= rk[starts, None])
+        cols = np.arange(ncols)
+        cg, cc = np.nonzero((cols >= rk[starts, None]) & (cols < ncols - rk[starts, None]))
         lead = first[cg, cc]
         up, vp = self.windows[:, :len(ks)]
         np.add(self.qa[a], self.qb[b], out=up[:, :h + 1])
@@ -482,7 +488,7 @@ class _Pruner:
         keep = bound >= thr[group]
         keep[lead, cc] = False
         evaluated = len(lead) + int(np.count_nonzero(keep))
-        if evaluated > cap * sum(ncols - rk):
+        if evaluated > cap * sum(ncols - 2 * rk):
             return None
         rows, cols = np.nonzero(keep)
         np.maximum.at(best, (group[rows], cols), _window_max(up, vp, rows, cols + k_lo))

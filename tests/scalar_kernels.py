@@ -17,6 +17,9 @@ check the kernel on real tables up to n = 7.
 ``iso_sweep`` is the untiled profile scan the package ran before
 ``kernels.iso_scan`` took its tiled pass: one numpy slab per l0 over every
 l1, on int64 and object arrays alike.
+``wedge_sweep`` is the level fill as the package ran it before
+``kernels.fill_wedge`` stopped each row at l = size - k: the full wedge
+k <= min(l, size/2), one (max,+) sweep per k, fast enough for level 9.
 ``fill_blocks`` is the level fill's block generator as the package ran it
 before ``kernels._fill_blocks`` built its rows with ``np.repeat``: a
 Python list of (k, i) rows, grown k by k.
@@ -72,6 +75,24 @@ def fill_wedge(prev, out, size, ca, cb, maximize):
                     ops += 1 if (i == ri and j == rj) else 2
             out[k, l] = best
     return ops
+
+
+def wedge_sweep(prev, size, ca, cb):
+    """The wedge k <= min(l, size/2) of one level's (max,+) fill of the
+    int64 grid ``prev``, every row out to l = size; the other cells are 0."""
+    h = size // 2
+    out = np.zeros((size + 1, size + 1), dtype=np.int64)
+    for k in range(h + 1):
+        # the orbit (i, j) -> (k-i, l-j) swaps u and v: rows i <= k/2 suffice
+        i = np.arange(k // 2 + 1)
+        u = ca * prev[i] + cb * prev[k - i]
+        v = ca * prev[k - i] + cb * prev[i]
+        acc = np.full((len(i), size + 1), -_SENTINEL, dtype=np.int64)
+        for j in range(h + 1):
+            seg = acc[:, j:j + h + 1]
+            np.maximum(seg, u[:, j:j + 1] + v, out=seg)
+        out[k, k:] = acc.max(axis=0)[k:]
+    return out
 
 
 def fill_blocks(size, block_rows):

@@ -118,10 +118,11 @@ def wedge_cells(grid, size):
 
 def test_backends_agree():
     # The scalar reference body and the public fill kernel run on the same
-    # previous level; grids and op counts must match.  The built tables
-    # derive the minus grid from the plus grid, so its wedge is checked
-    # against the scalar min fill of the minus level below.  At p = 0 ca is
-    # 0 and at p = 1/2 cb is 0, where ties abound.
+    # previous level; op counts and every wedge cell must match once the
+    # kernel's capped wedge k <= l <= size - k is completed.  The built
+    # tables derive the minus grid from the plus grid, so its wedge is
+    # checked against the scalar min fill of the minus level below.  At
+    # p = 0 ca is 0 and at p = 1/2 cb is 0, where ties abound.
     for p in (F(2, 5), F(0), F(1, 2)):
         t = build_tables(p, 6)
         ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
@@ -132,7 +133,8 @@ def test_backends_agree():
                 t.plus[m - 1], scalar, size, np.int64(ca), np.int64(cb), True
             )
             vector, ops_v = kernels.fill_wedge(t.plus[m - 1], size, ca, cb)
-            assert np.array_equal(scalar, vector), (p, m)
+            nldistill.delta._complete_grid(vector, size, p.denominator ** m)
+            assert np.array_equal(scalar, wedge_cells(vector, size)), (p, m)
             assert ops_s == ops_v, (p, m)
             assert 2 * ops_v == t.ops_per_level[m], (p, m)
             scalar = np.zeros((size + 1, size + 1), dtype=np.int64)
@@ -194,15 +196,21 @@ def test_fill_blocks_match_the_row_list_generator(monkeypatch, block_rows):
             assert ks.tolist() == w_ks.tolist() and iv.tolist() == w_iv.tolist(), size
 
 
+def write_capped(out, best, k_lo, ks, size):
+    """Copy a block's capped wedge cells k <= l <= size - k into ``out``."""
+    for r, k in enumerate(range(k_lo, int(ks[-1]) + 1)):
+        out[k, k:size - k + 1] = best[r, k - k_lo:size - k - k_lo + 1]
+
+
 def sweep_wedge(q, size, ca, cb):
-    """The (max,+) fill of q through the exact block sweep: the wedge cells
-    of a grid whose other cells are 0."""
+    """The (max,+) fill of q through the exact block sweep: the capped wedge
+    cells of a grid whose other cells are 0.  Signed and synthetic q break
+    the complement identity, so no other cell follows from them."""
     out = np.zeros((size + 1, size + 1), dtype=np.int64)
     for k_lo, ks, iv in kernels._fill_blocks(size):
         _, _, acc = kernels._block_sweep(q, ks, iv, ca, cb, k_lo, -(1 << 62))
         best = np.maximum.reduceat(acc, np.flatnonzero(iv == 0), axis=0)
-        for r, k in enumerate(range(k_lo, int(ks[-1]) + 1)):
-            out[k, k:] = best[r, k - k_lo:]
+        write_capped(out, best, k_lo, ks, size)
     return out
 
 
@@ -212,9 +220,8 @@ def pruned_wedge(q, size, ca, cb):
     out = np.zeros((size + 1, size + 1), dtype=np.int64)
     for k_lo, ks, iv in kernels._fill_blocks(size):
         best, evaluated = pruner.block(ks, iv, k_lo, 1.0)
-        assert 0 < evaluated <= sum(size + 1 - ks)
-        for r, k in enumerate(range(k_lo, int(ks[-1]) + 1)):
-            out[k, k:] = best[r, k - k_lo:]
+        assert 0 < evaluated <= sum(size + 1 - 2 * ks)
+        write_capped(out, best, k_lo, ks, size)
     return out
 
 
@@ -304,10 +311,71 @@ def test_pruned_level_9_matches_sweep():
     ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
     grid, ops = kernels.fill_wedge(t.plus[8], 512, ca, cb)
     assert ops.counts["prune_fallbacks"] == 0
-    assert np.array_equal(grid, sweep_wedge(t.plus[8], 512, ca, cb))
+    nldistill.delta._complete_grid(grid, 512, p.denominator ** 9)
+    assert np.array_equal(wedge_cells(grid, 512),
+                          scalar_kernels.wedge_sweep(t.plus[8], 512, ca, cb))
     # the derived minus grid against the min fill of the minus level below
     assert np.array_equal(wedge_cells(t.minus[9], 512),
-                          -sweep_wedge(-t.minus[8], 512, ca, cb))
+                          -scalar_kernels.wedge_sweep(-t.minus[8], 512, ca, cb))
+
+
+#: the p of the capped-fill tests: two prune at level 8, 1/3 has an odd
+#: den(p), and ca = 0 at p = 0 and cb = 0 at p = 1/2, where ties abound
+CAPPED_PS = [F(2, 5), F(31, 80), F(1, 3), F(0), F(1, 2)]
+
+
+def capped_fill_completed(prev, m, p, dtype):
+    """The level-m fill of ``prev`` as ``dtype``, checked to write the capped
+    wedge k <= l <= 2^m - k only, then completed by ``_complete_grid``."""
+    size, dpm = 2 ** m, p.denominator ** m
+    grid, _ = kernels.fill_wedge(prev.astype(dtype), size, 2 * p.numerator,
+                                 p.denominator - 2 * p.numerator)
+    k, l = np.indices(grid.shape)
+    assert not grid[(k > l) | (k + l > size)].any(), (p, m)
+    nldistill.delta._complete_grid(grid, size, dpm)
+    return grid
+
+
+def assert_completes_the_sweep(prev, m, p, dtype):
+    # the wedge k <= min(l, h) cell for cell against the full sweep, then the
+    # symmetry and the complement identity on the whole grid: these fix every
+    # other cell from the wedge
+    size, ca, cb = 2 ** m, 2 * p.numerator, p.denominator - 2 * p.numerator
+    grid = capped_fill_completed(prev, m, p, dtype)
+    want = scalar_kernels.wedge_sweep(prev, size, ca, cb)
+    assert wedge_cells(grid, size).tolist() == want.tolist(), (p, m, dtype)
+    k, l = np.indices(grid.shape)
+    assert (grid == grid.T).all(), (p, m, dtype)
+    assert (grid[::-1, ::-1] == grid + (size - k - l) * p.denominator ** m).all(), \
+        (p, m, dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("p", CAPPED_PS, ids=str)
+def test_capped_fill_completes_to_the_full_sweep(p, dtype):
+    t = build_tables(p, 7)
+    for m in range(1, 9):
+        assert_completes_the_sweep(t.plus[m - 1], m, p, dtype)
+
+
+@pytest.mark.longrun
+@pytest.mark.parametrize("dtype", [np.int64, object])
+@pytest.mark.parametrize("p", CAPPED_PS, ids=str)
+def test_capped_fill_completes_to_the_full_sweep_level_9(p, dtype):
+    assert_completes_the_sweep(build_tables(p, 8).plus[8], 9, p, dtype)
+
+
+@pytest.mark.parametrize("p", CAPPED_PS, ids=str)
+def test_capped_fill_completes_to_the_naive_recursion(p):
+    ref = naive_delta(p)
+    t = build_tables(p, 3)
+    for m in range(1, 5):
+        scale = (2 * p.denominator) ** m
+        want = [[ref("+", m, k, l) * scale for l in range(2 ** m + 1)]
+                for k in range(2 ** m + 1)]
+        for dtype in (np.int64, object):
+            grid = capped_fill_completed(t.plus[m - 1], m, p, dtype)
+            assert grid.tolist() == want, (p, m, dtype)
 
 
 def test_fill_op_count_closed_form():
