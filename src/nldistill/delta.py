@@ -11,11 +11,33 @@ over i in [k-min(k,2^(m-1)), min(k,2^(m-1))] and j likewise.
 Entries are stored as integer numerators over the exact per-level
 denominator D_m = (2*den(p))^m, which keeps the whole build in integer
 arithmetic: int64 whenever magnitudes provably fit, otherwise Python big
-ints in object arrays.  Only the plus grid is filled, and only its wedge
-k <= min(l, 2^(m-1)); the rest of it follows from the (k,l) <-> (l,k)
-symmetry and the complement identity
+ints in object arrays.  Only the plus grid is filled, and only its capped
+wedge k <= l <= 2^m - k (so k <= 2^(m-1)); the rest of it follows from the
+(k,l) <-> (l,k) symmetry and the complement identity
 
     delta_m(2^m - k, 2^m - l) = delta_m(k, l) + 1 - (k + l)/2^m.
+
+Both hold for either sign by induction on m; at level 0 they read kl = lk
+and (1-k)(1-l) = kl + 1 - (k+l) on {0,1}.  At level m, h = 2^(m-1), the
+swap (k,l,i,j) -> (l,k,j,i) maps the recursion's objective at (k,l) onto
+the one at (l,k), given the symmetry of level m-1.  The split
+(i,j) -> (h-i, h-j) maps the windows of (k,l) onto those of
+(2^m-k, 2^m-l) and turns each of the four terms into one of the form
+delta_{m-1}(h-x, h-y) = delta_{m-1}(x, y) + 1 - (x+y)/h.  Each of the two
+pairs of terms gains 2 - (k+l)/h, so with the weights p and 1/2 - p every
+objective grows by 1 - (k+l)/2^m, and so does the optimum.
+
+Together they give the cells outside the capped wedge.  With S = 2^m, the
+symmetry gives every cell with k + l <= S: one of k, l is at most S/2, and
+the cell or its transpose lies in the capped wedge.  For k + l > S the
+complement identity at (S-k, S-l) and then the symmetry give the
+transposed complement
+
+    delta_m(k, l) = delta_m(S - l, S - k) + (k + l - S)/S,
+
+whose cell (S-l, S-k) has the sum 2S - k - l < S, so it is one of those
+already given.  Over D_m the step (k + l - S)/S is (k + l - S)*den(p)^m.
+``_complete_grid`` applies the two in that order.
 
 The minus grid is a function of the plus grid,
 
@@ -305,11 +327,14 @@ def build_tables(p: RationalLike, n: int, *,
     D_n <= 2**limit_bits).  Each ``level_filled`` event records its dtype
     too.  Builds past ``MEMORY_BUDGET`` raise ``MemoryBudgetError`` first.
 
-    Each level runs one fill, ``kernels.fill_wedge`` for the plus grid;
-    the tables keep only the plus grids, and ``DeltaTables.minus`` derives
-    the minus grids from them by the identity in the module docstring.
-    Each ``level_filled`` event still counts, as ``ops``, the logical window
-    pairs of both grids' recursions.
+    Each level runs one fill, ``kernels.fill_wedge``, of the plus grid's
+    capped wedge k <= l <= 2^m - k, and ``_complete_grid`` derives the other
+    cells by the symmetry and the transposed complement (module
+    docstring).  The tables keep only the plus grids, and
+    ``DeltaTables.minus`` derives the minus grids from them by the identity
+    in the module docstring.  Each ``level_filled`` event still counts, as
+    ``ops``, the logical window pairs of both grids' recursions over the
+    whole wedge k <= min(l, 2^(m-1)).
 
     A big-int level is filled through a float filter: the window pairs
     within ``kernels.filter_margin`` of their cell's float64 optimum (the
@@ -317,7 +342,7 @@ def build_tables(p: RationalLike, n: int, *,
     block with more than ``kernels.FILTER_CAP`` of them is swept exactly.
     Its ``level_filled`` event adds ``filter_survivors`` and
     ``filter_fallbacks``, the pairs so evaluated and the blocks so swept in
-    the plus fill.  The grids are the exact ones either way.
+    the capped plus fill.  The grids are the exact ones either way.
 
     An int64 level of size at least ``kernels.PRUNE_MIN_SIZE`` (level 8 on)
     is filled by bound, then prune: a float upper bound per (row, l) pair,
@@ -328,8 +353,8 @@ def build_tables(p: RationalLike, n: int, *,
     the tie-heavy tables at p = 0 and 1/2, is swept exactly, and so is the
     rest of its level.  Its ``level_filled`` event adds ``prune_kept`` and
     ``prune_fallbacks``, the (row, l) pairs so evaluated and the blocks so
-    swept in the plus fill.  ``kernels.fill_wedge`` returns these counts
-    with the grid (``kernels.FillOps``).
+    swept in the capped plus fill.  ``kernels.fill_wedge`` returns these
+    counts with the grid (``kernels.FillOps``).
     """
     p = rational(p)
     if not 0 <= p <= Fraction(1, 2):

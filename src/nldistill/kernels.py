@@ -21,9 +21,12 @@ the best decision tables are sign patterns, so each cell is a sum of
 absolute values of the wiring vectors (see the comment above
 ``_sign_pass``).  On integers it runs in int32 when 4*scale < 2^31, which
 bounds every integer it forms (see the comment above ``bilinear_scan``).
-Large int64 levels of ``fill_wedge`` bound each row's optimum from above
-in floats and evaluate in int64 only the rows whose bound reaches an
-exact lower bound of their cell (see the comment above ``fill_wedge``).
+``fill_wedge`` computes only the capped wedge k <= l <= size - k of a
+level; ``delta._complete_grid`` derives every other cell by the symmetry
+and the transposed complement.  Large int64 levels of ``fill_wedge`` bound
+each row's optimum from above in floats and evaluate in int64 only the
+rows whose bound reaches an exact lower bound of their cell (see the
+comment above ``fill_wedge``).
 ``iso_scan`` takes one tiled pass on both dtypes, on int64 grids and on
 the float shadows of object grids: it bounds each pair of (l0, l1) tiles
 from above by tile extremes and evaluates only the pairs whose bound
@@ -138,10 +141,13 @@ def filter_margin(depth: int, magnitude: float) -> float:
 #   max_{i,j} ca*(P[i,j] + P[k-i,l-j]) + cb*(P[i,l-j] + P[k-i,j])
 # over the window i in [max(0,k-h), min(k,h)], j likewise, h = 2^(m-1),
 # with ca = 2*num(p), cb = den(p) - 2*num(p), all over D_m = 2*den(p)*D_{m-1}.
-# Only the wedge k <= min(l, h) is computed here; the caller completes the
-# grid by the (k,l) <-> (l,k) reflection and the complement identity, and
-# ``DeltaTables.minus`` derives the minus grid from it (see the ``delta``
-# module docstring).
+# Only the capped wedge k <= l <= 2h - k is computed here (so k <= h); the
+# caller completes the grid by the (k,l) <-> (l,k) reflection, which gives
+# every cell with k + l <= 2h, and the transposed complement
+#   x[k, l] = x[2h - l, 2h - k] + (k + l - 2h)*den(p)^m
+# for the cells with k + l > 2h, a third of the wedge k <= min(l, h) and of
+# its window pairs.  ``DeltaTables.minus`` derives the minus grid from the
+# plus grid (see the ``delta`` module docstring for all three identities).
 #
 # For k <= h the i window is 0..k.  With the rows
 #   U_i = ca*P[i] + cb*P[k-i],   V_i = ca*P[k-i] + cb*P[i]
@@ -151,7 +157,8 @@ def filter_margin(depth: int, magnitude: float) -> float:
 # (i, j) -> (k-i, l-j) swaps U_i and V_i, so the rows i <= k/2 suffice.
 # The rows (k, i) of consecutive k are stacked in blocks of about
 # FILL_BLOCK_ROWS; each block sweeps j once, one add and one max per j,
-# over l >= the block's smallest k, and reduces its rows per k.
+# over the capped columns k_lo <= l <= 2h - k_lo of its smallest k = k_lo,
+# and reduces its rows per k.
 #
 # Big-int levels sweep each block on the shadow P/2^e, 2^e the least power
 # of two >= max(P), with alpha = ca/(ca+cb), beta = cb/(ca+cb), list the
@@ -172,12 +179,13 @@ def filter_margin(depth: int, magnitude: float) -> float:
 # l - j of the slopes.  For concave majorants it is their (max,+)
 # convolution, the merge of their slope sequences (Bremner et al.,
 # "Necklaces, convolutions, and X+Y", 2014), so one descending sort and a
-# cumsum bound a row at every l at once.  Each cell (k, l) takes the exact
-# optimum L of its largest-bound row as a lower bound, and only the other
-# (row, l) pairs whose float bound, widened by filter_margin, reaches L
-# are evaluated in int64.  On the four cold_int64 tables of the benchmark
-# a level 8 fill evaluates 10-14 % of its (row, l) pairs; below level 8
-# the bound pass costs more than it saves.  A block past PRUNE_CAP sweeps
+# cumsum, stopped at l = 2h - k_lo, bound a row at every capped l at once.
+# Each cell (k, l) takes the exact optimum L of its largest-bound row as a
+# lower bound, and only the other (row, l) pairs whose float bound, widened
+# by filter_margin, reaches L are evaluated in int64.  On the four
+# cold_int64 tables of the benchmark a level 8 fill evaluates 9-12 % of
+# its capped (row, l) pairs; below level 8 the bound pass costs more than
+# it saves.  A block past PRUNE_CAP sweeps
 # instead, and so does the rest of its level.  At p = 0 and p = 1/2, where
 # ca*cb = 0, nearly every row ties with its cell's optimum (97 % of the
 # (row, l) pairs at level 8 reach L), so those levels sweep from the start
@@ -192,8 +200,8 @@ FILL_BLOCK_ROWS = 256
 #: pruned fill ran at 0.6-0.9x of the sweep, at level 8 about 2x
 PRUNE_MIN_SIZE = 256
 
-#: a pruned block that must evaluate more than this share of its (row, l)
-#: pairs sweeps instead, and so does the rest of its level
+#: a pruned block that must evaluate more than this share of its capped
+#: (row, l) pairs sweeps instead, and so does the rest of its level
 PRUNE_CAP = 0.25
 
 #: about this many elements per chunk of gathered windows
@@ -221,7 +229,8 @@ class FillOps(int):
 
 
 def fill_wedge(prev: np.ndarray, size: int, ca, cb):
-    """Fill the wedge region of one level's plus grid; returns (grid, FillOps)."""
+    """Fill the capped wedge k <= l <= size - k of one level's plus grid, the
+    other cells 0; returns (grid, FillOps)."""
     out = np.zeros((size + 1, size + 1), dtype=prev.dtype)
     counts = Counter()
     filtered = prev.dtype == object
@@ -426,6 +435,15 @@ def _majorant_slopes(q):
     return (x[rows, b] - x[rows, a]) / (b - a)
 
 
+def _pair_sums(left, right, spans, out):
+    """out[r] = left[i] + right[k - i] over the rows r = (k, i <= k/2) of a
+    block, one add of two views per k: ``spans`` holds (k, first row, end
+    row) per k, and the rows of one k run i = 0, 1, ...  Views, not gathered
+    copies: at level 10 the gathers took a fifth of the pruned fill."""
+    for k, r0, r1 in spans:
+        np.add(left[:r1 - r0], right[k + r0 - r1 + 1:k + 1][::-1], out=out[r0:r1])
+
+
 class _Pruner:
     """Bound-then-prune blocks of one int64 level on the grid q of the level
     below, with the per-level inputs its blocks share and the buffers they
@@ -460,17 +478,20 @@ class _Pruner:
         a, b = iv, ks - iv
         rk = ks - k_lo
         ncols = 2 * h + 1 - 2 * k_lo
-        # the bound at column l - k_lo: U[0] + V[0] + the l largest slopes
+        starts = np.flatnonzero(iv == 0)
+        spans = list(zip(range(k_lo, k_lo + len(starts)), starts.tolist(),
+                         starts[1:].tolist() + [len(ks)]))
+        # the bound at column l - k_lo: U[0] + V[0] + the l largest slopes,
+        # summed up to the last capped column 2h - k_lo
         merged, sums = self.merged[:len(ks)], self.sums[:len(ks)]
-        np.add(self.sa[a], self.sb[b], out=merged[:, :h])
-        np.add(self.sa[b], self.sb[a], out=merged[:, h:])
+        _pair_sums(self.sa, self.sb, spans, merged[:, :h])
+        _pair_sums(self.sb, self.sa, spans, merged[:, h:])
         merged.sort(axis=1)
         sums[:, 0] = 0.0
-        np.cumsum(merged[:, ::-1], axis=1, out=sums[:, 1:])
+        np.cumsum(merged[:, ::-1][:, :ncols + k_lo - 1], axis=1, out=sums[:, 1:ncols + k_lo])
         bound = sums[:, k_lo:k_lo + ncols]
         bound += ((self.ca + self.cb) * (q[a, 0] + q[b, 0])).astype(np.float64)[:, None]
         # lower bounds: each cell's first row of largest bound, evaluated exactly
-        starts = np.flatnonzero(iv == 0)
         group = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(ks)]))
         largest = np.maximum.reduceat(bound, starts, axis=0)
         first = np.where(bound == largest[group], np.arange(len(ks))[:, None], len(ks))
@@ -479,8 +500,8 @@ class _Pruner:
         cg, cc = np.nonzero((cols >= rk[starts, None]) & (cols < ncols - rk[starts, None]))
         lead = first[cg, cc]
         up, vp = self.windows[:, :len(ks)]
-        np.add(self.qa[a], self.qb[b], out=up[:, :h + 1])
-        np.add(self.qa[b, ::-1], self.qb[a, ::-1], out=vp[:, :h + 1])
+        _pair_sums(self.qa, self.qb, spans, up[:, :h + 1])
+        _pair_sums(self.qb[:, ::-1], self.qa[:, ::-1], spans, vp[:, :h + 1])
         best = np.full(largest.shape, _INT_PAD, dtype=np.int64)
         best[cg, cc] = _window_max(up, vp, lead, cc + k_lo)
         thr = np.full(largest.shape, np.inf)
@@ -488,7 +509,7 @@ class _Pruner:
         keep = bound >= thr[group]
         keep[lead, cc] = False
         evaluated = len(lead) + int(np.count_nonzero(keep))
-        if evaluated > cap * sum(ncols - 2 * rk):
+        if evaluated > cap * int((ncols - 2 * rk).sum()):
             return None
         rows, cols = np.nonzero(keep)
         np.maximum.at(best, (group[rows], cols), _window_max(up, vp, rows, cols + k_lo))
