@@ -477,27 +477,27 @@ class _Pruner:
         q, h = self.q, self.q.shape[1] - 1
         a, b = iv, ks - iv
         rk = ks - k_lo
-        ncols = 2 * h + 1 - 2 * k_lo
+        top = 2 * h - k_lo  # the last capped column
+        ncols = top + 1 - k_lo
         starts = np.flatnonzero(iv == 0)
         spans = list(zip(range(k_lo, k_lo + len(starts)), starts.tolist(),
                          starts[1:].tolist() + [len(ks)]))
-        # the bound at column l - k_lo: U[0] + V[0] + the l largest slopes,
-        # summed up to the last capped column 2h - k_lo
+        # the bound at column l - k_lo: U[0] + V[0] + the l largest slopes
         merged, sums = self.merged[:len(ks)], self.sums[:len(ks)]
         _pair_sums(self.sa, self.sb, spans, merged[:, :h])
         _pair_sums(self.sb, self.sa, spans, merged[:, h:])
         merged.sort(axis=1)
         sums[:, 0] = 0.0
-        np.cumsum(merged[:, ::-1][:, :ncols + k_lo - 1], axis=1, out=sums[:, 1:ncols + k_lo])
-        bound = sums[:, k_lo:k_lo + ncols]
+        np.cumsum(merged[:, ::-1][:, :top], axis=1, out=sums[:, 1:top + 1])
+        bound = sums[:, k_lo:top + 1]
         bound += ((self.ca + self.cb) * (q[a, 0] + q[b, 0])).astype(np.float64)[:, None]
         # lower bounds: each cell's first row of largest bound, evaluated exactly
         group = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(ks)]))
         largest = np.maximum.reduceat(bound, starts, axis=0)
         first = np.where(bound == largest[group], np.arange(len(ks))[:, None], len(ks))
         first = np.minimum.reduceat(first, starts, axis=0)
-        cols = np.arange(ncols)
-        cg, cc = np.nonzero((cols >= rk[starts, None]) & (cols < ncols - rk[starts, None]))
+        col, first_col = np.arange(ncols), rk[starts, None]
+        cg, cc = np.nonzero((col >= first_col) & (col < ncols - first_col))
         lead = first[cg, cc]
         up, vp = self.windows[:, :len(ks)]
         _pair_sums(self.qa, self.qb, spans, up[:, :h + 1])

@@ -327,12 +327,12 @@ CAPPED_PS = [F(2, 5), F(31, 80), F(1, 3), F(0), F(1, 2)]
 def capped_fill_completed(prev, m, p, dtype):
     """The level-m fill of ``prev`` as ``dtype``, checked to write the capped
     wedge k <= l <= 2^m - k only, then completed by ``_complete_grid``."""
-    size, dpm = 2 ** m, p.denominator ** m
+    size = 2 ** m
     grid, _ = kernels.fill_wedge(prev.astype(dtype), size, 2 * p.numerator,
                                  p.denominator - 2 * p.numerator)
     k, l = np.indices(grid.shape)
     assert not grid[(k > l) | (k + l > size)].any(), (p, m)
-    nldistill.delta._complete_grid(grid, size, dpm)
+    nldistill.delta._complete_grid(grid, size, p.denominator ** m)
     return grid
 
 
