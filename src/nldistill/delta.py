@@ -37,7 +37,6 @@ transposed complement
 
 whose cell (S-l, S-k) has the sum 2S - k - l < S, so it is one of those
 already given.  Over D_m the step (k + l - S)/S is (k + l - S)*den(p)^m.
-``_complete_grid`` applies the two in that order.
 
 The minus grid is a function of the plus grid,
 
@@ -305,14 +304,23 @@ def load_tables(path, expect_p: Optional[Fraction] = None,
 # ---------------------------------------------------------------------------
 
 def _complete_grid(grid: np.ndarray, size: int, dppow: int) -> None:
-    """Fill a level grid from its computed wedge k <= l <= size - k: the
-    mirror gives every cell with k + l <= size, then each cell with
-    k + l > size is its transposed complement (module docstring)."""
-    for k in range(size // 2 + 1):
-        grid[k + 1:size - k + 1, k] = grid[k, k + 1:size - k + 1]
+    """Fill a level grid from its computed wedge k <= l <= size - k by the
+    mirror and the transposed complement (module docstring).
+
+    The wedge rows k <= size/2 are completed first, from complements in the
+    computed wedge, then mirrored, and the quadrant k, l > size/2 last, from
+    complements among the mirrored cells.  So a mirrored cell shares its
+    transpose's entry, and a big-int grid holds no more Python ints than
+    the cells computed by the fill or by a complement.
+    """
+    h = size // 2
     steps = np.arange(1, size + 1).astype(grid.dtype) * dppow
-    for k in range(1, size + 1):
+    for k in range(1, h + 1):
         grid[k, size - k + 1:] = grid[k - 1::-1, size - k] + steps[:k]
+    for k in range(h + 1):
+        grid[k + 1:, k] = grid[k, k + 1:]
+    for k in range(h + 1, size + 1):
+        grid[k, h + 1:] = grid[h - 1::-1, size - k] + steps[k - h:k]
 
 
 def build_tables(p: RationalLike, n: int, *,
