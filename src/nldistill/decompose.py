@@ -98,23 +98,11 @@ class LPResult:
     iterations: int
 
 
-def local_part(system: BinarySystem,
-               vertex_order: Optional[Sequence[int]] = None) -> LPResult:
-    """Exact local part of a valid nonsignaling box.
-
-    ``vertex_order`` permutes the LP columns (used to confirm that the
-    optimal value does not depend on the ordering); weights are always
-    reported in the canonical vertex order.
-    """
-    order = list(vertex_order) if vertex_order is not None else list(range(16))
-    if sorted(order) != list(range(16)):
-        raise ValueError("vertex_order must be a permutation of 0..15")
-    a_mat = (_VERTEX_MATRIX if vertex_order is None
-             else [[row[j] for j in order] for row in _VERTEX_MATRIX])
-    res = solve_max(_ONES, a_mat, [system.table[t] for t in _ROW_ENTRY])
-    weights = [Fraction(0)] * 16
-    for j in range(16):
-        weights[order[j]] = res.x[j]
+def local_part(system: BinarySystem) -> LPResult:
+    """Exact local part of a valid nonsignaling box, with one weight per
+    local vertex in the canonical vertex order."""
+    res = solve_max(_ONES, _VERTEX_MATRIX, [system.table[t] for t in _ROW_ENTRY])
+    weights = res.x
     # exact optimality certificate: a feasible basis whose objective is the
     # weights' sum, and no positive reduced cost
     numerators, d = system.integer_form
@@ -128,7 +116,7 @@ def local_part(system: BinarySystem,
     for t, s in zip(_ROW_ENTRY, _numerators(res.slack, den)):
         if local[t] + s != numerators[t] * scale:
             raise DecompositionError("LP slack fails to reconstruct the constraint")
-    return LPResult(weights=tuple(weights), local_part=res.value,
+    return LPResult(weights=weights, local_part=res.value,
                     slack=res.slack, iterations=res.iterations)
 
 

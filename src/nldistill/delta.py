@@ -303,9 +303,10 @@ def load_tables(path, expect_p: Optional[Fraction] = None,
 # Build
 # ---------------------------------------------------------------------------
 
-def _complete_grid(grid: np.ndarray, size: int, dppow: int) -> None:
-    """Fill a level grid from its computed wedge k <= l <= size - k by the
-    mirror and the transposed complement (module docstring).
+def _complete_grid(grid: np.ndarray, dppow: int) -> None:
+    """Fill a level grid, size = len(grid) - 1, from its computed wedge
+    k <= l <= size - k by the mirror and the transposed complement (module
+    docstring).
 
     The wedge rows k <= size/2 are completed first, from complements in the
     computed wedge, then mirrored, and the quadrant k, l > size/2 last, from
@@ -313,6 +314,7 @@ def _complete_grid(grid: np.ndarray, size: int, dppow: int) -> None:
     transpose's entry, and a big-int grid holds no more Python ints than
     the cells computed by the fill or by a complement.
     """
+    size = len(grid) - 1
     h = size // 2
     steps = np.arange(1, size + 1).astype(grid.dtype) * dppow
     for k in range(1, h + 1):
@@ -342,7 +344,7 @@ def build_tables(p: RationalLike, n: int, *,
     ``DeltaTables.minus`` derives the minus grids from them by the identity
     in the module docstring.  Each ``level_filled`` event still counts, as
     ``ops``, the logical window pairs of both grids' recursions over the
-    whole wedge k <= min(l, 2^(m-1)).
+    whole wedge k <= min(l, 2^(m-1)): twice ``kernels._wedge_pairs``.
 
     A big-int level is filled through a float filter: the window pairs
     within ``kernels.filter_margin`` of their cell's float64 optimum (the
@@ -362,7 +364,7 @@ def build_tables(p: RationalLike, n: int, *,
     rest of its level.  Its ``level_filled`` event adds ``prune_kept`` and
     ``prune_fallbacks``, the (row, l) pairs so evaluated and the blocks so
     swept in the capped plus fill.  ``kernels.fill_wedge`` returns these
-    counts with the grid (``kernels.FillOps``).
+    counts with the grid.
     """
     p = rational(p)
     if not 0 <= p <= Fraction(1, 2):
@@ -391,12 +393,12 @@ def build_tables(p: RationalLike, n: int, *,
     for m in range(1, n + 1):
         t0 = time.perf_counter()
         size = 2 ** m
-        gp, fill = kernels.fill_wedge(plus[-1], size, ca, cb)
-        _complete_grid(gp, size, dp ** m)
+        gp, counts = kernels.fill_wedge(plus[-1], ca, cb)
+        _complete_grid(gp, dp ** m)
         gp.flags.writeable = False
         plus.append(gp)
         # the window pairs of the recursion's two grids, one fill each
-        ops = 2 * fill
+        ops = 2 * kernels._wedge_pairs(size)
         ops_per_level.append(ops)
         if progress is not None:
             event = {
@@ -405,11 +407,11 @@ def build_tables(p: RationalLike, n: int, *,
                 "dtype": base.dtype.name,
             }
             if not use_int64:
-                event["filter_survivors"] = fill.counts["survivors"]
-                event["filter_fallbacks"] = fill.counts["fallbacks"]
+                event["filter_survivors"] = counts["survivors"]
+                event["filter_fallbacks"] = counts["fallbacks"]
             elif size >= kernels.PRUNE_MIN_SIZE:
-                event["prune_kept"] = fill.counts["prune_kept"]
-                event["prune_fallbacks"] = fill.counts["prune_fallbacks"]
+                event["prune_kept"] = counts["prune_kept"]
+                event["prune_fallbacks"] = counts["prune_fallbacks"]
             progress(event)
     return DeltaTables(p=p, n=n, plus=tuple(plus), ops_per_level=tuple(ops_per_level))
 

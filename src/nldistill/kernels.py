@@ -213,24 +213,14 @@ GATHER_CHUNK = 1 << 15
 _INT_PAD = -(1 << 61)
 
 
-class FillOps(int):
-    """The logical window pairs of one level fill (an int, see
-    ``_wedge_pairs``) with the ``counts`` of the paths it took: big-int
-    ``survivors`` (pairs evaluated exactly) and ``fallbacks`` (blocks swept
-    exactly), int64 ``prune_kept`` ((row, l) pairs evaluated exactly) and
-    ``prune_fallbacks`` (blocks swept in full)."""
-
-    counts: Counter
-
-    def __new__(cls, pairs: int, counts: Counter):
-        self = super().__new__(cls, pairs)
-        self.counts = counts
-        return self
-
-
-def fill_wedge(prev: np.ndarray, size: int, ca, cb):
-    """Fill the capped wedge k <= l <= size - k of one level's plus grid, the
-    other cells 0; returns (grid, FillOps)."""
+def fill_wedge(prev: np.ndarray, ca, cb):
+    """Fill the capped wedge k <= l <= size - k of one level's plus grid,
+    size = 2*(len(prev) - 1), the other cells 0; returns (grid, counts).
+    ``counts`` holds the paths the fill took: big-int ``survivors`` (pairs
+    evaluated exactly) and ``fallbacks`` (blocks swept exactly), int64
+    ``prune_kept`` ((row, l) pairs evaluated exactly) and ``prune_fallbacks``
+    (blocks swept in full)."""
+    size = 2 * (len(prev) - 1)
     out = np.zeros((size + 1, size + 1), dtype=prev.dtype)
     counts = Counter()
     filtered = prev.dtype == object
@@ -249,7 +239,7 @@ def fill_wedge(prev: np.ndarray, size: int, ca, cb):
                 continue
             counts["fallbacks"] += 1
         elif pruner is not None:
-            found = pruner.block(ks, iv, k_lo, PRUNE_CAP)
+            found = pruner.block(ks, iv, k_lo)
             if found is None:
                 pruner = None  # the rest of the level sweeps as well
             else:
@@ -263,7 +253,7 @@ def fill_wedge(prev: np.ndarray, size: int, ca, cb):
             best = np.maximum.reduceat(acc, np.flatnonzero(iv == 0), axis=0)
         for r, kk in enumerate(range(k_lo, int(ks[-1]) + 1)):
             out[kk, kk:size - kk + 1] = best[r, kk - k_lo:size - kk - k_lo + 1]
-    return out, FillOps(_wedge_pairs(size), counts)
+    return out, counts
 
 
 def _fill_blocks(size: int):
@@ -468,11 +458,11 @@ class _Pruner:
         self.windows = np.empty((2, rows, 2 * h + 1), dtype=np.int64)
         self.windows[:, :, h + 1:] = _INT_PAD
 
-    def block(self, ks, iv, k_lo: int, cap: float):
+    def block(self, ks, iv, k_lo: int):
         """(best, evaluated): best[k - k_lo, l - k_lo] = max over the block's
         rows (k, i) and j of U_i[j] + V_i[l - j], exact at every capped wedge
         cell k <= l <= 2h - k, and the (row, l) pairs it evaluated exactly.
-        None when that would exceed ``cap`` of the block's capped wedge
+        None when that would exceed PRUNE_CAP of the block's capped wedge
         (row, l) pairs."""
         q, h = self.q, self.q.shape[1] - 1
         a, b = iv, ks - iv
@@ -509,7 +499,7 @@ class _Pruner:
         keep = bound >= thr[group]
         keep[lead, cc] = False
         evaluated = len(lead) + int(np.count_nonzero(keep))
-        if evaluated > cap * int((ncols - 2 * rk).sum()):
+        if evaluated > PRUNE_CAP * int((ncols - 2 * rk).sum()):
             return None
         rows, cols = np.nonzero(keep)
         np.maximum.at(best, (group[rows], cols), _window_max(up, vp, rows, cols + k_lo))
@@ -658,11 +648,10 @@ def iso_scan(xp, xm, dpn, k0_cap, size):
 # with u_b[p] = W_pq s_g for b = (q, g) and W_pq the wiring numerators of
 # the plan pair.  For fixed (b0, b1) put v = u_b0 + u_b1, w = u_b0 - u_b1.
 # The best a0 and a1 are then sign patterns, as max_f s_f . x = sum_a |x_a|,
-# reached by the f that sets the bits where x_a < 0; with f(0) = 0 fixed
-# (the complement reduction of a0) the max is x_0 + sum_{a>=1} |x_a|.  So
-#   cell(b0, b1) = max_p A(v[p]) + max_p B(w[p]),   B(x) = sum_a |x_a|,
-# with A(x) = x_0 + sum_{a>=1} |x_a| when the sign of coordinate 0 is fixed
-# and A = B otherwise.
+# reached by the f that sets the bits where x_a < 0; a0 keeps f(0) = 0 (the
+# complement reduction), and its max is x_0 + sum_{a>=1} |x_a|.  So
+#   cell(b0, b1) = max_p A(v[p]) + max_p B(w[p]),
+# A(x) = x_0 + sum_{a>=1} |x_a|,   B(x) = sum_a |x_a|.
 #
 # The complement ~b = (q, ~g) has u_~b = -u_b, so the half atoms h = (q, g)
 # with bit 0 of g clear carry every u, in ``u[p, a, h]``.  For a half pair
@@ -675,8 +664,8 @@ def iso_scan(xp, xm, dpn, k0_cap, size):
 #
 # The witness is the lex-min (a0, a1, b0, b1) over the optimal cells, each
 # cell taking its least best a0 and a1: the first plan reaching the max and
-# the least mask, the bits where x_a < 0 strictly (bit 0 kept clear when
-# fixed).  The cells (b0, b1) and (b1, b0) tie in value, but their a1 masks
+# the least mask, the bits where x_a < 0 strictly (bit 0 of a0 kept
+# clear).  The cells (b0, b1) and (b1, b0) tie in value, but their a1 masks
 # are complements, so every tied cell is evaluated, by ``_search_cells``.
 #
 # Object arrays run the pass on a float shadow and evaluate the cells near
@@ -689,7 +678,7 @@ def iso_scan(xp, xm, dpn, k0_cap, size):
 SEARCH_CHUNK = 1 << 10
 
 
-def _sign_pass(u, fixed: bool):
+def _sign_pass(u):
     """cells[b0, b1]: the value of every cell, in one pass over the half
     pairs, one plan at a time."""
     n_plans, size, n_half = u.shape
@@ -706,12 +695,9 @@ def _sign_pass(u, fixed: bool):
         np.abs(x[:, 1:], out=x[:, 1:])
         np.sum(x[:, 1:], axis=1, out=mag)
         v0 = x[:, 0]
-        if fixed:
-            np.maximum(best_a[:, 0], np.add(mag, v0, out=cand), out=best_a[:, 0])
-            np.maximum(best_a[:, 1], np.subtract(mag, v0, out=cand), out=best_a[:, 1])
+        np.maximum(best_a[:, 0], np.add(mag, v0, out=cand), out=best_a[:, 0])
+        np.maximum(best_a[:, 1], np.subtract(mag, v0, out=cand), out=best_a[:, 1])
         np.maximum(best_b, np.add(mag, np.abs(v0, out=v0), out=cand), out=best_b)
-    if not fixed:
-        best_a[:] = best_b[:, None]
     # atom[s, h]: the atom of half atom h = (q, g), complemented when s = 1
     n_tables = 1 << size
     q, g = divmod(np.arange(n_half), n_tables // 2)
@@ -743,7 +729,7 @@ def _abs_sum(x, lo: int):
     return total
 
 
-def _search_cells(x, fixed: bool, b0, b1):
+def _search_cells(x, b0, b1):
     """(value, a0, a1) of the cells (b0, b1) on the ``_atom_vectors`` x,
     exactly: each cell's value with its least best a0 and a1."""
     n_plans, size = x.shape[1:]
@@ -760,11 +746,8 @@ def _search_cells(x, fixed: bool, b0, b1):
     for lo in range(0, len(b0), SEARCH_CHUNK):
         x0, x1 = x[b0[lo:lo + SEARCH_CHUNK]], x[b1[lo:lo + SEARCH_CHUNK]]
         v, w = x0 + x1, x0 - x1
-        if fixed:
-            v_a, a0 = best_atom(v, v[..., 0] + _abs_sum(v, 1))
-            a0 &= ~1
-        else:
-            v_a, a0 = best_atom(v, _abs_sum(v, 0))
+        v_a, a0 = best_atom(v, v[..., 0] + _abs_sum(v, 1))
+        a0 &= ~1
         w_b, a1 = best_atom(w, _abs_sum(w, 0))
         parts.append((v_a + w_b, a0, a1))
     return tuple(np.concatenate(part) for part in zip(*parts))
@@ -784,10 +767,10 @@ def _search_cells(x, fixed: bool, b0, b1):
 # and ``_search_cells``: the same bodies, on half the bytes.  At n = 2 every
 # box of perfbench/reference.json fits but r7, whose scale has 30 bits.
 
-def bilinear_scan(u, scale: int, fixed: bool):
+def bilinear_scan(u, scale: int):
     """The n <= 2 search over the half-atom vectors ``u[p, a, h]``, each
-    column of absolute sum at most ``scale`` (checked; ValueError if not);
-    ``fixed`` keeps a0's coordinate-0 bit clear.  Returns (best, lex-min
+    column of absolute sum at most ``scale`` (checked; ValueError if not),
+    with a0's coordinate-0 bit kept clear.  Returns (best, lex-min
     (a0, a1, b0, b1), survivors), survivors counting the cells that object
     arrays evaluated exactly after the float pass (None on int64).  int64
     vectors run in int32 when 4*scale < 2^31 (see the comment above).
@@ -815,16 +798,16 @@ def bilinear_scan(u, scale: int, fixed: bool):
     if np.abs(u).sum(axis=1).max() > scale:
         raise ValueError(f"a column of u sums past {scale} in absolute value")
     if shadow is not None:
-        cells = _sign_pass(shadow, fixed)
+        cells = _sign_pass(shadow)
         keep = cells >= cells.max() - filter_margin(u.shape[1] + 2, 4.0)
         survivors = int(np.count_nonzero(keep))
     else:
         if 4 * scale < 1 << 31:
             u = u.astype(np.int32)
-        cells = _sign_pass(u, fixed)
+        cells = _sign_pass(u)
         keep = cells == cells.max()
     b0, b1 = np.nonzero(keep)
-    value, a0, a1 = _search_cells(_atom_vectors(u), fixed, b0, b1)
+    value, a0, a1 = _search_cells(_atom_vectors(u), b0, b1)
     best = value.max()
     tied = np.flatnonzero(value == best)
     i = tied[np.lexsort((b1[tied], b0[tied], a1[tied], a0[tied]))[0]]
@@ -873,9 +856,9 @@ def bilinear_scan(u, scale: int, fixed: bool):
 GRID_BLOCK_CELLS = 1 << 15
 
 
-def _complement_holds(x, dpn, size: int) -> bool:
-    k = np.arange(size + 1)
-    steps = (size - np.add.outer(k, k)).astype(x.dtype) * dpn
+def _complement_holds(x, dpn) -> bool:
+    k = np.arange(len(x))
+    steps = (len(x) - 1 - np.add.outer(k, k)).astype(x.dtype) * dpn
     return bool(np.array_equal(x[::-1, ::-1], x + steps))
 
 
@@ -885,7 +868,7 @@ def grid_scan(xp, xm, dpn, size):
     # least -2.5*size*dpn; the seed lies below all of them on both dtypes
     floor = -3 * size * dpn
     out = np.full((2 * size + 1, 2 * size + 1), floor, dtype=xp.dtype)
-    half = _complement_holds(xp, dpn, size) and _complement_holds(xm, dpn, size)
+    half = _complement_holds(xp, dpn) and _complement_holds(xm, dpn)
     l0_end = size // 2 + 1 if half else side
     block = max(1, GRID_BLOCK_CELLS // side ** 2)
     a_rows = -np.arange(side).astype(xp.dtype)[:, None] * dpn + xp

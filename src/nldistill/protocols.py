@@ -22,7 +22,6 @@ dtype, "int64" on both integer widths.
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -265,11 +264,6 @@ class SearchResult:
         }
 
 
-def _entry_numerators(system: BinarySystem) -> tuple[int, list[int]]:
-    denom = math.lcm(*(e.denominator for e in system.table))
-    return denom, [int(e * denom) for e in system.table]
-
-
 def _plan_input_table(plans: list[WiringPlan], n: int) -> list[list[tuple[int, ...]]]:
     size = 1 << n
     return [[plan.box_inputs(_bits(o, n)) for o in range(size)] for plan in plans]
@@ -280,7 +274,7 @@ def _wiring_numerators(system: BinarySystem, plans: list[WiringPlan], n: int,
     """W[pa, pb, a, b]: the outcome distribution of the plan pair (pa, pb)
     times lcm-denominator^n, the product over the n copies of
     nums[x*8 + y*4 + a_i*2 + b_i], in one gather."""
-    _, nums = _entry_numerators(system)
+    nums, _ = system.integer_form
     size = 1 << n
     bits = np.array([_bits(o, n) for o in range(size)])  # [o, i]
     inputs = np.array(_plan_input_table(plans, n))  # [plan, o, i]
@@ -320,27 +314,21 @@ def _atom_protocol(n: int, plans: list[WiringPlan], n_tables: int,
     )
 
 
-def brute_force_D(system: BinarySystem, n: int, *,
-                  complement_reduction: bool = True) -> SearchResult:
+def brute_force_D(system: BinarySystem, n: int) -> SearchResult:
     """Exact D(n, P) for n in {1, 2} by complete protocol enumeration.
 
-    The complement reduction fixes f_0 on the all-zeros string and drops
-    the modulus; disable it to scan the full space (used for cross-checks).
+    The scan takes the complement reduction: it fixes f_0 on the all-zeros
+    string and drops the modulus (module docstring).
     """
     if n not in (1, 2):
         raise ValueError("exhaustive search is feasible for n in {1, 2} only")
     plans = enumerate_plans(n)
     n_tables = 1 << (1 << n)
-    denom, _ = _entry_numerators(system)
+    _, denom = system.integer_form
     scale = denom ** n
     dtype = np.int64 if 16 * scale < (1 << 62) else object
     u = _half_atom_vectors(_wiring_numerators(system, plans, n, dtype))
-    # The full space needs no separate scan of the negated sum for the
-    # modulus: s_~f = -s_f, so -T[(p, f), b] = T[(p, ~f), b], and the
-    # negated sum at (a0, a1, b0, b1) is the sum at (~a0, ~a1, b0, b1).
-    # Complementing is a bijection of the full atom set, so both maxima
-    # are equal.
-    best, witness, survivors = kernels.bilinear_scan(u, scale, complement_reduction)
+    best, witness, survivors = kernels.bilinear_scan(u, scale)
 
     value = Fraction(best, scale)
     protocol = _atom_protocol(n, plans, n_tables, witness)

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from nldistill.protocols import _bits, _entry_numerators, _plan_input_table
+from nldistill.protocols import _bits, _plan_input_table
 from nldistill.simplex import SimplexResult, UnboundedError
 
 _SENTINEL = 1 << 62
@@ -233,7 +233,7 @@ def _sign_matrix(size):
 
 def ip_table(system, plans, n, dtype):
     """T[(plan,f),(plan,g)] = <f,g> scaled by lcm-denominator^n, integer."""
-    _, nums = _entry_numerators(system)
+    nums, _ = system.integer_form
     size = 1 << n
     n_tables = 1 << size
     inputs = _plan_input_table(plans, n)

@@ -201,8 +201,8 @@ def test_grid_scan_equals_the_sweep(p):
     for n in range(1, 7):
         xp, xm = tables.plus[n], tables.minus[n]
         dpn, size = p.denominator ** n, 2 ** n
-        assert kernels._complement_holds(xp, dpn, size)
-        assert kernels._complement_holds(xm, dpn, size)
+        assert kernels._complement_holds(xp, dpn)
+        assert kernels._complement_holds(xm, dpn)
         want = scalar_kernels.grid_sweep(xp, xm, dpn, size)
         pairs = [(xp, xm)] if xp.dtype == object else _int64_and_object(xp, xm)
         for xp_, xm_ in pairs:
@@ -248,8 +248,8 @@ def complemented_scan_inputs(draw):
 @given(complemented_scan_inputs())
 def test_grid_scan_half_sweep_matches_reference_on_ties(inputs):
     xp, xm, dpn, size = inputs
-    assert kernels._complement_holds(xp, dpn, size)
-    assert kernels._complement_holds(xm, dpn, size)
+    assert kernels._complement_holds(xp, dpn)
+    assert kernels._complement_holds(xm, dpn)
     scalar = scalar_kernels.grid_scan(xp, xm, np.int64(dpn), size)
     for xp_, xm_ in _int64_and_object(xp, xm):
         vector = kernels.grid_scan(xp_, xm_, dpn, size)
@@ -268,8 +268,8 @@ def test_grid_scan_sweeps_every_l0_when_the_identity_fails():
                          ("xm", (4, 6))):
         xp, xm = t.plus[n].copy(), t.minus[n].copy()
         (xp if grid == "xp" else xm)[k, l] += 1
-        assert not (kernels._complement_holds(xp, dpn, size)
-                    and kernels._complement_holds(xm, dpn, size))
+        assert not (kernels._complement_holds(xp, dpn)
+                    and kernels._complement_holds(xm, dpn))
         want = scalar_kernels.grid_sweep(xp, xm, dpn, size)
         assert not np.array_equal(want, want[::-1, ::-1]), (grid, k, l)
         for xp_, xm_ in _int64_and_object(xp, xm):
@@ -443,13 +443,13 @@ try:
 except ValueError as exc:
     print("raised", exc)
 try:
-    kernels.bilinear_scan(xp.reshape(1, 3, 3), 2 ** 70, True)
+    kernels.bilinear_scan(xp.reshape(1, 3, 3), 2 ** 70)
 except ValueError as exc:
     print("raised", exc)
 u = np.zeros((1, 2, 2), dtype=np.int64)
 u[0, :, 1] = [3, -2]
 try:
-    kernels.bilinear_scan(u, 4, True)
+    kernels.bilinear_scan(u, 4)
 except ValueError as exc:
     print("raised", exc)
 """

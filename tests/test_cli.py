@@ -17,7 +17,7 @@ from nldistill import (
 )
 from nldistill import cli
 from nldistill.cli import main
-from nldistill.protocols import _entry_numerators, enumerate_plans
+from nldistill.protocols import enumerate_plans
 
 import scalar_kernels
 
@@ -248,7 +248,7 @@ def test_search_beyond_float_range(capsys):
     assert done["event"] == "search_done" and done["filter_survivors"] == 32
     # the scalar reference scans the same big-int table in Python ints
     box = wedge(eps, 0)
-    denom, _ = _entry_numerators(box)
+    _, denom = box.integer_form
     t = scalar_kernels.ip_table(box, enumerate_plans(1), 1, object)
     reduced = np.arange(0, t.shape[0], 2)  # f_0(0) = 0: even table masks
     best = scalar_kernels.bilinear_scan(t, reduced)[0]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 import struct
 import subprocess
 import sys
@@ -132,11 +133,11 @@ def test_backends_agree():
             ops_s = scalar_kernels.fill_wedge(
                 t.plus[m - 1], scalar, size, np.int64(ca), np.int64(cb), True
             )
-            vector, ops_v = kernels.fill_wedge(t.plus[m - 1], size, ca, cb)
-            nldistill.delta._complete_grid(vector, size, p.denominator ** m)
+            vector, _ = kernels.fill_wedge(t.plus[m - 1], ca, cb)
+            nldistill.delta._complete_grid(vector, p.denominator ** m)
             assert np.array_equal(scalar, wedge_cells(vector, size)), (p, m)
-            assert ops_s == ops_v, (p, m)
-            assert 2 * ops_v == t.ops_per_level[m], (p, m)
+            assert ops_s == kernels._wedge_pairs(size), (p, m)
+            assert 2 * ops_s == t.ops_per_level[m], (p, m)
             scalar = np.zeros((size + 1, size + 1), dtype=np.int64)
             scalar_kernels.fill_wedge(
                 t.minus[m - 1], scalar, size, np.int64(ca), np.int64(cb), False
@@ -145,21 +146,21 @@ def test_backends_agree():
 
 
 def test_filtered_fill_matches_int64_kernel():
-    # The same levels as object arrays take the float filter: the grids and
-    # op counts must equal the int64 kernel's.  At p = 1/2 and p = 0 ties
-    # abound; their level-7 blocks keep more than FILTER_CAP pairs and run
-    # the exact sweep, while p = 2/5 re-checks its survivors only.
+    # The same levels as object arrays take the float filter: the grids must
+    # equal the int64 kernel's, which below PRUNE_MIN_SIZE counts no path.
+    # At p = 1/2 and p = 0 ties abound; their level-7 blocks keep more than
+    # FILTER_CAP pairs and run the exact sweep, while p = 2/5 re-checks its
+    # survivors only.
     for p in (F(2, 5), F(1, 2), F(0)):
         t = build_tables(p, 7)
         ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
         for m in range(1, 8):
             prev = t.plus[m - 1]
-            want, ops = kernels.fill_wedge(prev, 2 ** m, ca, cb)
-            got, ops_obj = kernels.fill_wedge(prev.astype(object), 2 ** m, ca, cb)
+            want, want_counts = kernels.fill_wedge(prev, ca, cb)
+            got, counts = kernels.fill_wedge(prev.astype(object), ca, cb)
             assert got.dtype == object
             assert got.tolist() == want.tolist(), (p, m)
-            assert ops_obj == ops
-            counts = ops_obj.counts
+            assert not want_counts
             assert counts["survivors"] > 0 or counts["fallbacks"] > 0
             if m == 7:
                 assert (counts["fallbacks"] > 0) == (p != F(2, 5)), (p, counts)
@@ -214,12 +215,13 @@ def sweep_wedge(q, size, ca, cb):
     return out
 
 
-def pruned_wedge(q, size, ca, cb):
+def pruned_wedge(monkeypatch, q, size, ca, cb):
     """The same grid through the pruned block body, never falling back."""
+    monkeypatch.setattr(kernels, "PRUNE_CAP", 1.0)
     pruner = kernels._Pruner(q, ca, cb)
     out = np.zeros((size + 1, size + 1), dtype=np.int64)
     for k_lo, ks, iv in kernels._fill_blocks(size):
-        best, evaluated = pruner.block(ks, iv, k_lo, 1.0)
+        best, evaluated = pruner.block(ks, iv, k_lo)
         assert 0 < evaluated <= sum(size + 1 - 2 * ks)
         write_capped(out, best, k_lo, ks, size)
     return out
@@ -227,7 +229,7 @@ def pruned_wedge(q, size, ca, cb):
 
 @pytest.mark.parametrize("p", [F(2, 5), F(13, 32), F(31, 80), F(39, 80),
                                F(0), F(1, 2)])
-def test_pruned_block_matches_sweep(p):
+def test_pruned_block_matches_sweep(monkeypatch, p):
     # The pruned body is called directly, so levels below PRUNE_MIN_SIZE and
     # the tie-heavy p = 0 and 1/2 (whose blocks fall back in fill_wedge)
     # exercise it too.  The cases q = -P exercise signed rows.
@@ -236,11 +238,11 @@ def test_pruned_block_matches_sweep(p):
     for m in range(3, 9):
         for sign, prev in ((1, t.plus[m - 1]), (-1, t.minus[m - 1])):
             q = sign * prev
-            assert np.array_equal(pruned_wedge(q, 2 ** m, ca, cb),
+            assert np.array_equal(pruned_wedge(monkeypatch, q, 2 ** m, ca, cb),
                                   sweep_wedge(q, 2 ** m, ca, cb)), (p, m, sign)
 
 
-def test_pruned_block_keeps_near_ties():
+def test_pruned_block_keeps_near_ties(monkeypatch):
     # Rows of one concave curve just below 2^58, where floats step by 32,
     # plus row offsets below 2^12 and noise below 64: the rows' float bounds
     # fall in either order, and a pruner without its margin drops rows that
@@ -252,7 +254,8 @@ def test_pruned_block_keeps_near_ties():
     q = ((1 << 58) - (1 << 30) + curve[None, :]
          + rng.integers(0, 64, (h + 1, h + 1)) + rng.integers(0, 1 << 12, (h + 1, 1)))
     assert q.dtype == np.int64 and (1 << 57) < q.min() and q.max() < (1 << 58)
-    assert np.array_equal(pruned_wedge(q, 2 * h, 1, 1), sweep_wedge(q, 2 * h, 1, 1))
+    assert np.array_equal(pruned_wedge(monkeypatch, q, 2 * h, 1, 1),
+                          sweep_wedge(q, 2 * h, 1, 1))
 
 
 def test_majorant_margin_keeps_vertices_within_rounding():
@@ -291,12 +294,12 @@ def test_pruned_levels_report_counts():
         t = build_tables(p, 7)
         ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
         blocks = len(list(kernels._fill_blocks(size)))
-        _, ops = kernels.fill_wedge(t.plus[7], size, ca, cb)
+        _, counts = kernels.fill_wedge(t.plus[7], ca, cb)
         if p:
-            assert ops.counts["prune_fallbacks"] == 0
-            assert 0 < ops.counts["prune_kept"] < kernels.PRUNE_CAP * ops
+            assert counts["prune_fallbacks"] == 0
+            assert 0 < counts["prune_kept"] < kernels.PRUNE_CAP * kernels._wedge_pairs(size)
         else:
-            assert ops.counts == {"prune_fallbacks": blocks}
+            assert counts == {"prune_fallbacks": blocks}
     events = []
     build_tables(F(31, 80), 8, progress=events.append)
     filled = [e for e in events if e["event"] == "level_filled"]
@@ -309,9 +312,9 @@ def test_pruned_level_9_matches_sweep():
     p = F(13, 32)
     t = build_tables(p, 9)
     ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
-    grid, ops = kernels.fill_wedge(t.plus[8], 512, ca, cb)
-    assert ops.counts["prune_fallbacks"] == 0
-    nldistill.delta._complete_grid(grid, 512, p.denominator ** 9)
+    grid, counts = kernels.fill_wedge(t.plus[8], ca, cb)
+    assert counts["prune_fallbacks"] == 0
+    nldistill.delta._complete_grid(grid, p.denominator ** 9)
     assert np.array_equal(wedge_cells(grid, 512),
                           scalar_kernels.wedge_sweep(t.plus[8], 512, ca, cb))
     # the derived minus grid against the min fill of the minus level below
@@ -328,11 +331,11 @@ def capped_fill_completed(prev, m, p, dtype):
     """The level-m fill of ``prev`` as ``dtype``, checked to write the capped
     wedge k <= l <= 2^m - k only, then completed by ``_complete_grid``."""
     size = 2 ** m
-    grid, _ = kernels.fill_wedge(prev.astype(dtype), size, 2 * p.numerator,
+    grid, _ = kernels.fill_wedge(prev.astype(dtype), 2 * p.numerator,
                                  p.denominator - 2 * p.numerator)
     k, l = np.indices(grid.shape)
     assert not grid[(k > l) | (k + l > size)].any(), (p, m)
-    nldistill.delta._complete_grid(grid, size, p.denominator ** m)
+    nldistill.delta._complete_grid(grid, p.denominator ** m)
     return grid
 
 
@@ -388,7 +391,47 @@ def test_fill_op_count_closed_form():
         out = np.zeros((size + 1, size + 1), dtype=np.int64)
         ops = scalar_kernels.fill_wedge(prev, out, size, np.int64(1),
                                         np.int64(1), True)
-        assert kernels.fill_wedge(prev, size, 1, 1)[1] == ops, m
+        assert kernels._wedge_pairs(size) == ops, m
+
+
+#: the level fill's coverage check, broken once: ``kernels._window_chunks``
+#: loses its second chunk, so the (row, l) pairs of one group of window
+#: widths, every row of their l, go unevaluated.  One level-5 block at
+#: 301/800 in Python ints; prints how the fill ends.
+BROKEN_COVERAGE = """
+from fractions import Fraction
+from nldistill import build_tables, kernels
+chunks = kernels._window_chunks
+def skipping(*args):
+    for c, chunk in enumerate(chunks(*args)):
+        if c != 1:
+            yield chunk
+kernels._window_chunks = skipping
+prev = build_tables(Fraction(301, 800), 4).plus[4].astype(object)
+try:
+    kernels.fill_wedge(prev, 602, 198)
+except AssertionError as exc:
+    print("raised", exc)
+else:
+    print("filled")
+"""
+
+
+def test_filtered_fill_checks_its_cell_coverage(monkeypatch, capsys):
+    # recorded, so that teardown restores the chunks the code replaces
+    monkeypatch.setattr(kernels, "_window_chunks", kernels._window_chunks)
+    exec(BROKEN_COVERAGE, {})
+    assert re.fullmatch(r"raised the float filter kept \d+ of \d+ wedge cells\n",
+                        capsys.readouterr().out)
+
+
+def test_filtered_fill_coverage_check_survives_optimize_flag():
+    proc = subprocess.run([sys.executable, "-O", "-c", "print('debug', __debug__)"
+                           + BROKEN_COVERAGE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    debug, raised = proc.stdout.splitlines()
+    assert debug == "debug False"
+    assert re.fullmatch(r"raised the float filter kept \d+ of \d+ wedge cells", raised)
 
 
 @st.composite

@@ -34,8 +34,7 @@ from nldistill import (
     wiring_distribution,
     wiring_grid,
 )
-from nldistill.protocols import (_atom_protocol, _entry_numerators, _half_atom_vectors,
-                                 _wiring_numerators)
+from nldistill.protocols import _atom_protocol, _half_atom_vectors, _wiring_numerators
 
 import scalar_kernels
 from conftest import random_nonlocal_box, random_ns_box
@@ -242,20 +241,22 @@ def test_bound_tight_against_search_on_isotropic_line():
 
 
 def test_brute_force_reductions_and_prefilter_agree():
+    # the complement reduction loses nothing: the search equals the sweep of
+    # the full atom table over every a0
     rng = random.Random(28)
     box = random_nonlocal_box(rng)
-    full = brute_force_D(box, 1, complement_reduction=False)
-    half = brute_force_D(box, 1, complement_reduction=True)
-    assert full.value == half.value
+    half = brute_force_D(box, 1)
+    u, denom = _half_atoms(box, 1)
+    t = scalar_kernels.atom_table(u)
+    assert half.value == F(scalar_kernels.t_sweep(t, np.arange(t.shape[0]))[0], denom)
     # the same vectors as Python ints take the float filter path
-    denom, _ = _entry_numerators(box)
-    u = _half_atom_vectors(_wiring_numerators(box, enumerate_plans(1), 1, np.int64))
-    filtered = kernels.bilinear_scan(u.astype(object), denom, True)
-    assert filtered[:2] == kernels.bilinear_scan(u, denom, True)[:2]
+    filtered = kernels.bilinear_scan(u.astype(object), denom)
+    assert filtered[:2] == kernels.bilinear_scan(u, denom)[:2]
     assert F(filtered[0], denom) == half.value
-    two_half = brute_force_D(wedge(F(1, 2), 0), 2, complement_reduction=True)
-    two_full = brute_force_D(wedge(F(1, 2), 0), 2, complement_reduction=False)
-    assert two_half.value == two_full.value
+    u, scale = _half_atoms(wedge(F(1, 2), 0), 2)
+    t = scalar_kernels.atom_table(u)
+    assert brute_force_D(wedge(F(1, 2), 0), 2).value \
+        == F(scalar_kernels.t_sweep(t, np.arange(t.shape[0]))[0], scale)
 
 
 def test_prefilter_margin_keeps_near_ties(monkeypatch):
@@ -337,15 +338,15 @@ def test_protocol_json_round_trip():
 
 def _half_atoms(box, n, dtype=np.int64):
     """The search's half-atom vectors of ``box`` and their scale."""
-    denom, _ = _entry_numerators(box)
+    _, denom = box.integer_form
     return _half_atom_vectors(_wiring_numerators(box, enumerate_plans(n), n, dtype)), denom ** n
 
 
-def _a0_sets(t, size):
-    """The reduced a0 set (f_0(0) = 0: even table masks) and the full one."""
-    reduced = np.array([a for a in range(t.shape[0]) if not (a % (1 << size)) & 1],
-                       dtype=np.int64)
-    return (reduced, True), (np.arange(t.shape[0], dtype=np.int64), False)
+def _reduced_a0(t, size):
+    """The a0 set of the complement reduction: f_0(0) = 0, the even table
+    masks."""
+    return np.array([a for a in range(t.shape[0]) if not (a % (1 << size)) & 1],
+                    dtype=np.int64)
 
 
 def test_bilinear_scan_backends_agree():
@@ -358,19 +359,18 @@ def test_bilinear_scan_backends_agree():
     t = scalar_kernels.atom_table(u)
     assert t.shape == (8, 8)
     assert (t == scalar_kernels.ip_table(w, enumerate_plans(1), 1, np.int64)).all()
-    for a0_idx, fixed in _a0_sets(t, 2):
-        scalar = [int(v) for v in scalar_kernels.bilinear_scan(t, a0_idx)]
-        for vectors in (u, u.astype(object)):
-            best, witness, _ = kernels.bilinear_scan(vectors, scale, fixed)
-            assert [best, *witness] == scalar, (fixed, vectors.dtype)
+    scalar = [int(v) for v in scalar_kernels.bilinear_scan(t, _reduced_a0(t, 2))]
+    for vectors in (u, u.astype(object)):
+        best, witness, _ = kernels.bilinear_scan(vectors, scale)
+        assert [best, *witness] == scalar, vectors.dtype
     # all-zero vectors tie everywhere: the lex-min witness, and on Python
     # ints every cell survives the float pass
     zeros = np.zeros((2, 4, 16), dtype=object)
-    assert kernels.bilinear_scan(zeros, 1, True) == (0, (0, 0, 0, 0), 32 * 32)
-    assert kernels.bilinear_scan(zeros.astype(np.int64), 1, True) \
+    assert kernels.bilinear_scan(zeros, 1) == (0, (0, 0, 0, 0), 32 * 32)
+    assert kernels.bilinear_scan(zeros.astype(np.int64), 1) \
         == (0, (0, 0, 0, 0), None)
     # the reduced scan is the whole n = 1 search for this box
-    best, _, _ = kernels.bilinear_scan(u, scale, True)
+    best, _, _ = kernels.bilinear_scan(u, scale)
     assert F(best, scale) == brute_force_D(w, 1).value
 
 
@@ -380,9 +380,9 @@ def test_bilinear_scan_checks_the_column_sums():
     for dtype in (object, np.int64):
         u = np.zeros((1, 2, 2), dtype=dtype)
         u[0, :, 1] = [3, -2]
-        assert kernels.bilinear_scan(u, 5, True)[0] == 10
+        assert kernels.bilinear_scan(u, 5)[0] == 10
         with pytest.raises(ValueError, match="sums past 4"):
-            kernels.bilinear_scan(u, 4, True)
+            kernels.bilinear_scan(u, 4)
 
 
 def test_bilinear_scan_int32_width_matches_the_t_sweep(monkeypatch):
@@ -395,9 +395,9 @@ def test_bilinear_scan_int32_width_matches_the_t_sweep(monkeypatch):
     widths = []
     sign_pass = kernels._sign_pass
 
-    def recording(u, fixed):
+    def recording(u):
         widths.append(u.dtype)
-        return sign_pass(u, fixed)
+        return sign_pass(u)
 
     monkeypatch.setattr(kernels, "_sign_pass", recording)
     box = BinarySystem.from_json_obj(json.loads(
@@ -413,10 +413,9 @@ def test_bilinear_scan_int32_width_matches_the_t_sweep(monkeypatch):
              (u7, s7, np.int64), (2 * u7, 2 * s7, np.int64)]
     for u, scale, width in cases:
         t = scalar_kernels.atom_table(u)
-        (reduced, _), _ = _a0_sets(t, 4)
-        best, witness = scalar_kernels.t_sweep(t, reduced)
+        best, witness = scalar_kernels.t_sweep(t, _reduced_a0(t, 4))
         widths.clear()
-        assert kernels.bilinear_scan(u, scale, True) == (best, witness, None), scale
+        assert kernels.bilinear_scan(u, scale) == (best, witness, None), scale
         assert widths == [width], scale
     assert best > 2 ** 31
 
@@ -440,26 +439,22 @@ def test_search_n2_matches_the_t_sweep():
     for box in _reference_boxes():
         t = scalar_kernels.ip_table(box, plans, 2, np.int64)
         u, scale = _half_atoms(box, 2)
-        (reduced, _), _ = _a0_sets(t, 4)
-        best, witness = scalar_kernels.t_sweep(t, reduced)
-        assert kernels.bilinear_scan(u, scale, True) == (best, witness, None)
+        best, witness = scalar_kernels.t_sweep(t, _reduced_a0(t, 4))
+        assert kernels.bilinear_scan(u, scale) == (best, witness, None)
         res = brute_force_D(box, 2)
         assert res.value == F(best, scale)
         assert res.protocol == _atom_protocol(2, plans, 16, witness)
 
 
 def test_full_search_equals_the_reduced_one_n2():
-    # without the complement reduction: one scan, no modulus branch, and
-    # the witness of the full table's sweep
+    # the sweep of the full table over every a0 reaches the search's value:
+    # the complement reduction loses no protocol's value
     plans = enumerate_plans(2)
     for box in (wedge(F(1, 2), 0), wedge(0, 0), NONLOCAL_VERTICES[2], LOCAL_VERTICES[5]):
         t = scalar_kernels.ip_table(box, plans, 2, np.int64)
-        u, scale = _half_atoms(box, 2)
-        best, witness = scalar_kernels.t_sweep(t, np.arange(t.shape[0]))
-        assert kernels.bilinear_scan(u, scale, False) == (best, witness, None)
-        full = brute_force_D(box, 2, complement_reduction=False)
-        assert full.protocol == _atom_protocol(2, plans, 16, witness)
-        assert full.value == brute_force_D(box, 2).value == F(best, scale)
+        _, scale = _half_atoms(box, 2)
+        best, _ = scalar_kernels.t_sweep(t, np.arange(t.shape[0]))
+        assert brute_force_D(box, 2).value == F(best, scale)
 
 
 @st.composite
@@ -483,11 +478,10 @@ def test_bilinear_scan_matches_reference_on_ties(u):
     t = scalar_kernels.atom_table(u)
     # the least scale the float filter's premise allows
     scale = max(1, int(np.abs(u).sum(axis=1).max()))
-    for a0_idx, fixed in _a0_sets(t, u.shape[1]):
-        scalar = [int(v) for v in scalar_kernels.bilinear_scan(t, a0_idx)]
-        for vectors in (u, u.astype(object)):
-            best, witness, _ = kernels.bilinear_scan(vectors, scale, fixed)
-            assert [best, *witness] == scalar, (fixed, vectors.dtype)
+    scalar = [int(v) for v in scalar_kernels.bilinear_scan(t, _reduced_a0(t, u.shape[1]))]
+    for vectors in (u, u.astype(object)):
+        best, witness, _ = kernels.bilinear_scan(vectors, scale)
+        assert [best, *witness] == scalar, vectors.dtype
 
 
 def test_bilinear_scan_filter_keeps_near_ties():
@@ -496,16 +490,15 @@ def test_bilinear_scan_filter_keeps_near_ties():
     # differ by about 2^-95 of the scale sum differently rounded floats, and
     # the float order inverts the exact one now and then.  A filter keeping
     # only the float optimum (margin 0) returns a wrong cell on 4 of these
-    # 400 scans.
+    # 500 scans.
     rng = random.Random(1)
     scale = 3 ** 60
     parts = [0, scale // 3, scale // 5, 2 * scale // 5, scale // 6, scale // 7,
              3 * scale // 7]
-    for _ in range(200):
+    for _ in range(500):
         u = np.array([rng.choice((-1, 1)) * rng.choice(parts) + rng.randrange(-2, 3)
                       for _ in range(16)], dtype=object).reshape(2, 2, 4)
         t = scalar_kernels.atom_table(u)
-        for a0_idx, fixed in _a0_sets(t, 2):
-            scalar = [int(v) for v in scalar_kernels.bilinear_scan(t, a0_idx)]
-            best, witness, _ = kernels.bilinear_scan(u, scale, fixed)
-            assert [best, *witness] == scalar, (u.tolist(), fixed)
+        scalar = [int(v) for v in scalar_kernels.bilinear_scan(t, _reduced_a0(t, 2))]
+        best, witness, _ = kernels.bilinear_scan(u, scale)
+        assert [best, *witness] == scalar, u.tolist()
