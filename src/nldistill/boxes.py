@@ -69,15 +69,6 @@ class BinarySystem:
             e += v if a == b else -v
         return e
 
-    def flip_outputs(self) -> "BinarySystem":
-        """Relabel a -> 1-a and b -> 1-b on both sides."""
-        return BinarySystem(
-            tuple(
-                self.prob(1 - a, 1 - b, x, y)
-                for x, y, a, b in product(BITS, BITS, BITS, BITS)
-            )
-        )
-
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj())
 

@@ -12,10 +12,10 @@ those in Python ints; a fill block with more than ``FILTER_CAP`` such
 survivors runs the exact body instead.  ``float_shadow`` converts a whole
 array at once: each entry over a power of two 2^e >= the scale, so that
 only the int -> float conversion rounds.
-``grid_scan`` sweeps only the profiles with l0 <= size/2 when its inputs
-satisfy the complement identity, which it checks, and gets the rest of the
-grid by a reflection (see the comment above ``grid_scan``); on object
-arrays it runs in Python ints throughout.
+``grid_scan`` sweeps only the profiles with l0 <= size/2 and gets the rest
+of the grid by a reflection; like ``iso_scan``'s k0 cap, it relies on the
+complement identity proved in the ``delta`` module docstring (see the
+comment above ``grid_scan``).  On object arrays it runs in Python ints.
 ``bilinear_scan`` never forms the search's atom table: for fixed b0, b1
 the best decision tables are sign patterns, so each cell is a sum of
 absolute values of the wiring vectors (see the comment above
@@ -839,10 +839,9 @@ def bilinear_scan(u, scale: int):
 # ignores).  This half of the (l0, l1) pairs, rather than l0 + l1 <= size,
 # keeps every block a full rectangle: no slab entry is wasted on a ragged
 # l1 range, and n = 6 runs in about half the time of the l0 + l1 <= size
-# sweep.  Premise: the identity is checked on both inputs, exactly and in
-# O(size^2) on either dtype (each step (size-k-l)*dpn is at most an entry's
-# bound size*dpn).  When it fails, the same loop sweeps every l0 and skips
-# the reflection, so arbitrary inputs stay exact.
+# sweep.  Premise: both inputs are level grids, so the identity holds by
+# the ``delta`` proofs and is not checked here; ``iso_scan``'s k0 cap rests
+# on the same proofs.  The tests check it on built and loaded tables.
 #
 # Layout.  The l0 sweep runs in blocks of about GRID_BLOCK_CELLS slab
 # entries: each block holds a and c as (l0, k, l1) slabs and takes one add
@@ -856,20 +855,13 @@ def bilinear_scan(u, scale: int):
 GRID_BLOCK_CELLS = 1 << 15
 
 
-def _complement_holds(x, dpn) -> bool:
-    k = np.arange(len(x))
-    steps = (len(x) - 1 - np.add.outer(k, k)).astype(x.dtype) * dpn
-    return bool(np.array_equal(x[::-1, ::-1], x + steps))
-
-
 def grid_scan(xp, xm, dpn, size):
     side = size + 1
     # xp and xm hold numerators in [0, size*dpn], so every candidate is at
     # least -2.5*size*dpn; the seed lies below all of them on both dtypes
     floor = -3 * size * dpn
     out = np.full((2 * size + 1, 2 * size + 1), floor, dtype=xp.dtype)
-    half = _complement_holds(xp, dpn) and _complement_holds(xm, dpn)
-    l0_end = size // 2 + 1 if half else side
+    l0_end = size // 2 + 1
     block = max(1, GRID_BLOCK_CELLS // side ** 2)
     a_rows = -np.arange(side).astype(xp.dtype)[:, None] * dpn + xp
     for lo in range(0, l0_end, block):
@@ -885,6 +877,5 @@ def grid_scan(xp, xm, dpn, size):
         for l0, part in zip(l0s.tolist(), acc):
             seg = out[:, l0:l0 + side]
             np.maximum(seg, part, out=seg)
-    if half:
-        np.maximum(out, out[::-1, ::-1], out=out)
+    np.maximum(out, out[::-1, ::-1], out=out)
     return out

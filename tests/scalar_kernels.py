@@ -23,6 +23,9 @@ k <= min(l, size/2), one (max,+) sweep per k, fast enough for level 9.
 ``fill_blocks`` is the level fill's block generator as the package ran it
 before ``kernels._fill_blocks`` built its rows with ``np.repeat``: a
 Python list of (k, i) rows, grown k by k.
+``complement_holds`` checks the complement identity of a level grid cell
+by cell, in Python ints: the premise of ``iso_scan``'s k0 cap and of
+``grid_scan``'s reflection.
 ``load_payload`` reads a table cache's payload entry by entry, the
 reference for the loader's bulk decode.  ``solve_max`` is the simplex on a
 ``Fraction`` tableau, the reference for the fraction-free one in
@@ -178,6 +181,13 @@ def grid_scan(xp, xm, dpn, size):
                     if cand > out[k0 + k1, sl]:
                         out[k0 + k1, sl] = cand
     return out
+
+
+def complement_holds(x, dpn) -> bool:
+    """Whether x[size-k, size-l] == x[k, l] + (size-k-l)*dpn at every cell."""
+    rows, size = x.tolist(), len(x) - 1
+    return all(rows[size - k][size - l] == v + (size - k - l) * dpn
+               for k, row in enumerate(rows) for l, v in enumerate(row))
 
 
 def grid_sweep(xp, xm, dpn, size):

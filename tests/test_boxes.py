@@ -181,7 +181,12 @@ def test_nl_invariant_under_joint_output_flip():
     rng = random.Random(3)
     for _ in range(20):
         box = random_ns_box(rng)
-        assert nl_value(box)[0] == nl_value(box.flip_outputs())[0]
+        # relabel a -> 1-a and b -> 1-b on both sides
+        flipped = BinarySystem(tuple(
+            box.prob(1 - a, 1 - b, x, y)
+            for x, y, a, b in product((0, 1), repeat=4)
+        ))
+        assert nl_value(box)[0] == nl_value(flipped)[0]
 
 
 def test_is_isotropic_cases():

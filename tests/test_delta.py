@@ -614,6 +614,27 @@ def test_save_load_object_path(tmp_path):
         assert a.dtype == b.dtype == object
 
 
+@pytest.mark.parametrize("p, n, dtype", [
+    (F(2, 5), 7, np.int64), (F(1, 3), 7, np.int64), (F(0), 7, np.int64),
+    (F(1, 2), 7, np.int64), (F(301, 800), 6, object), (F(3, 1000), 6, object),
+    (F(31, 80), 8, np.int64),  # level 8 runs the pruned fill
+], ids=lambda v: getattr(v, "__name__", str(v)))
+def test_level_grids_satisfy_the_scan_identities(tmp_path, p, n, dtype):
+    # the symmetry and the complement identity that the ``delta`` docstring
+    # proves, on the plus and the minus grids, built and loaded: both scans
+    # rely on them unchecked (iso_scan's k0 cap, grid_scan's reflection)
+    t = build_tables(p, n)
+    path = tmp_path / "t.nldt"
+    t.save(path)
+    for tables in (t, load_tables(path)):
+        for m in range(n + 1):
+            for sign, grid in (("+", tables.plus[m]), ("-", tables.minus[m])):
+                assert grid.dtype == dtype, (m, sign)
+                assert np.array_equal(grid, grid.T), (m, sign)
+                assert scalar_kernels.complement_holds(grid, p.denominator ** m), \
+                    (m, sign)
+
+
 def test_load_error_cases(tmp_path):
     t = build_tables(F(2, 5), 2)
     path = tmp_path / "t.nldt"
