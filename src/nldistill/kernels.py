@@ -12,10 +12,13 @@ those in Python ints; a fill block with more than ``FILTER_CAP`` such
 survivors runs the exact body instead.  ``float_shadow`` converts a whole
 array at once: each entry over a power of two 2^e >= the scale, so that
 only the int -> float conversion rounds.
-``grid_scan`` sweeps only the profiles with l0 <= size/2 and gets the rest
-of the grid by a reflection; like ``iso_scan``'s k0 cap, it relies on the
-complement identity proved in the ``delta`` module docstring (see the
-comment above ``grid_scan``).  On object arrays it runs in Python ints.
+``grid_scan`` sweeps one profile per orbit of the group generated by the
+complement map and the transpose, the profiles with
+k0 <= min(l0, size - l0), about a quarter of them, and gets the rest of
+the grid by two reflections; like ``iso_scan``'s k0 cap, it relies on the
+complement identity and the symmetry proved in the ``delta`` module
+docstring (see the comment above ``grid_scan``).  On object arrays it
+runs in Python ints.
 ``bilinear_scan`` never forms the search's atom table: for fixed b0, b1
 the best decision tables are sign patterns, so each cell is a sum of
 absolute values of the wiring vectors (see the comment above
@@ -826,29 +829,51 @@ def bilinear_scan(u, scale: int):
 # Symmetry.  Every level grid satisfies the complement identity
 #   x[size-k, size-l] = x[k, l] + (size - k - l)*dpn,
 # xp by the recursion (the ``delta`` module docstring) and xm through
-# xm[k,l] = l*dpn - xp[size-k, l].  Under it the map (k0, k1, l0, l1) ->
+# xm[k,l] = l*dpn - xp[size-k, l].  Under it the map C: (k0, k1, l0, l1) ->
 # (size-k0, size-k1, size-l0, size-l1) leaves f unchanged: the four table
 # terms gain (size-k0-l0) + (size-k0-l1) + (size-k1-l0) - (size-k1-l1)
 # = 2*size - 2*k0 - 2*l0 times dpn, the offset becomes
 # (h - 2*size + k0 + l0)*dpn, and the dpn coefficients sum back to
-# h - k0 - l0.  So the map is a bijection from the profiles of cell
-# (sk, sl) onto those of (2*size - sk, 2*size - sl), with equal values,
-# and it sends l0 > h to l0 < h.  With g the grid over l0 <= h only,
-#   out[sk, sl] = max(g[sk, sl], g[2*size - sk, 2*size - sl]),
-# one reflected maximum (the profiles with l0 = h count twice, which a max
-# ignores).  This half of the (l0, l1) pairs, rather than l0 + l1 <= size,
-# keeps every block a full rectangle: no slab entry is wasted on a ragged
-# l1 range, and n = 6 runs in about half the time of the l0 + l1 <= size
-# sweep.  Premise: both inputs are level grids, so the identity holds by
-# the ``delta`` proofs and is not checked here; ``iso_scan``'s k0 cap rests
-# on the same proofs.  The tests check it on built and loaded tables.
+# h - k0 - l0.  So C is a bijection from the profiles of cell (sk, sl)
+# onto those of (2*size - sk, 2*size - sl), with equal values.
+# Both grids are also symmetric, xp = xp^T and xm = xm^T: xp because
+# ``delta._complete_grid`` mirrors it, xm because
+# xm[l,k] = k*dpn - xp[size-l, k] = k*dpn - xp[k, size-l]
+# = k*dpn - (xp[size-k, l] + (k - l)*dpn) = l*dpn - xp[size-k, l] = xm[k,l]
+# by the complement identity at (k, size-l).  So the transpose T:
+# (k0, k1, l0, l1) -> (l0, l1, k0, k1) leaves f unchanged too:
+#   f(TP) = xp[l0,k0] + xp[l0,k1] + xp[l1,k0] - xm[l1,k1] + (h - l0 - k0)*dpn
+# is f(P) term by term, xp[l0,k1] = xp[k1,l0] and xp[l1,k0] = xp[k0,l1]
+# trading places.  T sends cell (sk, sl) to (sl, sk).
 #
-# Layout.  The l0 sweep runs in blocks of about GRID_BLOCK_CELLS slab
-# entries: each block holds a and c as (l0, k, l1) slabs and takes one add
-# and one maximum per k0 into its own (l0, sk, l1) accumulator, which then
-# folds into out[:, l0:l0+size+1] one l0 at a time.  One l0 per call pair
-# would make (size + 1)^2 pairs of numpy calls, which dominate at n <= 6;
-# from n = 7 on a block is a single l0.  Temporaries never exceed one block.
+# Domain.  The profiles with k0 <= cap(l0) = min(l0, size - l0) meet every
+# orbit {P, TP, CP, CTP}, whose (k0, l0) are (k0, l0), (l0, k0),
+# (size-k0, size-l0) and (size-l0, size-k0).  If k0 <= l0, both P and CTP
+# have k0' <= l0', else both TP and CP do.  The sums k0' + l0' of that
+# pair are k0 + l0 and 2*size - k0 - l0, so one of the two has
+# k0' + l0' <= size, which with k0' <= l0' is k0' <= cap(l0').  That is
+# about a quarter of the profiles.  With g the grid over this domain,
+#   g1[sk, sl] = max(g[sk, sl], g[2*size - sk, 2*size - sl]),
+#   out[sk, sl] = max(g1[sk, sl], g1[sl, sk])
+# takes the max over the orbit members of every profile of the cell, and
+# every value it takes is a profile's; profiles met twice change no max.
+# Premise: both inputs are level grids, so the identity and the symmetry
+# hold by the ``delta`` proofs and are not checked here; ``iso_scan``'s k0
+# cap rests on the same proofs.  The tests check both on built and loaded
+# tables.
+#
+# Layout.  The l0 sweep takes the l0 in order of cap(l0), by a stable
+# argsort, in blocks of about GRID_BLOCK_CELLS slab entries: each block
+# holds a and c as (l0, k, l1) slabs and takes one add and one maximum
+# per k0 into its own (l0, sk, l1) accumulator, which then folds into
+# out[:, l0:l0+size+1] one l0 at a time.  k0 runs up to the block's
+# largest cap, kmax, so a has kmax + 1 rows and the accumulator
+# size + kmax + 1.  With the caps sorted, the l0 of a block whose cap
+# reaches k0 are a suffix of it, which each k0 step takes, and a block's
+# kmax lies close to all of its caps.  One l0 per call pair would make
+# about (size + 1)^2 / 4 pairs of numpy calls, which dominate at n <= 6;
+# from n = 7 on a block is a single l0.  Temporaries never exceed one
+# block.
 # ---------------------------------------------------------------------------
 
 #: the (l0, k1, l1) entries one grid_scan block sweeps per numpy call
@@ -861,21 +886,28 @@ def grid_scan(xp, xm, dpn, size):
     # least -2.5*size*dpn; the seed lies below all of them on both dtypes
     floor = -3 * size * dpn
     out = np.full((2 * size + 1, 2 * size + 1), floor, dtype=xp.dtype)
-    l0_end = size // 2 + 1
+    sizes = np.arange(side)
+    caps = np.minimum(sizes, size - sizes)
+    order = np.argsort(caps, kind="stable")
     block = max(1, GRID_BLOCK_CELLS // side ** 2)
-    a_rows = -np.arange(side).astype(xp.dtype)[:, None] * dpn + xp
-    for lo in range(0, l0_end, block):
-        l0s = np.arange(lo, min(l0_end, lo + block))
+    a_rows = -sizes.astype(xp.dtype)[:, None] * dpn + xp
+    for lo in range(0, side, block):
+        l0s = order[lo:lo + block]
+        rows = int(caps[l0s[-1]]) + 1
         x0 = xp[:, l0s].T[:, :, None]
-        a = a_rows + (x0 + ((size // 2 - l0s).astype(xp.dtype) * dpn)[:, None, None])
+        shift = ((size // 2 - l0s).astype(xp.dtype) * dpn)[:, None, None]
+        a = a_rows[:rows] + (x0[:, :rows] + shift)
         c = x0 - xm
-        acc = np.full((len(l0s), 2 * size + 1, side), floor, dtype=xp.dtype)
+        acc = np.full((len(l0s), size + rows, side), floor, dtype=xp.dtype)
         cand = np.empty_like(c)
-        for k0 in range(side):
-            seg = acc[:, k0:k0 + side]
-            np.maximum(seg, np.add(a[:, k0:k0 + 1], c, out=cand), out=seg)
+        # the l0 of the block from index j on have cap(l0) >= k0
+        starts = np.searchsorted(caps[l0s], np.arange(rows)).tolist()
+        for k0, j in enumerate(starts):
+            seg = acc[j:, k0:k0 + side]
+            np.maximum(seg, np.add(a[j:, k0:k0 + 1], c[j:], out=cand[j:]), out=seg)
         for l0, part in zip(l0s.tolist(), acc):
-            seg = out[:, l0:l0 + side]
+            seg = out[:size + rows, l0:l0 + side]
             np.maximum(seg, part, out=seg)
     np.maximum(out, out[::-1, ::-1], out=out)
+    np.maximum(out, out.T, out=out)
     return out

@@ -11,8 +11,8 @@ vectors.  ``t_sweep`` is the vectorised sweep of T, one b0 slab at a time,
 that the search ran before; it is fast enough for n = 2, where the
 scalar ``bilinear_scan`` is not.
 ``grid_sweep`` is the vectorised class-grid sweep the package ran before
-``kernels.grid_scan`` used the complement symmetry: one ``np.maximum`` per
-(l0, k0) over every l0, on int64 and object arrays alike, fast enough to
+``kernels.grid_scan`` used the symmetries: one ``np.maximum`` per (l0, k0)
+over every l0 and k0, on int64 and object arrays alike, fast enough to
 check the kernel on real tables up to n = 7.
 ``iso_sweep`` is the untiled profile scan the package ran before
 ``kernels.iso_scan`` took its tiled pass: one numpy slab per l0 over every
@@ -24,8 +24,9 @@ k <= min(l, size/2), one (max,+) sweep per k, fast enough for level 9.
 before ``kernels._fill_blocks`` built its rows with ``np.repeat``: a
 Python list of (k, i) rows, grown k by k.
 ``complement_holds`` checks the complement identity of a level grid cell
-by cell, in Python ints: the premise of ``iso_scan``'s k0 cap and of
-``grid_scan``'s reflection.
+by cell, in Python ints: the premise of ``iso_scan``'s k0 cap, and one of
+the two premises of ``grid_scan``'s orbit sweep; the other is the symmetry
+x = x^T of both grids.
 ``load_payload`` reads a table cache's payload entry by entry, the
 reference for the loader's bulk decode.  ``solve_max`` is the simplex on a
 ``Fraction`` tableau, the reference for the fraction-free one in

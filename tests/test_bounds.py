@@ -182,15 +182,17 @@ GRID_PS = [F(2, 5), F(31, 80), F(39, 80), F(13, 32), F(1, 3), F(0), F(1, 2)]
 
 @pytest.mark.parametrize("p", GRID_PS + [F(301, 800)], ids=str)
 def test_grid_scan_equals_the_sweep(p):
-    # the kernel sweeps l0 <= size/2 and reflects, relying on the
-    # complement identity of real tables, while the reference sweeps every
-    # l0; 301/800 fills every level in Python ints
+    # the kernel sweeps one profile per orbit of the complement map and the
+    # transpose and reflects twice, relying on the complement identity and
+    # the symmetry of real tables, while the reference sweeps every l0;
+    # 301/800 fills every level in Python ints
     tables = build_tables(p, 6)
     for n in range(1, 7):
         xp, xm = tables.plus[n], tables.minus[n]
         dpn, size = p.denominator ** n, 2 ** n
         assert scalar_kernels.complement_holds(xp, dpn)
         assert scalar_kernels.complement_holds(xm, dpn)
+        assert np.array_equal(xp, xp.T) and np.array_equal(xm, xm.T)
         want = scalar_kernels.grid_sweep(xp, xm, dpn, size)
         pairs = [(xp, xm)] if xp.dtype == object else _int64_and_object(xp, xm)
         for xp_, xm_ in pairs:
@@ -200,12 +202,26 @@ def test_grid_scan_equals_the_sweep(p):
             assert got.tolist() == want.tolist(), (n, xp_.dtype)
 
 
+@pytest.mark.parametrize("p", [F(2, 5), F(1, 3)], ids=str)
+def test_grid_scan_equals_the_sweep_n7(p):
+    # from n = 7 on a grid_scan block holds a single l0, with its own cap
+    tables = build_tables(p, 7)
+    xp, xm = tables.plus[7], tables.minus[7]
+    assert xp.dtype == np.int64
+    dpn = p.denominator ** 7
+    want = scalar_kernels.grid_sweep(xp, xm, dpn, 128)
+    got = kernels.grid_scan(xp, xm, dpn, 128)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
 def _complemented_grid(draw, size: int, dpn: int, values):
     """A level-like grid drawn on the wedge k <= l, k + l <= size and
     completed by the (k, l) <-> (l, k) reflection and the complement
-    identity x[size-k, size-l] = x[k, l] + (size-k-l)*dpn.  An entry at
-    (k, l) is dpn*min(t, k, l) for a drawn t in ``values``, so entries lie
-    in [max(0, k+l-size), min(k, l)]*dpn, as in real tables."""
+    identity x[size-k, size-l] = x[k, l] + (size-k-l)*dpn, so it is
+    symmetric, x = x^T, as every level grid is.  An entry at (k, l) is
+    dpn*min(t, k, l) for a drawn t in ``values``, so entries lie in
+    [max(0, k+l-size), min(k, l)]*dpn, as in real tables."""
     x = np.zeros((size + 1, size + 1), dtype=np.int64)
     for k in range(size + 1):
         for l in range(k, size - k + 1):
@@ -218,10 +234,12 @@ def _complemented_grid(draw, size: int, dpn: int, values):
 
 @st.composite
 def complemented_scan_inputs(draw):
-    """Tie-heavy scan inputs that satisfy the complement identity, as every
-    level grid does, so the kernel's half sweep applies.  xm comes from a
-    second plus-like grid through xm[k, l] = l*dpn - x[size-k, l], as
-    ``DeltaTables.minus`` derives it."""
+    """Tie-heavy scan inputs that satisfy the complement identity and are
+    symmetric, as every level grid is, so the kernel's orbit sweep
+    applies.  xm comes from a second plus-like grid x2 through
+    xm[k, l] = l*dpn - x2[size-k, l], as ``DeltaTables.minus`` derives it;
+    it is symmetric because x2 is and x2 satisfies the complement
+    identity (the comment above ``kernels.grid_scan``)."""
     size = draw(st.integers(min_value=1, max_value=8))
     dpn = draw(st.integers(min_value=1, max_value=2))
     values = draw(st.lists(st.integers(min_value=0, max_value=3),
@@ -234,10 +252,11 @@ def complemented_scan_inputs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(complemented_scan_inputs())
-def test_grid_scan_half_sweep_matches_reference_on_ties(inputs):
+def test_grid_scan_orbit_sweep_matches_reference_on_ties(inputs):
     xp, xm, dpn, size = inputs
     assert scalar_kernels.complement_holds(xp, dpn)
     assert scalar_kernels.complement_holds(xm, dpn)
+    assert np.array_equal(xp, xp.T) and np.array_equal(xm, xm.T)
     scalar = scalar_kernels.grid_scan(xp, xm, np.int64(dpn), size)
     for xp_, xm_ in _int64_and_object(xp, xm):
         vector = kernels.grid_scan(xp_, xm_, dpn, size)

@@ -622,7 +622,7 @@ def test_save_load_object_path(tmp_path):
 def test_level_grids_satisfy_the_scan_identities(tmp_path, p, n, dtype):
     # the symmetry and the complement identity that the ``delta`` docstring
     # proves, on the plus and the minus grids, built and loaded: both scans
-    # rely on them unchecked (iso_scan's k0 cap, grid_scan's reflection)
+    # rely on them unchecked (iso_scan's k0 cap, grid_scan's orbit sweep)
     t = build_tables(p, n)
     path = tmp_path / "t.nldt"
     t.save(path)
