@@ -4,25 +4,63 @@ The local part of P is the optimal value of the exact LP
 
     max sum_i p_i   s.t.   sum_i p_i * V_i(a,b|x,y) <= P(a,b|x,y),  p_i >= 0
 
-over the 16 deterministic vertices V_i.  For nonlocal P the remainder is
-proportional to the unique nonlocal vertex of the violated CHSH facet;
-peeling the facet's isotropic local box P_F off the normalized local
-mixture with the min-ratio weight p_f yields the minimal parameter
+over the 16 deterministic vertices V_i.  ``local_part`` solves it with the
+exact simplex.  ``minimal_isotropic`` runs the simplex on local boxes only:
+their optimum is s = 1, with weights that are not unique, and Bland's rule
+picks them.  A nonlocal box has one optimum in closed form.
 
-    eps = (1 - s) / (s*p_f + 1 - s),        s = sum_i p_i,
+Closed form.  Let P have NL(P) = CHSH_e(P) > 2 and let V_e be the PR vertex
+with CHSH_e(V_e) = 4: on each input pair (x, y) it is 1/2 on the two
+outputs of one parity c_e(x, y) of a xor b, and the four parities sum to 1
+mod 2.
+
+- Dual bound.  Take feasible weights of sum s.  The slack
+  P - sum_i p_i V_i is nonnegative with mass 1 - s on each input pair, so
+  its CHSH_e value is at most 4(1 - s), and the local mixture's is at most
+  2s.  Hence NL(P) <= 4 - 2s, that is s <= 2 - NL/2.
+- Facet vertices.  A deterministic vertex has CHSH_e value 4 - 2m, with m
+  the number of input pairs where a_x xor b_y misses c_e(x, y).  The a_x
+  xor b_y sum to 0 mod 2 and the c_e to 1, so m is 1 or 3.  The 8 vertices
+  with m = 1 are the vertices of the facet CHSH_e = 2, and each carries
+  exactly one entry t_j = (a, b, x, y) off supp(V_e).
+- Bijection.  Given that entry, the parities at (x', y) and (x, y') fix
+  a_x' and b_y', and the parity at (x', y') then holds because the c_e sum
+  to 1.  So each of the 8 entries off supp(V_e) names one facet vertex,
+  and the facet vertices and those entries are in bijection (``_FACET_MAP``).
+- Optimum.  Put w_j = P(t_j) on the facet vertices and 0 on the others.
+  Above a CHSH facet the nonsignaling polytope is the pyramid over the
+  facet with apex V_e (Fine 1982; Barrett et al. 2005), so
+  P = sum_j w_j V_j + (1 - s) V_e with s = sum_j w_j: V_e and every other
+  facet vertex are zero at t_j.  ``minimal_isotropic`` checks that
+  identity on all 16 entries, the signs of the weights and
+  s = 2 - NL/2.  Then the weights are feasible, with slack (1 - s) V_e,
+  and they meet the dual bound, so they are optimal.
+- Uniqueness.  At s = 2 - NL/2 both halves of the dual bound are tight:
+  every weight sits on a facet vertex, and the slack has CHSH_e value
+  4(1 - s) at mass 1 - s per input pair, so it is zero off supp(V_e).  At
+  t_j the only facet vertex with an entry is V_j, so w_j = P(t_j): the LP
+  has no other optimum, and the closed form equals ``local_part``.
+
+Envelope.  The remainder P - sum_i p_i V_i = (1 - s) V_e sits on the
+violated vertex.  Peeling the facet's isotropic local box P_F off the
+normalized local mixture with the min-ratio weight p_f yields the minimal
+parameter
+
+    eps = (1 - s) / (s*p_f + 1 - s),
 
 so that P = q*P_iso(eps) + (1-q)*P_L with q = s*p_f + 1 - s.  Every
 identity is re-verified entry-exactly before a decomposition is
 returned; a failure raises DecompositionError.
 
 The work runs on integer numerators over one common denominator per box:
-the box and the LP weights over Q, the lcm of their denominators, and the
-vertex and P_F over 8.  Each later box is a table of integers over one
-denominator built from these, and each identity is checked by cross
-multiplication.  Fractions are built only for the fields returned.
+the box and its weights over den(P), and the vertex and P_F over 8.  Each
+later box is a table of integers over one denominator built from these,
+and each identity is checked by cross multiplication.  Fractions are
+built only for the fields returned.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -70,6 +108,19 @@ _FACETS = {e: tuple(tuple(_numerators(box.table, _FACET_DEN)) for box in (
     mix([(Fraction(3, 4), vertex_for_expression(e)), (Fraction(1, 4), opposite_vertex(e))])))
     for e in CHSH_EXPRESSIONS}
 
+
+def _facet_pairs(vertex: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """(t_j, j) for each local vertex j with exactly one entry t_j off the
+    support of ``vertex``: the vertices of its CHSH facet."""
+    pairs = [(t, j) for t in range(16) if not vertex[t] for j in _SUPPORT[t]]
+    count = Counter(j for _, j in pairs)
+    return tuple((t, j) for t, j in pairs if count[j] == 1)
+
+
+# per CHSH expression, its facet vertices with the entry off the support of
+# its nonlocal vertex that names each (module docstring)
+_FACET_MAP = {e: _facet_pairs(vertex) for e, (vertex, _) in _FACETS.items()}
+
 # the LP's constraint entries (a, b, x, y), one per row, and the table
 # index of each
 _CONSTRAINTS = tuple(product(BITS, BITS, BITS, BITS))
@@ -85,6 +136,15 @@ def _local_mix(weights: Sequence[int]) -> list[int]:
     return [sum(weights[i] for i in support) for support in _SUPPORT]
 
 
+def _facet_weights(numerators: Sequence[int], expr: CHSHExpression) -> list[int]:
+    """The optimal local weights of a box that violates ``expr``, over the
+    box's denominator: its entry t_j on each facet vertex j, 0 elsewhere."""
+    w = [0] * 16
+    for t, j in _FACET_MAP[expr]:
+        w[j] = numerators[t]
+    return w
+
+
 def _box(numerators: Sequence[int], den: int) -> BinarySystem:
     """The table numerators / den."""
     return BinarySystem(tuple(Fraction(n, den) for n in numerators))
@@ -95,7 +155,6 @@ class LPResult:
     weights: tuple[Fraction, ...]  # one per local vertex, (alpha,beta,gamma,delta) order
     local_part: Fraction
     slack: tuple[Fraction, ...]  # one per table entry constraint
-    iterations: int
 
 
 def local_part(system: BinarySystem) -> LPResult:
@@ -116,8 +175,7 @@ def local_part(system: BinarySystem) -> LPResult:
     for t, s in zip(_ROW_ENTRY, _numerators(res.slack, den)):
         if local[t] + s != numerators[t] * scale:
             raise DecompositionError("LP slack fails to reconstruct the constraint")
-    return LPResult(weights=weights, local_part=res.value,
-                    slack=res.slack, iterations=res.iterations)
+    return LPResult(weights=weights, local_part=res.value, slack=res.slack)
 
 
 def facet_of(system: BinarySystem) -> tuple[CHSHExpression, BinarySystem, BinarySystem]:
@@ -165,32 +223,33 @@ class Decomposition:
 
 def minimal_isotropic(system: BinarySystem) -> Decomposition:
     """Decompose P over the weakest isotropic system that can carry it."""
-    lp = local_part(system)
-    s = lp.local_part
-    numerators, d = system.integer_form
-    nl_num, expr = nl_value_int(numerators)
+    a, d = system.integer_form
+    nl_num, expr = nl_value_int(a)
     nl = Fraction(nl_num, d)
-    if s == 1:
+    if nl_num <= 2 * d:
+        lp = local_part(system)
+        if lp.local_part != 1:
+            raise DecompositionError(
+                f"local part {lp.local_part} < 1 for a box with NL = {nl} <= 2"
+            )
         return Decomposition(
             epsilon=Fraction(0), q=Fraction(0), p_f=None, facet=None,
             p_iso=None, p_star=system, p_l=system, lp=lp, system_nl=nl,
         )
-    if nl_num <= 2 * d:
-        raise DecompositionError(
-            f"local part {s} < 1 for a box with NL = {nl} <= 2"
-        )
     vertex, facet = _FACETS[expr]
     g = _FACET_DEN
-    # P = a/Q, the local mixture sum_i p_i V_i = b/Q and s = sigma/Q
-    big_q = lcm(d, *(w.denominator for w in lp.weights))
-    a = [n * (big_q // d) for n in numerators]
-    w = _numerators(lp.weights, big_q)
+    # the local mixture sum_j w_j V_j = b/d and s = sigma/d; the optimum
+    # leaves the remainder (1 - s)*V_e = (d - sigma)*vertex/(g*d)
+    w = _facet_weights(a, expr)
+    if any(wi < 0 for wi in w):
+        raise DecompositionError("facet weight is negative")
     b, sigma = _local_mix(w), sum(w)
-    # the maximal-local remainder a - b must sit on the violated vertex
-    rem = [ai - bi for ai, bi in zip(a, b)]
-    top = vertex.index(max(vertex))
-    if any(r * vertex[top] != rem[top] * v for r, v in zip(rem, vertex)):
-        raise DecompositionError("LP remainder is not proportional to the facet vertex")
+    if any(g * bt + (d - sigma) * v != g * at for bt, v, at in zip(b, vertex, a)):
+        raise DecompositionError("decomposition does not reconstruct the box")
+    if 2 * sigma != 4 * d - nl_num:
+        raise DecompositionError("facet weights do not sum to 2 - NL/2")
+    lp = LPResult(weights=tuple(Fraction(wi, d) for wi in w), local_part=Fraction(sigma, d),
+                  slack=tuple(Fraction((d - sigma) * vertex[t], g * d) for t in _ROW_ENTRY))
     if sigma > 0:
         # p_star = b/sigma; p_f = min_t p_star_t / (facet_t/g) = g*m/(k*sigma)
         # with m/k the least b_t / facet_t
@@ -202,8 +261,8 @@ def minimal_isotropic(system: BinarySystem) -> Decomposition:
     else:
         (m, k), p_star, pf = (0, 1), None, None
     # q = s*p_f + 1 - s = qn/qd and eps = (1 - s)/q = en/qn
-    en = k * (big_q - sigma)
-    qn, qd = g * m + en, k * big_q
+    en = k * (d - sigma)
+    qn, qd = g * m + en, k * d
     # P_iso = eps*V + (1 - eps)*P_F = iso / (g*qn)
     iso = [en * v + g * m * f for v, f in zip(vertex, facet)]
     if nl_value_int(iso)[0] != 2 * g * (qn + en):
@@ -217,12 +276,11 @@ def minimal_isotropic(system: BinarySystem) -> Decomposition:
             raise DecompositionError("local residue is not a valid box")
         if nl_value_int(res)[0] > 2 * res_den:
             raise DecompositionError("local residue violates a CHSH facet")
-        # q*P_iso = iso/(g*qd) and (1 - q)*P_L = res/qd, since
-        # 1 - q = res_den/qd; their sum must be a/Q, and qd = k*Q
-        if any(i + g * r != g * k * ai for i, r, ai in zip(iso, res, a)):
-            raise DecompositionError("decomposition does not reconstruct the box")
+        # q*P_iso + (1 - q)*P_L = (iso + g*res)/(g*qd), and
+        # iso + g*res = k*((d - sigma)*vertex + g*b) = g*k*a by the
+        # reconstruction above: P_F cancels, so the sum is the box
         p_l = _box(res, res_den)
-    elif any(big_q * i != g * qn * ai for i, ai in zip(iso, a)):
+    elif any(d * i != g * qn * ai for i, ai in zip(iso, a)):
         raise DecompositionError("q = 1 decomposition must equal the box")
     return Decomposition(
         epsilon=Fraction(en, qn), q=Fraction(qn, qd), p_f=pf, facet=expr,

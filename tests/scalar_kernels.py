@@ -31,6 +31,9 @@ x = x^T of both grids.
 reference for the loader's bulk decode.  ``solve_max`` is the simplex on a
 ``Fraction`` tableau, the reference for the fraction-free one in
 ``nldistill.simplex``: same Bland's rule, so the same pivot sequence.
+``lp_decomposition`` is the minimal isotropic decomposition as the package
+ran it before ``minimal_isotropic`` took the closed form on nonlocal boxes:
+the LP's weights for every box, and each later box in Fractions.
 """
 from __future__ import annotations
 
@@ -39,6 +42,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from nldistill.boxes import (
+    LOCAL_VERTICES,
+    BinarySystem,
+    mix,
+    nl_value,
+    opposite_vertex,
+    vertex_for_expression,
+)
+from nldistill.decompose import Decomposition, facet_weight, local_part
 from nldistill.protocols import _bits, _plan_input_table
 from nldistill.simplex import SimplexResult, UnboundedError
 
@@ -375,3 +387,34 @@ def solve_max(c, a, b):
         reduced_costs=tuple(cost[:n]), basis=tuple(basis),
         iterations=iterations,
     )
+
+
+def lp_decomposition(system):
+    """P = q*P_iso(eps) + (1 - q)*P_L from ``local_part``'s weights."""
+    lp = local_part(system)
+    s = lp.local_part
+    nl, expr = nl_value(system)
+    if s == 1:
+        return Decomposition(epsilon=Fraction(0), q=Fraction(0), p_f=None, facet=None,
+                             p_iso=None, p_star=system, p_l=system, lp=lp, system_nl=nl)
+    vertex = vertex_for_expression(expr)
+    p_facet = mix([(Fraction(3, 4), vertex), (Fraction(1, 4), opposite_vertex(expr))])
+    # the local vertices are 0/1 tables
+    local = [sum(w for w, v in zip(lp.weights, LOCAL_VERTICES) if v.table[t])
+             for t in range(16)]
+    assert all(e - m == (1 - s) * v
+               for e, m, v in zip(system.table, local, vertex.table))
+    p_star = p_f = None
+    q = 1 - s
+    if s > 0:
+        p_star = BinarySystem(tuple(m / s for m in local))
+        p_f = facet_weight(p_star, p_facet)
+        q += s * p_f
+    eps = (1 - s) / q
+    p_l = None
+    if q < 1:
+        p_l = BinarySystem(tuple((e - p_f * f) / (1 - p_f)
+                                 for e, f in zip(p_star.table, p_facet.table)))
+    return Decomposition(epsilon=eps, q=q, p_f=p_f, facet=expr,
+                         p_iso=mix([(eps, vertex), (1 - eps, p_facet)]),
+                         p_star=p_star, p_l=p_l, lp=lp, system_nl=nl)

@@ -477,8 +477,12 @@ def test_tables_rejects_a_local_box(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("box,raw", [("0,1/2", "2"), ("1/5,1/5", None)])
-def test_bound_solves_the_lp_once(capsys, monkeypatch, box, raw):
+# a local box solves the LP once; a nonlocal box takes the closed form
+@pytest.mark.parametrize("box,raw,lp_calls", [
+    pytest.param("0,1/2", "2", 1, id="0,1/2-2"),
+    pytest.param("1/5,1/5", None, 0, id="1/5,1/5-None"),
+])
+def test_bound_solves_the_lp_once(capsys, monkeypatch, box, raw, lp_calls):
     calls = []
     original = decompose.local_part
 
@@ -488,7 +492,7 @@ def test_bound_solves_the_lp_once(capsys, monkeypatch, box, raw):
 
     monkeypatch.setattr(decompose, "local_part", counting)
     code, out, _ = run(capsys, "bound", "--wedge", box, "--n", "3")
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and len(calls) == lp_calls
     if raw is not None:
         assert json.loads(out)["raw_bound"] == raw
 
@@ -511,7 +515,8 @@ def test_perfbench_layer_wraps_resolve():
 
 def test_perfbench_traced_layers_all_fire(capsys, tmp_path):
     # every span perfbench/tracing.py installs records at least once over a
-    # cold bound, a cache hit, a grid, a search and a decomposition
+    # cold bound, a cache hit, a grid, a search and two decompositions: only
+    # the local box's reaches the LP
     from nldistill import cli, decompose, delta, protocols
 
     spec = importlib.util.spec_from_file_location(
@@ -526,7 +531,8 @@ def test_perfbench_traced_layers_all_fire(capsys, tmp_path):
                      ("bound", "--wedge", "1/5,1/7", "--n", "3", "--cache", cache),
                      ("grid", "--wedge", "1/5,0", "--n", "3", "--cache", cache),
                      ("search", "--wedge", "1/2,0", "--n", "1"),
-                     ("decompose", "--wedge", "1/5,1/7")):
+                     ("decompose", "--wedge", "1/5,1/7"),
+                     ("decompose", "--wedge", "0,0")):
             assert main(list(argv)) == 0, argv
     finally:
         tracer.close()

@@ -8,7 +8,7 @@ import subprocess
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,9 @@ from scipy.optimize import linprog
 from nldistill import (
     ANTI_PR,
     BinarySystem,
+    CHSH_EXPRESSIONS,
     LOCAL_VERTICES,
+    NONLOCAL_VERTICES,
     P_C,
     P_F,
     PR,
@@ -33,7 +35,7 @@ from nldistill import (
     wedge,
 )
 from nldistill import decompose, simplex
-from nldistill.boxes import CHSHExpression
+from nldistill.boxes import CHSHExpression, vertex_for_expression
 from nldistill.decompose import DecompositionError
 from nldistill.simplex import UnboundedError, solve_max
 from conftest import random_ns_box
@@ -369,8 +371,60 @@ def test_decomposition_tableau_entries_stay_below_2_32(monkeypatch):
 
     monkeypatch.setattr(simplex, "_pivot", measured)
     for box in boxes:
-        minimal_isotropic(box)
+        local_part(box)
     assert 0 < widest[0] < 2 ** 32
+
+
+def test_facet_map_pairs_each_off_support_entry_with_one_facet_vertex():
+    for expr in CHSH_EXPRESSIONS:
+        vertex = vertex_for_expression(expr)
+        off = [t for t in range(16) if vertex.table[t] == 0]
+        on_facet = [j for j, v in enumerate(LOCAL_VERTICES) if expr.evaluate(v) == 2]
+        pairs = decompose._FACET_MAP[expr]
+        assert len(off) == len(on_facet) == len(pairs) == 8
+        assert sorted(t for t, _ in pairs) == off
+        assert sorted(j for _, j in pairs) == on_facet
+        for t, j in pairs:
+            # t is the one entry of V_j off the support
+            assert [u for u in off if LOCAL_VERTICES[j].table[u]] == [t]
+
+
+def _sparse_mixtures(rng):
+    """Integer-weighted mixtures of one PR vertex and 1 to 5 of the 24
+    vertices, built on integer numerators over 2 * (sum of weights)."""
+    tables = [tuple(int(2 * e) for e in v.table)
+              for v in (*LOCAL_VERTICES, *NONLOCAL_VERTICES)]
+    while True:
+        picks = [rng.randrange(16, 24), *rng.sample(range(24), rng.randrange(1, 6))]
+        weights = [rng.randrange(1, 20) for _ in picks]
+        den = 2 * sum(weights)
+        yield BinarySystem(tuple(F(sum(w * tables[i][t] for w, i in zip(weights, picks)), den)
+                                 for t in range(16)))
+
+
+def test_closed_form_equals_the_lp_on_nonlocal_boxes():
+    # on every nonlocal box the closed form's weights, local part and slack
+    # are the LP's, and every field of the decomposition is the one the LP's
+    # weights give; the first 50 local boxes check the LP path alike
+    ref = json.loads(REFERENCE.read_text())
+    fixed = [BinarySystem.from_json_obj(obj) for obj in ref["boxes"].values()]
+    nonlocal_count = local_count = 0
+    facets = set()
+    for box in chain(fixed, _sparse_mixtures(random.Random(30))):
+        if nl_value(box)[0] > 2:
+            nonlocal_count += 1
+        elif local_count < 50:
+            local_count += 1
+        else:
+            continue
+        dec = minimal_isotropic(box)
+        want = scalar_kernels.lp_decomposition(box)
+        assert dec.lp == want.lp
+        assert dec == want
+        facets.add(dec.facet)
+        if nonlocal_count == 1500:
+            break
+    assert local_count == 50 and facets == {None, *CHSH_EXPRESSIONS}
 
 
 PR_FACET = CHSHExpression(0, 0, 1)
@@ -426,78 +480,100 @@ def _moved(facet, delta):
 
 
 def _residue_case():
-    """P = PR/2 + p_star/2, p_star = (M + P_F)/2 with M the vertices on the
-    CHSH facets of PR and of anchor (0, 1).  A certified LP of value 7/16 <
-    1/2 leaves a local mixture 7/16 * p2 with p2 local, so the remainder
-    still sits on PR; peeling P_F off p2 pushes the residue through the
-    anchor (0, 1) facet."""
-    other = CHSHExpression(0, 1, 1)
-    on_both = [v for v in LOCAL_VERTICES
-               if PR_FACET.evaluate(v) == 2 and other.evaluate(v) == 2]
-    p_star = mix([(F(1, 2), mix([(F(1, len(on_both)), v) for v in on_both])),
-                  (F(1, 2), P_F)])
-    box = mix([(F(1, 2), PR), (F(1, 2), p_star)])
-    s, low = F(1, 2), F(7, 16)
-    p2 = BinarySystem(tuple((s * e - (s - low) * v) / low
-                            for e, v in zip(p_star.table, PR.table)))
-    lp = local_part(p2)
-    assert lp.local_part == 1 and min(p2.table) >= 0
-    return box, _lp_weights(box, [low * w for w in lp.weights])
+    """A facet table that is nonlocal itself: P_F replaced by
+    F = PR'/2 + (V_5 + V_8)/4, with PR' = nonlocal_vertex(1, 0, 0).  On the
+    box below, NL(P_iso) reaches its expected value through the CHSH
+    expression of PR', and the residue is a valid box; but CHSH_PR(F) < 2,
+    so the residue's CHSH_PR value is above 2."""
+    nonlocal_facet = mix([(F(1, 2), NONLOCAL_VERTICES[4]),
+                          (F(1, 4), LOCAL_VERTICES[5]), (F(1, 4), LOCAL_VERTICES[8])])
+    box = mix([(F(1, 2), PR), (F(5, 24), LOCAL_VERTICES[5]),
+               (F(1, 12), LOCAL_VERTICES[3]), (F(5, 24), LOCAL_VERTICES[8])])
+    return box, _facet_edit(
+        lambda vertex, facet: (vertex, [int(8 * e) for e in nonlocal_facet.table]))
 
 
-RESIDUE_BOX, RESIDUE_LP = _residue_case()
+def _moved_weight(monkeypatch):
+    """A patch of the closed form: one unit of den(P) moves from the first
+    facet vertex's weight to the second's."""
+    real = decompose._facet_weights
+
+    def moved(numerators, expr):
+        w = real(numerators, expr)
+        (_, i), (_, j) = decompose._FACET_MAP[expr][:2]
+        w[i] -= 1
+        w[j] += 1
+        return w
+
+    monkeypatch.setattr(decompose, "_facet_weights", moved)
+
+
+def _nl_raised(monkeypatch):
+    """A patch that reads NL(P) one unit of den(P) too high."""
+    real = decompose.nl_value_int
+    monkeypatch.setattr(decompose, "nl_value_int",
+                        lambda t: (real(t)[0] + 1, real(t)[1]))
+
+
+def _negative_entry(box):
+    """``box`` with 1/10 moved from P(0,1|0,0) to P(1,0|0,0): both entries lie
+    off the PR support, and E_00, with it NL, stays."""
+    table = list(box.table)
+    table[1] -= F(1, 10)
+    table[2] += F(1, 10)
+    return BinarySystem(tuple(table))
+
+
+RESIDUE_BOX, RESIDUE_FACET = _residue_case()
 WEDGE = wedge(F(1, 5), F(1, 5))
+# a local box, den(P) = 16: only local boxes reach the LP
+LOCAL = wedge(0, F(1, 2))
 # each DecompositionError message, a box and the patch that breaks the
-# identity its check guards
-BROKEN = {
-    "simplex returned an uncertified optimum": [
-        (WEDGE, _lp_edit(reduced_costs=lambda res: (F(1),) + res.reduced_costs[1:])),
-        (WEDGE, _lp_edit(x=lambda res: (F(-1, 5),) + res.x[1:])),
-        (WEDGE, _lp_edit(value=lambda res: res.value + F(1, 5))),
-    ],
+# identity its check guards; the order keeps each case's test id
+BROKEN = [
+    ("simplex returned an uncertified optimum", LOCAL,
+     _lp_edit(reduced_costs=lambda res: (F(1),) + res.reduced_costs[1:])),
+    ("simplex returned an uncertified optimum", LOCAL,
+     _lp_edit(x=lambda res: (F(-1, 5),) + res.x[1:])),
+    ("simplex returned an uncertified optimum", LOCAL,
+     _lp_edit(value=lambda res: res.value + F(1, 5))),
     # one unit of den(P) on one slack
-    "LP slack fails to reconstruct the constraint": [
-        (WEDGE, _lp_edit(slack=lambda res: (res.slack[0] + F(1, 20),) + res.slack[1:])),
-    ],
-    "local part 3/4 < 1 for a box with NL = 2 <= 2": [(P_C, _lowered(P_C, F(1, 4)))],
-    # the lowered weight's vertex joins the remainder
-    "LP remainder is not proportional to the facet vertex": [
-        (WEDGE, _lowered(WEDGE, F(1, 20))),
-    ],
+    ("LP slack fails to reconstruct the constraint", LOCAL,
+     _lp_edit(slack=lambda res: (res.slack[0] + F(1, 16),) + res.slack[1:])),
+    ("local part 3/4 < 1 for a box with NL = 2 <= 2", P_C, _lowered(P_C, F(1, 4))),
+    # P(0,1|0,0) = -1/40 is the weight of a facet vertex
+    ("facet weight is negative", _negative_entry(WEDGE), lambda mp: None),
     # a uniform facet box has CHSH value 0, so NL(P_iso) = 4 eps
-    "isotropic component has inconsistent nonlocality": [
-        (WEDGE, _facet_edit(lambda vertex, facet: (vertex, [2] * 16))),
-    ],
+    ("isotropic component has inconsistent nonlocality", WEDGE,
+     _facet_edit(lambda vertex, facet: (vertex, [2] * 16))),
     # a facet box of mass 5/4 on the input pair (0, 0)
-    "local residue is not a valid box": [
-        (WEDGE, _facet_edit(lambda vertex, facet: (vertex, _moved(facet, 1)))),
-    ],
-    "local residue violates a CHSH facet": [(RESIDUE_BOX, RESIDUE_LP)],
-    # with every LP identity intact, only a box whose rows sum to 11/10 in
-    # place of 1 leaves a remainder of weight other than 1 - s
-    "decomposition does not reconstruct the box": [
-        (BinarySystem(tuple(F(11, 10) * e for e in WEDGE.table)), lambda mp: None),
-    ],
+    ("local residue is not a valid box", WEDGE,
+     _facet_edit(lambda vertex, facet: (vertex, _moved(facet, 1)))),
+    ("local residue violates a CHSH facet", RESIDUE_BOX, RESIDUE_FACET),
+    # a box whose rows sum to 11/10 in place of 1: the facet weights leave a
+    # remainder of mass other than 1 - s on the PR support
+    ("decomposition does not reconstruct the box",
+     BinarySystem(tuple(F(11, 10) * e for e in WEDGE.table)), lambda mp: None),
     # a facet box of mass 3/4 on the input pair (0, 0) fits into P_F with
     # weight 1, so q = 1, but eps*PR + (1 - eps)*facet is not the box
-    "q = 1 decomposition must equal the box": [
-        (wedge(F(1, 5), 0), _facet_edit(lambda vertex, facet: (vertex, _moved(facet, -1)))),
-    ],
-}
+    ("q = 1 decomposition must equal the box", wedge(F(1, 5), 0),
+     _facet_edit(lambda vertex, facet: (vertex, _moved(facet, -1)))),
+    ("decomposition does not reconstruct the box", WEDGE, _moved_weight),
+    ("facet weights do not sum to 2 - NL/2", WEDGE, _nl_raised),
+]
 
 
 def test_every_decomposition_raise_is_broken_below():
     source = Path(decompose.__file__).read_text()
     sites = re.findall(r'raise DecompositionError\(\s*f?"([^"]*)"', source)
-    assert len(sites) == 9
+    assert len(sites) == 10
     patterns = [re.sub(r"\\{[^}]*\\}", ".*", re.escape(site)) for site in sites]
     assert sorted(patterns) == sorted(
-        next(p for p in patterns if re.fullmatch(p, message)) for message in BROKEN)
+        next(p for p in patterns if re.fullmatch(p, message))
+        for message in {message for message, _, _ in BROKEN})
 
 
-@pytest.mark.parametrize("message, box, patch",
-                         [(m, box, patch) for m, cases in BROKEN.items()
-                          for box, patch in cases])
+@pytest.mark.parametrize("message, box, patch", BROKEN)
 def test_each_broken_identity_raises(monkeypatch, message, box, patch):
     patch(monkeypatch)
     with pytest.raises(DecompositionError, match=f"^{re.escape(message)}$"):
@@ -505,8 +581,8 @@ def test_each_broken_identity_raises(monkeypatch, message, box, patch):
 
 
 def test_decomposition_checks_survive_optimize_flag():
-    # the certificate and the reconstruction are raises, not asserts: they
-    # still fire under python -O
+    # the closed form's checks and the LP's certificate are raises, not
+    # asserts: they still fire under python -O
     code = """
 import dataclasses
 from fractions import Fraction
@@ -517,11 +593,18 @@ try:
     decompose.minimal_isotropic(BinarySystem(tuple(Fraction(11, 10) * e for e in box.table)))
 except decompose.DecompositionError as exc:
     print("raised", exc)
+table = list(box.table)
+table[1] -= Fraction(1, 10)
+table[2] += Fraction(1, 10)
+try:
+    decompose.minimal_isotropic(BinarySystem(tuple(table)))
+except decompose.DecompositionError as exc:
+    print("raised", exc)
 real = decompose.solve_max
 decompose.solve_max = lambda c, a, b: dataclasses.replace(
     real(c, a, b), reduced_costs=(Fraction(1),) + (Fraction(0),) * 15)
 try:
-    decompose.minimal_isotropic(box)
+    decompose.minimal_isotropic(wedge(0, Fraction(1, 2)))
 except decompose.DecompositionError as exc:
     print("raised", exc)
 """
@@ -531,5 +614,6 @@ except decompose.DecompositionError as exc:
     assert proc.stdout.splitlines() == [
         "debug False",
         "raised decomposition does not reconstruct the box",
+        "raised facet weight is negative",
         "raised simplex returned an uncertified optimum",
     ]
