@@ -32,8 +32,6 @@ from .decompose import (
     Decomposition,
     DecompositionError,
     LPResult,
-    facet_of,
-    facet_weight,
     local_part,
     minimal_isotropic,
 )
@@ -45,7 +43,6 @@ from .delta import (
 )
 from .protocols import (
     Protocol,
-    SideStrategy,
     WiringPlan,
     brute_force_D,
     enumerate_plans,
@@ -53,7 +50,6 @@ from .protocols import (
     nl_protocol,
     sandwich_check,
     trivial_protocol,
-    wiring_distribution,
     wiring_grid,
 )
 

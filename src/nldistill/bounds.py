@@ -102,8 +102,8 @@ def iso_bound(system: BinarySystem, n: int, *,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    form = is_isotropic(system)
-    if form is None:
+    eps = is_isotropic(system)
+    if eps is None:
         raise ValueError("the isotropic bound applies to isotropic systems only")
     tables = tables_for(system.prob(0, 0, 0, 0), n, tables)
     xp, xm, dpn, denom = _scan_inputs(tables, n)
@@ -116,7 +116,7 @@ def iso_bound(system: BinarySystem, n: int, *,
         raise AssertionError(
             f"witness profile {witness} evaluates to {check}, scan reported {raw}"
         )
-    nl = 2 * (1 + form.epsilon)  # NL(P), exactly (``is_isotropic``)
+    nl = 2 * (1 + eps)  # NL(P), exactly (``is_isotropic``)
     if raw < nl:
         raise AssertionError(
             f"bound {raw} fell below the trivial one-copy protocol's {nl}"

@@ -257,7 +257,6 @@ def _vertex_expression_map() -> dict[CHSHExpression, tuple[int, int, int]]:
 
 
 _EXPR_TO_VERTEX = _vertex_expression_map()
-_VERTEX_TO_EXPR = {bits: expr for expr, bits in _EXPR_TO_VERTEX.items()}
 
 
 def vertex_for_expression(expr: CHSHExpression) -> BinarySystem:
@@ -332,34 +331,23 @@ def validate(system: BinarySystem) -> ValidationReport:
     return validate_int(*system.integer_form)
 
 
-@dataclass(frozen=True)
-class IsotropicForm:
-    """P = weight * V + (1-weight) * V_opp with the dominant vertex V."""
-
-    epsilon: Fraction
-    weight: Fraction
-    expression: CHSHExpression
-    vertex: tuple[int, int, int]
-
-
 # per (alpha, beta): the entries where nonlocal_vertex(alpha, beta, 0) is
 # 1/2, and those where it is 0 (the support of the gamma = 1 vertex)
 _ISO_SUPPORTS = tuple(
-    ((alpha, beta),
-     tuple(i for i, e in enumerate(nonlocal_vertex(alpha, beta, 0).table) if e),
+    (tuple(i for i, e in enumerate(nonlocal_vertex(alpha, beta, 0).table) if e),
      tuple(i for i, e in enumerate(nonlocal_vertex(alpha, beta, 0).table) if not e))
     for alpha, beta in product(BITS, BITS))
 
 
-def is_isotropic(system: BinarySystem) -> Optional[IsotropicForm]:
+def is_isotropic(system: BinarySystem) -> Optional[Fraction]:
     """Recognize mixtures of opposite nonlocal vertices.
 
     Returns the wedge-convention parameter, i.e. epsilon such that
     NL(P) = 2*(1 + epsilon) exactly (negative for mixtures below the
-    facet), or None if P is not isotropic.
+    facet, 0 at P_F), or None if P is not isotropic.
     """
     t, d = system.integer_form
-    for (alpha, beta), on, off in _ISO_SUPPORTS:
+    for on, off in _ISO_SUPPORTS:
         n0, n1 = t[on[0]], t[off[0]]
         if any(t[i] != n0 for i in on) or any(t[i] != n1 for i in off):
             continue
@@ -367,9 +355,5 @@ def is_isotropic(system: BinarySystem) -> Optional[IsotropicForm]:
         # the gamma=1 vertex's support must hold (1 - q)/2
         if not 0 <= 2 * n0 <= d or 2 * n1 != d - 2 * n0:
             continue
-        gamma = 0 if 4 * n0 >= d else 1
-        weight = Fraction(max(2 * n0, d - 2 * n0), d)
-        epsilon = Fraction(2 * abs(4 * n0 - d) - d, d)  # 2*|2q - 1| - 1
-        return IsotropicForm(epsilon, weight, _VERTEX_TO_EXPR[alpha, beta, gamma],
-                             (alpha, beta, gamma))
+        return Fraction(2 * abs(4 * n0 - d) - d, d)  # 2*|2q - 1| - 1
     return None

@@ -75,7 +75,6 @@ from .boxes import (
     LOCAL_VERTICES,
     _idx,
     mix,
-    nl_value,
     nl_value_int,
     opposite_vertex,
     validate_int,
@@ -154,7 +153,6 @@ def _box(numerators: Sequence[int], den: int) -> BinarySystem:
 class LPResult:
     weights: tuple[Fraction, ...]  # one per local vertex, (alpha,beta,gamma,delta) order
     local_part: Fraction
-    slack: tuple[Fraction, ...]  # one per table entry constraint
 
 
 def local_part(system: BinarySystem) -> LPResult:
@@ -175,22 +173,7 @@ def local_part(system: BinarySystem) -> LPResult:
     for t, s in zip(_ROW_ENTRY, _numerators(res.slack, den)):
         if local[t] + s != numerators[t] * scale:
             raise DecompositionError("LP slack fails to reconstruct the constraint")
-    return LPResult(weights=weights, local_part=res.value, slack=res.slack)
-
-
-def facet_of(system: BinarySystem) -> tuple[CHSHExpression, BinarySystem, BinarySystem]:
-    """The violated CHSH expression with its nonlocal vertex and facet box P_F."""
-    nl, expr = nl_value(system)
-    if nl <= 2:
-        raise ValueError(f"NL(P) = {nl} <= 2: no violated CHSH facet")
-    return (expr, *(_box(t, _FACET_DEN) for t in _FACETS[expr]))
-
-
-def facet_weight(p_star: BinarySystem, p_f: BinarySystem) -> Fraction:
-    """Largest weight of p_f inside p_star: the minimum entry ratio."""
-    if any(e == 0 for e in p_f.table):
-        raise ValueError("facet box must be entry-wise positive")
-    return min(e / f for e, f in zip(p_star.table, p_f.table))
+    return LPResult(weights=weights, local_part=res.value)
 
 
 @dataclass(frozen=True)
@@ -202,7 +185,6 @@ class Decomposition:
     p_f: Optional[Fraction]
     facet: Optional[CHSHExpression]
     p_iso: Optional[BinarySystem]
-    p_star: Optional[BinarySystem]
     p_l: Optional[BinarySystem]
     lp: LPResult
     system_nl: Fraction
@@ -234,7 +216,7 @@ def minimal_isotropic(system: BinarySystem) -> Decomposition:
             )
         return Decomposition(
             epsilon=Fraction(0), q=Fraction(0), p_f=None, facet=None,
-            p_iso=None, p_star=system, p_l=system, lp=lp, system_nl=nl,
+            p_iso=None, p_l=system, lp=lp, system_nl=nl,
         )
     vertex, facet = _FACETS[expr]
     g = _FACET_DEN
@@ -248,18 +230,17 @@ def minimal_isotropic(system: BinarySystem) -> Decomposition:
         raise DecompositionError("decomposition does not reconstruct the box")
     if 2 * sigma != 4 * d - nl_num:
         raise DecompositionError("facet weights do not sum to 2 - NL/2")
-    lp = LPResult(weights=tuple(Fraction(wi, d) for wi in w), local_part=Fraction(sigma, d),
-                  slack=tuple(Fraction((d - sigma) * vertex[t], g * d) for t in _ROW_ENTRY))
+    lp = LPResult(weights=tuple(Fraction(wi, d) for wi in w), local_part=Fraction(sigma, d))
     if sigma > 0:
-        # p_star = b/sigma; p_f = min_t p_star_t / (facet_t/g) = g*m/(k*sigma)
-        # with m/k the least b_t / facet_t
+        # the normalized local mixture is P* = b/sigma; p_f = min_t P*_t /
+        # (facet_t/g) = g*m/(k*sigma) with m/k the least b_t / facet_t
         m, k = b[0], facet[0]
         for bt, ft in zip(b, facet):
             if bt * k < m * ft:
                 m, k = bt, ft
-        p_star, pf = _box(b, sigma), Fraction(g * m, k * sigma)
+        pf = Fraction(g * m, k * sigma)
     else:
-        (m, k), p_star, pf = (0, 1), None, None
+        (m, k), pf = (0, 1), None
     # q = s*p_f + 1 - s = qn/qd and eps = (1 - s)/q = en/qn
     en = k * (d - sigma)
     qn, qd = g * m + en, k * d
@@ -269,7 +250,7 @@ def minimal_isotropic(system: BinarySystem) -> Decomposition:
         raise DecompositionError("isotropic component has inconsistent nonlocality")
     p_l = None
     if qn < qd:
-        # P_L = (p_star - p_f*P_F) / (1 - p_f) = res / (k*sigma - g*m)
+        # P_L = (P* - p_f*P_F) / (1 - p_f) = res / (k*sigma - g*m)
         res = [k * bt - m * ft for bt, ft in zip(b, facet)]
         res_den = k * sigma - g * m
         if not validate_int(res, res_den).ok:
@@ -284,5 +265,5 @@ def minimal_isotropic(system: BinarySystem) -> Decomposition:
         raise DecompositionError("q = 1 decomposition must equal the box")
     return Decomposition(
         epsilon=Fraction(en, qn), q=Fraction(qn, qd), p_f=pf, facet=expr,
-        p_iso=_box(iso, g * qn), p_star=p_star, p_l=p_l, lp=lp, system_nl=nl,
+        p_iso=_box(iso, g * qn), p_l=p_l, lp=lp, system_nl=nl,
     )

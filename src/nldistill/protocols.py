@@ -6,7 +6,10 @@ outputs to the next box input) together with decision functions
 f_0, f_1, g_0, g_1 mapping the n collected bits to one output bit.
 Because the copies are independent and nonsignaling, the joint wiring
 distribution factorizes as W(a,b) = prod_i P(a_i, b_i | u_i(a), v_i(b)),
-with each side's box inputs determined by its own observed bits.
+with each side's box inputs determined by its own observed bits.  The
+simulation runs on the integer numerators of ``BinarySystem.integer_form``:
+a wiring entry is a product of n numerators over D^n, and Fractions are
+built only for the values returned.
 
 The exhaustive search exploits that the anchor-00 CHSH sum of a protocol
 is linear in four independent choices (Alice's per-input wiring plus
@@ -26,6 +29,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
+from math import prod
+from operator import mul
 from typing import Optional
 
 import numpy as np
@@ -73,18 +78,10 @@ class WiringPlan:
 
 
 @dataclass(frozen=True)
-class SideStrategy:
-    plans: tuple[WiringPlan, WiringPlan]  # for protocol input 0 and 1
-
-    def plan(self, x: int) -> WiringPlan:
-        return self.plans[x]
-
-
-@dataclass(frozen=True)
 class Protocol:
     n: int
-    alice: SideStrategy
-    bob: SideStrategy
+    alice: tuple[WiringPlan, WiringPlan]  # for protocol input 0 and 1
+    bob: tuple[WiringPlan, WiringPlan]
     f: tuple[tuple[int, ...], tuple[int, ...]]  # truth tables, length 2^n
     g: tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -95,7 +92,7 @@ class Protocol:
                 raise ValueError(f"decision tables must be 0/1 tuples of length {want}")
 
     def to_json_obj(self) -> dict:
-        def side(s: SideStrategy) -> list[dict]:
+        def side(plans: tuple[WiringPlan, WiringPlan]) -> list[dict]:
             return [
                 {
                     "order": list(p.order),
@@ -104,7 +101,7 @@ class Protocol:
                         for t in range(len(p.order))
                     ],
                 }
-                for p in s.plans
+                for p in plans
             ]
 
         return {
@@ -125,8 +122,8 @@ class Protocol:
 
         return cls(
             n=obj["n"],
-            alice=SideStrategy(tuple(plan(r) for r in obj["alice"])),
-            bob=SideStrategy(tuple(plan(r) for r in obj["bob"])),
+            alice=tuple(plan(r) for r in obj["alice"]),
+            bob=tuple(plan(r) for r in obj["bob"]),
             f=tuple(tuple(tt) for tt in obj["f"]),
             g=tuple(tuple(tt) for tt in obj["g"]),
         )
@@ -137,7 +134,7 @@ def trivial_protocol(n: int = 1) -> Protocol:
     plan0 = WiringPlan(order=tuple(range(n)), steps=(0,) * n)
     plan1 = WiringPlan(order=tuple(range(n)),
                        steps=tuple((1 << (1 << t)) - 1 for t in range(n)))
-    side = SideStrategy((plan0, plan1))
+    side = (plan0, plan1)
     table = tuple((a >> (n - 1)) & 1 for a in range(1 << n))
     return Protocol(n=n, alice=side, bob=side, f=(table, table), g=(table, table))
 
@@ -162,79 +159,66 @@ def _bits(value: int, n: int) -> tuple[int, ...]:
 
 def wiring_grid(system: BinarySystem, plan_a: WiringPlan,
                 plan_b: WiringPlan) -> np.ndarray:
-    """Exact 2^n x 2^n outcome distribution of one fixed wiring pair."""
+    """Outcome distribution of one fixed wiring pair: 2^n x 2^n Python-int
+    numerators over D^n, where (nums, D) = ``system.integer_form``.  Entry
+    (a, b) is the product over the copies i of nums[u_i*8 + v_i*4 + a_i*2 + b_i],
+    with u and v the box inputs the plans feed on outputs a and b."""
+    nums, _ = system.integer_form
     n = len(plan_a.order)
-    size = 1 << n
-    grid = np.empty((size, size), dtype=object)
-    a_inputs = [plan_a.box_inputs(_bits(a, n)) for a in range(size)]
-    b_inputs = [plan_b.box_inputs(_bits(b, n)) for b in range(size)]
-    for a in range(size):
-        abits = _bits(a, n)
-        for b in range(size):
-            bbits = _bits(b, n)
-            w = Fraction(1)
-            v = b_inputs[b]
-            u = a_inputs[a]
-            for i in range(n):
-                w *= system.prob(abits[i], bbits[i], u[i], v[i])
-            grid[a, b] = w
-    return grid
+    outputs = [_bits(o, n) for o in range(1 << n)]
+    rows = [[8 * u + 2 * a for u, a in zip(plan_a.box_inputs(bits), bits)] for bits in outputs]
+    cols = [[4 * v + b for v, b in zip(plan_b.box_inputs(bits), bits)] for bits in outputs]
+    return np.array([[prod(nums[i + j] for i, j in zip(r, c)) for c in cols] for r in rows],
+                    dtype=object)
 
 
-def wiring_distribution(system: BinarySystem, protocol: Protocol,
-                        x: int, y: int) -> np.ndarray:
-    """W^{xy} for the protocol: both sides condition their plans on x, y."""
-    return wiring_grid(system, protocol.alice.plan(x), protocol.bob.plan(y))
+def _f_t_w_g(f: tuple[int, ...], g: tuple[int, ...], rows: list[list[int]]) -> int:
+    """f^T W g for the rows of a grid W of integer numerators."""
+    return sum(w for fa, row in zip(f, rows) if fa for gb, w in zip(g, row) if gb)
 
 
-def inner_product(f: tuple[int, ...], g: tuple[int, ...],
-                  grid: np.ndarray) -> Fraction:
-    """<f,g> = (1-2f)^T W (1-2g), exactly.
+def _signed_sum(f: tuple[int, ...], g: tuple[int, ...],
+                grid: np.ndarray) -> tuple[int, int]:
+    """(1-2f)^T W (1-2g) and the sum of W, for a grid W of integer numerators.
 
     The expansion identity
-    <f,g> = 1 - k/2^(n-1) - l/2^(n-1) + 4 f^T W g is re-verified whenever
-    the wiring has uniform output marginals (always the case for wirings
-    of isotropic boxes, where the identity is used).
+    <f,g> = 1 - k/2^(n-1) - l/2^(n-1) + 4 f^T W g / sum(W) is re-verified,
+    multiplied through by 2^n sum(W), whenever the wiring has uniform output
+    marginals (always the case for wirings of isotropic boxes, where the
+    identity is used).
     """
     size = grid.shape[0]
     if len(f) != size or len(g) != size or grid.shape[1] != size:
         raise ValueError("decision table and wiring dimensions differ")
-    total = Fraction(0)
-    ftwg = Fraction(0)
-    row = [Fraction(0)] * size
-    col = [Fraction(0)] * size
-    for a in range(size):
-        sa = 1 - 2 * f[a]
-        for b in range(size):
-            w = grid[a, b]
-            total += sa * (1 - 2 * g[b]) * w
-            row[a] += w
-            col[b] += w
-            if f[a] and g[b]:
-                ftwg += w
-    unif = Fraction(1, size)
-    if all(r == unif for r in row) and all(c == unif for c in col):
-        k, l = sum(f), sum(g)
-        expansion = 1 - Fraction(2 * k, size) - Fraction(2 * l, size) + 4 * ftwg
-        if expansion != total:
-            raise AssertionError(
-                f"inner-product expansion identity failed: {expansion} != {total}"
-            )
-    return total
+    rows = grid.tolist()
+    signs = [1 - 2 * gb for gb in g]
+    total = sum((1 - 2 * fa) * sum(map(mul, signs, row)) for fa, row in zip(f, rows))
+    margins = [sum(row) for row in rows] + [sum(col) for col in zip(*rows)]
+    den = sum(margins[:size])
+    if all(size * m == den for m in margins):
+        expansion = (size - 2 * sum(f) - 2 * sum(g)) * den + 4 * size * _f_t_w_g(f, g, rows)
+        if expansion != size * total:
+            raise AssertionError(f"inner-product expansion identity failed: "
+                                 f"{expansion} != {size * total} over {size * den}")
+    return total, den
+
+
+def inner_product(f: tuple[int, ...], g: tuple[int, ...],
+                  grid: np.ndarray) -> Fraction:
+    """<f,g> = (1-2f)^T W (1-2g) / sum(W), exactly, for a ``wiring_grid`` W;
+    ``_signed_sum`` re-checks the expansion identity."""
+    return Fraction(*_signed_sum(f, g, grid))
 
 
 def nl_protocol(system: BinarySystem, protocol: Protocol) -> Fraction:
-    """CHSH value of the box a protocol simulates (max over the 4 anchors)."""
-    ips = {}
-    for x, y in product((0, 1), (0, 1)):
-        grid = wiring_distribution(system, protocol, x, y)
-        ips[x, y] = inner_product(protocol.f[x], protocol.g[y], grid)
-    best = None
-    for x, y in product((0, 1), (0, 1)):
-        v = abs(ips[x, y] + ips[1 - x, y] + ips[x, 1 - y] - ips[1 - x, 1 - y])
-        if best is None or v > best:
-            best = v
-    return best
+    """CHSH value of the box a protocol simulates (max over the 4 anchors),
+    summed in integer numerators over D^n."""
+    ips = {(x, y): _signed_sum(protocol.f[x], protocol.g[y],
+                               wiring_grid(system, protocol.alice[x], protocol.bob[y]))[0]
+           for x, y in product((0, 1), (0, 1))}
+    best = max(abs(ips[x, y] + ips[1 - x, y] + ips[x, 1 - y] - ips[1 - x, 1 - y])
+               for x, y in product((0, 1), (0, 1)))
+    return Fraction(best, system.integer_form[1] ** protocol.n)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +292,8 @@ def _atom_protocol(n: int, plans: list[WiringPlan], n_tables: int,
     pb1, g1 = split(b1)
     return Protocol(
         n=n,
-        alice=SideStrategy((pa0, pa1)),
-        bob=SideStrategy((pb0, pb1)),
+        alice=(pa0, pa1),
+        bob=(pb0, pb1),
         f=(f0, f1), g=(g0, g1),
     )
 
@@ -318,7 +302,11 @@ def brute_force_D(system: BinarySystem, n: int) -> SearchResult:
     """Exact D(n, P) for n in {1, 2} by complete protocol enumeration.
 
     The scan takes the complement reduction: it fixes f_0 on the all-zeros
-    string and drops the modulus (module docstring).
+    string and drops the modulus (module docstring).  ``nl_protocol``
+    re-checks the witness by simulating it.  The check is independent of the
+    search: it shares only ``integer_form``, ``_bits`` and
+    ``WiringPlan.box_inputs`` with ``_wiring_numerators``, which computes the
+    same products.
     """
     if n not in (1, 2):
         raise ValueError("exhaustive search is feasible for n in {1, 2} only")
@@ -375,17 +363,6 @@ class SandwichReport:
         return not self.violations
 
 
-def _f_t_w_g(f_mask: int, g_mask: int, grid: np.ndarray) -> Fraction:
-    total = Fraction(0)
-    size = grid.shape[0]
-    for a in range(size):
-        if (f_mask >> a) & 1:
-            for b in range(size):
-                if (g_mask >> b) & 1:
-                    total += grid[a, b]
-    return total
-
-
 def sandwich_check(system: BinarySystem, n: int, *,
                    samples: Optional[int] = 10_000, seed: int = 0,
                    tables: Optional[DeltaTables] = None) -> SandwichReport:
@@ -404,13 +381,9 @@ def sandwich_check(system: BinarySystem, n: int, *,
     plans = enumerate_plans(n)
     size = 1 << n
     n_tables = 1 << size
+    decisions = [tuple((m >> a) & 1 for a in range(size)) for m in range(n_tables)]
+    scale = system.integer_form[1] ** n
     grids = {}
-
-    def grid_for(ia: int, ib: int) -> np.ndarray:
-        if (ia, ib) not in grids:
-            grids[ia, ib] = wiring_grid(system, plans[ia], plans[ib])
-        return grids[ia, ib]
-
     violations = []
     exhaustive = n == 1 or samples is None
     if exhaustive:
@@ -429,18 +402,15 @@ def sandwich_check(system: BinarySystem, n: int, *,
         ]
         used_seed = seed
     for ia, ib, fm, gm in cases:
-        grid = grid_for(ia, ib)
-        k = fm.bit_count()
-        l = gm.bit_count()
-        v = _f_t_w_g(fm, gm, grid)
+        if (ia, ib) not in grids:
+            grids[ia, ib] = wiring_grid(system, plans[ia], plans[ib]).tolist()
+        f, g = decisions[fm], decisions[gm]
+        k, l = fm.bit_count(), gm.bit_count()
+        v = Fraction(_f_t_w_g(f, g, grids[ia, ib]), scale)
         lo = tables.delta("-", n, k, l)
         hi = tables.delta("+", n, k, l)
         if not lo <= v <= hi:
-            violations.append(SandwichViolation(
-                plan_a=plans[ia], plan_b=plans[ib],
-                f=tuple((fm >> a) & 1 for a in range(size)),
-                g=tuple((gm >> b) & 1 for b in range(size)),
-                value=v, lower=lo, upper=hi,
-            ))
+            violations.append(SandwichViolation(plan_a=plans[ia], plan_b=plans[ib], f=f, g=g,
+                                                value=v, lower=lo, upper=hi))
     return SandwichReport(n=n, checked=len(cases), exhaustive=exhaustive,
                           seed=used_seed, violations=tuple(violations))

@@ -50,7 +50,7 @@ from nldistill.boxes import (
     opposite_vertex,
     vertex_for_expression,
 )
-from nldistill.decompose import Decomposition, facet_weight, local_part
+from nldistill.decompose import Decomposition, local_part
 from nldistill.protocols import _bits, _plan_input_table
 from nldistill.simplex import SimplexResult, UnboundedError
 
@@ -396,7 +396,7 @@ def lp_decomposition(system):
     nl, expr = nl_value(system)
     if s == 1:
         return Decomposition(epsilon=Fraction(0), q=Fraction(0), p_f=None, facet=None,
-                             p_iso=None, p_star=system, p_l=system, lp=lp, system_nl=nl)
+                             p_iso=None, p_l=system, lp=lp, system_nl=nl)
     vertex = vertex_for_expression(expr)
     p_facet = mix([(Fraction(3, 4), vertex), (Fraction(1, 4), opposite_vertex(expr))])
     # the local vertices are 0/1 tables
@@ -408,7 +408,8 @@ def lp_decomposition(system):
     q = 1 - s
     if s > 0:
         p_star = BinarySystem(tuple(m / s for m in local))
-        p_f = facet_weight(p_star, p_facet)
+        # the largest weight of P_F inside p_star: the least entry ratio
+        p_f = min(e / f for e, f in zip(p_star.table, p_facet.table))
         q += s * p_f
     eps = (1 - s) / q
     p_l = None
@@ -417,4 +418,4 @@ def lp_decomposition(system):
                                  for e, f in zip(p_star.table, p_facet.table)))
     return Decomposition(epsilon=eps, q=q, p_f=p_f, facet=expr,
                          p_iso=mix([(eps, vertex), (1 - eps, p_facet)]),
-                         p_star=p_star, p_l=p_l, lp=lp, system_nl=nl)
+                         p_l=p_l, lp=lp, system_nl=nl)

@@ -190,15 +190,15 @@ def test_nl_invariant_under_joint_output_flip():
 
 
 def test_is_isotropic_cases():
-    form = is_isotropic(wedge(F(1, 5), 0))
-    assert form is not None and form.epsilon == F(1, 5)
+    assert is_isotropic(wedge(F(1, 5), 0)) == F(1, 5)
     assert is_isotropic(wedge(F(1, 5), F(1, 5))) is None
-    pr_form = is_isotropic(PR)
-    assert pr_form is not None and pr_form.epsilon == 1
+    assert is_isotropic(PR) == 1
+    # P_F sits on the facet: epsilon 0, a falsy value that callers must
+    # tell from None
+    assert is_isotropic(P_F) == 0
     # fully mixed box: isotropic with NL = 0, wedge parameter -1
     white = mix([(F(1, 2), PR), (F(1, 2), ANTI_PR)])
-    form = is_isotropic(white)
-    assert form is not None and form.epsilon == -1
+    assert is_isotropic(white) == -1
     assert nl_value(white)[0] == 0
 
 
@@ -209,9 +209,9 @@ def test_isotropic_epsilon_matches_nl():
         alpha, beta = rng.randrange(2), rng.randrange(2)
         box = mix([(q, nonlocal_vertex(alpha, beta, 0)),
                    (1 - q, nonlocal_vertex(alpha, beta, 1))])
-        form = is_isotropic(box)
-        assert form is not None
-        assert nl_value(box)[0] == 2 * (1 + form.epsilon)
+        eps = is_isotropic(box)
+        assert eps is not None
+        assert nl_value(box)[0] == 2 * (1 + eps)
 
 
 def test_json_round_trip_and_decimal_strings():

@@ -25,8 +25,6 @@ from nldistill import (
     P_C,
     P_F,
     PR,
-    facet_of,
-    facet_weight,
     local_part,
     minimal_isotropic,
     mix,
@@ -241,41 +239,6 @@ def test_lp_against_scipy():
         assert abs(float(exact) + res.fun) < 1e-9
 
 
-def test_facet_of_pr_and_wedge():
-    expr, p_nl, p_f = facet_of(PR)
-    assert (expr.x, expr.y, expr.sign) == (0, 0, 1)
-    assert p_nl == PR
-    assert p_f == P_F
-    expr2, p_nl2, _ = facet_of(wedge(F(1, 3), F(1, 5)))
-    assert expr2 == expr and p_nl2 == PR
-    with pytest.raises(ValueError):
-        facet_of(P_C)
-
-
-def test_facet_of_relabeled_box():
-    # flipping Alice's output turns PR into anti-PR, so the wedge built on
-    # PR moves to the opposite sign branch of the same anchor
-    w = wedge(F(1, 4), F(1, 8))
-    flipped = BinarySystem(tuple(
-        w.prob(1 - a, b, x, y)
-        for x, y, a, b in product((0, 1), repeat=4)
-    ))
-    assert validate(flipped).ok
-    expr, p_nl, _ = facet_of(flipped)
-    assert (expr.x, expr.y, expr.sign) == (0, 0, -1)
-    assert p_nl == ANTI_PR
-
-
-def test_facet_weight_cases():
-    assert facet_weight(P_F, P_F) == 1
-    assert facet_weight(P_C, P_F) == 0
-    for q in (F(1, 4), F(1, 2), F(9, 10)):
-        p_star = mix([(q, P_C), (1 - q, P_F)])
-        assert facet_weight(p_star, P_F) == 1 - q
-    with pytest.raises(ValueError):
-        facet_weight(P_F, PR)
-
-
 def test_minimal_isotropic_fixed_point():
     for eps in (F(1, 5), F(1, 2), F(9, 10)):
         dec = minimal_isotropic(wedge(eps, 0))
@@ -403,8 +366,8 @@ def _sparse_mixtures(rng):
 
 
 def test_closed_form_equals_the_lp_on_nonlocal_boxes():
-    # on every nonlocal box the closed form's weights, local part and slack
-    # are the LP's, and every field of the decomposition is the one the LP's
+    # on every nonlocal box the closed form's weights and local part are
+    # the LP's, and every field of the decomposition is the one the LP's
     # weights give; the first 50 local boxes check the LP path alike
     ref = json.loads(REFERENCE.read_text())
     fixed = [BinarySystem.from_json_obj(obj) for obj in ref["boxes"].values()]

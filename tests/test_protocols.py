@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -17,7 +19,6 @@ from nldistill import (
     NONLOCAL_VERTICES,
     PR,
     Protocol,
-    SideStrategy,
     WiringPlan,
     brute_force_D,
     build_tables,
@@ -31,7 +32,6 @@ from nldistill import (
     sandwich_check,
     trivial_protocol,
     wedge,
-    wiring_distribution,
     wiring_grid,
 )
 from nldistill.protocols import _atom_protocol, _half_atom_vectors, _wiring_numerators
@@ -42,12 +42,12 @@ from conftest import random_nonlocal_box, random_ns_box
 F = Fraction
 
 
-def both_inputs_side(n=2) -> SideStrategy:
+def both_inputs_side(n=2) -> tuple[WiringPlan, WiringPlan]:
     """Feed the protocol input into every box, in index order."""
     plan0 = WiringPlan(order=tuple(range(n)), steps=(0,) * n)
     plan1 = WiringPlan(order=tuple(range(n)),
                        steps=tuple((1 << (1 << t)) - 1 for t in range(n)))
-    return SideStrategy((plan0, plan1))
+    return plan0, plan1
 
 
 def random_protocol(rng: random.Random, n: int = 2) -> Protocol:
@@ -57,8 +57,8 @@ def random_protocol(rng: random.Random, n: int = 2) -> Protocol:
     def table() -> tuple[int, ...]:
         return tuple(rng.randrange(2) for _ in range(size))
 
-    def side() -> SideStrategy:
-        return SideStrategy((rng.choice(plans), rng.choice(plans)))
+    def side() -> tuple[WiringPlan, WiringPlan]:
+        return rng.choice(plans), rng.choice(plans)
 
     return Protocol(n=n, alice=side(), bob=side(),
                     f=(table(), table()), g=(table(), table()))
@@ -66,6 +66,17 @@ def random_protocol(rng: random.Random, n: int = 2) -> Protocol:
 
 def complement(tt: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(1 - b for b in tt)
+
+
+def probabilities(box, grid):
+    """A wiring grid's integer numerators divided by D^n."""
+    scale = box.integer_form[1] ** (grid.shape[0].bit_length() - 1)
+    return np.array([[F(w, scale) for w in row] for row in grid.tolist()], dtype=object)
+
+
+def distribution(box, proto, x, y):
+    """W^{xy} of the protocol as probabilities."""
+    return probabilities(box, wiring_grid(box, proto.alice[x], proto.bob[y]))
 
 
 def test_plan_count_and_validation():
@@ -83,7 +94,7 @@ def test_wiring_single_copy_is_the_box():
     w = wedge(F(1, 5), F(1, 10))
     proto = trivial_protocol(1)
     for x, y in product((0, 1), (0, 1)):
-        grid = wiring_distribution(w, proto, x, y)
+        grid = distribution(w, proto, x, y)
         for a, b in product((0, 1), (0, 1)):
             assert grid[a, b] == w.prob(a, b, x, y)
 
@@ -92,7 +103,7 @@ def test_wiring_two_pr_copies_uniform_on_xor():
     proto = Protocol(n=2, alice=both_inputs_side(), bob=both_inputs_side(),
                      f=((0,) * 4,) * 2, g=((0,) * 4,) * 2)
     for x, y in product((0, 1), (0, 1)):
-        grid = wiring_distribution(PR, proto, x, y)
+        grid = distribution(PR, proto, x, y)
         for a in range(4):
             for b in range(4):
                 want = F(1, 4) if (a ^ b) == (3 if x and y else 0) else F(0)
@@ -105,7 +116,7 @@ def test_wiring_grids_normalized_and_nonsignaling():
         box = random_ns_box(rng)
         proto = random_protocol(rng)
         grids = {
-            (x, y): wiring_distribution(box, proto, x, y)
+            (x, y): distribution(box, proto, x, y)
             for x, y in product((0, 1), (0, 1))
         }
         for grid in grids.values():
@@ -128,12 +139,13 @@ def test_disordered_wiring_still_normalizes():
     rng = random.Random(22)
     for _ in range(5):
         box = random_ns_box(rng)
-        grid = wiring_grid(box, plan_a, plan_b)
+        grid = probabilities(box, wiring_grid(box, plan_a, plan_b))
         assert sum(grid.ravel()) == 1
 
 
 def test_inner_product_basics():
-    w = wiring_distribution(PR, trivial_protocol(1), 1, 1)
+    proto = trivial_protocol(1)
+    w = wiring_grid(PR, proto.alice[1], proto.bob[1])
     assert inner_product((0, 1), (0, 1), w) == -1
     assert inner_product((0, 0), (0, 0), w) == 1
     assert inner_product((1, 0), (0, 1), w) == 1
@@ -141,7 +153,7 @@ def test_inner_product_basics():
     for _ in range(10):
         proto = random_protocol(rng)
         box = random_ns_box(rng)
-        grid = wiring_distribution(box, proto, 0, 1)
+        grid = wiring_grid(box, proto.alice[0], proto.bob[1])
         f, g = proto.f[0], proto.g[1]
         assert inner_product(complement(f), g, grid) == -inner_product(f, g, grid)
     with pytest.raises(ValueError):
@@ -154,14 +166,78 @@ def test_expansion_identity_on_isotropic_wirings():
     size = 4
     for _ in range(30):
         proto = random_protocol(rng)
-        grid = wiring_distribution(box, proto, rng.randrange(2), rng.randrange(2))
+        grid = wiring_grid(box, proto.alice[rng.randrange(2)], proto.bob[rng.randrange(2)])
         f = tuple(rng.randrange(2) for _ in range(size))
         g = tuple(rng.randrange(2) for _ in range(size))
         k, l = sum(f), sum(g)
-        ftwg = sum(grid[a, b] for a in range(size) for b in range(size)
+        w = probabilities(box, grid)
+        ftwg = sum(w[a, b] for a in range(size) for b in range(size)
                    if f[a] and g[b])
         assert inner_product(f, g, grid) == \
             1 - F(k, 2) - F(l, 2) + 4 * ftwg
+
+
+def test_inner_product_is_the_ip_table_entry():
+    # <f, g> * D^n of the simulation equals the independent integer entry of
+    # scalar_kernels.ip_table: every plan pair and (f, g) at n = 1, a seeded
+    # sample at n = 2, on random boxes
+    rng = random.Random(32)
+    boxes = [random_ns_box(rng), random_nonlocal_box(rng), random_ns_box(rng)]
+    for n in (1, 2):
+        plans = enumerate_plans(n)
+        size = 1 << n
+        n_tables = 1 << size
+        cells = list(product(range(len(plans)), range(len(plans)),
+                             range(n_tables), range(n_tables)))
+        if n == 2:
+            cells = rng.sample(cells, 500)
+        for box in boxes:
+            t = scalar_kernels.ip_table(box, plans, n, np.int64)
+            scale = box.integer_form[1] ** n
+            for pa, pb, fm, gm in cells:
+                f = tuple((fm >> a) & 1 for a in range(size))
+                g = tuple((gm >> b) & 1 for b in range(size))
+                ip = inner_product(f, g, wiring_grid(box, plans[pa], plans[pb]))
+                assert ip * scale == t[pa * n_tables + fm, pb * n_tables + gm]
+
+
+BROKEN_SIMULATION = """
+from fractions import Fraction
+from nldistill import brute_force_D, inner_product, kernels, protocols, wedge, wiring_grid
+print("debug", __debug__)
+box = wedge(Fraction(1, 5), 0)
+plans = protocols.enumerate_plans(2)
+grid = wiring_grid(box, plans[5], plans[9])
+real_ftwg = protocols._f_t_w_g
+protocols._f_t_w_g = lambda f, g, rows: real_ftwg(f, g, rows) + 1
+try:
+    inner_product((0, 1, 1, 0), (1, 1, 0, 1), grid)
+except AssertionError as exc:
+    print("raised", exc)
+protocols._f_t_w_g = real_ftwg
+real_scan = kernels.bilinear_scan
+def moved(u, scale):
+    best, witness, survivors = real_scan(u, scale)
+    return best + 1, witness, survivors
+kernels.bilinear_scan = moved
+try:
+    brute_force_D(box, 2)
+except AssertionError as exc:
+    print("raised", exc)
+"""
+
+
+def test_simulation_checks_survive_optimize_flag():
+    # an f^T W g sum one unit off breaks the expansion identity, and a scan
+    # value one unit off disagrees with the simulated witness; both checks
+    # raise even under python -O, which strips assert statements
+    proc = subprocess.run([sys.executable, "-O", "-c", BROKEN_SIMULATION],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "debug False"
+    assert lines[1].startswith("raised inner-product expansion identity failed:")
+    assert lines[2] == "raised witness protocol evaluates to 12/5, scan reported 241/100"
 
 
 def test_nl_protocol_trivial_and_xor():
@@ -214,8 +290,8 @@ def test_brute_force_matches_direct_enumeration_n1():
         best = F(0)
         tables = list(product((0, 1), (0, 1)))
         for pa0, pa1, pb0, pb1 in product(range(2), repeat=4):
-            alice = SideStrategy((plans[pa0], plans[pa1]))
-            bob = SideStrategy((plans[pb0], plans[pb1]))
+            alice = (plans[pa0], plans[pa1])
+            bob = (plans[pb0], plans[pb1])
             for f0, f1, g0, g1 in product(tables, repeat=4):
                 proto = Protocol(n=1, alice=alice, bob=bob,
                                  f=(f0, f1), g=(g0, g1))
