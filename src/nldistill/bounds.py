@@ -227,11 +227,10 @@ def envelope_bound(system: BinarySystem, n: int, dec: Decomposition,
     )
 
 
-def general_bound(system: BinarySystem, n: int, *,
-                  tables: Optional[DeltaTables] = None) -> BoundReport:
+def general_bound(system: BinarySystem, n: int) -> BoundReport:
     """General bound: reduce to the minimal isotropic envelope, then bound it."""
     if n < 1:
         raise ValueError("n must be >= 1")
     dec = minimal_isotropic(system)
-    envelope = None if dec.epsilon == 0 else iso_bound(dec.p_iso, n, tables=tables)
+    envelope = None if dec.epsilon == 0 else iso_bound(dec.p_iso, n)
     return envelope_bound(system, n, dec, envelope)

@@ -29,11 +29,15 @@ def rational(value: RationalLike) -> Fraction:
     """Convert ints, "num/den" strings or exact decimal strings to Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value.strip())
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _is_list(value, length: int) -> bool:
+    return isinstance(value, list) and len(value) == length
 
 
 def _idx(a: int, b: int, x: int, y: int) -> int:
@@ -87,6 +91,9 @@ class BinarySystem:
     def from_json_obj(cls, obj: dict) -> "BinarySystem":
         try:
             rows = obj["p"]
+            if not (_is_list(rows, 2) and all(_is_list(row, 2) for row in rows)
+                    and all(_is_list(cell, 4) for row in rows for cell in row)):
+                raise ValueError('"p" must be 2 x 2 lists of 4 entries')
             entries = [None] * 16
             for x, y, a, b in product(BITS, BITS, BITS, BITS):
                 entries[_idx(a, b, x, y)] = rational(rows[x][y][a * 2 + b])

@@ -25,8 +25,7 @@ dtype, "int64" on both integer widths.
 """
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from math import prod
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import kernels
 from .boxes import BinarySystem, is_isotropic, nl_value
-from .delta import DeltaTables, tables_for
+from .delta import build_tables
 
 
 # ---------------------------------------------------------------------------
@@ -354,63 +353,47 @@ class SandwichViolation:
 class SandwichReport:
     n: int
     checked: int
-    exhaustive: bool
-    seed: Optional[int]
-    violations: tuple[SandwichViolation, ...] = field(default=())
+    violations: tuple[SandwichViolation, ...]
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def sandwich_check(system: BinarySystem, n: int, *,
-                   samples: Optional[int] = 10_000, seed: int = 0,
-                   tables: Optional[DeltaTables] = None) -> SandwichReport:
-    """Verify delta_n^-(k,l) <= f^T W g <= delta_n^+(k,l) on real wirings.
+def sandwich_check(system: BinarySystem, n: int) -> SandwichReport:
+    """Verify delta_n^-(k,l) <= f^T W g <= delta_n^+(k,l) on every wiring
+    pair and decision pair (f, g), k = |f| and l = |g|: 64 cases at n = 1,
+    2^16 at n = 2.  The system must be isotropic (the sandwich is only
+    claimed there).
 
-    Always exhaustive for n = 1; for n = 2 a seeded sample of (wiring
-    pair, f, g) triples, or the complete 2^16-case enumeration when
-    ``samples`` is None.  The system must be isotropic (the sandwich is
-    only claimed there), and given ``tables`` must be at its p and reach n.
+    One gather gives the wiring numerators over scale = D^n and one einsum
+    with the 0/1 decision matrix every f^T W g.  Each is compared with the
+    level-n numerators over den = (2*den(p))^n by cross multiplication;
+    Fractions are built only for violations.
     """
     if n not in (1, 2):
         raise ValueError("sandwich check supports n in {1, 2}")
     if is_isotropic(system) is None:
         raise ValueError("sandwich property applies to isotropic systems")
-    tables = tables_for(system.prob(0, 0, 0, 0), n, tables)
+    tables = build_tables(system.prob(0, 0, 0, 0), n)
     plans = enumerate_plans(n)
     size = 1 << n
-    n_tables = 1 << size
-    decisions = [tuple((m >> a) & 1 for a in range(size)) for m in range(n_tables)]
     scale = system.integer_form[1] ** n
-    grids = {}
-    violations = []
-    exhaustive = n == 1 or samples is None
-    if exhaustive:
-        cases = [
-            (ia, ib, fm, gm)
-            for ia in range(len(plans)) for ib in range(len(plans))
-            for fm in range(n_tables) for gm in range(n_tables)
-        ]
-        used_seed = None
-    else:
-        rng = random.Random(seed)
-        cases = [
-            (rng.randrange(len(plans)), rng.randrange(len(plans)),
-             rng.randrange(n_tables), rng.randrange(n_tables))
-            for _ in range(samples)
-        ]
-        used_seed = seed
-    for ia, ib, fm, gm in cases:
-        if (ia, ib) not in grids:
-            grids[ia, ib] = wiring_grid(system, plans[ia], plans[ib]).tolist()
-        f, g = decisions[fm], decisions[gm]
-        k, l = fm.bit_count(), gm.bit_count()
-        v = Fraction(_f_t_w_g(f, g, grids[ia, ib]), scale)
-        lo = tables.delta("-", n, k, l)
-        hi = tables.delta("+", n, k, l)
-        if not lo <= v <= hi:
-            violations.append(SandwichViolation(plan_a=plans[ia], plan_b=plans[ib], f=f, g=g,
-                                                value=v, lower=lo, upper=hi))
-    return SandwichReport(n=n, checked=len(cases), exhaustive=exhaustive,
-                          seed=used_seed, violations=tuple(violations))
+    den = tables.level_denominator(n)
+    # 0 <= f^T W g <= scale and |delta| <= den bound both cross products
+    dtype = np.int64 if scale * den < 1 << 62 else object
+    decisions = (np.arange(1 << size)[:, None] >> np.arange(size)) & 1  # [f, a]
+    d = decisions.astype(dtype)
+    values = np.einsum("fa,xyab,gb->xyfg", d, _wiring_numerators(system, plans, n, dtype), d)
+    counts = decisions.sum(axis=1)
+    upper = tables.plus[n][np.ix_(counts, counts)].astype(dtype) * scale
+    lower = tables.minus[n][np.ix_(counts, counts)].astype(dtype) * scale
+    scaled = values * den
+    violations = tuple(
+        SandwichViolation(plan_a=plans[ia], plan_b=plans[ib],
+                          f=tuple(decisions[fm].tolist()), g=tuple(decisions[gm].tolist()),
+                          value=Fraction(int(values[ia, ib, fm, gm]), scale),
+                          lower=tables.delta("-", n, counts[fm], counts[gm]),
+                          upper=tables.delta("+", n, counts[fm], counts[gm]))
+        for ia, ib, fm, gm in np.argwhere((scaled < lower) | (scaled > upper)).tolist())
+    return SandwichReport(n=n, checked=values.size, violations=violations)

@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from nldistill import PR, mix, wedge
+from nldistill import PR, BinarySystem, mix, wedge
 from nldistill.cli import main
 
 CORPUS = Path(__file__).with_name("cli_corpus.json")
@@ -44,6 +44,14 @@ def _zero_denominator_box() -> str:
     return json.dumps(obj)
 
 
+def _extra_entries_box() -> str:
+    """A valid table with a third y row and a five-entry list added."""
+    obj = json.loads(wedge(F(1, 5), 0).to_json())
+    obj["p"][0].append(obj["p"][0][0])
+    obj["p"][1][1].append("0")
+    return json.dumps(obj)
+
+
 def _reference_boxes() -> dict[str, dict]:
     """The benchmark's eight random nonlocal boxes (``ref_r0.json`` ...)
     and its three criterion-6 bound boxes (``c6_1_2.json`` ...)."""
@@ -60,6 +68,11 @@ BOX_FILES = {
     "mixed.json": lambda: mix([(F(3, 4), PR), (F(1, 4), wedge(F(2, 7), F(1, 7)))]).to_json(),
     "signaling.json": _signaling_box,
     "zero_den.json": _zero_denominator_box,
+    "strings.json": lambda: json.dumps({"p": [["1000", "1000"], ["1000", "1000"]]}),
+    "extras.json": _extra_entries_box,
+    "bools.json": lambda: json.dumps({"p": [[[True, False, False, False]] * 2] * 2}),
+    #: NL = 0 < 2: its decomposition weights are not unique
+    "uniform.json": lambda: BinarySystem((F(1, 4),) * 16).to_json(),
 }
 
 WEDGES = ["1/5,0", "3/1000,0", "1/100,0", "2/7,1/7", "1/5,1/5", "0,0"]
@@ -101,12 +114,16 @@ def corpus_argvs() -> list[list[str]]:
     argvs += [["bound", "--box", f"{{tmp}}/{name}", "--n", "8", "--long-run",
                "--cache", "{cache}"] for name in names if name.startswith("c6_")]
     argvs.append(["search", "--wedge", "1/2,0", "--n", "2", "--long-run"])
+    argvs += [["decompose", "--box", "{tmp}/uniform.json"],
+              ["bound", "--box", "{tmp}/uniform.json", "--n", "3"]]
     argvs += [
         # exit 2: invalid boxes
         ["validate", "--box", "{tmp}/signaling.json"],
         ["nl", "--box", "{tmp}/signaling.json"],
         ["bound", "--box", "{tmp}/signaling.json", "--n", "2"],
         ["nl", "--box", "{tmp}/zero_den.json"],
+        *[[command, "--box", f"{{tmp}}/{name}"] for name in
+          ("strings.json", "extras.json", "bools.json") for command in ("validate", "decompose")],
         # exit 3: infeasible parameters and usage errors
         ["nl", "--wedge", "3/4,1/2"],
         ["nl", "--wedge", "nonsense"],

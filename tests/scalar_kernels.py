@@ -304,16 +304,20 @@ def t_sweep(t, a0_idx):
     tt = np.ascontiguousarray(t.T)  # tt[b, a] = T[a, b]
     at = np.ascontiguousarray(tt[:, a0_idx])
     j = np.arange(len(tt))
-    found = []
+    best = None
     for b0 in range(len(tt)):
         a = at + at[b0]  # a[b1, i] = T[a0_idx[i], b1] + T[a0_idx[i], b0]
         c = tt[b0] - tt  # c[b1, a1] = T[a1, b0] - T[a1, b1]
         r0, r1 = a.argmax(axis=1), c.argmax(axis=1)
         v = a[j, r0] + c[j, r1]
         top = v.max()
-        found.extend((-top, int(a0_idx[r0[b1]]), int(r1[b1]), b0, int(b1))
-                     for b1 in np.flatnonzero(v == top))
-    value, *witness = min(found)
+        # the slab's lex-min tie: b0 is fixed, so order by (a0, a1, b1)
+        ties = np.flatnonzero(v == top)
+        b1 = ties[np.lexsort((ties, r1[ties], a0_idx[r0[ties]]))[0]]
+        candidate = (-top, int(a0_idx[r0[b1]]), int(r1[b1]), b0, int(b1))
+        if best is None or candidate < best:
+            best = candidate
+    value, *witness = best
     return -value, tuple(witness)
 
 

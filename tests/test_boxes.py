@@ -26,6 +26,7 @@ from nldistill import (
     validate,
     wedge,
 )
+from nldistill.boxes import BoxFormatError
 from conftest import random_ns_box
 
 F = Fraction
@@ -222,6 +223,31 @@ def test_json_round_trip_and_decimal_strings():
     obj = w.to_json_obj()
     obj["p"][0][0][0] = "0.4"  # exact decimal for 2/5
     assert BinarySystem.from_json_obj(obj).prob(0, 0, 0, 0) == F(2, 5)
+
+
+def test_box_json_rejects_misshapen_tables_and_bools():
+    # each would read as a valid box if parsed loosely: a string's
+    # characters as entries, extra rows and entries dropped, true as 1
+    def edited(edit):
+        obj = wedge(F(1, 5), 0).to_json_obj()
+        edit(obj["p"])
+        return obj
+
+    cases = [
+        {"p": [["1000", "1000"], ["1000", "1000"]]},
+        edited(lambda p: p.append(p[0])),
+        edited(lambda p: p[0].append(p[0][0])),
+        edited(lambda p: p[1][1].append("0")),
+        edited(lambda p: p[1].pop()),
+        {"p": [[[True, False, False, False]] * 2] * 2},
+        edited(lambda p: p[0][0].__setitem__(0, True)),
+    ]
+    for obj in cases:
+        with pytest.raises(BoxFormatError):
+            BinarySystem.from_json_obj(obj)
+    with pytest.raises(TypeError):
+        rational(True)
+    assert rational(1) == 1
 
 
 def test_every_constructor_output_validates():

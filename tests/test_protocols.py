@@ -20,15 +20,18 @@ from nldistill import (
     PR,
     Protocol,
     WiringPlan,
+    DeltaTables,
     brute_force_D,
     build_tables,
     enumerate_plans,
+    general_bound,
     inner_product,
     iso_bound,
     kernels,
     mix,
     nl_protocol,
     nl_value,
+    protocols,
     sandwich_check,
     trivial_protocol,
     wedge,
@@ -369,31 +372,72 @@ def test_brute_force_rejects_large_n():
 
 def test_sandwich_exhaustive_n1():
     report = sandwich_check(wedge(F(1, 5), 0), 1)
-    assert report.exhaustive and report.checked == 64 and report.ok
-
-
-def test_sandwich_sampled_n2():
-    box = wedge(F(1, 5), 0)
-    tables = build_tables(F(2, 5), 2)
-    report = sandwich_check(box, 2, samples=2000, seed=9, tables=tables)
-    assert report.checked == 2000 and report.seed == 9
-    assert report.ok
-
-
-def test_sandwich_checks_the_given_tables():
-    box = wedge(F(1, 5), 0)  # p = 2/5
-    with pytest.raises(ValueError, match="built for p=1/2"):
-        sandwich_check(box, 2, samples=2000, tables=build_tables(F(1, 2), 2))
-    with pytest.raises(ValueError, match="only reach level 1"):
-        sandwich_check(box, 2, samples=2000, tables=build_tables(F(2, 5), 1))
+    assert report.checked == 64 and report.ok
 
 
 def test_sandwich_exhaustive_n2():
+    # D^2 * (2*den(p))^2 passes 2^62 at epsilon 10^-12: the object path
+    for box in (wedge(F(1, 5), 0), wedge(F(1, 10 ** 12), 0)):
+        report = sandwich_check(box, 2)
+        assert report.checked == 16 * 16 * 16 * 16
+        assert report.ok
+
+
+def test_sandwich_and_general_bound_take_no_options():
     box = wedge(F(1, 5), 0)
-    report = sandwich_check(box, 2, samples=None)
-    assert report.exhaustive
-    assert report.checked == 16 * 16 * 16 * 16
-    assert report.ok
+    for kwargs in ({"samples": 10}, {"seed": 0}, {"tables": build_tables(F(2, 5), 2)}):
+        with pytest.raises(TypeError):
+            sandwich_check(box, 2, **kwargs)
+    with pytest.raises(TypeError):
+        general_bound(box, 2, tables=build_tables(F(2, 5), 2))
+
+
+def test_wiring_numerators_are_the_wiring_grids():
+    box = random_ns_box(random.Random(41))
+    for n in (1, 2):
+        plans = enumerate_plans(n)
+        for dtype in (np.int64, object):
+            w = _wiring_numerators(box, plans, n, dtype)
+            for pa, pb in product(range(len(plans)), repeat=2):
+                assert w[pa, pb].tolist() == wiring_grid(box, plans[pa], plans[pb]).tolist()
+
+
+def lowered_tables(p, n):
+    """The tables at p with two level-n plus cells lowered by D_n/8; the
+    derived minus grid rises at their mirror cells."""
+    tables = build_tables(p, n)
+    top = tables.plus[n].copy()
+    top[1, 1] -= tables.level_denominator(n) // 8
+    top[2, n] -= tables.level_denominator(n) // 8
+    return DeltaTables(p=tables.p, n=n, plus=(*tables.plus[:n], top),
+                       ops_per_level=tables.ops_per_level)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sandwich_reports_every_violation(monkeypatch, n):
+    # the integer pass flags exactly the cases a per-case Fraction loop over
+    # wiring_grid, _f_t_w_g and DeltaTables.delta flags, in case order
+    box = wedge(F(3, 7), 0)  # p = 3/7, an odd den(p)
+    monkeypatch.setattr(protocols, "build_tables", lowered_tables)
+    tables = lowered_tables(box.prob(0, 0, 0, 0), n)
+    plans = enumerate_plans(n)
+    size = 1 << n
+    decisions = [tuple((m >> a) & 1 for a in range(size)) for m in range(1 << size)]
+    scale = box.integer_form[1] ** n
+    want = []
+    for plan_a, plan_b in product(plans, repeat=2):
+        rows = wiring_grid(box, plan_a, plan_b).tolist()
+        for f, g in product(decisions, repeat=2):
+            value = F(protocols._f_t_w_g(f, g, rows), scale)
+            lower = tables.delta("-", n, sum(f), sum(g))
+            upper = tables.delta("+", n, sum(f), sum(g))
+            if not lower <= value <= upper:
+                want.append(protocols.SandwichViolation(plan_a, plan_b, f, g,
+                                                        value, lower, upper))
+    report = sandwich_check(box, n)
+    assert report.checked == len(plans) ** 2 * len(decisions) ** 2
+    assert want and list(report.violations) == want
+    assert {v.value > v.upper for v in want} == {False, True}
 
 
 def test_sandwich_requires_isotropic():
