@@ -334,6 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):  # Python 3.10.7 on
+        sys.set_int_max_str_digits(0)  # every exact rational prints in full
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

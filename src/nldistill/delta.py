@@ -51,11 +51,10 @@ So the min is l/2^m minus the max.  All three identities hold exactly for
 the recursion and are cross-checked against a direct recursive
 evaluation in the tests.
 
-A cache file (format 4) starts with four ASCII header lines
+A cache file (format 5) starts with three ASCII header lines
 
-    NLDELTA 4
+    NLDELTA 5
     n=<n> p=<num>/<den>
-    ops=<ops_per_level, comma-separated>
     sha256=<hex digest of every other byte of the file>
 
 and goes on with the plus grids' numerators over D_m, level 0..n in
@@ -67,9 +66,11 @@ derives it on first read.  The loader picks the dtype from ``fits_int64``
 as the build does.  Files of another version raise ``TableVersionError``.
 
 Loading checks the header (``TableHeaderError``) and the checksum
-(``TableChecksumError``), then that the payload holds exactly the entries
-of levels 0..n at 8*L bytes each, and that every level's entries lie in
-[0, D_m] (``TableFormatError``).  The int64 grids are read-only views of
+(``TableChecksumError``), then, before any work of size n, that level n's
+more than 4^n entries of 8 bytes fit the payload (``TableHeaderError``),
+then that the payload holds exactly the entries of levels 0..n at 8*L
+bytes each, and that every level's entries lie in [0, D_m]
+(``TableFormatError``).  The int64 grids are read-only views of
 the one decoded buffer; big-int grids join their limbs in Python ints.
 """
 from __future__ import annotations
@@ -95,7 +96,7 @@ INT64_SAFE_LIMIT = 1 << 59
 MEMORY_BUDGET = 2 << 30  # bytes
 
 _MAGIC = "NLDELTA"
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 
 
 class DeltaTableError(Exception):
@@ -146,14 +147,22 @@ ProgressFn = Callable[[dict], None]
 class DeltaTables:
     """Immutable numerator grids for levels 0..n at parameter p.
 
-    Only the plus grids are held; ``minus`` derives the minus grids from
-    them on first read, by the identity in the module docstring.
+    Only the plus grids are held; ``n``, ``minus`` and ``ops_per_level``
+    follow from them, the minus grids by the identity in the module
+    docstring.
     """
 
     p: Fraction
-    n: int
     plus: tuple[np.ndarray, ...]
-    ops_per_level: tuple[int, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.plus) - 1
+
+    @functools.cached_property
+    def ops_per_level(self) -> tuple[int, ...]:
+        """Each level's ``ops``, as its ``level_filled`` event counts them."""
+        return (0, *(2 * kernels._wedge_pairs(2 ** m) for m in range(1, self.n + 1)))
 
     @functools.cached_property
     def minus(self) -> tuple[np.ndarray, ...]:
@@ -186,8 +195,7 @@ class DeltaTables:
             return NotImplemented
         return (
             self.p == other.p
-            and self.n == other.n
-            and self.ops_per_level == other.ops_per_level
+            and len(self.plus) == len(other.plus)
             and all(a.dtype == b.dtype and np.array_equal(a, b)
                     for a, b in zip(self.plus, other.plus))
         )
@@ -203,7 +211,6 @@ class DeltaTables:
         head = (
             f"{_MAGIC} {_FORMAT_VERSION}\n"
             f"n={self.n} p={self.p.numerator}/{self.p.denominator}\n"
-            f"ops={','.join(map(str, self.ops_per_level))}\n"
         ).encode()
         limbs = _limb_count(self.p, self.n)
         if limbs == 1:
@@ -238,7 +245,7 @@ def load_tables(path, expect_p: Optional[Fraction] = None,
                 expect_n: Optional[int] = None) -> DeltaTables:
     """Load a table cache file, verifying version, header and checksum."""
     with open(path, "rb") as fh:
-        head = [fh.readline() for _ in range(4)]
+        head = [fh.readline() for _ in range(3)]
         payload = fh.read()
     magic = head[0].decode(errors="replace").split()
     if len(magic) != 2 or magic[0] != _MAGIC:
@@ -249,7 +256,7 @@ def load_tables(path, expect_p: Optional[Fraction] = None,
         )
     if not all(line.endswith(b"\n") for line in head):
         raise TableFormatError("file too short for a table header")
-    _, second, third, fourth = (line[:-1] for line in head)
+    _, second, third = (line[:-1] for line in head)
     try:
         n_part, p_part = second.decode().split()
         n = int(n_part.removeprefix("n="))
@@ -262,17 +269,16 @@ def load_tables(path, expect_p: Optional[Fraction] = None,
         raise TableHeaderError(f"file declares n={n}, expected n={expect_n}")
     if expect_p is not None and p != expect_p:
         raise TableHeaderError(f"file declares p={p}, expected p={expect_p}")
-    try:
-        ops = tuple(int(s) for s in third.decode().removeprefix("ops=").split(","))
-    except ValueError as exc:
-        raise TableHeaderError(f"malformed ops line {third!r}") from exc
-    if len(ops) != n + 1 or ops[0] != 0 or min(ops) < 0:
-        raise TableHeaderError(f"ops line {third!r} does not fit n={n}")
     # the digest covers every byte of the file except its own line
-    digest = hashlib.sha256(b"".join(head[:3]))
+    digest = hashlib.sha256(b"".join(head[:2]))
     digest.update(payload)
-    if digest.hexdigest().encode() != fourth.removeprefix(b"sha256="):
+    if digest.hexdigest().encode() != third.removeprefix(b"sha256="):
         raise TableChecksumError("checksum mismatch (corrupt or truncated)")
+    # level n alone holds more than 4^n entries of 8 bytes: reject when
+    # 8 * 4^n = 2^(2n+3) > len(payload), without forming 4^n
+    if 2 * n + 3 >= len(payload).bit_length():
+        raise TableHeaderError(
+            f"header n={n} does not fit a payload of {len(payload)} bytes")
 
     sides = [2 ** m + 1 for m in range(n + 1)]
     ends = np.cumsum([side * side for side in sides]).tolist()
@@ -296,7 +302,7 @@ def load_tables(path, expect_p: Optional[Fraction] = None,
         if grid.max() > (2 * p.denominator) ** m:
             raise TableFormatError(f"entry outside [0, 1] at level {m}")
         grids.append(grid.view(np.int64) if grid.dtype != object else grid)
-    return DeltaTables(p=p, n=n, plus=tuple(grids), ops_per_level=ops)
+    return DeltaTables(p=p, plus=tuple(grids))
 
 
 # ---------------------------------------------------------------------------
@@ -350,21 +356,17 @@ def build_tables(p: RationalLike, n: int, *,
     within ``kernels.filter_margin`` of their cell's float64 optimum (the
     margin's proof is in its docstring) are evaluated in Python ints, and a
     block with more than ``kernels.FILTER_CAP`` of them is swept exactly.
-    Its ``level_filled`` event adds ``filter_survivors`` and
-    ``filter_fallbacks``, the pairs so evaluated and the blocks so swept in
-    the capped plus fill.  The grids are the exact ones either way.
-
-    An int64 level of size at least ``kernels.PRUNE_MIN_SIZE`` (level 8 on)
-    is filled by bound, then prune: a float upper bound per (row, l) pair,
-    from concave majorants of the level below and widened by
-    ``kernels.filter_margin``, is compared with an exact lower bound per
-    cell, and only the pairs that reach it are evaluated in int64.  A block
-    that would evaluate more than ``kernels.PRUNE_CAP`` of its pairs, as on
-    the tie-heavy tables at p = 0 and 1/2, is swept exactly, and so is the
-    rest of its level.  Its ``level_filled`` event adds ``prune_kept`` and
-    ``prune_fallbacks``, the (row, l) pairs so evaluated and the blocks so
-    swept in the capped plus fill.  ``kernels.fill_wedge`` returns these
-    counts with the grid.
+    From level 8 on, an int64 level is filled by bound, then prune: a float
+    upper bound per (row, l) pair, from concave majorants of the level
+    below and widened by ``kernels.filter_margin``, is compared with an
+    exact lower bound per cell, and only the pairs that reach it are
+    evaluated in int64.  A block that would evaluate more than
+    ``kernels.PRUNE_CAP`` of its pairs, as on the tie-heavy tables at p = 0
+    and 1/2, is swept exactly, and so is the rest of its level.  The grids
+    are the exact ones on every path.  Each ``level_filled`` event adds the
+    counters ``kernels.fill_wedge`` returns for the path it took:
+    ``filter_survivors`` and ``filter_fallbacks`` on big-int levels,
+    ``prune_kept`` and ``prune_fallbacks`` on pruned ones.
     """
     p = rational(p)
     if not 0 <= p <= Fraction(1, 2):
@@ -389,31 +391,21 @@ def build_tables(p: RationalLike, n: int, *,
             "limit_bits": INT64_SAFE_LIMIT.bit_length() - 1,
         })
     plus = [base]
-    ops_per_level = [0]
     for m in range(1, n + 1):
         t0 = time.perf_counter()
-        size = 2 ** m
         gp, counts = kernels.fill_wedge(plus[-1], ca, cb)
         _complete_grid(gp, dp ** m)
         gp.flags.writeable = False
         plus.append(gp)
-        # the window pairs of the recursion's two grids, one fill each
-        ops = 2 * kernels._wedge_pairs(size)
-        ops_per_level.append(ops)
         if progress is not None:
-            event = {
-                "event": "level_filled", "m": m, "ops": ops,
+            progress({
+                "event": "level_filled", "m": m,
+                # the window pairs of the recursion's two grids, one fill each
+                "ops": 2 * kernels._wedge_pairs(2 ** m),
                 "seconds": round(time.perf_counter() - t0, 3),
-                "dtype": base.dtype.name,
-            }
-            if not use_int64:
-                event["filter_survivors"] = counts["survivors"]
-                event["filter_fallbacks"] = counts["fallbacks"]
-            elif size >= kernels.PRUNE_MIN_SIZE:
-                event["prune_kept"] = counts["prune_kept"]
-                event["prune_fallbacks"] = counts["prune_fallbacks"]
-            progress(event)
-    return DeltaTables(p=p, n=n, plus=tuple(plus), ops_per_level=tuple(ops_per_level))
+                "dtype": base.dtype.name, **counts,
+            })
+    return DeltaTables(p=p, plus=tuple(plus))
 
 
 def tables_for(p: Fraction, n: int, tables: Optional[DeltaTables] = None) -> DeltaTables:

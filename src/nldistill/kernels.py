@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 
 import numpy as np
 
@@ -219,15 +218,18 @@ _INT_PAD = -(1 << 61)
 def fill_wedge(prev: np.ndarray, ca, cb):
     """Fill the capped wedge k <= l <= size - k of one level's plus grid,
     size = 2*(len(prev) - 1), the other cells 0; returns (grid, counts).
-    ``counts`` holds the paths the fill took: big-int ``survivors`` (pairs
-    evaluated exactly) and ``fallbacks`` (blocks swept exactly), int64
-    ``prune_kept`` ((row, l) pairs evaluated exactly) and ``prune_fallbacks``
-    (blocks swept in full)."""
+    ``counts`` holds the counters of the path the fill took: on big ints
+    ``filter_survivors`` (pairs evaluated exactly) and ``filter_fallbacks``
+    (blocks swept exactly), on int64 levels of size >= PRUNE_MIN_SIZE
+    ``prune_kept`` ((row, l) pairs evaluated exactly) and
+    ``prune_fallbacks`` (blocks swept in full), and none on smaller int64
+    levels, which sweep."""
     size = 2 * (len(prev) - 1)
     out = np.zeros((size + 1, size + 1), dtype=prev.dtype)
-    counts = Counter()
     filtered = prev.dtype == object
     prunes = not filtered and size >= PRUNE_MIN_SIZE
+    counts = ({"filter_survivors": 0, "filter_fallbacks": 0} if filtered
+              else {"prune_kept": 0, "prune_fallbacks": 0} if prunes else {})
     if filtered:
         shadow = float_shadow(prev, max(int(prev.max()), 1))
         alpha, beta = ca / (ca + cb), cb / (ca + cb)
@@ -238,9 +240,9 @@ def fill_wedge(prev: np.ndarray, ca, cb):
             kept = _filtered_block(out, prev, shadow, ks, iv, k_lo, ca, cb,
                                    alpha, beta)
             if kept is not None:
-                counts["survivors"] += kept
+                counts["filter_survivors"] += kept
                 continue
-            counts["fallbacks"] += 1
+            counts["filter_fallbacks"] += 1
         elif pruner is not None:
             found = pruner.block(ks, iv, k_lo)
             if found is None:

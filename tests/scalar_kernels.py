@@ -28,15 +28,17 @@ by cell, in Python ints: the premise of ``iso_scan``'s k0 cap, and one of
 the two premises of ``grid_scan``'s orbit sweep; the other is the symmetry
 x = x^T of both grids.
 ``load_payload`` reads a table cache's payload entry by entry, the
-reference for the loader's bulk decode.  ``solve_max`` is the simplex on a
-``Fraction`` tableau, the reference for the fraction-free one in
-``nldistill.simplex``: same Bland's rule, so the same pivot sequence.
+reference for the loader's bulk decode; ``format_4_file`` writes a cache
+file as format 4 did, with its ``ops=`` header line.  ``solve_max`` is the
+simplex on a ``Fraction`` tableau, the reference for the fraction-free one
+in ``nldistill.simplex``: same Bland's rule, so the same pivot sequence.
 ``lp_decomposition`` is the minimal isotropic decomposition as the package
 ran it before ``minimal_isotropic`` took the closed form on nonlocal boxes:
 the LP's weights for every box, and each later box in Fractions.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -262,14 +264,13 @@ def ip_table(system, plans, n, dtype):
     inputs = _plan_input_table(plans, n)
     sf = _sign_matrix(size).astype(dtype)
     n_atoms = len(plans) * n_tables
+    bits = [_bits(x, n) for x in range(size)]  # the n output bits of x
     t = np.zeros((n_atoms, n_atoms), dtype=dtype)
     for pa, ua in enumerate(inputs):
         for pb, vb in enumerate(inputs):
             w = np.zeros((size, size), dtype=dtype)
-            for a in range(size):
-                abits = _bits(a, n)
-                for b in range(size):
-                    bbits = _bits(b, n)
+            for a, abits in enumerate(bits):
+                for b, bbits in enumerate(bits):
                     prod_num = 1
                     for i in range(n):
                         prod_num *= nums[ua[a][i] * 8 + vb[b][i] * 4
@@ -340,6 +341,16 @@ def load_payload(payload, p, n):
         pos += side * side * width
     assert pos == len(payload)
     return grids
+
+
+def format_4_file(data, ops):
+    """The format-4 cache file of the tables in the format-5 file ``data``,
+    whose ``ops_per_level`` are ``ops``: version 4, the ops line after the
+    n, p line, and the sha256 of the three lines and the same payload."""
+    _, np_line, _, payload = data.split(b"\n", 3)
+    head = b"NLDELTA 4\n" + np_line + b"\nops=" + ",".join(map(str, ops)).encode() + b"\n"
+    digest = hashlib.sha256(head + payload).hexdigest().encode()
+    return head + b"sha256=" + digest + b"\n" + payload
 
 
 def solve_max(c, a, b):

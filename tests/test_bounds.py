@@ -498,7 +498,7 @@ from fractions import Fraction
 import numpy as np
 from nldistill import DeltaTables, iso_bound, wedge
 zeros = tuple(np.zeros((2 ** m + 1, 2 ** m + 1), dtype=np.int64) for m in range(3))
-tables = DeltaTables(p=Fraction(2, 5), n=2, plus=zeros, ops_per_level=(0, 0, 0))
+tables = DeltaTables(p=Fraction(2, 5), plus=zeros)
 print("debug", __debug__)
 try:
     iso_bound(wedge(Fraction(1, 5), 0), 2, tables=tables)

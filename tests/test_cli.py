@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import inspect
 import json
@@ -13,7 +14,7 @@ import pytest
 
 from nldistill import (
     BinarySystem, MemoryBudgetError, PR, brute_force_D, build_tables, decompose,
-    kernels, wedge,
+    kernels, minimal_isotropic, nl_value, wedge,
 )
 from nldistill import cli
 from nldistill.cli import main
@@ -131,15 +132,75 @@ def test_corrupt_cache_is_distinct_io_error(capsys, tmp_path):
                        "--cache", str(cache))
     assert code == 4
     assert "cache corrupt" in err and "TableChecksumError" in err
-    # a cache written by format 1, 2 or 3 names the file to delete
+    # a cache written by format 1, 2, 3 or 4 names the file to delete, in
+    # the message the README gives
+    good = build_tables(F(2, 5), 2)
+    good.save(victim)
+    format_4 = scalar_kernels.format_4_file(victim.read_bytes(), good.ops_per_level)
     for old in (b"NLDELTA 1\nn=2 p=2/5\nsha256=0\n",
                 b"NLDELTA 2\nn=2 p=2/5\nops=0,20,86\nsha256=0\n0 0 0 1\n",
-                b"NLDELTA 3\nn=2 p=2/5\nops=0,20,86\nsha256=0\n0 0 0 1\n"):
+                b"NLDELTA 3\nn=2 p=2/5\nops=0,20,86\nsha256=0\n0 0 0 1\n",
+                format_4):
         victim.write_bytes(old)
         code, _, err = run(capsys, "bound", "--wedge", "1/5,0", "--n", "2",
                            "--cache", str(cache))
         assert code == 4
-        assert str(victim) in err and "TableVersionError" in err
+        assert f"table cache corrupt (TableVersionError): {victim}: " in err
+
+
+def test_cache_header_n_past_its_payload_exits_4(capsys, tmp_path):
+    # a crafted n = 8000 file under a valid checksum: the loader rejects its
+    # n before any work of that size, and the command reports a corrupt cache
+    # (the old loader's payload message overran the int -> str digit limit)
+    path = tmp_path / cli.cache_filename(F(2, 5), 8000)
+    build_tables(F(2, 5), 2).save(path)
+    payload = path.read_bytes().split(b"\n", 3)[3]
+    head = b"NLDELTA 5\nn=8000 p=2/5\n"
+    digest = hashlib.sha256(head + payload).hexdigest().encode()
+    path.write_bytes(head + b"sha256=" + digest + b"\n" + payload)
+    code, out, err = run(capsys, "bound", "--wedge", "1/5,0", "--n", "8000",
+                         "--long-run", "--cache", str(tmp_path))
+    assert code == 4 and out == ""
+    assert f"table cache corrupt (TableHeaderError): {path}: header n=8000" in err
+
+
+# D1 and D2 are coprime, and the box's epsilon has more digits than
+# Python's default int -> str limit of 4300
+D1, D2 = 10 ** 2200 + 1, 10 ** 2200 + 3
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The int -> str digit limit of a fresh interpreter, restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # before Python 3.10.7
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("command", ["decompose", "bound", "nl", "validate", "search"])
+def test_results_past_the_digit_limit_print(capsys, default_digit_limit, command):
+    box = wedge(F(1, D1), F(1, D2))
+    copies = {"bound": ["--n", "2"], "search": ["--n", "1"]}.get(command, [])
+    code, out, _ = run(capsys, command, "--wedge", f"1/{D1},1/{D2}", *copies)
+    assert code == 0
+    epsilon = minimal_isotropic(box).epsilon
+    assert len(str(epsilon.denominator)) > 4300
+    nl = nl_value(box)[0]
+    if command == "decompose":
+        assert F(json.loads(out)["epsilon"]) == epsilon
+    elif command == "bound":
+        assert F(json.loads(out)["decomposition"]["epsilon"]) == epsilon
+    elif command == "nl":
+        assert F(out.splitlines()[0]) == nl
+    elif command == "validate":
+        assert json.loads(out)["valid"] is True
+    else:
+        obj = json.loads(out)
+        assert F(obj["nl"]) == nl and F(obj["value"]) >= nl
 
 
 @pytest.mark.parametrize("command", ["nl", "bound"])

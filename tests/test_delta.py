@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import re
 import struct
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import nldistill.delta
 from nldistill import build_tables, kernels, load_tables, wedge
 from nldistill.delta import (
+    DeltaTables,
     MemoryBudgetError,
     TableChecksumError,
     TableFormatError,
@@ -161,9 +163,9 @@ def test_filtered_fill_matches_int64_kernel():
             assert got.dtype == object
             assert got.tolist() == want.tolist(), (p, m)
             assert not want_counts
-            assert counts["survivors"] > 0 or counts["fallbacks"] > 0
+            assert counts["filter_survivors"] > 0 or counts["filter_fallbacks"] > 0
             if m == 7:
-                assert (counts["fallbacks"] > 0) == (p != F(2, 5)), (p, counts)
+                assert (counts["filter_fallbacks"] > 0) == (p != F(2, 5)), (p, counts)
 
 
 def test_filter_margin_keeps_near_ties():
@@ -299,12 +301,35 @@ def test_pruned_levels_report_counts():
             assert counts["prune_fallbacks"] == 0
             assert 0 < counts["prune_kept"] < kernels.PRUNE_CAP * kernels._wedge_pairs(size)
         else:
-            assert counts == {"prune_fallbacks": blocks}
+            assert counts == {"prune_kept": 0, "prune_fallbacks": blocks}
     events = []
     build_tables(F(31, 80), 8, progress=events.append)
     filled = [e for e in events if e["event"] == "level_filled"]
     assert all("prune_kept" not in e for e in filled[:7])
     assert filled[7]["prune_kept"] > 0 and filled[7]["prune_fallbacks"] == 0
+
+
+_PRUNED_8 = [()] * 7 + [(("prune_kept", 33391), ("prune_fallbacks", 0))]
+_SWEPT_8 = [()] * 7 + [(("prune_kept", 0), ("prune_fallbacks", 18))]
+
+
+@pytest.mark.parametrize("p, n, counters", [
+    (F(2, 5), 4, [()] * 4),  # int64 below PRUNE_MIN_SIZE: no counters
+    (F(31, 80), 8, _PRUNED_8),
+    (F(0), 8, _SWEPT_8),  # tie-heavy: every block of level 8 sweeps
+    (F(1, 2), 8, _SWEPT_8),
+    (F(1, 10 ** 12), 6, [(("filter_survivors", s), ("filter_fallbacks", f))
+                         for s, f in ((5, 0), (15, 0), (64, 0), (324, 0),
+                                      (2228, 0), (9, 1))]),
+], ids=["int64", "pruned", "p0", "p1/2", "bigint"])
+def test_level_filled_counters_are_pinned(p, n, counters):
+    # each level_filled event ends with the counters fill_wedge returns for
+    # its path, in this order and with these values
+    events = []
+    build_tables(p, n, progress=events.append)
+    filled = [e for e in events if e["event"] == "level_filled"]
+    assert [list(e)[:5] for e in filled] == [["event", "m", "ops", "seconds", "dtype"]] * n
+    assert [tuple(e.items())[5:] for e in filled] == counters
 
 
 @pytest.mark.longrun
@@ -529,6 +554,17 @@ def test_accessor_range_errors():
     assert t.delta("+", 2, 4, 4) == 1
 
 
+def test_tables_hold_p_and_the_plus_grids_only():
+    # n and ops_per_level follow from the grids; no constructor takes them
+    t = build_tables(F(2, 5), 3)
+    again = DeltaTables(p=t.p, plus=t.plus)
+    assert again == t and again.n == 3
+    assert again.ops_per_level == (0, 20, 86, 580)
+    for extra in ({"n": 3}, {"ops_per_level": t.ops_per_level}):
+        with pytest.raises(TypeError):
+            DeltaTables(p=t.p, plus=t.plus, **extra)
+
+
 def test_save_load_round_trip(tmp_path):
     t = build_tables(F(2, 5), 3)
     path = tmp_path / "t.nldt"
@@ -546,25 +582,29 @@ def test_saved_bytes_are_pinned(tmp_path):
     path = tmp_path / "t.nldt"
     build_tables(F(1, 2), 1).save(path)
     assert path.read_bytes() == (
-        b"NLDELTA 4\n"
+        b"NLDELTA 5\n"
         b"n=1 p=1/2\n"
-        b"ops=0,20\n"
-        b"sha256=d0e0beeef481e2ba8cdfb84041d0ce2f75d82b043f691068d7aa573427172da7\n"
+        b"sha256=1ed48113680daef8b4e95d03bf835662c8b625ab482ec41d1960048300d38b5b\n"
         + struct.pack("<13Q", 0, 0, 0, 1, 0, 0, 0, 0, 2, 2, 0, 2, 4)
     )
 
 
 def test_saved_level_6_digest_is_pinned(tmp_path):
-    # a fill change that alters any grid or op count changes this digest
+    # a fill change that alters any grid changes these digests; the payload
+    # digest is that of format 4, whose files differed in the header only
     path = tmp_path / "t.nldt"
-    build_tables(F(2, 5), 6).save(path)
-    head, _ = _split(path.read_bytes())
+    t = build_tables(F(2, 5), 6)
+    t.save(path)
+    head, payload = _split(path.read_bytes())
     assert head == [
-        b"NLDELTA 4",
+        b"NLDELTA 5",
         b"n=6 p=2/5",
-        b"ops=0,20,86,580,5550,66810,919666",
-        b"sha256=91ef0e070823fc5b6bb46f2c5f71d4b829d60ee5bce77ec3d1f01579c9989f8c",
+        b"sha256=61a63704ab893dc17e5bd5c6b1b523fd3711b4024c7afe8355fd7fd7fc7fdc39",
     ]
+    assert hashlib.sha256(payload).hexdigest() == \
+        "54a1813809c6f0501b522c4d266c6e1603f845eb6c218e9e77790e8fc969f0cb"
+    ops = (0, 20, 86, 580, 5550, 66810, 919666)
+    assert t.ops_per_level == load_tables(path).ops_per_level == ops
 
 
 def test_failed_save_leaves_no_torn_file(tmp_path, monkeypatch):
@@ -648,23 +688,18 @@ def test_load_error_cases(tmp_path):
 
     versioned = tmp_path / "version.nldt"
     for old in (b"NLDELTA 2", b"NLDELTA 3"):
-        versioned.write_bytes(data.replace(b"NLDELTA 4", old, 1))
+        versioned.write_bytes(data.replace(b"NLDELTA 5", old, 1))
         with pytest.raises(TableVersionError):
             load_tables(versioned)
+    versioned.write_bytes(scalar_kernels.format_4_file(data, t.ops_per_level))
+    with pytest.raises(TableVersionError, match="version 4 unsupported"):
+        load_tables(versioned)
 
+    # the checksum covers the n line
     wrong_n = tmp_path / "n.nldt"
     wrong_n.write_bytes(data.replace(b"n=2", b"n=1", 1))
-    with pytest.raises(TableHeaderError):
+    with pytest.raises(TableChecksumError):
         load_tables(wrong_n)
-
-    ops_line = _split(data)[0][2]
-    assert ops_line == b"ops=0,20,86"
-    for bad_ops in (b"ops=0,20", b"ops=0,20,86,9", b"ops=1,20,86",
-                    b"ops=0,-20,86", b"ops=0,x,86", b"ops="):
-        wrong_ops = tmp_path / "ops.nldt"
-        wrong_ops.write_bytes(data.replace(ops_line, bad_ops, 1))
-        with pytest.raises(TableHeaderError):
-            load_tables(wrong_ops)
 
     with pytest.raises(TableHeaderError):
         load_tables(path, expect_n=3)
@@ -678,20 +713,37 @@ def test_load_error_cases(tmp_path):
         load_tables(garbage)
 
 
+def test_header_n_must_fit_the_payload(tmp_path):
+    # level n holds more than 4^n entries of 8 bytes, so the loader rejects
+    # a larger header n before any work of size n: at n = 8000 the old
+    # payload check could not even print its entry count
+    path = tmp_path / "delta_p2_5_n8000.nldt"
+    build_tables(F(2, 5), 2).save(path)
+    head, payload = _split(path.read_bytes())
+    assert len(payload) == 8 * (4 + 9 + 25)
+    path.write_bytes(_restamp([head[0], b"n=8000 p=2/5"], payload))
+    with pytest.raises(TableHeaderError, match="n=8000 does not fit"):
+        load_tables(path)
+    # 8 * 4^3 = 512 bytes: one byte short fails the header, a payload of
+    # exactly 512 bytes passes it and fails the length check
+    for extra, error in ((511, TableHeaderError), (512, TableFormatError)):
+        path.write_bytes(_restamp([head[0], b"n=3 p=2/5"], bytes(extra)))
+        with pytest.raises(error):
+            load_tables(path)
+
+
 def _split(data: bytes) -> tuple[list[bytes], bytes]:
-    """The four header lines of a table file, without their newlines, and
+    """The three header lines of a table file, without their newlines, and
     its binary payload."""
-    *head, payload = data.split(b"\n", 4)
+    *head, payload = data.split(b"\n", 3)
     return head, payload
 
 
 def _restamp(head: list[bytes], payload: bytes) -> bytes:
     """A table file of these header lines and payload under a recomputed
     sha256 line, so that only the payload checks can object."""
-    import hashlib
-
-    digest = hashlib.sha256(b"".join(line + b"\n" for line in head[:3]) + payload)
-    return b"\n".join(head[:3] + [b"sha256=" + digest.hexdigest().encode()]) + b"\n" + payload
+    digest = hashlib.sha256(b"".join(line + b"\n" for line in head[:2]) + payload)
+    return b"\n".join(head[:2] + [b"sha256=" + digest.hexdigest().encode()]) + b"\n" + payload
 
 
 @pytest.mark.parametrize("p, dtype, limbs", [(F(1, 2), np.int64, 1),
@@ -737,11 +789,11 @@ from nldistill.delta import TableFormatError, build_tables, load_tables
 path = {str(tmp_path / "t.nldt")!r}
 build_tables(Fraction(1, 2), 2).save(path)
 data = open(path, "rb").read()
-*head, payload = data.split(b"\\n", 4)
+*head, payload = data.split(b"\\n", 3)
 top = (5).to_bytes(8, "little")  # D_1 + 1 over the last level-1 entry
 for bad in (payload[:-8], payload + bytes(8), payload[:96] + top + payload[104:]):
-    digest = hashlib.sha256(b"".join(h + b"\\n" for h in head[:3]) + bad).hexdigest()
-    open(path, "wb").write(b"".join(h + b"\\n" for h in head[:3])
+    digest = hashlib.sha256(b"".join(h + b"\\n" for h in head[:2]) + bad).hexdigest()
+    open(path, "wb").write(b"".join(h + b"\\n" for h in head[:2])
                            + f"sha256={{digest}}\\n".encode() + bad)
     try:
         load_tables(path)

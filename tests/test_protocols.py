@@ -409,8 +409,7 @@ def lowered_tables(p, n):
     top = tables.plus[n].copy()
     top[1, 1] -= tables.level_denominator(n) // 8
     top[2, n] -= tables.level_denominator(n) // 8
-    return DeltaTables(p=tables.p, n=n, plus=(*tables.plus[:n], top),
-                       ops_per_level=tables.ops_per_level)
+    return DeltaTables(p=tables.p, plus=(*tables.plus[:n], top))
 
 
 @pytest.mark.parametrize("n", [1, 2])
