@@ -31,7 +31,6 @@ from .bounds import (
 from .decompose import (
     Decomposition,
     DecompositionError,
-    LPResult,
     local_part,
     minimal_isotropic,
 )

@@ -108,6 +108,8 @@ class BinarySystem:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
             raise BoxFormatError(f"not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise BoxFormatError("JSON nested too deeply") from exc
         return cls.from_json_obj(obj)
 
 

@@ -90,9 +90,11 @@ def _load_box(args, *, require_valid: bool = True) -> BinarySystem:
         system = _parse_wedge(args.wedge)
     elif args.box:
         try:
-            text = Path(args.box).read_text()
+            text = Path(args.box).read_text(encoding="utf-8")
         except OSError as exc:
             raise CliError(EXIT_IO, f"cannot read box file: {exc}")
+        except UnicodeDecodeError as exc:
+            raise CliError(EXIT_INVALID_BOX, f"box file is not UTF-8: {exc}")
         try:
             system = BinarySystem.from_json(text)
         except BoxFormatError as exc:

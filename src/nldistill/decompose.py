@@ -4,10 +4,14 @@ The local part of P is the optimal value of the exact LP
 
     max sum_i p_i   s.t.   sum_i p_i * V_i(a,b|x,y) <= P(a,b|x,y),  p_i >= 0
 
-over the 16 deterministic vertices V_i.  ``local_part`` solves it with the
-exact simplex.  ``minimal_isotropic`` runs the simplex on local boxes only:
-their optimum is s = 1, with weights that are not unique, and Bland's rule
-picks them.  A nonlocal box has one optimum in closed form.
+over the 16 deterministic vertices V_i.  A local box (NL(P) <= 2) has
+local part 1 (Fine 1982), with weights that are not unique:
+``local_part`` runs the exact integer simplex on the box's numerators,
+and Bland's rule picks them.  It certifies them by rebuilding the box:
+every weight is nonnegative, the weights sum to 1, and
+sum_i p_i V_i = P entry by entry.  Every vertex and P carry mass 1 on each
+input pair, so no feasible weights sum past 1, and these are optimal.  A
+nonlocal box has one optimum in closed form.
 
 Closed form.  Let P have NL(P) = CHSH_e(P) > 2 and let V_e be the PR vertex
 with CHSH_e(V_e) = 4: on each input pair (x, y) it is 1/2 on the two
@@ -39,7 +43,7 @@ mod 2.
   every weight sits on a facet vertex, and the slack has CHSH_e value
   4(1 - s) at mass 1 - s per input pair, so it is zero off supp(V_e).  At
   t_j the only facet vertex with an entry is V_j, so w_j = P(t_j): the LP
-  has no other optimum, and the closed form equals ``local_part``.
+  has no other optimum, and the closed form is the LP's.
 
 Envelope.  The remainder P - sum_i p_i V_i = (1 - s) V_e sits on the
 violated vertex.  Peeling the facet's isotropic local box P_F off the
@@ -53,7 +57,9 @@ identity is re-verified entry-exactly before a decomposition is
 returned; a failure raises DecompositionError.
 
 The work runs on integer numerators over one common denominator per box:
-the box and its weights over den(P), and the vertex and P_F over 8.  Each
+the box and its closed-form weights over den(P), the simplex's weights
+over D den(P) with D its tableau's denominator, and the vertex and P_F
+over 8.  Each
 later box is a table of integers over one denominator built from these,
 and each identity is checked by cross multiplication.  Fractions are
 built only for the fields returned.
@@ -64,7 +70,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
 from typing import Optional, Sequence
 
 from .boxes import (
@@ -127,7 +132,6 @@ _ROW_ENTRY = tuple(_idx(*abxy) for abxy in _CONSTRAINTS)
 # V_j(a, b|x, y) per constraint row and canonical vertex column j
 _VERTEX_MATRIX = tuple(tuple(int(j in _SUPPORT[t]) for j in range(16))
                        for t in _ROW_ENTRY)
-_ONES = (1,) * 16
 
 
 def _local_mix(weights: Sequence[int]) -> list[int]:
@@ -149,31 +153,21 @@ def _box(numerators: Sequence[int], den: int) -> BinarySystem:
     return BinarySystem(tuple(Fraction(n, den) for n in numerators))
 
 
-@dataclass(frozen=True)
-class LPResult:
-    weights: tuple[Fraction, ...]  # one per local vertex, (alpha,beta,gamma,delta) order
-    local_part: Fraction
-
-
-def local_part(system: BinarySystem) -> LPResult:
-    """Exact local part of a valid nonsignaling box, with one weight per
-    local vertex in the canonical vertex order."""
-    res = solve_max(_ONES, _VERTEX_MATRIX, [system.table[t] for t in _ROW_ENTRY])
-    weights = res.x
-    # exact optimality certificate: a feasible basis whose objective is the
-    # weights' sum, and no positive reduced cost
-    numerators, d = system.integer_form
-    den = lcm(d, *(w.denominator for w in weights), *(s.denominator for s in res.slack))
-    w = _numerators(weights, den)
-    if (any(wi < 0 for wi in w) or any(rc.numerator > 0 for rc in res.reduced_costs)
-            or sum(w) * res.value.denominator != res.value.numerator * den):
-        raise DecompositionError("simplex returned an uncertified optimum")
-    local = _local_mix(w)
-    scale = den // d
-    for t, s in zip(_ROW_ENTRY, _numerators(res.slack, den)):
-        if local[t] + s != numerators[t] * scale:
-            raise DecompositionError("LP slack fails to reconstruct the constraint")
-    return LPResult(weights=weights, local_part=res.value)
+def local_part(system: BinarySystem) -> tuple[Fraction, ...]:
+    """The weights, one per local vertex in the canonical vertex order, of
+    the local part 1 of a local box, certified by rebuilding the box."""
+    a, d = system.integer_form
+    res = solve_max(_VERTEX_MATRIX, [a[t] for t in _ROW_ENTRY])
+    # the weights are res.x / (D d): they sum to 1 when sum(x) = D d, and
+    # rebuild P = a/d when their local mixture is D a
+    w, den = res.x, res.den * d
+    if any(wi < 0 for wi in w):
+        raise DecompositionError("local weight is negative")
+    if sum(w) != den:
+        raise DecompositionError("local weights do not sum to 1")
+    if any(mt != res.den * at for mt, at in zip(_local_mix(w), a)):
+        raise DecompositionError("local weights do not rebuild the box")
+    return tuple(Fraction(wi, den) for wi in w)
 
 
 @dataclass(frozen=True)
@@ -186,7 +180,8 @@ class Decomposition:
     facet: Optional[CHSHExpression]
     p_iso: Optional[BinarySystem]
     p_l: Optional[BinarySystem]
-    lp: LPResult
+    weights: tuple[Fraction, ...]  # one per local vertex, (alpha,beta,gamma,delta) order
+    local_part: Fraction
     system_nl: Fraction
 
     def to_json_obj(self) -> dict:
@@ -198,8 +193,8 @@ class Decomposition:
                 "anchor": [self.facet.x, self.facet.y],
                 "sign": self.facet.sign,
             },
-            "local_part": str(self.lp.local_part),
-            "weights": [str(w) for w in self.lp.weights],
+            "local_part": str(self.local_part),
+            "weights": [str(w) for w in self.weights],
         }
 
 
@@ -209,14 +204,9 @@ def minimal_isotropic(system: BinarySystem) -> Decomposition:
     nl_num, expr = nl_value_int(a)
     nl = Fraction(nl_num, d)
     if nl_num <= 2 * d:
-        lp = local_part(system)
-        if lp.local_part != 1:
-            raise DecompositionError(
-                f"local part {lp.local_part} < 1 for a box with NL = {nl} <= 2"
-            )
         return Decomposition(
-            epsilon=Fraction(0), q=Fraction(0), p_f=None, facet=None,
-            p_iso=None, p_l=system, lp=lp, system_nl=nl,
+            epsilon=Fraction(0), q=Fraction(0), p_f=None, facet=None, p_iso=None,
+            p_l=system, weights=local_part(system), local_part=Fraction(1), system_nl=nl,
         )
     vertex, facet = _FACETS[expr]
     g = _FACET_DEN
@@ -230,7 +220,6 @@ def minimal_isotropic(system: BinarySystem) -> Decomposition:
         raise DecompositionError("decomposition does not reconstruct the box")
     if 2 * sigma != 4 * d - nl_num:
         raise DecompositionError("facet weights do not sum to 2 - NL/2")
-    lp = LPResult(weights=tuple(Fraction(wi, d) for wi in w), local_part=Fraction(sigma, d))
     if sigma > 0:
         # the normalized local mixture is P* = b/sigma; p_f = min_t P*_t /
         # (facet_t/g) = g*m/(k*sigma) with m/k the least b_t / facet_t
@@ -265,5 +254,6 @@ def minimal_isotropic(system: BinarySystem) -> Decomposition:
         raise DecompositionError("q = 1 decomposition must equal the box")
     return Decomposition(
         epsilon=Fraction(en, qn), q=Fraction(qn, qd), p_f=pf, facet=expr,
-        p_iso=_box(iso, g * qn), p_l=p_l, lp=lp, system_nl=nl,
+        p_iso=_box(iso, g * qn), p_l=p_l, weights=tuple(Fraction(wi, d) for wi in w),
+        local_part=Fraction(sigma, d), system_nl=nl,
     )

@@ -120,13 +120,15 @@ class TableFormatError(DeltaTableError):
 
 
 class MemoryBudgetError(DeltaTableError):
-    def __init__(self, required: int, budget: int):
+    """``required`` is the estimated bytes, None when the top level alone is
+    far past the budget."""
+
+    def __init__(self, required: Optional[int], budget: int):
         self.required = required
         self.budget = budget
-        super().__init__(
-            f"table levels need about {required} bytes, which exceeds the "
-            f"memory budget of {budget} bytes"
-        )
+        need = ("the top table level alone exceeds" if required is None
+                else f"table levels need about {required} bytes, which exceeds")
+        super().__init__(f"{need} the memory budget of {budget} bytes")
 
 
 def fits_int64(p: Fraction, n: int) -> bool:
@@ -373,6 +375,11 @@ def build_tables(p: RationalLike, n: int, *,
         raise ValueError(f"parameter p={p} outside [0, 1/2]")
     if n < 0:
         raise ValueError("n must be >= 0")
+    # level n alone holds two grids of more than 4^n entries of 8 bytes or
+    # more, 2^(2n+4) > MEMORY_BUDGET^2 bytes past this n: reject it before
+    # forming (2 den(p))^n or an estimate of about 2n bits
+    if n > MEMORY_BUDGET.bit_length():
+        raise MemoryBudgetError(None, MEMORY_BUDGET)
     use_int64 = fits_int64(p, n)
     required = _estimate_bytes(n, use_int64)
     if required > MEMORY_BUDGET:

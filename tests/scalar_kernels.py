@@ -32,15 +32,18 @@ reference for the loader's bulk decode; ``format_4_file`` writes a cache
 file as format 4 did, with its ``ops=`` header line.  ``solve_max`` is the
 simplex on a ``Fraction`` tableau, the reference for the fraction-free one
 in ``nldistill.simplex``: same Bland's rule, so the same pivot sequence.
+``local_lp`` builds the local-part LP from the vertex tables.
 ``lp_decomposition`` is the minimal isotropic decomposition as the package
 ran it before ``minimal_isotropic`` took the closed form on nonlocal boxes:
-the LP's weights for every box, and each later box in Fractions.
+the reference simplex's weights for every box, and each later box in
+Fractions.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -52,7 +55,7 @@ from nldistill.boxes import (
     opposite_vertex,
     vertex_for_expression,
 )
-from nldistill.decompose import Decomposition, local_part
+from nldistill.decompose import Decomposition
 from nldistill.protocols import _bits, _plan_input_table
 from nldistill.simplex import SimplexResult, UnboundedError
 
@@ -353,17 +356,21 @@ def format_4_file(data, ops):
     return head + b"sha256=" + digest + b"\n" + payload
 
 
-def solve_max(c, a, b):
-    """max c.x s.t. A x <= b, x >= 0 with b >= 0, on Fractions throughout."""
-    m, n = len(a), len(c)
+def solve_max(a, b):
+    """max sum(x) s.t. A x <= b, x >= 0 with b >= 0, on Fractions throughout.
+    The optimum comes back as numerators over D, the product of the pivots:
+    the determinant of the final basis matrix, with the unit columns of the
+    rows not yet pivoted on."""
+    m, n = len(a), len(a[0])
     if any(bi < 0 for bi in b):
         raise ValueError("this solver requires b >= 0")
     zero, one = Fraction(0), Fraction(1)
-    # tableau rows: [A | I | rhs]; cost row holds c_j - z_j
+    # tableau rows: [A | I | rhs]; cost row holds c_j - z_j with c = 1
     rows = [[Fraction(v) for v in a[i]] + [one if j == i else zero for j in range(m)]
             + [Fraction(b[i])] for i in range(m)]
-    cost = [Fraction(v) for v in c] + [zero] * (m + 1)
+    cost = [one] * n + [zero] * (m + 1)
     basis = list(range(n, n + m))
+    det = one
     iterations = 0
     while True:
         enter = next((j for j in range(n + m) if cost[j] > 0), None)
@@ -378,6 +385,7 @@ def solve_max(c, a, b):
         if leave is None:
             raise UnboundedError("objective unbounded above")
         piv = rows[leave][enter]
+        det *= piv
         rows[leave] = [v / piv for v in rows[leave]]
         for i in range(m):
             if i != leave and rows[i][enter] != 0:
@@ -390,32 +398,40 @@ def solve_max(c, a, b):
         iterations += 1
 
     x = [zero] * n
-    slack = [zero] * m
     for i, j in enumerate(basis):
         if j < n:
-            x[j] = rows[i][-1]
-        else:
-            slack[j - n] = rows[i][-1]
-    value = sum(ci * xi for ci, xi in zip(c, x))
-    return SimplexResult(
-        value=value, x=tuple(x), slack=tuple(slack),
-        reduced_costs=tuple(cost[:n]), basis=tuple(basis),
-        iterations=iterations,
-    )
+            x[j] = rows[i][-1] * det
+    assert det.denominator == 1 and all(xj.denominator == 1 for xj in x)
+    return SimplexResult(x=tuple(int(xj) for xj in x), den=int(det),
+                         iterations=iterations)
+
+
+def local_lp(system):
+    """The LP of ``decompose.local_part`` built from the vertex tables: one
+    0/1 row per entry (a, b, x, y) in product order, one column per local
+    vertex, and the box's numerators over d = den(P) on the right.
+    Returns (rows, rhs, d)."""
+    d = system.integer_form[1]
+    entries = list(product((0, 1), repeat=4))
+    rows = [[int(v.prob(*abxy)) for v in LOCAL_VERTICES] for abxy in entries]
+    return rows, [int(system.prob(*abxy) * d) for abxy in entries], d
 
 
 def lp_decomposition(system):
-    """P = q*P_iso(eps) + (1 - q)*P_L from ``local_part``'s weights."""
-    lp = local_part(system)
-    s = lp.local_part
+    """P = q*P_iso(eps) + (1 - q)*P_L from the reference simplex's weights."""
+    rows, rhs, d = local_lp(system)
+    res = solve_max(rows, rhs)
+    weights = tuple(Fraction(xj, res.den * d) for xj in res.x)
+    s = sum(weights)
     nl, expr = nl_value(system)
     if s == 1:
         return Decomposition(epsilon=Fraction(0), q=Fraction(0), p_f=None, facet=None,
-                             p_iso=None, p_l=system, lp=lp, system_nl=nl)
+                             p_iso=None, p_l=system, weights=weights, local_part=s,
+                             system_nl=nl)
     vertex = vertex_for_expression(expr)
     p_facet = mix([(Fraction(3, 4), vertex), (Fraction(1, 4), opposite_vertex(expr))])
     # the local vertices are 0/1 tables
-    local = [sum(w for w, v in zip(lp.weights, LOCAL_VERTICES) if v.table[t])
+    local = [sum(w for w, v in zip(weights, LOCAL_VERTICES) if v.table[t])
              for t in range(16)]
     assert all(e - m == (1 - s) * v
                for e, m, v in zip(system.table, local, vertex.table))
@@ -433,4 +449,4 @@ def lp_decomposition(system):
                                  for e, f in zip(p_star.table, p_facet.table)))
     return Decomposition(epsilon=eps, q=q, p_f=p_f, facet=expr,
                          p_iso=mix([(eps, vertex), (1 - eps, p_facet)]),
-                         p_l=p_l, lp=lp, system_nl=nl)
+                         p_l=p_l, weights=weights, local_part=s, system_nl=nl)

@@ -25,7 +25,6 @@ from nldistill import (
     inner_product,
     iso_bound,
     kernels,
-    local_part,
     minimal_isotropic,
     mix,
     nl_value,
@@ -34,7 +33,9 @@ from nldistill import (
     wiring_grid,
 )
 from nldistill.protocols import enumerate_plans
+from nldistill.simplex import solve_max
 from conftest import random_nonlocal_box, random_ns_box
+import scalar_kernels
 
 F = Fraction
 
@@ -177,14 +178,22 @@ def test_c6_decomposition_pipeline():
 
 @criterion("7 LP correctness")
 def test_c7_lp():
+    # the LP's optimum through the integer simplex, and the local part of
+    # the decomposition: the closed form above NL = 2, the certified
+    # simplex weights below
+    def local_parts(box):
+        rows, rhs, d = scalar_kernels.local_lp(box)
+        res = solve_max(rows, rhs)
+        return F(sum(res.x), res.den * d), minimal_isotropic(box).local_part
+
     for i in range(10):
         eps = F(i, 10)
         for j in range(10):
             delta = (1 - eps) * F(j, 10)
-            assert local_part(wedge(eps, delta)).local_part == 1 - eps
-    assert local_part(PR).local_part == 0
+            assert local_parts(wedge(eps, delta)) == (1 - eps, 1 - eps)
+    assert local_parts(PR) == (0, 0)
     for vertex in LOCAL_VERTICES:
-        assert local_part(vertex).local_part == 1
+        assert local_parts(vertex) == (1, 1)
     return "wedge 10x10 grid = 1 - eps, PR = 0, all 16 vertices = 1"
 
 

@@ -271,6 +271,31 @@ def test_memory_budget_is_a_parameter_error(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_huge_n_exits_3_before_any_work(tmp_path):
+    # the top level alone is far past the budget: build_tables rejects the
+    # n before it forms (2 den(p))^n or the byte estimate, numbers of about
+    # n bits each; the timeout turns a hang into a failure
+    code = """
+import sys
+from fractions import Fraction
+from nldistill import MemoryBudgetError, build_tables
+from nldistill.cli import main
+try:
+    build_tables(Fraction(2, 5), 10 ** 6)
+except MemoryBudgetError as exc:
+    print("raised", exc.required)
+for argv in (["bound"], ["grid"], ["tables", "--cache", sys.argv[1]]):
+    print(argv[0], main([*argv, "--wedge", "1/5,0", "--n", "1000000", "--long-run"]))
+"""
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          capture_output=True, text=True, timeout=30)
+    assert proc.stdout.splitlines() == ["raised None", "bound 3", "grid 3", "tables 3"]
+    assert proc.stderr.splitlines() == [
+        "nldistill: error: n=1000000: the top table level alone exceeds the "
+        "memory budget of 2147483648 bytes"] * 3
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_search_and_long_run_guards(capsys, tmp_path):
     code, out, _ = run(capsys, "search", "--wedge", "1/2,0", "--n", "1")
     obj = json.loads(out)
@@ -278,6 +303,8 @@ def test_search_and_long_run_guards(capsys, tmp_path):
     code, _, err = run(capsys, "search", "--wedge", "1/2,0", "--n", "2")
     assert code == 3 and "--long-run" in err
     code, _, err = run(capsys, "bound", "--wedge", "1/4,0", "--n", "8")
+    assert code == 3 and "--long-run" in err
+    code, _, err = run(capsys, "grid", "--wedge", "1/4,0", "--n", "8")
     assert code == 3 and "--long-run" in err
     code, _, err = run(capsys, "tables", "--wedge", "1/4,0", "--n", "9",
                        "--cache", str(tmp_path))
@@ -360,6 +387,29 @@ def test_one_parser_serves_every_call_without_leaking_state(capsys, tmp_path):
 def test_missing_file_is_io_error(capsys, tmp_path):
     code, _, err = run(capsys, "nl", "--box", str(tmp_path / "nope.json"))
     assert code == 4
+
+
+def test_cache_naming_a_file_is_io_error(capsys, tmp_path):
+    # the tables build, then the cache directory cannot be made
+    cache = tmp_path / "file"
+    cache.write_text("")
+    code, out, err = run(capsys, "bound", "--wedge", "1/5,0", "--n", "2",
+                         "--cache", str(cache))
+    assert code == 4 and out == ""
+    assert err.splitlines()[-1].startswith("nldistill: error: cannot write table cache: ")
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe{}", "box file is not UTF-8: "),
+    (b"[" * 200_000 + b"]" * 200_000, "JSON nested too deeply"),
+    (b"{not json", "not valid JSON: "),
+], ids=["utf16-bom", "nested", "not-json"])
+def test_malformed_box_file_is_invalid_box(capsys, tmp_path, data, message):
+    path = tmp_path / "box.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, "nl", "--box", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"nldistill: error: {message}")
 
 
 def test_zero_denominator_entry_is_invalid_box(capsys, tmp_path):

@@ -48,14 +48,14 @@ TIE_HEAVY = [*LOCAL_VERTICES, PR, ANTI_PR, P_C, UNIFORM]
 
 @pytest.fixture
 def lp_agreement(monkeypatch):
-    """Route local_part's LPs through the integer solver and the Fraction
-    reference; every SimplexResult field, basis and iterations included,
-    must agree."""
+    """Route the LPs of ``local_part`` and ``lp_optimum`` through the integer
+    solver and the Fraction reference; the weight numerators, their
+    denominator and the iterations must agree."""
     solved = []
 
-    def both(c, a, b):
-        got = solve_max(c, a, b)
-        assert got == scalar_kernels.solve_max(c, a, b)
+    def both(a, b):
+        got = solve_max(a, b)
+        assert got == scalar_kernels.solve_max(a, b)
         solved.append(got)
         return got
 
@@ -93,51 +93,48 @@ def replayed_pivots():
         simplex._pivot = pivot
 
 
-fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 9))
-
-
 @st.composite
 def small_lps(draw):
-    """max c.x, A x <= b, x >= 0 with fractional A, b >= 0 and c."""
+    """max sum(x), A x <= b, x >= 0 with integer A and b >= 0."""
     m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    a = draw(st.lists(st.lists(fractions, min_size=n, max_size=n),
+    a = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n),
                       min_size=m, max_size=m))
-    b = draw(st.lists(st.builds(F, st.integers(0, 6), st.integers(1, 9)),
-                      min_size=m, max_size=m))
-    c = draw(st.lists(fractions, min_size=n, max_size=n))
-    return c, a, b
+    b = draw(st.lists(st.integers(0, 60), min_size=m, max_size=m))
+    return a, b
 
 
 def test_simplex_known_lp():
-    # max x + y s.t. x + 2y <= 4, 3x + y <= 6 -> x = 8/5, y = 6/5
-    res = solve_max([F(1), F(1)], [[F(1), F(2)], [F(3), F(1)]], [F(4), F(6)])
-    assert res.value == F(14, 5)
-    assert res.x == (F(8, 5), F(6, 5))
-    assert all(rc <= 0 for rc in res.reduced_costs)
+    # max x + y s.t. x + 2y <= 4, 3x + y <= 6 -> x = 8/5, y = 6/5, over the
+    # determinant 5 of the optimal basis
+    res = solve_max([[1, 2], [3, 1]], [4, 6])
+    assert (res.x, res.den, res.iterations) == ((8, 6), 5, 2)
 
 
 @pytest.mark.parametrize("solve", [solve_max, scalar_kernels.solve_max],
                          ids=["integer", "fraction"])
 def test_simplex_error_paths(solve):
     with pytest.raises(ValueError, match=r"^this solver requires b >= 0$"):
-        solve([F(1)], [[F(1)]], [F(-1, 3)])
+        solve([[1]], [-1])
     # max x + y s.t. x - y <= 1: y grows without bound
     with pytest.raises(UnboundedError, match=r"^objective unbounded above$"):
-        solve([F(1), F(1)], [[F(1), F(-1)]], [F(1)])
+        solve([[1, -1]], [1])
 
 
 @settings(max_examples=300, deadline=None)
 @given(small_lps())
 def test_integer_simplex_matches_fraction_solver_on_fractional_lps(lp):
-    c, a, b = lp
+    # integer LPs with fractional optima: the weight numerators, their
+    # denominator D (the product of the reference's pivots) and the
+    # iterations agree, and every pivot divides exactly
+    a, b = lp
     try:
-        want = scalar_kernels.solve_max(c, a, b)
+        want = scalar_kernels.solve_max(a, b)
     except UnboundedError:
         with pytest.raises(UnboundedError), replayed_pivots():
-            solve_max(c, a, b)
+            solve_max(a, b)
         return
     with replayed_pivots():
-        assert solve_max(c, a, b) == want
+        assert solve_max(a, b) == want
 
 
 def test_every_pivot_division_is_exact():
@@ -147,26 +144,25 @@ def test_every_pivot_division_is_exact():
     boxes += [random_ns_box(rng) for _ in range(10)] + TIE_HEAVY
     with replayed_pivots() as count:
         for box in boxes:
-            local_part(box)
+            lp_optimum(box)
     assert count[0]
 
 
-def permuted_local_part(box, order):
-    """The local part through ``local_part``'s LP with its vertex columns in
-    ``order``.  The weights, put back in canonical order, must be an
-    optimal feasible point worth that value: no positive reduced cost."""
-    res = decompose.solve_max(decompose._ONES,
-                              [[row[j] for j in order] for row in decompose._VERTEX_MATRIX],
-                              [box.table[t] for t in decompose._ROW_ENTRY])
+def lp_optimum(box, order=tuple(range(16))):
+    """The weights, in canonical vertex order, and the value of the box's
+    local-part LP (``scalar_kernels.local_lp``), solved by
+    ``decompose.solve_max`` with the vertex columns in ``order``.  The
+    weights must be a feasible point."""
+    rows, rhs, d = scalar_kernels.local_lp(box)
+    res = decompose.solve_max([[row[j] for j in order] for row in rows], rhs)
     weights = [F(0)] * 16
-    for j, w in zip(order, res.x):
-        weights[j] = w
-    assert min(weights) >= 0 and sum(weights) == res.value
-    assert all(rc <= 0 for rc in res.reduced_costs)
+    for j, xj in zip(order, res.x):
+        weights[j] = F(xj, res.den * d)
+    assert min(weights) >= 0
     for a, b, x, y in product((0, 1), repeat=4):
         assert sum(w * v.prob(a, b, x, y)
                    for w, v in zip(weights, LOCAL_VERTICES)) <= box.prob(a, b, x, y)
-    return res.value
+    return weights, sum(weights)
 
 
 def test_integer_simplex_matches_fraction_solver_on_ties(lp_agreement):
@@ -176,59 +172,60 @@ def test_integer_simplex_matches_fraction_solver_on_ties(lp_agreement):
         orders = [list(range(16)), list(range(15, -1, -1))]
         orders += [rng.sample(range(16), 16) for _ in range(3)]
         for order in orders:
-            assert permuted_local_part(box, order) == expected
+            assert lp_optimum(box, order)[1] == expected
     # sparse random local mixtures: local part 1, with tied ratios
     for _ in range(20):
         weights = [rng.randrange(0, 3) for _ in LOCAL_VERTICES]
         weights[rng.randrange(16)] += 1  # never all zero
         box = mix([(F(w, sum(weights)), v) for w, v in zip(weights, LOCAL_VERTICES)])
-        assert local_part(box).local_part == 1
-        assert permuted_local_part(box, rng.sample(range(16), 16)) == 1
+        assert sum(local_part(box)) == 1
+        assert lp_optimum(box, rng.sample(range(16), 16))[1] == 1
 
 
 def test_local_part_vertices_and_pr():
-    assert local_part(PR).local_part == 0
-    assert local_part(ANTI_PR).local_part == 0
-    for v in LOCAL_VERTICES:
-        assert local_part(v).local_part == 1
+    for box in (PR, ANTI_PR):
+        assert lp_optimum(box)[1] == minimal_isotropic(box).local_part == 0
+        with pytest.raises(DecompositionError, match="^local weights do not sum to 1$"):
+            local_part(box)
+    # a deterministic vertex is extreme: its only decomposition is itself
+    for j, v in enumerate(LOCAL_VERTICES):
+        unit = tuple(F(int(i == j)) for i in range(16))
+        assert local_part(v) == minimal_isotropic(v).weights == unit
 
 
 def test_local_part_wedge_grid(lp_agreement):
     for i in range(0, 10):
         eps = F(i, 10)
         for j in range(0, 10):
-            delta = (1 - eps) * F(j, 10)
-            assert local_part(wedge(eps, delta)).local_part == 1 - eps
+            box = wedge(eps, (1 - eps) * F(j, 10))
+            assert lp_optimum(box)[1] == minimal_isotropic(box).local_part == 1 - eps
 
 
 def test_lp_constraints_hold_exactly(lp_agreement):
+    # these vertex mixtures are local: lp_optimum checks every weight's sign
+    # and every constraint, and the certified local_part returns the weights
     rng = random.Random(11)
     for _ in range(15):
         box = random_ns_box(rng)
-        lp = local_part(box)
-        assert all(w >= 0 for w in lp.weights)
-        assert sum(lp.weights) == lp.local_part <= 1
-        for a, b, x, y in product((0, 1), repeat=4):
-            lhs = sum(w * v.prob(a, b, x, y)
-                      for w, v in zip(lp.weights, LOCAL_VERTICES))
-            assert lhs <= box.prob(a, b, x, y)
+        weights, value = lp_optimum(box)
+        assert local_part(box) == tuple(weights) and value == 1
 
 
 def test_lp_value_independent_of_vertex_order(lp_agreement):
     rng = random.Random(12)
     for _ in range(5):
         box = random_ns_box(rng)
-        base = local_part(box).local_part
+        base = lp_optimum(box)[1]
         order = list(range(16))
         rng.shuffle(order)
-        assert permuted_local_part(box, order) == base
+        assert lp_optimum(box, order)[1] == base
 
 
 def test_lp_against_scipy():
     rng = random.Random(13)
     for _ in range(8):
         box = random_ns_box(rng)
-        exact = local_part(box).local_part
+        exact = lp_optimum(box)[1]
         a_ub = [[float(v.prob(a, b, x, y)) for v in LOCAL_VERTICES]
                 for a, b, x, y in product((0, 1), repeat=4)]
         b_ub = [float(box.prob(a, b, x, y))
@@ -315,8 +312,8 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def test_decomposition_tableau_entries_stay_below_2_32(monkeypatch):
-    # the right-hand side carries den(P) once, as one column factor, and the
-    # 0/1 rows are not scaled: no tableau entry of these LPs reaches 2^32
+    # the right-hand side holds the box's numerators over den(P) and the rows
+    # are 0/1: no tableau entry of these LPs reaches 2^32
     ref = json.loads(REFERENCE.read_text())
     boxes = [BinarySystem.from_json_obj(obj) for obj in ref["boxes"].values()]
     boxes += [BinarySystem.from_json_obj(job["box"])
@@ -334,7 +331,7 @@ def test_decomposition_tableau_entries_stay_below_2_32(monkeypatch):
 
     monkeypatch.setattr(simplex, "_pivot", measured)
     for box in boxes:
-        local_part(box)
+        lp_optimum(box)
     assert 0 < widest[0] < 2 ** 32
 
 
@@ -382,7 +379,7 @@ def test_closed_form_equals_the_lp_on_nonlocal_boxes():
             continue
         dec = minimal_isotropic(box)
         want = scalar_kernels.lp_decomposition(box)
-        assert dec.lp == want.lp
+        assert (dec.weights, dec.local_part) == (want.weights, want.local_part)
         assert dec == want
         facets.add(dec.facet)
         if nonlocal_count == 1500:
@@ -399,30 +396,22 @@ def _lp_edit(**edits):
     def patch(monkeypatch):
         real = decompose.solve_max
 
-        def edited(c, a, b):
-            res = real(c, a, b)
+        def edited(a, b):
+            res = real(a, b)
             return dataclasses.replace(res, **{k: f(res) for k, f in edits.items()})
 
         monkeypatch.setattr(decompose, "solve_max", edited)
     return patch
 
 
-def _lp_weights(box, weights):
-    """A patch that reports ``weights`` as the LP's solution, with their sum
-    as its value and the slacks that make every constraint exact: the
-    certificate holds, the optimality does not."""
-    slack = tuple(box.prob(a, b, x, y)
-                  - sum(w * v.prob(a, b, x, y) for w, v in zip(weights, LOCAL_VERTICES))
-                  for a, b, x, y in product((0, 1), repeat=4))
-    return _lp_edit(x=lambda res: tuple(weights), value=lambda res: sum(weights),
-                    slack=lambda res: slack)
-
-
-def _lowered(box, delta):
-    """The LP weights of ``box`` with its largest weight lowered by delta."""
-    weights = list(local_part(box).weights)
-    weights[weights.index(max(weights))] -= delta
-    return _lp_weights(box, weights)
+def _moved_unit(res):
+    """The LP's weight numerators with one unit moved from the first nonzero
+    weight to the next vertex: same sum and signs, another local mixture."""
+    x = list(res.x)
+    i = next(i for i, xi in enumerate(x) if xi)
+    x[i] -= 1
+    x[(i + 1) % 16] += 1
+    return tuple(x)
 
 
 def _facet_edit(edit):
@@ -491,19 +480,20 @@ RESIDUE_BOX, RESIDUE_FACET = _residue_case()
 WEDGE = wedge(F(1, 5), F(1, 5))
 # a local box, den(P) = 16: only local boxes reach the LP
 LOCAL = wedge(0, F(1, 2))
+# a table of mass 11/10 on every input pair, and one of mass 11/10 on the
+# input pair (1, 1) only: the LP's weights sum to 11/10 on the first, and to
+# 1 on the second, whose input pair (1, 1) they cannot rebuild
+HEAVY = BinarySystem(tuple(F(11, 10) * e for e in UNIFORM.table))
+HEAVY_PAIR = BinarySystem(tuple(e + F(1, 40) * (t >= 12) for t, e in enumerate(UNIFORM.table)))
 # each DecompositionError message, a box and the patch that breaks the
 # identity its check guards; the order keeps each case's test id
 BROKEN = [
-    ("simplex returned an uncertified optimum", LOCAL,
-     _lp_edit(reduced_costs=lambda res: (F(1),) + res.reduced_costs[1:])),
-    ("simplex returned an uncertified optimum", LOCAL,
-     _lp_edit(x=lambda res: (F(-1, 5),) + res.x[1:])),
-    ("simplex returned an uncertified optimum", LOCAL,
-     _lp_edit(value=lambda res: res.value + F(1, 5))),
-    # one unit of den(P) on one slack
-    ("LP slack fails to reconstruct the constraint", LOCAL,
-     _lp_edit(slack=lambda res: (res.slack[0] + F(1, 16),) + res.slack[1:])),
-    ("local part 3/4 < 1 for a box with NL = 2 <= 2", P_C, _lowered(P_C, F(1, 4))),
+    ("local weight is negative", LOCAL, _lp_edit(x=lambda res: (-1,) + res.x[1:])),
+    # every weight halved
+    ("local weights do not sum to 1", LOCAL, _lp_edit(den=lambda res: 2 * res.den)),
+    ("local weights do not sum to 1", HEAVY, lambda mp: None),
+    ("local weights do not rebuild the box", LOCAL, _lp_edit(x=_moved_unit)),
+    ("local weights do not rebuild the box", HEAVY_PAIR, lambda mp: None),
     # P(0,1|0,0) = -1/40 is the weight of a facet vertex
     ("facet weight is negative", _negative_entry(WEDGE), lambda mp: None),
     # a uniform facet box has CHSH value 0, so NL(P_iso) = 4 eps
@@ -544,32 +534,33 @@ def test_each_broken_identity_raises(monkeypatch, message, box, patch):
 
 
 def test_decomposition_checks_survive_optimize_flag():
-    # the closed form's checks and the LP's certificate are raises, not
-    # asserts: they still fire under python -O
+    # the closed form's checks and the local weights' certificate are
+    # raises, not asserts: they still fire under python -O
     code = """
 import dataclasses
 from fractions import Fraction
 from nldistill import BinarySystem, decompose, wedge
+
+def check(box):
+    try:
+        decompose.minimal_isotropic(box)
+    except decompose.DecompositionError as exc:
+        print("raised", exc)
+
 box = wedge(Fraction(1, 5), Fraction(1, 5))
 print("debug", __debug__)
-try:
-    decompose.minimal_isotropic(BinarySystem(tuple(Fraction(11, 10) * e for e in box.table)))
-except decompose.DecompositionError as exc:
-    print("raised", exc)
+check(BinarySystem(tuple(Fraction(11, 10) * e for e in box.table)))
 table = list(box.table)
 table[1] -= Fraction(1, 10)
 table[2] += Fraction(1, 10)
-try:
-    decompose.minimal_isotropic(BinarySystem(tuple(table)))
-except decompose.DecompositionError as exc:
-    print("raised", exc)
+check(BinarySystem(tuple(table)))
+uniform = (Fraction(1, 4),) * 16
+check(BinarySystem(tuple(Fraction(11, 10) * e for e in uniform)))
+check(BinarySystem(tuple(e + Fraction(1, 40) * (t >= 12) for t, e in enumerate(uniform))))
 real = decompose.solve_max
-decompose.solve_max = lambda c, a, b: dataclasses.replace(
-    real(c, a, b), reduced_costs=(Fraction(1),) + (Fraction(0),) * 15)
-try:
-    decompose.minimal_isotropic(wedge(0, Fraction(1, 2)))
-except decompose.DecompositionError as exc:
-    print("raised", exc)
+decompose.solve_max = lambda a, b: dataclasses.replace(
+    real(a, b), x=(-1,) + real(a, b).x[1:])
+check(wedge(0, Fraction(1, 2)))
 """
     proc = subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True)
@@ -578,5 +569,7 @@ except decompose.DecompositionError as exc:
         "debug False",
         "raised decomposition does not reconstruct the box",
         "raised facet weight is negative",
-        "raised simplex returned an uncertified optimum",
+        "raised local weights do not sum to 1",
+        "raised local weights do not rebuild the box",
+        "raised local weight is negative",
     ]

@@ -309,6 +309,31 @@ def test_pruned_levels_report_counts():
     assert filled[7]["prune_kept"] > 0 and filled[7]["prune_fallbacks"] == 0
 
 
+def test_pruned_fill_falls_back_mid_level(monkeypatch):
+    # every block of the level 8 fill at 31/80 prunes at the shipped cap; a
+    # cap lowered to 0 after the fifth block makes the sixth return None, and
+    # it and the rest of the level sweep without asking the pruner again
+    p = F(31, 80)
+    t = build_tables(p, 7)
+    ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
+    real = kernels._Pruner.block
+    evaluated = []
+
+    def block(self, ks, iv, k_lo):
+        if len(evaluated) == 5:
+            monkeypatch.setattr(kernels, "PRUNE_CAP", 0.0)
+        found = real(self, ks, iv, k_lo)
+        evaluated.append(None if found is None else found[1])
+        return found
+
+    monkeypatch.setattr(kernels._Pruner, "block", block)
+    grid, counts = kernels.fill_wedge(t.plus[7], ca, cb)
+    blocks = len(list(kernels._fill_blocks(256)))
+    assert len(evaluated) == 6 and evaluated[5] is None and blocks > 6
+    assert counts == {"prune_kept": sum(evaluated[:5]), "prune_fallbacks": blocks - 5}
+    assert np.array_equal(grid, sweep_wedge(t.plus[7], 256, ca, cb))
+
+
 _PRUNED_8 = [()] * 7 + [(("prune_kept", 33391), ("prune_fallbacks", 0))]
 _SWEPT_8 = [()] * 7 + [(("prune_kept", 0), ("prune_fallbacks", 18))]
 
@@ -730,6 +755,20 @@ def test_header_n_must_fit_the_payload(tmp_path):
         path.write_bytes(_restamp([head[0], b"n=3 p=2/5"], bytes(extra)))
         with pytest.raises(error):
             load_tables(path)
+
+
+@pytest.mark.parametrize("head, error, message", [
+    (b"NLDELTB 5\nn=2 p=2/5\nsha256=0\n", TableVersionError, "not a delta table file"),
+    (b"NLDELTA 5\nn=2 p=2/5", TableFormatError, "file too short for a table header"),
+    (b"NLDELTA 5\nn=two p=2/5\nsha256=0\n", TableHeaderError, "malformed header line"),
+    (b"NLDELTA 5\nn=2 p=3/5\nsha256=0\n", TableHeaderError, "header out of range"),
+], ids=["magic", "short", "malformed", "range"])
+def test_load_rejects_each_bad_header(tmp_path, head, error, message):
+    # each header check raises before the checksum is read
+    path = tmp_path / "t.nldt"
+    path.write_bytes(head)
+    with pytest.raises(error, match=message):
+        load_tables(path)
 
 
 def _split(data: bytes) -> tuple[list[bytes], bytes]:
