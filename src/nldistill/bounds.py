@@ -72,25 +72,24 @@ class BoundReport:
         return obj
 
 
-def class_bound(tables: DeltaTables, n: int, profile: ClassProfile) -> Fraction:
-    """Exact bound value for one class profile."""
-    if n < 1 or n > tables.n:
-        raise ValueError(f"need 1 <= n <= {tables.n}, got {n}")
+def class_bound(tables: DeltaTables, profile: ClassProfile) -> Fraction:
+    """Exact bound value for one class profile at the tables' level n."""
+    n = tables.n
+    if n < 1:
+        raise ValueError("class bounds need tables of level n >= 1")
     profile.check(n)
     k0, k1, l0, l1 = profile.as_tuple()
     d = tables.delta
     return (
         2
         - Fraction(4 * (k0 + l0), 2 ** n)
-        + 4 * (d("+", n, k0, l0) + d("+", n, k0, l1)
-               + d("+", n, k1, l0) - d("-", n, k1, l1))
+        + 4 * (d("+", k0, l0) + d("+", k0, l1) + d("+", k1, l0) - d("-", k1, l1))
     )
 
 
-def _scan_inputs(tables: DeltaTables, n: int):
-    xp, xm = tables.plus[n], tables.minus[n]
-    dpn = tables.p.denominator ** n
-    return xp, xm, dpn, tables.level_denominator(n)
+def _scan_inputs(tables: DeltaTables):
+    dpn = tables.p.denominator ** tables.n
+    return tables.plus, tables.minus, dpn, tables.denominator
 
 
 def iso_bound(system: BinarySystem, n: int, *,
@@ -98,7 +97,7 @@ def iso_bound(system: BinarySystem, n: int, *,
     """Upper bound on D(n, P) for an isotropic system.
 
     The k0 sweep stops at 2^(n-1) (complement symmetry).  Given ``tables``
-    must be at the system's p and reach level n (``ValueError``).
+    must be at the system's p and at level n (``ValueError``).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -106,12 +105,12 @@ def iso_bound(system: BinarySystem, n: int, *,
     if eps is None:
         raise ValueError("the isotropic bound applies to isotropic systems only")
     tables = tables_for(system.prob(0, 0, 0, 0), n, tables)
-    xp, xm, dpn, denom = _scan_inputs(tables, n)
+    xp, xm, dpn, denom = _scan_inputs(tables)
     size = 2 ** n
     best, witness = kernels.iso_scan(xp, xm, dpn, size // 2, size)
     raw = Fraction(4 * best, denom)
     profile = ClassProfile(*witness)
-    check = class_bound(tables, n, profile)
+    check = class_bound(tables, profile)
     if check != raw:
         raise AssertionError(
             f"witness profile {witness} evaluates to {check}, scan reported {raw}"
@@ -199,7 +198,7 @@ def class_grid(system: BinarySystem, n: int, *,
     if is_isotropic(system) is None:
         raise ValueError("the class grid applies to isotropic systems only")
     tables = tables_for(system.prob(0, 0, 0, 0), n, tables)
-    xp, xm, dpn, denom = _scan_inputs(tables, n)
+    xp, xm, dpn, denom = _scan_inputs(tables)
     size = 2 ** n
     return ClassGrid(n=n, scaled=kernels.grid_scan(xp, xm, dpn, size),
                      denominator=denom)

@@ -1,12 +1,13 @@
 """Dynamic-programming tables for the recursive wiring bounds.
 
 For a parameter p = P(0,0|0,0) of an instance, the tables hold the
-grids delta_m_plus(k,l) and delta_m_minus(k,l) for every level
-m = 0..n.  Level 0 is k*l on {0,1}^2; level m is the window optimum
+level-n grids delta_n_plus(k,l) and delta_n_minus(k,l).  Level 0 is k*l
+on {0,1}^2; level m is the window optimum
 
     opt_{i,j} p*[d(i,j) + d(k-i,l-j)] + (1/2-p)*[d(i,l-j) + d(k-i,j)]
 
-over i in [k-min(k,2^(m-1)), min(k,2^(m-1))] and j likewise.
+over i in [k-min(k,2^(m-1)), min(k,2^(m-1))] and j likewise, a function
+of level m-1 alone, so the build keeps only the level below.
 
 Entries are stored as integer numerators over the exact per-level
 denominator D_m = (2*den(p))^m, which keeps the whole build in integer
@@ -51,15 +52,15 @@ So the min is l/2^m minus the max.  All three identities hold exactly for
 the recursion and are cross-checked against a direct recursive
 evaluation in the tests.
 
-A cache file (format 5) starts with three ASCII header lines
+A cache file (format 6) starts with three ASCII header lines
 
-    NLDELTA 5
+    NLDELTA 6
     n=<n> p=<num>/<den>
     sha256=<hex digest of every other byte of the file>
 
-and goes on with the plus grids' numerators over D_m, level 0..n in
-row-major order, each entry as L unsigned little-endian 64-bit limbs,
-least significant first, where L = ceil(bits(D_n)/64).  L is not stored:
+and goes on with the level-n plus grid's numerators over D_n in row-major
+order, each entry as L unsigned little-endian 64-bit limbs, least
+significant first, where L = ceil(bits(D_n)/64).  L is not stored:
 it follows from n and p, and it is 1 for every int64 table, as
 D_n <= 2^59 there.  The minus grid is not stored: ``DeltaTables.minus``
 derives it on first read.  The loader picks the dtype from ``fits_int64``
@@ -68,10 +69,10 @@ as the build does.  Files of another version raise ``TableVersionError``.
 Loading checks the header (``TableHeaderError``) and the checksum
 (``TableChecksumError``), then, before any work of size n, that level n's
 more than 4^n entries of 8 bytes fit the payload (``TableHeaderError``),
-then that the payload holds exactly the entries of levels 0..n at 8*L
-bytes each, and that every level's entries lie in [0, D_m]
-(``TableFormatError``).  The int64 grids are read-only views of
-the one decoded buffer; big-int grids join their limbs in Python ints.
+then that the payload holds exactly the (2^n+1)^2 entries of level n at
+8*L bytes each, and that they lie in [0, D_n] (``TableFormatError``).  An
+int64 grid is a read-only view of the decoded buffer; a big-int grid
+joins its limbs in Python ints.
 """
 from __future__ import annotations
 
@@ -96,7 +97,7 @@ INT64_SAFE_LIMIT = 1 << 59
 MEMORY_BUDGET = 2 << 30  # bytes
 
 _MAGIC = "NLDELTA"
-_FORMAT_VERSION = 5
+_FORMAT_VERSION = 6
 
 
 class DeltaTableError(Exception):
@@ -137,9 +138,9 @@ def fits_int64(p: Fraction, n: int) -> bool:
 
 def _estimate_bytes(n: int, int64: bool) -> int:
     per_entry = 8 if int64 else 120  # object arrays: pointer plus a small int
-    # two grids per level: only plus is built, but bound and grid read
-    # DeltaTables.minus, which materializes the minus grids beside it
-    return sum(2 * (2 ** m + 1) ** 2 * per_entry for m in range(n + 1))
+    # the build holds levels n - 1 and n, and bound and grid read
+    # DeltaTables.minus, which materializes the level-n minus grid beside it
+    return (2 * (2 ** n + 1) ** 2 + (2 ** n // 2 + 1) ** 2) * per_entry
 
 
 ProgressFn = Callable[[dict], None]
@@ -147,19 +148,18 @@ ProgressFn = Callable[[dict], None]
 
 @dataclass(frozen=True)
 class DeltaTables:
-    """Immutable numerator grids for levels 0..n at parameter p.
+    """The immutable level-n numerator grid at parameter p.
 
-    Only the plus grids are held; ``n``, ``minus`` and ``ops_per_level``
-    follow from them, the minus grids by the identity in the module
-    docstring.
+    Only the plus grid is held; ``n``, ``minus`` and ``ops_per_level``
+    follow from it, the minus grid by the identity in the module docstring.
     """
 
     p: Fraction
-    plus: tuple[np.ndarray, ...]
+    plus: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.plus) - 1
+        return (len(self.plus) - 1).bit_length() - 1
 
     @functools.cached_property
     def ops_per_level(self) -> tuple[int, ...]:
@@ -167,40 +167,34 @@ class DeltaTables:
         return (0, *(2 * kernels._wedge_pairs(2 ** m) for m in range(1, self.n + 1)))
 
     @functools.cached_property
-    def minus(self) -> tuple[np.ndarray, ...]:
-        """The read-only minus grids of levels 0..n, derived once."""
-        grids = []
-        for m, g in enumerate(self.plus):
-            # l*dp^m numerates l/2^m over D_m; exact in int64 (entries <= D_m)
-            gm = np.arange(len(g)).astype(g.dtype) * self.p.denominator ** m - g[::-1]
-            gm.flags.writeable = False
-            grids.append(gm)
-        return tuple(grids)
+    def minus(self) -> np.ndarray:
+        """The read-only minus grid, derived once."""
+        g = self.plus
+        # l*dp^n numerates l/2^n over D_n; exact in int64 (entries <= D_n)
+        gm = np.arange(len(g)).astype(g.dtype) * self.p.denominator ** self.n - g[::-1]
+        gm.flags.writeable = False
+        return gm
 
-    def level_denominator(self, m: int) -> int:
-        return (2 * self.p.denominator) ** m
+    @property
+    def denominator(self) -> int:
+        """D_n = (2*den(p))^n, the grids' common denominator."""
+        return (2 * self.p.denominator) ** self.n
 
-    def delta(self, sign: str, m: int, k: int, l: int) -> Fraction:
-        """Exact table value delta_m^sign(k, l); sign is "+" or "-"."""
+    def delta(self, sign: str, k: int, l: int) -> Fraction:
+        """Exact table value delta_n^sign(k, l); sign is "+" or "-"."""
         if sign not in ("+", "-"):
             raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-        if not 0 <= m <= self.n:
-            raise IndexError(f"level {m} outside 0..{self.n}")
-        size = 2 ** m
+        size = 2 ** self.n
         if not (0 <= k <= size and 0 <= l <= size):
-            raise IndexError(f"(k,l)=({k},{l}) outside the level-{m} grid 0..{size}")
-        grid = self.plus[m] if sign == "+" else self.minus[m]
-        return Fraction(int(grid[k, l]), self.level_denominator(m))
+            raise IndexError(f"(k,l)=({k},{l}) outside the level-{self.n} grid 0..{size}")
+        grid = self.plus if sign == "+" else self.minus
+        return Fraction(int(grid[k, l]), self.denominator)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DeltaTables):
             return NotImplemented
-        return (
-            self.p == other.p
-            and len(self.plus) == len(other.plus)
-            and all(a.dtype == b.dtype and np.array_equal(a, b)
-                    for a, b in zip(self.plus, other.plus))
-        )
+        return (self.p == other.p and self.plus.dtype == other.plus.dtype
+                and np.array_equal(self.plus, other.plus))
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -216,9 +210,9 @@ class DeltaTables:
         ).encode()
         limbs = _limb_count(self.p, self.n)
         if limbs == 1:
-            payload = b"".join(grid.astype("<u8").tobytes() for grid in self.plus)
+            payload = self.plus.astype("<u8").tobytes()
         else:
-            values = np.concatenate([grid.ravel() for grid in self.plus])
+            values = self.plus.ravel()
             words = np.empty((len(values), limbs), dtype="<u8")
             for k in range(limbs):
                 words[:, k] = (values >> (64 * k)) & _LIMB_MASK
@@ -282,29 +276,25 @@ def load_tables(path, expect_p: Optional[Fraction] = None,
         raise TableHeaderError(
             f"header n={n} does not fit a payload of {len(payload)} bytes")
 
-    sides = [2 ** m + 1 for m in range(n + 1)]
-    ends = np.cumsum([side * side for side in sides]).tolist()
+    side = 2 ** n + 1
     limbs = _limb_count(p, n)
-    if len(payload) != ends[-1] * 8 * limbs:
+    if len(payload) != side * side * 8 * limbs:
         raise TableFormatError(
-            f"payload of {len(payload)} bytes, expected {ends[-1]} entries "
+            f"payload of {len(payload)} bytes, expected {side * side} entries "
             f"of {8 * limbs} bytes for n={n}"
         )
     words = np.frombuffer(payload, "<u8").reshape(-1, limbs)
     if fits_int64(p, n):
-        values = words[:, 0]  # unsigned until checked: a set top bit exceeds D_m
+        values = words[:, 0]  # unsigned until checked: a set top bit exceeds D_n
     else:
         values = words[:, -1].astype(object)
         for k in range(limbs - 2, -1, -1):
             values = (values << 64) | words[:, k].astype(object)
         values.flags.writeable = False
-    grids = []
-    for m, (side, end) in enumerate(zip(sides, ends)):
-        grid = values[end - side * side:end].reshape(side, side)
-        if grid.max() > (2 * p.denominator) ** m:
-            raise TableFormatError(f"entry outside [0, 1] at level {m}")
-        grids.append(grid.view(np.int64) if grid.dtype != object else grid)
-    return DeltaTables(p=p, plus=tuple(grids))
+    if values.max() > (2 * p.denominator) ** n:
+        raise TableFormatError(f"entry outside [0, 1] at level {n}")
+    grid = values.reshape(side, side)
+    return DeltaTables(p=p, plus=grid.view(np.int64) if grid.dtype != object else grid)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +325,7 @@ def _complete_grid(grid: np.ndarray, dppow: int) -> None:
 
 def build_tables(p: RationalLike, n: int, *,
                  progress: Optional[ProgressFn] = None) -> DeltaTables:
-    """Build delta tables for all levels 0..n at parameter p.
+    """Build the level-n delta tables at parameter p.
 
     p must lie in [0, 1/2] (the output-symmetric range; every isotropic
     system satisfies this).  Levels are int64 while every intermediate
@@ -348,9 +338,10 @@ def build_tables(p: RationalLike, n: int, *,
     Each level runs one fill, ``kernels.fill_wedge``, of the plus grid's
     capped wedge k <= l <= 2^m - k, and ``_complete_grid`` derives the other
     cells by the symmetry and the transposed complement (module
-    docstring).  The tables keep only the plus grids, and
-    ``DeltaTables.minus`` derives the minus grids from them by the identity
-    in the module docstring.  Each ``level_filled`` event still counts, as
+    docstring).  Level m is filled from level m-1 alone, so the build holds
+    two levels at a time.  The tables keep only the level-n plus grid, and
+    ``DeltaTables.minus`` derives the minus grid from it by the identity in
+    the module docstring.  Each ``level_filled`` event still counts, as
     ``ops``, the logical window pairs of both grids' recursions over the
     whole wedge k <= min(l, 2^(m-1)): twice ``kernels._wedge_pairs``.
 
@@ -397,13 +388,12 @@ def build_tables(p: RationalLike, n: int, *,
             "bits": ((2 * dp) ** n).bit_length(),
             "limit_bits": INT64_SAFE_LIMIT.bit_length() - 1,
         })
-    plus = [base]
+    plus = base
     for m in range(1, n + 1):
         t0 = time.perf_counter()
-        gp, counts = kernels.fill_wedge(plus[-1], ca, cb)
-        _complete_grid(gp, dp ** m)
-        gp.flags.writeable = False
-        plus.append(gp)
+        plus, counts = kernels.fill_wedge(plus, ca, cb)
+        _complete_grid(plus, dp ** m)
+        plus.flags.writeable = False
         if progress is not None:
             progress({
                 "event": "level_filled", "m": m,
@@ -412,17 +402,17 @@ def build_tables(p: RationalLike, n: int, *,
                 "seconds": round(time.perf_counter() - t0, 3),
                 "dtype": base.dtype.name, **counts,
             })
-    return DeltaTables(p=p, plus=tuple(plus))
+    return DeltaTables(p=p, plus=plus)
 
 
 def tables_for(p: Fraction, n: int, tables: Optional[DeltaTables] = None) -> DeltaTables:
-    """Given ``tables``, check they are at p and reach level n; given none, build."""
+    """Given ``tables``, check they are at p and at level n; given none, build."""
     if tables is None:
         return build_tables(p, n)
     if tables.p != p:
         raise ValueError(f"tables built for p={tables.p}, system has p={p}")
-    if tables.n < n:
-        raise ValueError(f"tables only reach level {tables.n} < n={n}")
+    if tables.n != n:
+        raise ValueError(f"tables at level {tables.n}, expected n={n}")
     return tables
 
 

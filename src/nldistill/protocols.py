@@ -379,21 +379,21 @@ def sandwich_check(system: BinarySystem, n: int) -> SandwichReport:
     plans = enumerate_plans(n)
     size = 1 << n
     scale = system.integer_form[1] ** n
-    den = tables.level_denominator(n)
+    den = tables.denominator
     # 0 <= f^T W g <= scale and |delta| <= den bound both cross products
     dtype = np.int64 if scale * den < 1 << 62 else object
     decisions = (np.arange(1 << size)[:, None] >> np.arange(size)) & 1  # [f, a]
     d = decisions.astype(dtype)
     values = np.einsum("fa,xyab,gb->xyfg", d, _wiring_numerators(system, plans, n, dtype), d)
     counts = decisions.sum(axis=1)
-    upper = tables.plus[n][np.ix_(counts, counts)].astype(dtype) * scale
-    lower = tables.minus[n][np.ix_(counts, counts)].astype(dtype) * scale
+    upper = tables.plus[np.ix_(counts, counts)].astype(dtype) * scale
+    lower = tables.minus[np.ix_(counts, counts)].astype(dtype) * scale
     scaled = values * den
     violations = tuple(
         SandwichViolation(plan_a=plans[ia], plan_b=plans[ib],
                           f=tuple(decisions[fm].tolist()), g=tuple(decisions[gm].tolist()),
                           value=Fraction(int(values[ia, ib, fm, gm]), scale),
-                          lower=tables.delta("-", n, counts[fm], counts[gm]),
-                          upper=tables.delta("+", n, counts[fm], counts[gm]))
+                          lower=tables.delta("-", counts[fm], counts[gm]),
+                          upper=tables.delta("+", counts[fm], counts[gm]))
         for ia, ib, fm, gm in np.argwhere((scaled < lower) | (scaled > upper)).tolist())
     return SandwichReport(n=n, checked=values.size, violations=violations)

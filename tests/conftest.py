@@ -28,23 +28,20 @@ ALL_VERTICES = list(LOCAL_VERTICES) + list(NONLOCAL_VERTICES)
 
 
 def random_ns_box(rng: random.Random, den: int = 64):
-    """Random vertex mixture: always a valid nonsignaling box."""
-    weights = [rng.randrange(0, den) for _ in range(len(ALL_VERTICES))]
-    total = sum(weights) or 1
-    if total != sum(weights):  # all zeros: fall back to the uniform box
-        weights = [1] * len(ALL_VERTICES)
-        total = len(ALL_VERTICES)
-    return mix([(Fraction(w, total), v) for w, v in zip(weights, ALL_VERTICES)])
+    """Random mixture of one to six of the 24 vertices: always a valid
+    nonsignaling box, nonlocal (NL > 2) in about a fifth of the draws.  A
+    mixture of all 24 at once is local: its PR boxes cancel."""
+    picks = rng.sample(ALL_VERTICES, rng.randint(1, 6))
+    weights = [rng.randrange(1, den) for _ in picks]
+    total = sum(weights)
+    return mix([(Fraction(w, total), v) for w, v in zip(weights, picks)])
 
 
 def random_nonlocal_box(rng: random.Random, den: int = 64):
     """Random box with NL > 2: a PR weight above 2/3 forces a violation."""
     w_pr = Fraction(rng.randrange(68, 100), 100)
     rest = [rng.randrange(0, den) for _ in range(len(LOCAL_VERTICES))]
-    total = sum(rest) or 1
-    if total != sum(rest):
-        rest = [1] * len(LOCAL_VERTICES)
-        total = len(LOCAL_VERTICES)
+    total = sum(rest)
     comps = [(w_pr, PR)] + [
         ((1 - w_pr) * Fraction(r, total), v) for r, v in zip(rest, LOCAL_VERTICES)
     ]

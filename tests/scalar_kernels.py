@@ -28,10 +28,12 @@ by cell, in Python ints: the premise of ``iso_scan``'s k0 cap, and one of
 the two premises of ``grid_scan``'s orbit sweep; the other is the symmetry
 x = x^T of both grids.
 ``load_payload`` reads a table cache's payload entry by entry, the
-reference for the loader's bulk decode; ``format_4_file`` writes a cache
-file as format 4 did, with its ``ops=`` header line.  ``solve_max`` is the
-simplex on a ``Fraction`` tableau, the reference for the fraction-free one
-in ``nldistill.simplex``: same Bland's rule, so the same pivot sequence.
+reference for the loader's bulk decode; ``format_5_file`` writes a cache
+file as format 5 did, with the plus grids of every level, and
+``format_4_file`` one as format 4 did, with its ``ops=`` header line.
+``solve_max`` is the simplex on a ``Fraction`` tableau, the reference for
+the fraction-free one in ``nldistill.simplex``: same Bland's rule, so the
+same pivot sequence.
 ``local_lp`` builds the local-part LP from the vertex tables.
 ``lp_decomposition`` is the minimal isotropic decomposition as the package
 ran it before ``minimal_isotropic`` took the closed form on nonlocal boxes:
@@ -56,6 +58,7 @@ from nldistill.boxes import (
     vertex_for_expression,
 )
 from nldistill.decompose import Decomposition
+from nldistill.delta import build_tables
 from nldistill.protocols import _bits, _plan_input_table
 from nldistill.simplex import SimplexResult, UnboundedError
 
@@ -326,24 +329,31 @@ def t_sweep(t, a0_idx):
 
 
 def load_payload(payload, p, n):
-    """The plus grids of a cache file's payload (the bytes after its sha256
-    line) for levels 0..n, each entry read apart with ``int.from_bytes``
-    from its 8*L little-endian bytes, L = ceil(bits(D_n)/64); int64 while
+    """The level-n plus grid of a cache file's payload (the bytes after its
+    sha256 line), each entry read apart with ``int.from_bytes`` from its
+    8*L little-endian bytes, L = ceil(bits(D_n)/64); int64 while
     (2*den(p))^n <= 2^59, else Python ints."""
     top = (2 * p.denominator) ** n
     dtype = np.int64 if top <= 1 << 59 else object
     width = 8 * math.ceil(top.bit_length() / 64)
-    grids = []
-    pos = 0
-    for m in range(n + 1):
-        side = 2 ** m + 1
-        values = [int.from_bytes(payload[at:at + width], "little")
-                  for at in range(pos, pos + side * side * width, width)]
-        assert max(values) <= (2 * p.denominator) ** m
-        grids.append(np.array(values, dtype=dtype).reshape(side, side))
-        pos += side * side * width
-    assert pos == len(payload)
-    return grids
+    side = 2 ** n + 1
+    assert len(payload) == side * side * width
+    values = [int.from_bytes(payload[at:at + width], "little")
+              for at in range(0, len(payload), width)]
+    assert max(values) <= top
+    return np.array(values, dtype=dtype).reshape(side, side)
+
+
+def format_5_file(p, n):
+    """The format-5 cache file of the int64 tables at p and n: version 5,
+    and the plus grids of every level 0..n, each built on its own, one
+    little-endian 64-bit word per entry."""
+    assert (2 * p.denominator) ** n <= 1 << 59
+    head = f"NLDELTA 5\nn={n} p={p.numerator}/{p.denominator}\n".encode()
+    payload = b"".join(build_tables(p, m).plus.astype("<u8").tobytes()
+                       for m in range(n + 1))
+    digest = hashlib.sha256(head + payload).hexdigest().encode()
+    return head + b"sha256=" + digest + b"\n" + payload
 
 
 def format_4_file(data, ops):
@@ -386,14 +396,19 @@ def solve_max(a, b):
             raise UnboundedError("objective unbounded above")
         piv = rows[leave][enter]
         det *= piv
-        rows[leave] = [v / piv for v in rows[leave]]
+        # the pivot row is sparse: its zero entries leave every update
+        # unchanged (v - f*0 = v), so only its nonzero columns are visited
+        pivot_row = rows[leave] = [v / piv if v else v for v in rows[leave]]
+        nonzero = [j for j, w in enumerate(pivot_row) if w]
         for i in range(m):
-            if i != leave and rows[i][enter] != 0:
-                f = rows[i][enter]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [v - f * w for v, w in zip(cost, rows[leave])]
+            f = rows[i][enter]
+            if i != leave and f != 0:
+                for j in nonzero:
+                    rows[i][j] -= f * pivot_row[j]
+        f = cost[enter]
+        if f != 0:
+            for j in nonzero:
+                cost[j] -= f * pivot_row[j]
         basis[leave] = enter
         iterations += 1
 

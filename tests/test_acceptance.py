@@ -237,18 +237,16 @@ def test_c8_symmetries():
 
     # (b) table symmetry delta(k,l) = delta(l,k) and monotonicity in k
     for p in (F(2, 5), F(3, 8), F(1, 7), F(1, 2), F(301, 800)):
-        tables = build_tables(p, 4)
-        for sign in "+-":
-            for m in range(tables.n + 1):
-                size = 2 ** m
+        for m in range(5):
+            tables = build_tables(p, m)
+            size = 2 ** m
+            for sign in "+-":
                 for k in range(size + 1):
                     for l in range(size + 1):
-                        assert tables.delta(sign, m, k, l) == \
-                            tables.delta(sign, m, l, k)
-                for k in range(size):
-                    for l in range(size + 1):
-                        assert tables.delta("+", m, k, l) <= \
-                            tables.delta("+", m, k + 1, l)
+                        assert tables.delta(sign, k, l) == tables.delta(sign, l, k)
+            for k in range(size):
+                for l in range(size + 1):
+                    assert tables.delta("+", k, l) <= tables.delta("+", k + 1, l)
 
     # (c) complement-reduced profile scan equals the full k0 scan on the
     # same tables, n <= 4
@@ -257,10 +255,10 @@ def test_c8_symmetries():
         for n in range(1, 5):
             tables = build_tables(box.prob(0, 0, 0, 0), n)
             size = 2 ** n
-            best, witness = kernels.iso_scan(tables.plus[n], tables.minus[n],
+            best, witness = kernels.iso_scan(tables.plus, tables.minus,
                                              tables.p.denominator ** n, size, size)
             reduced = iso_bound(box, n, tables=tables)
-            assert reduced.raw_bound == F(4 * best, tables.level_denominator(n))
+            assert reduced.raw_bound == F(4 * best, tables.denominator)
             assert reduced.witness_profile.as_tuple() == witness
     return "complement invariance x1000 exact, table symmetry+monotonicity, scan reduction"
 

@@ -50,12 +50,12 @@ def wedge_pair(q):
 
 def test_class_bound_hand_value():
     t = build_tables(F(2, 5), 1)
-    assert class_bound(t, 1, ClassProfile(1, 1, 1, 1)) == F(12, 5)
-    assert class_bound(t, 1, ClassProfile(0, 0, 0, 0)) == 2
+    assert class_bound(t, ClassProfile(1, 1, 1, 1)) == F(12, 5)
+    assert class_bound(t, ClassProfile(0, 0, 0, 0)) == 2
     with pytest.raises(ValueError):
-        class_bound(t, 1, ClassProfile(3, 0, 0, 0))
-    with pytest.raises(ValueError):
-        class_bound(t, 2, ClassProfile(0, 0, 0, 0))
+        class_bound(t, ClassProfile(3, 0, 0, 0))
+    with pytest.raises(ValueError, match="level n >= 1"):
+        class_bound(build_tables(F(2, 5), 0), ClassProfile(0, 0, 0, 0))
 
 
 def test_iso_bound_small_n():
@@ -76,10 +76,10 @@ def test_iso_bound_reduced_equals_unreduced_up_to_n4():
         for n in range(1, 5):
             t = build_tables(w.prob(0, 0, 0, 0), n)
             size = 2 ** n
-            best, witness = kernels.iso_scan(t.plus[n], t.minus[n],
+            best, witness = kernels.iso_scan(t.plus, t.minus,
                                              t.p.denominator ** n, size, size)
             report = iso_bound(w, n, tables=t)
-            assert report.raw_bound == F(4 * best, t.level_denominator(n))
+            assert report.raw_bound == F(4 * best, t.denominator)
             assert report.witness_profile.as_tuple() == witness
 
 
@@ -92,10 +92,11 @@ def test_iso_bound_requires_isotropic():
 
 def test_iso_bound_accepts_prebuilt_tables():
     w = wedge(F(1, 5), 0)
-    t = build_tables(F(2, 5), 4)
+    t = build_tables(F(2, 5), 3)
     assert iso_bound(w, 3, tables=t).raw_bound == F(12, 5)
-    with pytest.raises(ValueError):
-        iso_bound(w, 5, tables=t)
+    for n in (2, 4):  # the tables must be at level n, above or below it
+        with pytest.raises(ValueError, match=f"tables at level 3, expected n={n}"):
+            iso_bound(w, n, tables=t)
     with pytest.raises(ValueError):
         iso_bound(wedge(F(1, 2), 0), 3, tables=t)
 
@@ -103,7 +104,7 @@ def test_iso_bound_accepts_prebuilt_tables():
 def _n4_scan_inputs(system):
     """The n = 4 scan inputs of an isotropic box, as bounds.iso_bound forms them."""
     t = build_tables(system.prob(0, 0, 0, 0), 4)
-    return t, t.plus[4], t.minus[4], t.p.denominator ** 4, 2 ** 4
+    return t, t.plus, t.minus, t.p.denominator ** 4, 2 ** 4
 
 
 def test_backends_agree_on_bound():
@@ -121,7 +122,7 @@ def test_backends_agree_on_bound():
             vector = kernels.iso_scan(xp, xm, dpn, k0_cap, size)
             best, *witness = (int(v) for v in scalar)
             assert (best, tuple(witness)) == vector, (bound, k0_cap)
-            assert report.raw_bound == F(4 * best, t.level_denominator(4)) == bound
+            assert report.raw_bound == F(4 * best, t.denominator) == bound
             assert report.witness_profile.as_tuple() == tuple(witness) == profile
     # all-zero inputs tie on every profile, so both bodies must pick the
     # lexicographically smallest maximizer inside each cell as well
@@ -139,7 +140,7 @@ def test_grid_scan_backends_agree():
     vector = kernels.grid_scan(xp, xm, dpn, size)
     assert np.array_equal(scalar, vector)
     grid = class_grid(w, 4, tables=t)
-    denom = t.level_denominator(4)
+    denom = t.denominator
     assert grid.values == tuple(
         tuple(F(4 * int(v), denom) for v in row) for row in scalar
     )
@@ -185,10 +186,10 @@ def test_grid_scan_equals_the_sweep(p):
     # the kernel sweeps one profile per orbit of the complement map and the
     # transpose and reflects twice, relying on the complement identity and
     # the symmetry of real tables, while the reference sweeps every l0;
-    # 301/800 fills every level in Python ints
-    tables = build_tables(p, 6)
+    # 301/800 fills level 6 in Python ints
     for n in range(1, 7):
-        xp, xm = tables.plus[n], tables.minus[n]
+        tables = build_tables(p, n)
+        xp, xm = tables.plus, tables.minus
         dpn, size = p.denominator ** n, 2 ** n
         assert scalar_kernels.complement_holds(xp, dpn)
         assert scalar_kernels.complement_holds(xm, dpn)
@@ -206,7 +207,7 @@ def test_grid_scan_equals_the_sweep(p):
 def test_grid_scan_equals_the_sweep_n7(p):
     # from n = 7 on a grid_scan block holds a single l0, with its own cap
     tables = build_tables(p, 7)
-    xp, xm = tables.plus[7], tables.minus[7]
+    xp, xm = tables.plus, tables.minus
     assert xp.dtype == np.int64
     dpn = p.denominator ** 7
     want = scalar_kernels.grid_sweep(xp, xm, dpn, 128)
@@ -321,9 +322,9 @@ TILED_SCAN_PS = ["2/5", "13/32", "31/80", "39/80", "0", "1/2", "5/12", "17/40"]
 
 def _check_tiled_scan_on_tables(p, n_max):
     # the object rows run the float pass on the same tables as big ints
-    t = build_tables(F(p), n_max)
     for n in range(1, n_max + 1):
-        xp, xm, dpn, size = t.plus[n], t.minus[n], t.p.denominator ** n, 2 ** n
+        t = build_tables(F(p), n)
+        xp, xm, dpn, size = t.plus, t.minus, t.p.denominator ** n, 2 ** n
         assert xp.dtype == np.int64
         pairs = _int64_and_object(xp, xm) if n <= 6 else [(xp, xm)]
         for k0_cap in (size // 2, size):
@@ -350,13 +351,13 @@ def test_tiled_iso_scan_matches_full_sweep_n9(p):
 @pytest.mark.parametrize("p", ["301/800", "303/800", "311/800", "399/800",
                                "1234567/8000000"])
 def test_tiled_iso_scan_matches_full_sweep_on_big_ints(p):
-    # tables filled in Python ints at every level; at n = 7 the float tile
-    # bound keeps from under 1 % (399/800) to about a quarter (301/800,
-    # 303/800) of the tile pairs
-    t = build_tables(F(p), 7)
+    # tables scanned in Python ints at every n, whichever dtype their level
+    # was filled in; at n = 7 the float tile bound keeps from under 1 %
+    # (399/800) to about a quarter (301/800, 303/800) of the tile pairs
     for n in range(5, 8):
-        xp, xm, dpn, size = t.plus[n], t.minus[n], t.p.denominator ** n, 2 ** n
-        assert xp.dtype == object
+        t = build_tables(F(p), n)
+        xp, xm = t.plus.astype(object), t.minus.astype(object)
+        dpn, size = t.p.denominator ** n, 2 ** n
         for k0_cap in (size // 2, size):
             assert kernels.iso_scan(xp, xm, dpn, k0_cap, size) \
                 == scalar_kernels.iso_sweep(xp, xm, dpn, k0_cap, size), (n, k0_cap)
@@ -490,15 +491,14 @@ def test_float_shadow_rounds_each_entry_once():
 
 
 def test_bound_check_survives_optimize_flag():
-    # all-zero plus grids, and the minus grids derived from them, bound
-    # wedge(1/5, 0) at n=2 by 2 < NL = 12/5 (at (0, 0, 0, 0)); the check
-    # must raise even under python -O, which strips assert statements
+    # an all-zero level-2 plus grid, and the minus grid derived from it,
+    # bound wedge(1/5, 0) at n=2 by 2 < NL = 12/5 (at (0, 0, 0, 0)); the
+    # check must raise even under python -O, which strips assert statements
     code = """
 from fractions import Fraction
 import numpy as np
 from nldistill import DeltaTables, iso_bound, wedge
-zeros = tuple(np.zeros((2 ** m + 1, 2 ** m + 1), dtype=np.int64) for m in range(3))
-tables = DeltaTables(p=Fraction(2, 5), plus=zeros)
+tables = DeltaTables(p=Fraction(2, 5), plus=np.zeros((5, 5), dtype=np.int64))
 print("debug", __debug__)
 try:
     iso_bound(wedge(Fraction(1, 5), 0), 2, tables=tables)
@@ -558,7 +558,7 @@ def test_grid_small_properties():
         assert g.values[0][sl] <= 2
     # the aggregated cell of the balanced class dominates the grid max
     t = build_tables(F(2, 5), 3)
-    assert class_bound(t, 3, ClassProfile(4, 4, 4, 4)) == best
+    assert class_bound(t, ClassProfile(4, 4, 4, 4)) == best
 
 
 @pytest.mark.parametrize("eps", [F(1, 5), F(1, 2 ** 101), F(1, 7) + F(1, 2 ** 120)],
@@ -570,10 +570,10 @@ def test_grid_is_per_cell_max_of_class_bound(eps):
     n, size = 3, 2 ** 3
     w = wedge(eps, 0)
     t = build_tables(w.prob(0, 0, 0, 0), n)
-    assert (t.plus[n].dtype == object) == (eps != F(1, 5))
+    assert (t.plus.dtype == object) == (eps != F(1, 5))
     cells: dict = {}
     for k0, k1, l0, l1 in itertools.product(range(size + 1), repeat=4):
-        v = class_bound(t, n, ClassProfile(k0, k1, l0, l1))
+        v = class_bound(t, ClassProfile(k0, k1, l0, l1))
         key = (k0 + k1, l0 + l1)
         cells[key] = max(cells.get(key, v), v)
     g = class_grid(w, n, tables=t)
@@ -581,6 +581,15 @@ def test_grid_is_per_cell_max_of_class_bound(eps):
         tuple(cells[sk, sl] for sl in range(2 * size + 1))
         for sk in range(2 * size + 1)
     )
+
+
+def test_grid_and_general_bound_reject_bad_inputs():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        class_grid(wedge(F(1, 5), 0), 0)
+    with pytest.raises(ValueError, match="isotropic systems only"):
+        class_grid(wedge(F(1, 5), F(1, 5)), 2)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        general_bound(wedge(F(1, 5), F(1, 5)), 0)
 
 
 def test_grid_matches_profile_scan_max():

@@ -201,6 +201,9 @@ def test_is_isotropic_cases():
     white = mix([(F(1, 2), PR), (F(1, 2), ANTI_PR)])
     assert is_isotropic(white) == -1
     assert nl_value(white)[0] == 0
+    # every entry 1: equal on both supports of each vertex pair, but the
+    # weight 2*n0/d = 2 on the gamma = 0 vertex lies outside [0, 1]
+    assert is_isotropic(BinarySystem((F(1),) * 16)) is None
 
 
 def test_isotropic_epsilon_matches_nl():

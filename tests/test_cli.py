@@ -132,15 +132,14 @@ def test_corrupt_cache_is_distinct_io_error(capsys, tmp_path):
                        "--cache", str(cache))
     assert code == 4
     assert "cache corrupt" in err and "TableChecksumError" in err
-    # a cache written by format 1, 2, 3 or 4 names the file to delete, in
-    # the message the README gives
-    good = build_tables(F(2, 5), 2)
-    good.save(victim)
-    format_4 = scalar_kernels.format_4_file(victim.read_bytes(), good.ops_per_level)
+    # a cache written by format 1, 2, 3, 4 or 5 names the file to delete,
+    # in the message the README gives
+    format_5 = scalar_kernels.format_5_file(F(2, 5), 2)
+    format_4 = scalar_kernels.format_4_file(format_5, build_tables(F(2, 5), 2).ops_per_level)
     for old in (b"NLDELTA 1\nn=2 p=2/5\nsha256=0\n",
                 b"NLDELTA 2\nn=2 p=2/5\nops=0,20,86\nsha256=0\n0 0 0 1\n",
                 b"NLDELTA 3\nn=2 p=2/5\nops=0,20,86\nsha256=0\n0 0 0 1\n",
-                format_4):
+                format_4, format_5):
         victim.write_bytes(old)
         code, _, err = run(capsys, "bound", "--wedge", "1/5,0", "--n", "2",
                            "--cache", str(cache))
@@ -155,7 +154,7 @@ def test_cache_header_n_past_its_payload_exits_4(capsys, tmp_path):
     path = tmp_path / cli.cache_filename(F(2, 5), 8000)
     build_tables(F(2, 5), 2).save(path)
     payload = path.read_bytes().split(b"\n", 3)[3]
-    head = b"NLDELTA 5\nn=8000 p=2/5\n"
+    head = b"NLDELTA 6\nn=8000 p=2/5\n"
     digest = hashlib.sha256(head + payload).hexdigest().encode()
     path.write_bytes(head + b"sha256=" + digest + b"\n" + payload)
     code, out, err = run(capsys, "bound", "--wedge", "1/5,0", "--n", "8000",
@@ -397,6 +396,29 @@ def test_cache_naming_a_file_is_io_error(capsys, tmp_path):
                          "--cache", str(cache))
     assert code == 4 and out == ""
     assert err.splitlines()[-1].startswith("nldistill: error: cannot write table cache: ")
+
+
+def test_cache_entry_that_is_a_directory_is_io_error(capsys, tmp_path):
+    # the cache file's name is taken by a directory: opening it to load
+    # raises an OSError that no command maps, and main reports it
+    entry = tmp_path / cli.cache_filename(F(2, 5), 3)
+    entry.mkdir()
+    code, out, err = run(capsys, "bound", "--wedge", "1/5,0", "--n", "3",
+                         "--cache", str(tmp_path))
+    assert code == 4 and out == ""
+    assert err.splitlines()[-1].startswith("nldistill: I/O error: ")
+
+
+def test_decomposition_error_exits_2(capsys, monkeypatch):
+    def fail(system):
+        raise decompose.DecompositionError("local weights do not rebuild the box")
+
+    monkeypatch.setattr(cli, "minimal_isotropic", fail)
+    for argv in (["decompose"], ["bound", "--n", "2"]):
+        code, out, err = run(capsys, *argv, "--wedge", "1/5,0")
+        assert code == 2 and out == "", argv
+        assert err == ("nldistill: error: decomposition failed: "
+                       "local weights do not rebuild the box\n"), argv
 
 
 @pytest.mark.parametrize("data, message", [

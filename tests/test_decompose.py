@@ -202,11 +202,14 @@ def test_local_part_wedge_grid(lp_agreement):
 
 
 def test_lp_constraints_hold_exactly(lp_agreement):
-    # these vertex mixtures are local: lp_optimum checks every weight's sign
-    # and every constraint, and the certified local_part returns the weights
+    # local_part serves local boxes only, so the draws keep the local ones:
+    # lp_optimum checks every weight's sign and every constraint, and the
+    # certified local_part returns the weights
     rng = random.Random(11)
-    for _ in range(15):
-        box = random_ns_box(rng)
+    boxes = [box for box in (random_ns_box(rng) for _ in range(40))
+             if nl_value(box)[0] <= 2][:15]
+    assert len(boxes) == 15
+    for box in boxes:
         weights, value = lp_optimum(box)
         assert local_part(box) == tuple(weights) and value == 1
 
@@ -274,6 +277,7 @@ def test_minimal_isotropic_extremes():
 
 def test_decomposition_envelope_on_random_boxes():
     rng = random.Random(14)
+    branches = set()
     for _ in range(20):
         box = random_ns_box(rng)
         dec = minimal_isotropic(box)
@@ -285,8 +289,11 @@ def test_decomposition_envelope_on_random_boxes():
             if dec.q < 1:
                 assert nl_value(dec.p_l)[0] <= 2
                 assert validate(dec.p_l).ok
+            branches.add("nonlocal, q < 1" if dec.q < 1 else "nonlocal")
         else:
             assert nl <= 2
+            branches.add("local")
+    assert {"local", "nonlocal, q < 1"} <= branches
 
 
 def test_epsilon_monotone_along_q():

@@ -69,48 +69,53 @@ def one_copy_extrema(system) -> tuple[dict, dict]:
     return hi, lo
 
 
+def levels(p, n):
+    """The tables of each level 0..n at p, each built on its own."""
+    return [build_tables(p, m) for m in range(n + 1)]
+
+
 def test_base_level():
     t = build_tables(F(2, 5), 0)
+    assert t.n == 0 and t.denominator == 1
     for k, l in itertools.product((0, 1), (0, 1)):
-        assert t.delta("+", 0, k, l) == k * l
-        assert t.delta("-", 0, k, l) == k * l
+        assert t.delta("+", k, l) == k * l
+        assert t.delta("-", k, l) == k * l
 
 
 def test_level_one_oracle_values():
     t = build_tables(F(2, 5), 1)
-    assert t.delta("+", 1, 1, 1) == F(2, 5)
-    assert t.delta("-", 1, 1, 1) == F(1, 10)
-    assert t.delta("+", 1, 1, 2) == F(1, 2)
+    assert t.delta("+", 1, 1) == F(2, 5)
+    assert t.delta("-", 1, 1) == F(1, 10)
+    assert t.delta("+", 1, 2) == F(1, 2)
     # and the recursion level 1 equals the one-copy wiring optimum for an
     # isotropic source with this p
     hi, lo = one_copy_extrema(wedge(F(1, 5), 0))
     for k in range(3):
         for l in range(3):
-            assert t.delta("+", 1, k, l) == hi[k, l]
-            assert t.delta("-", 1, k, l) == lo[k, l]
+            assert t.delta("+", k, l) == hi[k, l]
+            assert t.delta("-", k, l) == lo[k, l]
 
 
 @pytest.mark.parametrize("p", [F(0), F(1, 7), F(3, 8), F(2, 5), F(1, 2)])
 def test_top_corner_is_one(p):
-    t = build_tables(p, 3)
-    for m in range(4):
-        assert t.delta("+", m, 2 ** m, 2 ** m) == 1
-        assert t.delta("-", m, 2 ** m, 2 ** m) == 1
+    for m, t in enumerate(levels(p, 3)):
+        assert t.delta("+", 2 ** m, 2 ** m) == 1
+        assert t.delta("-", 2 ** m, 2 ** m) == 1
 
 
 def assert_matches_naive(t):
     ref = naive_delta(t.p)
     for sign in "+-":
-        for m in range(t.n + 1):
-            for k in range(2 ** m + 1):
-                for l in range(2 ** m + 1):
-                    assert t.delta(sign, m, k, l) == ref(sign, m, k, l), (sign, m, k, l)
+        for k in range(2 ** t.n + 1):
+            for l in range(2 ** t.n + 1):
+                assert t.delta(sign, k, l) == ref(sign, t.n, k, l), (sign, t.n, k, l)
 
 
 @pytest.mark.parametrize("p", [F(0), F(1, 2), F(2, 5), F(1, 7), F(3, 8),
                                F(1929, 15625), F(1234567, 8000000)])
 def test_matches_naive_recursion(p):
-    assert_matches_naive(build_tables(p, 3))
+    for t in levels(p, 3):
+        assert_matches_naive(t)
 
 
 def wedge_cells(grid, size):
@@ -127,24 +132,24 @@ def test_backends_agree():
     # checked against the scalar min fill of the minus level below.  At
     # p = 0 ca is 0 and at p = 1/2 cb is 0, where ties abound.
     for p in (F(2, 5), F(0), F(1, 2)):
-        t = build_tables(p, 6)
+        t = levels(p, 6)
         ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
         for m in range(1, 7):
             size = 2 ** m
             scalar = np.zeros((size + 1, size + 1), dtype=np.int64)
             ops_s = scalar_kernels.fill_wedge(
-                t.plus[m - 1], scalar, size, np.int64(ca), np.int64(cb), True
+                t[m - 1].plus, scalar, size, np.int64(ca), np.int64(cb), True
             )
-            vector, _ = kernels.fill_wedge(t.plus[m - 1], ca, cb)
+            vector, _ = kernels.fill_wedge(t[m - 1].plus, ca, cb)
             nldistill.delta._complete_grid(vector, p.denominator ** m)
             assert np.array_equal(scalar, wedge_cells(vector, size)), (p, m)
             assert ops_s == kernels._wedge_pairs(size), (p, m)
-            assert 2 * ops_s == t.ops_per_level[m], (p, m)
+            assert 2 * ops_s == t[6].ops_per_level[m], (p, m)
             scalar = np.zeros((size + 1, size + 1), dtype=np.int64)
             scalar_kernels.fill_wedge(
-                t.minus[m - 1], scalar, size, np.int64(ca), np.int64(cb), False
+                t[m - 1].minus, scalar, size, np.int64(ca), np.int64(cb), False
             )
-            assert np.array_equal(wedge_cells(t.minus[m], size), scalar), (p, m)
+            assert np.array_equal(wedge_cells(t[m].minus, size), scalar), (p, m)
 
 
 def test_filtered_fill_matches_int64_kernel():
@@ -154,10 +159,9 @@ def test_filtered_fill_matches_int64_kernel():
     # FILTER_CAP pairs and run the exact sweep, while p = 2/5 re-checks its
     # survivors only.
     for p in (F(2, 5), F(1, 2), F(0)):
-        t = build_tables(p, 7)
         ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
-        for m in range(1, 8):
-            prev = t.plus[m - 1]
+        for m, t in enumerate(levels(p, 6), start=1):
+            prev = t.plus
             want, want_counts = kernels.fill_wedge(prev, ca, cb)
             got, counts = kernels.fill_wedge(prev.astype(object), ca, cb)
             assert got.dtype == object
@@ -175,12 +179,12 @@ def test_filter_margin_keeps_near_ties():
     # minus grid, derived from the plus grid, follows it.
     p = F(1, 3) + F(1, 2 ** 101)
     t = build_tables(p, 5)
-    assert t.plus[5].dtype == object
+    assert t.plus.dtype == object
     ref = naive_delta(p)
     for sign in "+-":
         for k in range(8):
             for l in range(33):
-                assert t.delta(sign, 5, k, l) == ref(sign, 5, k, l), (sign, k, l)
+                assert t.delta(sign, k, l) == ref(sign, 5, k, l), (sign, k, l)
 
 
 @pytest.mark.parametrize("block_rows", [1, 5, kernels.FILL_BLOCK_ROWS])
@@ -235,10 +239,9 @@ def test_pruned_block_matches_sweep(monkeypatch, p):
     # The pruned body is called directly, so levels below PRUNE_MIN_SIZE and
     # the tie-heavy p = 0 and 1/2 (whose blocks fall back in fill_wedge)
     # exercise it too.  The cases q = -P exercise signed rows.
-    t = build_tables(p, 7)
     ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
-    for m in range(3, 9):
-        for sign, prev in ((1, t.plus[m - 1]), (-1, t.minus[m - 1])):
+    for m, t in enumerate(levels(p, 7)[2:], start=3):
+        for sign, prev in ((1, t.plus), (-1, t.minus)):
             q = sign * prev
             assert np.array_equal(pruned_wedge(monkeypatch, q, 2 ** m, ca, cb),
                                   sweep_wedge(q, 2 ** m, ca, cb)), (p, m, sign)
@@ -296,7 +299,7 @@ def test_pruned_levels_report_counts():
         t = build_tables(p, 7)
         ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
         blocks = len(list(kernels._fill_blocks(size)))
-        _, counts = kernels.fill_wedge(t.plus[7], ca, cb)
+        _, counts = kernels.fill_wedge(t.plus, ca, cb)
         if p:
             assert counts["prune_fallbacks"] == 0
             assert 0 < counts["prune_kept"] < kernels.PRUNE_CAP * kernels._wedge_pairs(size)
@@ -327,11 +330,11 @@ def test_pruned_fill_falls_back_mid_level(monkeypatch):
         return found
 
     monkeypatch.setattr(kernels._Pruner, "block", block)
-    grid, counts = kernels.fill_wedge(t.plus[7], ca, cb)
+    grid, counts = kernels.fill_wedge(t.plus, ca, cb)
     blocks = len(list(kernels._fill_blocks(256)))
     assert len(evaluated) == 6 and evaluated[5] is None and blocks > 6
     assert counts == {"prune_kept": sum(evaluated[:5]), "prune_fallbacks": blocks - 5}
-    assert np.array_equal(grid, sweep_wedge(t.plus[7], 256, ca, cb))
+    assert np.array_equal(grid, sweep_wedge(t.plus, 256, ca, cb))
 
 
 _PRUNED_8 = [()] * 7 + [(("prune_kept", 33391), ("prune_fallbacks", 0))]
@@ -360,16 +363,16 @@ def test_level_filled_counters_are_pinned(p, n, counters):
 @pytest.mark.longrun
 def test_pruned_level_9_matches_sweep():
     p = F(13, 32)
-    t = build_tables(p, 9)
+    below, t = build_tables(p, 8), build_tables(p, 9)
     ca, cb = 2 * p.numerator, p.denominator - 2 * p.numerator
-    grid, counts = kernels.fill_wedge(t.plus[8], ca, cb)
+    grid, counts = kernels.fill_wedge(below.plus, ca, cb)
     assert counts["prune_fallbacks"] == 0
     nldistill.delta._complete_grid(grid, p.denominator ** 9)
     assert np.array_equal(wedge_cells(grid, 512),
-                          scalar_kernels.wedge_sweep(t.plus[8], 512, ca, cb))
+                          scalar_kernels.wedge_sweep(below.plus, 512, ca, cb))
     # the derived minus grid against the min fill of the minus level below
-    assert np.array_equal(wedge_cells(t.minus[9], 512),
-                          -scalar_kernels.wedge_sweep(-t.minus[8], 512, ca, cb))
+    assert np.array_equal(wedge_cells(t.minus, 512),
+                          -scalar_kernels.wedge_sweep(-below.minus, 512, ca, cb))
 
 
 #: the p of the capped-fill tests: two prune at level 8, 1/3 has an odd
@@ -406,9 +409,8 @@ def assert_completes_the_sweep(prev, m, p, dtype):
 @pytest.mark.parametrize("dtype", [np.int64, object])
 @pytest.mark.parametrize("p", CAPPED_PS, ids=str)
 def test_capped_fill_completes_to_the_full_sweep(p, dtype):
-    t = build_tables(p, 7)
-    for m in range(1, 9):
-        assert_completes_the_sweep(t.plus[m - 1], m, p, dtype)
+    for m, t in enumerate(levels(p, 7), start=1):
+        assert_completes_the_sweep(t.plus, m, p, dtype)
 
 
 @pytest.mark.longrun
@@ -417,19 +419,18 @@ def test_capped_fill_completes_to_the_full_sweep(p, dtype):
 def test_capped_fill_completes_to_the_full_sweep_level_9(p, dtype):
     # 31/80 leaves int64 at level 9, (2*80)^9 > 2^59, and the reference
     # sweep runs in int64; 13/32 prunes at level 9 in its place
-    assert_completes_the_sweep(build_tables(p, 8).plus[8], 9, p, dtype)
+    assert_completes_the_sweep(build_tables(p, 8).plus, 9, p, dtype)
 
 
 @pytest.mark.parametrize("p", CAPPED_PS, ids=str)
 def test_capped_fill_completes_to_the_naive_recursion(p):
     ref = naive_delta(p)
-    t = build_tables(p, 3)
-    for m in range(1, 5):
+    for m, t in enumerate(levels(p, 3), start=1):
         scale = (2 * p.denominator) ** m
         want = [[ref("+", m, k, l) * scale for l in range(2 ** m + 1)]
                 for k in range(2 ** m + 1)]
         for dtype in (np.int64, object):
-            grid = capped_fill_completed(t.plus[m - 1], m, p, dtype)
+            grid = capped_fill_completed(t.plus, m, p, dtype)
             assert grid.tolist() == want, (p, m, dtype)
 
 
@@ -457,7 +458,7 @@ def skipping(*args):
         if c != 1:
             yield chunk
 kernels._window_chunks = skipping
-prev = build_tables(Fraction(301, 800), 4).plus[4].astype(object)
+prev = build_tables(Fraction(301, 800), 4).plus.astype(object)
 try:
     kernels.fill_wedge(prev, 602, 198)
 except AssertionError as exc:
@@ -496,58 +497,51 @@ def bigint_p(draw):
 @settings(max_examples=8, deadline=None)
 @given(bigint_p())
 def test_bigint_fill_matches_naive_recursion(p):
-    t = build_tables(p, 3)
-    assert t.plus[3].dtype == object
-    assert_matches_naive(t)
+    for t in levels(p, 3):
+        assert_matches_naive(t)
+    assert t.plus.dtype == object
 
 
 def test_int64_guard_picks_object_path():
     p = F(1234567, 8000000)
     assert not fits_int64(p, 3)
     t = build_tables(p, 3)
-    assert t.plus[3].dtype == object
+    assert t.plus.dtype == object
     assert fits_int64(F(2, 5), 9)
 
 
 @pytest.mark.parametrize("p", [F(2, 5), F(3, 8), F(1, 7)])
 def test_symmetry_monotonicity_range(p):
-    n = 4
-    t = build_tables(p, n)
-    for sign in "+-":
-        for m in range(n + 1):
-            size = 2 ** m
+    for t in levels(p, 4):
+        size = 2 ** t.n
+        for sign in "+-":
             for k in range(size + 1):
-                assert t.delta(sign, m, k, 0) == 0
-                assert t.delta(sign, m, 0, k) == 0
+                assert t.delta(sign, k, 0) == 0
+                assert t.delta(sign, 0, k) == 0
                 for l in range(size + 1):
-                    v = t.delta(sign, m, k, l)
-                    assert v == t.delta(sign, m, l, k)
+                    v = t.delta(sign, k, l)
+                    assert v == t.delta(sign, l, k)
                     assert 0 <= v <= 1
-    for m in range(n + 1):
-        size = 2 ** m
         for k in range(size + 1):
             for l in range(size + 1):
-                assert t.delta("-", m, k, l) <= t.delta("+", m, k, l)
+                assert t.delta("-", k, l) <= t.delta("+", k, l)
 
 
 def test_plus_monotone_in_preimage_size():
-    t = build_tables(F(2, 5), 4)
-    for m in range(5):
-        size = 2 ** m
+    for t in levels(F(2, 5), 4):
+        size = 2 ** t.n
         for k in range(size):
             for l in range(size + 1):
-                assert t.delta("+", m, k, l) <= t.delta("+", m, k + 1, l)
+                assert t.delta("+", k, l) <= t.delta("+", k + 1, l)
 
 
 def test_p_flip_invariance():
     # swapping p and 1/2 - p relabels the window only
-    a = build_tables(F(2, 5), 3)
-    b = build_tables(F(1, 10), 3)
-    for sign in "+-":
-        for m in range(4):
-            for k in range(2 ** m + 1):
-                for l in range(2 ** m + 1):
-                    assert a.delta(sign, m, k, l) == b.delta(sign, m, k, l)
+    for a, b in zip(levels(F(2, 5), 3), levels(F(1, 10), 3)):
+        for sign in "+-":
+            for k in range(2 ** a.n + 1):
+                for l in range(2 ** a.n + 1):
+                    assert a.delta(sign, k, l) == b.delta(sign, k, l)
 
 
 def test_rejects_bad_parameters():
@@ -557,6 +551,16 @@ def test_rejects_bad_parameters():
         build_tables(F(-1, 5), 2)
     with pytest.raises(ValueError):
         build_tables(F(1, 4), -1)
+
+
+def test_memory_budget_admits_the_documented_levels():
+    # the build holds levels n - 1 and n, and bound and grid add the level-n
+    # minus grid: int64 fits up to n = 13 and big ints up to n = 11
+    budget = nldistill.delta.MEMORY_BUDGET
+    for int64, top in ((True, 13), (False, 11)):
+        assert nldistill.delta._estimate_bytes(top, int64) <= budget
+        assert nldistill.delta._estimate_bytes(top + 1, int64) > budget
+    assert nldistill.delta._estimate_bytes(8, True) == (2 * 257 ** 2 + 129 ** 2) * 8
 
 
 def test_memory_budget_reports_requirement(monkeypatch):
@@ -571,20 +575,25 @@ def test_memory_budget_reports_requirement(monkeypatch):
 def test_accessor_range_errors():
     t = build_tables(F(2, 5), 2)
     with pytest.raises(ValueError):
-        t.delta("x", 1, 0, 0)
+        t.delta("x", 0, 0)
     with pytest.raises(IndexError):
-        t.delta("+", 3, 0, 0)
+        t.delta("+", 5, 0)
     with pytest.raises(IndexError):
-        t.delta("+", 2, 5, 0)
-    assert t.delta("+", 2, 4, 4) == 1
+        t.delta("+", 0, -1)
+    assert t.delta("+", 4, 4) == 1
 
 
 def test_tables_hold_p_and_the_plus_grids_only():
-    # n and ops_per_level follow from the grids; no constructor takes them
+    # n, the denominator and ops_per_level follow from the one grid; no
+    # constructor takes them
     t = build_tables(F(2, 5), 3)
+    assert isinstance(t.plus, np.ndarray) and t.plus.shape == (9, 9)
+    assert not t.plus.flags.writeable and not t.minus.flags.writeable
     again = DeltaTables(p=t.p, plus=t.plus)
-    assert again == t and again.n == 3
+    assert again == t and again.n == 3 and again.denominator == 10 ** 3
     assert again.ops_per_level == (0, 20, 86, 580)
+    assert again != DeltaTables(p=t.p, plus=t.plus.astype(object))
+    assert again != build_tables(F(2, 5), 2)
     for extra in ({"n": 3}, {"ops_per_level": t.ops_per_level}):
         with pytest.raises(TypeError):
             DeltaTables(p=t.p, plus=t.plus, **extra)
@@ -597,9 +606,9 @@ def test_save_load_round_trip(tmp_path):
     again = load_tables(path)
     assert again == t
     assert again.ops_per_level == t.ops_per_level
-    for a, b in zip(again.plus + again.minus, t.plus + t.minus):
+    for a, b in ((again.plus, t.plus), (again.minus, t.minus)):
         assert a.dtype == b.dtype == np.int64
-    assert again.delta("+", 3, 3, 5) == t.delta("+", 3, 3, 5)
+    assert again.delta("+", 3, 5) == t.delta("+", 3, 5)
 
 
 def test_saved_bytes_are_pinned(tmp_path):
@@ -607,27 +616,28 @@ def test_saved_bytes_are_pinned(tmp_path):
     path = tmp_path / "t.nldt"
     build_tables(F(1, 2), 1).save(path)
     assert path.read_bytes() == (
-        b"NLDELTA 5\n"
+        b"NLDELTA 6\n"
         b"n=1 p=1/2\n"
-        b"sha256=1ed48113680daef8b4e95d03bf835662c8b625ab482ec41d1960048300d38b5b\n"
-        + struct.pack("<13Q", 0, 0, 0, 1, 0, 0, 0, 0, 2, 2, 0, 2, 4)
+        b"sha256=32a7ee3f0f32fe5595fe40d84776ff2aa2e6c114e85b2bc113379cf7c74afe1b\n"
+        + struct.pack("<9Q", 0, 0, 0, 0, 2, 2, 0, 2, 4)
     )
 
 
 def test_saved_level_6_digest_is_pinned(tmp_path):
-    # a fill change that alters any grid changes these digests; the payload
-    # digest is that of format 4, whose files differed in the header only
+    # a fill change that alters the grid changes these digests; the payload
+    # is the level-6 tail of the format-5 payload, whose lower levels it drops
     path = tmp_path / "t.nldt"
     t = build_tables(F(2, 5), 6)
     t.save(path)
     head, payload = _split(path.read_bytes())
+    assert payload == _split(scalar_kernels.format_5_file(t.p, 6))[1][-len(payload):]
     assert head == [
-        b"NLDELTA 5",
+        b"NLDELTA 6",
         b"n=6 p=2/5",
-        b"sha256=61a63704ab893dc17e5bd5c6b1b523fd3711b4024c7afe8355fd7fd7fc7fdc39",
+        b"sha256=ccb7fa44037b10adb53c49cc8afaa9a1d5bdea7ce310b9a71e17fb3cd3d823a6",
     ]
     assert hashlib.sha256(payload).hexdigest() == \
-        "54a1813809c6f0501b522c4d266c6e1603f845eb6c218e9e77790e8fc969f0cb"
+        "6ee7043c33d9235dce81f390e62846d9aabb17aba1b97391a941a91d97930f49"
     ops = (0, 20, 86, 580, 5550, 66810, 919666)
     assert t.ops_per_level == load_tables(path).ops_per_level == ops
 
@@ -675,7 +685,7 @@ def test_save_load_object_path(tmp_path):
     again = load_tables(path)
     assert again == t
     assert again.ops_per_level == t.ops_per_level
-    for a, b in zip(again.plus + again.minus, t.plus + t.minus):
+    for a, b in ((again.plus, t.plus), (again.minus, t.minus)):
         assert a.dtype == b.dtype == object
 
 
@@ -688,13 +698,14 @@ def test_level_grids_satisfy_the_scan_identities(tmp_path, p, n, dtype):
     # the symmetry and the complement identity that the ``delta`` docstring
     # proves, on the plus and the minus grids, built and loaded: both scans
     # rely on them unchecked (iso_scan's k0 cap, grid_scan's orbit sweep)
-    t = build_tables(p, n)
-    path = tmp_path / "t.nldt"
-    t.save(path)
-    for tables in (t, load_tables(path)):
-        for m in range(n + 1):
-            for sign, grid in (("+", tables.plus[m]), ("-", tables.minus[m])):
-                assert grid.dtype == dtype, (m, sign)
+    built = levels(p, n)
+    assert built[n].plus.dtype == dtype
+    for m, t in enumerate(built):
+        path = tmp_path / f"t{m}.nldt"
+        t.save(path)
+        for tables in (t, load_tables(path)):
+            for sign, grid in (("+", tables.plus), ("-", tables.minus)):
+                assert grid.dtype == (np.int64 if fits_int64(p, m) else object), (m, sign)
                 assert np.array_equal(grid, grid.T), (m, sign)
                 assert scalar_kernels.complement_holds(grid, p.denominator ** m), \
                     (m, sign)
@@ -713,12 +724,15 @@ def test_load_error_cases(tmp_path):
 
     versioned = tmp_path / "version.nldt"
     for old in (b"NLDELTA 2", b"NLDELTA 3"):
-        versioned.write_bytes(data.replace(b"NLDELTA 5", old, 1))
+        versioned.write_bytes(data.replace(b"NLDELTA 6", old, 1))
         with pytest.raises(TableVersionError):
             load_tables(versioned)
-    versioned.write_bytes(scalar_kernels.format_4_file(data, t.ops_per_level))
-    with pytest.raises(TableVersionError, match="version 4 unsupported"):
-        load_tables(versioned)
+    format_5 = scalar_kernels.format_5_file(t.p, t.n)
+    for old, version in ((format_5, 5),
+                         (scalar_kernels.format_4_file(format_5, t.ops_per_level), 4)):
+        versioned.write_bytes(old)
+        with pytest.raises(TableVersionError, match=f"version {version} unsupported"):
+            load_tables(versioned)
 
     # the checksum covers the n line
     wrong_n = tmp_path / "n.nldt"
@@ -745,7 +759,7 @@ def test_header_n_must_fit_the_payload(tmp_path):
     path = tmp_path / "delta_p2_5_n8000.nldt"
     build_tables(F(2, 5), 2).save(path)
     head, payload = _split(path.read_bytes())
-    assert len(payload) == 8 * (4 + 9 + 25)
+    assert len(payload) == 8 * 25
     path.write_bytes(_restamp([head[0], b"n=8000 p=2/5"], payload))
     with pytest.raises(TableHeaderError, match="n=8000 does not fit"):
         load_tables(path)
@@ -758,10 +772,10 @@ def test_header_n_must_fit_the_payload(tmp_path):
 
 
 @pytest.mark.parametrize("head, error, message", [
-    (b"NLDELTB 5\nn=2 p=2/5\nsha256=0\n", TableVersionError, "not a delta table file"),
-    (b"NLDELTA 5\nn=2 p=2/5", TableFormatError, "file too short for a table header"),
-    (b"NLDELTA 5\nn=two p=2/5\nsha256=0\n", TableHeaderError, "malformed header line"),
-    (b"NLDELTA 5\nn=2 p=3/5\nsha256=0\n", TableHeaderError, "header out of range"),
+    (b"NLDELTB 6\nn=2 p=2/5\nsha256=0\n", TableVersionError, "not a delta table file"),
+    (b"NLDELTA 6\nn=2 p=2/5", TableFormatError, "file too short for a table header"),
+    (b"NLDELTA 6\nn=two p=2/5\nsha256=0\n", TableHeaderError, "malformed header line"),
+    (b"NLDELTA 6\nn=2 p=3/5\nsha256=0\n", TableHeaderError, "header out of range"),
 ], ids=["magic", "short", "malformed", "range"])
 def test_load_rejects_each_bad_header(tmp_path, head, error, message):
     # each header check raises before the checksum is read
@@ -792,14 +806,14 @@ def test_malformed_payload_is_distinct(tmp_path, p, dtype, limbs):
     t = build_tables(p, 3)
     path = tmp_path / "t.nldt"
     t.save(path)
-    assert load_tables(path).plus[1].dtype == dtype
+    assert load_tables(path).plus.dtype == dtype
     head, payload = _split(path.read_bytes())
     assert _restamp(head, payload) == path.read_bytes()
     width = 8 * limbs
-    assert len(payload) == (4 + 9 + 25 + 81) * width
-    # entry 4 + 8 is the last of the level-1 grid, D_1 itself
-    at = (4 + 8) * width
-    top = t.level_denominator(1)
+    assert len(payload) == 81 * width
+    # entry 80 is the last of the level-3 grid, D_3 itself
+    at = 80 * width
+    top = t.denominator
     assert int.from_bytes(payload[at:at + width], "little") == top
     bad_payloads = [
         payload[:-width],  # one entry short
@@ -829,8 +843,8 @@ path = {str(tmp_path / "t.nldt")!r}
 build_tables(Fraction(1, 2), 2).save(path)
 data = open(path, "rb").read()
 *head, payload = data.split(b"\\n", 3)
-top = (5).to_bytes(8, "little")  # D_1 + 1 over the last level-1 entry
-for bad in (payload[:-8], payload + bytes(8), payload[:96] + top + payload[104:]):
+top = (17).to_bytes(8, "little")  # D_2 + 1 over the last entry
+for bad in (payload[:-8], payload + bytes(8), payload[:-8] + top):
     digest = hashlib.sha256(b"".join(h + b"\\n" for h in head[:2]) + bad).hexdigest()
     open(path, "wb").write(b"".join(h + b"\\n" for h in head[:2])
                            + f"sha256={{digest}}\\n".encode() + bad)
@@ -854,15 +868,13 @@ def test_bulk_load_matches_token_reference(tmp_path, p, n):
     path = tmp_path / "t.nldt"
     build_tables(p, n).save(path)
     got = load_tables(path)
-    want = scalar_kernels.load_payload(_split(path.read_bytes())[1], p, n)
-    assert len(want) == n + 1
-    for m, ref_plus in enumerate(want):
-        # the minus grid is derived from the plus grid: l*dp^m - plus[2^m - k, l]
-        ref_minus = (np.arange(2 ** m + 1).astype(ref_plus.dtype) * p.denominator ** m
-                     - ref_plus[::-1])
-        for grid, ref in ((got.plus[m], ref_plus), (got.minus[m], ref_minus)):
-            assert grid.dtype == ref.dtype and np.array_equal(grid, ref), (m, grid.dtype)
-            assert not grid.flags.writeable
+    ref_plus = scalar_kernels.load_payload(_split(path.read_bytes())[1], p, n)
+    # the minus grid is derived from the plus grid: l*dp^n - plus[2^n - k, l]
+    ref_minus = (np.arange(2 ** n + 1).astype(ref_plus.dtype) * p.denominator ** n
+                 - ref_plus[::-1])
+    for grid, ref in ((got.plus, ref_plus), (got.minus, ref_minus)):
+        assert grid.dtype == ref.dtype and np.array_equal(grid, ref), grid.dtype
+        assert not grid.flags.writeable
 
 
 @pytest.mark.parametrize("p, n, limbs", [(F(1, 30000), 4, 1), (F(1, 32768), 4, 2),
@@ -876,12 +888,11 @@ def test_limb_boundary_round_trip(tmp_path, p, n, limbs):
     assert 64 * (limbs - 1) < ((2 * p.denominator) ** n).bit_length() <= 64 * limbs
     path = tmp_path / "t.nldt"
     t.save(path)
-    entries = sum((2 ** m + 1) ** 2 for m in range(n + 1))
-    assert len(_split(path.read_bytes())[1]) == entries * 8 * limbs
+    assert len(_split(path.read_bytes())[1]) == (2 ** n + 1) ** 2 * 8 * limbs
     again = load_tables(path)
     assert again == t
-    assert all(g.dtype == object and not g.flags.writeable for g in again.plus)
-    assert again.plus[n][-1, -1] == (2 * p.denominator) ** n
+    assert again.plus.dtype == object and not again.plus.flags.writeable
+    assert again.plus[-1, -1] == (2 * p.denominator) ** n
 
 
 def test_load_raises_no_warning(tmp_path):

@@ -406,10 +406,10 @@ def lowered_tables(p, n):
     """The tables at p with two level-n plus cells lowered by D_n/8; the
     derived minus grid rises at their mirror cells."""
     tables = build_tables(p, n)
-    top = tables.plus[n].copy()
-    top[1, 1] -= tables.level_denominator(n) // 8
-    top[2, n] -= tables.level_denominator(n) // 8
-    return DeltaTables(p=tables.p, plus=(*tables.plus[:n], top))
+    top = tables.plus.copy()
+    top[1, 1] -= tables.denominator // 8
+    top[2, n] -= tables.denominator // 8
+    return DeltaTables(p=tables.p, plus=top)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -428,8 +428,8 @@ def test_sandwich_reports_every_violation(monkeypatch, n):
         rows = wiring_grid(box, plan_a, plan_b).tolist()
         for f, g in product(decisions, repeat=2):
             value = F(protocols._f_t_w_g(f, g, rows), scale)
-            lower = tables.delta("-", n, sum(f), sum(g))
-            upper = tables.delta("+", n, sum(f), sum(g))
+            lower = tables.delta("-", sum(f), sum(g))
+            upper = tables.delta("+", sum(f), sum(g))
             if not lower <= value <= upper:
                 want.append(protocols.SandwichViolation(plan_a, plan_b, f, g,
                                                         value, lower, upper))
